@@ -3,10 +3,13 @@
 Vectors are arbitrary-precision Python integers read as little-endian bit
 strings of a declared length, so xor of two vectors is a single operation on
 the packed representation.  ``SpanBasis`` maintains an incrementally grown,
-fully reduced row basis: every row's lowest set bit is its pivot, pivots are
-strictly increasing, and no row has a set bit at another row's pivot.  Full
-reduction makes membership testing a single reduction pass, which is what the
-incremental image searches need.
+fully reduced row basis: every row's lowest set bit is its pivot, and no row
+has a set bit at another row's pivot.  Rows are keyed by pivot, and the set
+of pivots is also kept as one packed mask.  Because xor-ing in a fully
+reduced row clears its own pivot and touches no other pivot, reducing a
+vector v means xor-ing exactly the rows at the set bits of v & mask: the
+cost follows the number of pivots v touches, not the rank.  Membership is
+one such reduction, which is what the incremental image searches need.
 
 Equality of vectors is value equality on (length, bit content); the word size
 of the underlying integers is never visible through the interface.
@@ -14,7 +17,6 @@ of the underlying integers is never visible through the interface.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -91,10 +93,6 @@ class BitVec:
         return f"BitVec({self.length}, 0b{self.to01()[::-1] or '0'})"
 
 
-def _lowest_bit(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
-
-
 class SpanBasis:
     """Incrementally maintained, fully reduced basis of a GF(2) subspace.
 
@@ -102,14 +100,14 @@ class SpanBasis:
     merge by re-inserting rows.
     """
 
-    __slots__ = ("length", "_rows", "_pivots")
+    __slots__ = ("length", "_rows", "_pivmask")
 
     def __init__(self, length: int):
         if length < 0:
             raise DimensionError("ambient dimension must be nonnegative")
         self.length = length
-        self._rows: list[int] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, int] = {}   # pivot -> fully reduced row
+        self._pivmask = 0                 # bit p set iff p is a pivot
 
     @property
     def rank(self) -> int:
@@ -117,18 +115,19 @@ class SpanBasis:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
+        return tuple(sorted(self._rows))
 
     def rows(self) -> tuple[BitVec, ...]:
-        return tuple(BitVec(self.length, r) for r in self._rows)
+        return tuple(BitVec(self.length, r) for r in self.row_bits())
 
     def row_bits(self) -> tuple[int, ...]:
-        return tuple(self._rows)
+        rows = self._rows
+        return tuple(rows[p] for p in sorted(rows))
 
     def copy(self) -> "SpanBasis":
         dup = SpanBasis(self.length)
-        dup._rows = list(self._rows)
-        dup._pivots = list(self._pivots)
+        dup._rows = dict(self._rows)
+        dup._pivmask = self._pivmask
         return dup
 
     def _check_length(self, v: BitVec) -> None:
@@ -138,11 +137,14 @@ class SpanBasis:
             )
 
     def _reduce_bits(self, bits: int) -> int:
-        # Rows are fully reduced, so one pass in increasing pivot order
-        # eliminates every pivot position.
-        for p, row in zip(self._pivots, self._rows):
-            if (bits >> p) & 1:
-                bits ^= row
+        # Each row carries its own pivot and no other, so the pivots to clear
+        # are known up front and the rows can be applied in any order.
+        rows = self._rows
+        hit = bits & self._pivmask
+        while hit:
+            low = hit & -hit
+            bits ^= rows[low.bit_length() - 1]
+            hit ^= low
         return bits
 
     def insert_bits(self, bits: int) -> bool:
@@ -150,13 +152,12 @@ class SpanBasis:
         bits = self._reduce_bits(bits)
         if bits == 0:
             return False
-        p = _lowest_bit(bits)
-        for k, row in enumerate(self._rows):
-            if (row >> p) & 1:
-                self._rows[k] = row ^ bits
-        at = bisect.bisect_left(self._pivots, p)
-        self._pivots.insert(at, p)
-        self._rows.insert(at, bits)
+        low = bits & -bits
+        rows = self._rows
+        for p in [p for p, row in rows.items() if row & low]:
+            rows[p] ^= bits
+        rows[low.bit_length() - 1] = bits
+        self._pivmask |= low
         return True
 
     def insert(self, v: BitVec) -> bool:

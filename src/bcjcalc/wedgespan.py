@@ -298,25 +298,31 @@ def _support_sets(genus: int, max_support: int) -> list[tuple[int, ...]]:
     return sets
 
 
-def _descriptor_pairs(
+def _descriptor_blocks(
     genus: int, max_support: int, include_bp: bool
-) -> Iterator[tuple[_Desc, _Desc]]:
-    """Deterministic stream of support-disjoint descriptor pairs.
+) -> Iterator[tuple[tuple[_Desc, ...], tuple[_Desc, ...]]]:
+    """Descriptor lists of each pair of disjoint support sets, in stream order.
 
-    Each unordered pair is emitted exactly once: support sets are scanned in
-    (size, lex) order and only pairs of distinct sets are combined, so the
-    swap-symmetric duplicate never appears.
+    Support sets are scanned in (size, lex) order and only pairs of distinct
+    sets are combined, so the swap-symmetric duplicate never appears.
     """
     sets = _support_sets(genus, max_support)
     lists = [_descriptors_for_set(genus, S, include_bp) for S in sets]
     for k1, S1 in enumerate(sets):
         for k2 in range(k1 + 1, len(sets)):
-            S2 = sets[k2]
-            if set(S1) & set(S2):
-                continue
-            for d1 in lists[k1]:
-                for d2 in lists[k2]:
-                    yield d1, d2
+            if not set(S1) & set(sets[k2]):
+                yield lists[k1], lists[k2]
+
+
+def _descriptor_pairs(
+    genus: int, max_support: int, include_bp: bool
+) -> Iterator[tuple[_Desc, _Desc]]:
+    """Deterministic stream of support-disjoint descriptor pairs; each
+    unordered pair is emitted exactly once."""
+    for L1, L2 in _descriptor_blocks(genus, max_support, include_bp):
+        for d1 in L1:
+            for d2 in L2:
+                yield d1, d2
 
 
 def enumerate_spine_cycles(
@@ -637,19 +643,21 @@ def four_index_family_span_claim(genus: int) -> int:
 
 @lru_cache(maxsize=None)
 def closure_generators(genus: int) -> tuple:
-    """Transvections by every class with at most two nonzero coordinates.
+    """Transvections along a_i, b_i (i = 1..g) and a_i + a_{i+1} (i < g).
 
-    Any subset of symplectic matrices gives a sound saturation (translates of
-    images are images of conjugated cycles); this set is small and rich
-    enough in practice to reach every coverable slot.
+    These 3g - 1 matrices are the mod-2 images of the Lickorish twist
+    generators of the mapping class group (Humphries' set is a subset), so
+    they generate Sp(2g, 2).  Saturating under them therefore gives the same
+    subspace as saturating under the whole group.  Any subset of symplectic
+    matrices gives a sound saturation (translates of images are images of
+    conjugated cycles); a generating set makes it complete.
     """
     from .surface import transvection
 
     g = check_genus(genus)
-    vs = [1 << k for k in range(2 * g)]
-    vs += [
-        (1 << i) | (1 << j) for i, j in combinations(range(2 * g), 2)
-    ]
+    a = [1 << i for i in range(g)]
+    b = [1 << (g + i) for i in range(g)]
+    vs = a + b + [a[i] | a[i + 1] for i in range(g - 1)]
     return tuple(transvection(HClass(g, v)) for v in vs)
 
 
@@ -715,55 +723,80 @@ def saturate_span(genus: int, span: SpanBasis) -> int:
 # -- the image search ---------------------------------------------------------
 
 
+def _sigkey_groups(descs: Sequence[_Desc]) -> list[tuple[int, _Desc]]:
+    """(position, descriptor) of the first descriptor of each distinct sigma
+    value, in order of first appearance."""
+    first: dict[tuple[int, ...], tuple[int, _Desc]] = {}
+    for pos, desc in enumerate(descs):
+        first.setdefault(desc.sigkey, (pos, desc))
+    return list(first.values())
+
+
 def _search_shard(
     genus: int,
     max_support: int,
     include_bp: bool,
     shard: int,
     n_shards: int,
-) -> tuple[list[int], dict[str, tuple[int, str]], int, int]:
-    """Process every n_shards-th descriptor pair; returns independent rows,
-    per-class first hits keyed by global stream index, and counters."""
+) -> tuple[list[int], dict[str, tuple[int, str]], int, set[tuple]]:
+    """Process every n_shards-th block of the descriptor-pair stream (one
+    block per pair of disjoint support sets); returns independent rows,
+    per-class first hits keyed by global stream index, the pair count and
+    the set of distinct image keys.
+
+    Descriptors with equal sigma have equal images, so each block pairs the
+    sigma groups of its two lists, not the descriptors: a group pair stands
+    for |G1|.|G2| stream pairs and first appears at the stream position of
+    its two first descriptors.
+    """
     basis = b2_basis(genus)
     d = basis.size
     offs = _row_offsets(d)
     labels = _slot_labels(genus)
+    label_slots: dict[str, int] = {}
+    for slot, lab in enumerate(labels):
+        if lab is not None:
+            label_slots[lab] = label_slots.get(lab, 0) | (1 << slot)
+    unhit = sum(label_slots.values())  # the class masks are disjoint
     span = SpanBasis(wedge_dim(d))
     seen: set[tuple] = set()
     hits: dict[str, tuple[int, str]] = {}
     n_pairs = 0
-    n_distinct = 0
-    for idx, (d1, d2) in enumerate(
-        _descriptor_pairs(genus, max_support, include_bp)
+    base = 0
+    for block, (L1, L2) in enumerate(
+        _descriptor_blocks(genus, max_support, include_bp)
     ):
-        if idx % n_shards != shard:
+        n2 = len(L2)
+        block_base, base = base, base + len(L1) * n2
+        if block % n_shards != shard:
             continue
-        n_pairs += 1
-        key = (d1.sigkey, d2.sigkey) if d1.sigkey <= d2.sigkey else (d2.sigkey, d1.sigkey)
-        if key in seen:
-            continue
-        seen.add(key)
-        n_distinct += 1
-        bits = 0
-        for ip in d1.sigslots:
-            for iq in d2.sigslots:
-                if ip == iq:
+        n_pairs += len(L1) * n2
+        groups2 = _sigkey_groups(L2)
+        # Group pairs are visited in increasing stream index, so the first
+        # hit of a class is final.
+        for pos1, d1 in _sigkey_groups(L1):
+            for pos2, d2 in groups2:
+                key = (d1.sigkey, d2.sigkey) if d1.sigkey <= d2.sigkey else (d2.sigkey, d1.sigkey)
+                if key in seen:
                     continue
-                i, j = (ip, iq) if ip < iq else (iq, ip)
-                bits ^= 1 << (offs[i] + j - i - 1)
-        if bits == 0:
-            continue
-        label = f"{d1.label} & {d2.label}"
-        b = bits
-        while b:
-            low = b & -b
-            slot = low.bit_length() - 1
-            b ^= low
-            lab = labels[slot]
-            if lab is not None and (lab not in hits or idx < hits[lab][0]):
-                hits[lab] = (idx, label)
-        span.insert_bits(bits)
-    return list(span.row_bits()), hits, n_pairs, n_distinct
+                seen.add(key)
+                bits = 0
+                for ip in d1.sigslots:
+                    for iq in d2.sigslots:
+                        if ip == iq:
+                            continue
+                        i, j = (ip, iq) if ip < iq else (iq, ip)
+                        bits ^= 1 << (offs[i] + j - i - 1)
+                if bits == 0:
+                    continue
+                b = bits & unhit
+                while b:
+                    lab = labels[(b & -b).bit_length() - 1]
+                    hits[lab] = (block_base + pos1 * n2 + pos2, f"{d1.label} & {d2.label}")
+                    unhit &= ~label_slots[lab]
+                    b &= unhit
+                span.insert_bits(bits)
+    return list(span.row_bits()), hits, n_pairs, seen
 
 
 def merge_shard_rows(length: int, shards: Sequence[Sequence[int]]) -> SpanBasis:
@@ -806,10 +839,11 @@ def image_rank_report(
     labels = _slot_labels(g)
 
     if workers == 1:
-        rows, hits, n_pairs, n_distinct = _search_shard(
+        rows, hits, n_pairs, keys = _search_shard(
             g, max_support, include_bp, 0, 1
         )
         shard_rows = [rows]
+        n_distinct = len(keys)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -829,7 +863,7 @@ def image_rank_report(
                 if lab not in hits or idx < hits[lab][0]:
                     hits[lab] = (idx, lbl)
         n_pairs = sum(r[2] for r in results)
-        n_distinct = sum(r[3] for r in results)
+        n_distinct = len(set().union(*(r[3] for r in results)))
 
     span = merge_shard_rows(wedge_dim(d), shard_rows)
     cycle_rank = span.rank

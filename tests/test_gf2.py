@@ -179,6 +179,72 @@ def test_hypothesis_rank_shuffle_invariant(rows, rng):
     assert mat_rank(rows2) == r0
 
 
+def reduce_full_scan(basis, bits):
+    """Oracle: the textbook pass over every row in ascending pivot order."""
+    for p, row in zip(basis.pivots, basis.row_bits()):
+        if (bits >> p) & 1:
+            bits ^= row
+    return bits
+
+
+def assert_fully_reduced(basis):
+    pivots, rows = basis.pivots, basis.row_bits()
+    assert list(pivots) == sorted(set(pivots))
+    assert len(rows) == len(pivots) == basis.rank
+    assert tuple(v.bits for v in basis.rows()) == rows
+    for row, p in zip(rows, pivots):
+        assert (row & -row).bit_length() - 1 == p
+        for q in pivots:
+            if q != p:
+                assert not (row >> q) & 1
+
+
+def packed_vectors(n):
+    """Dense vectors, and sparse ones like the search's wedge images."""
+    sparse = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda idx: sum(1 << i for i in set(idx))
+    )
+    return st.lists(st.one_of(st.integers(0, (1 << n) - 1), sparse), max_size=40)
+
+
+insert_sequences = st.integers(min_value=1, max_value=64).flatmap(
+    lambda n: st.tuples(st.just(n), packed_vectors(n), packed_vectors(n))
+)
+
+
+@given(insert_sequences)
+def test_hypothesis_pivot_reduction_matches_full_scan(case):
+    n, vectors, probes = case
+    basis = SpanBasis(n)
+    for bits in vectors:
+        for probe in probes + vectors:
+            assert basis._reduce_bits(probe) == reduce_full_scan(basis, probe)
+        rank = basis.rank
+        expected = reduce_full_scan(basis, bits) != 0
+        assert basis.insert_bits(bits) is expected
+        assert basis.rank == rank + expected
+        assert basis.contains_bits(bits)
+        assert_fully_reduced(basis)
+
+
+@given(insert_sequences)
+def test_hypothesis_copy_is_independent(case):
+    n, vectors, extra = case
+    basis = SpanBasis(n)
+    for bits in vectors:
+        basis.insert_bits(bits)
+    rank, rows, pivots = basis.rank, basis.row_bits(), basis.pivots
+    pivot_map = dict(basis._rows)
+    dup = basis.copy()
+    for bits in extra:
+        dup.insert_bits(bits)
+    assert basis.rank == rank
+    assert basis.row_bits() == rows
+    assert basis.pivots == pivots
+    assert basis._rows == pivot_map
+    assert_fully_reduced(dup)
+
+
 class TestF2Matrix:
     def test_identity_action(self):
         M = F2Matrix.identity(6)

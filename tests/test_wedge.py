@@ -1,13 +1,16 @@
 """Wedge square, cycle images, orbit classes, dimension tables, search."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from bcjcalc import surface as sf
+from bcjcalc import wedgespan
 from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError
+from bcjcalc.gf2core import F2Matrix
 from bcjcalc.surface import SubsurfaceBasis
 from bcjcalc.wedgespan import (
     AbelianCycle,
@@ -438,6 +441,17 @@ class TestSearch:
                     merged_hits[lab] = (idx, lbl)
         assert merged_hits == serial_hits
 
+    def test_report_independent_of_workers(self):
+        # shards used to dedupe only against themselves, so the distinct
+        # image count grew with the worker count
+        reports = []
+        for workers in (1, 2, 3):
+            r = image_rank_report(3, 3, workers=workers)
+            r.pop("elapsed")
+            assert r["parameters"].pop("workers") == workers
+            reports.append(r)
+        assert reports[0] == reports[1] == reports[2]
+
     def test_report_deterministic(self):
         r1 = image_rank_report(2, 2)
         r2 = image_rank_report(2, 2)
@@ -449,7 +463,7 @@ class TestClosureMachinery:
     def test_translate_linear(self):
         rng = random.Random(3)
         g = 2
-        M = closure_generators(g)[5]
+        M = sf.transvection(sf.HClass(g, 0b0101))  # along a1 + b1
         for _ in range(50):
             masks1 = {m for m in (rng.randrange(16) for _ in range(3)) if m.bit_count() <= 2}
             masks2 = {m for m in (rng.randrange(16) for _ in range(3)) if m.bit_count() <= 2}
@@ -463,7 +477,7 @@ class TestClosureMachinery:
 
         rng = random.Random(4)
         g = 2
-        for M in closure_generators(g)[:10]:
+        for M in weight_le_2_transvections(g):
             for _ in range(10):
                 masks1 = {m for m in (rng.randrange(16) for _ in range(2)) if m.bit_count() <= 2}
                 masks2 = {m for m in (rng.randrange(16) for _ in range(2)) if m.bit_count() <= 2}
@@ -478,3 +492,54 @@ class TestClosureMachinery:
         span = merge_shard_rows(wedge_dim(b2_basis(g).size), [rows])
         saturate_span(g, span)
         assert saturate_span(g, span) == 0
+
+
+def weight_le_2_transvections(g):
+    """Transvections along every class with at most two nonzero coordinates,
+    the saturation set used before the 3g - 1 generators."""
+    vs = [1 << k for k in range(2 * g)]
+    vs += [(1 << i) | (1 << j) for i, j in combinations(range(2 * g), 2)]
+    return [sf.transvection(sf.HClass(g, v)) for v in vs]
+
+
+class TestClosureGenerators:
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_orbit_of_a1_is_every_nonzero_class(self, g):
+        # h T_v h^-1 = T_{h v}, so an orbit of all nonzero classes puts every
+        # transvection in the generated group, which is then Sp(2g, 2)
+        gens = closure_generators(g)
+        assert len(gens) == 3 * g - 1
+        orbit, frontier = {1}, [1]
+        while frontier:
+            v = frontier.pop()
+            for M in gens:
+                w = M.mul_vec(v)
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        assert orbit == set(range(1, 1 << (2 * g)))
+
+    def test_group_order_genus_2(self):
+        gens = closure_generators(2)
+        identity = F2Matrix.identity(4)
+        group, frontier = {identity}, [identity]
+        while frontier:
+            X = frontier.pop()
+            for M in gens:
+                Y = M @ X
+                if Y not in group:
+                    group.add(Y)
+                    frontier.append(Y)
+        assert len(group) == 720  # |Sp(4, 2)|
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_saturated_span_matches_weight_two_set(self, g, monkeypatch):
+        rows, _, _, _ = _search_shard(g, 3, False, 0, 1)
+        stream = merge_shard_rows(wedge_dim(b2_basis(g).size), [rows])
+        new, old = stream.copy(), stream.copy()
+        saturate_span(g, new)
+        old_gens = tuple(weight_le_2_transvections(g))
+        monkeypatch.setattr(wedgespan, "closure_generators", lambda genus: old_gens)
+        saturate_span(g, old)
+        assert new.rank > stream.rank
+        assert new.row_bits() == old.row_bits()
