@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .bcjmap import SeparatingTwist, sigma_separating
@@ -99,6 +100,21 @@ class CMPoly:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, genus: int, terms: dict[Monomial, int]) -> "CMPoly":
+        """Wrap ``terms`` as they are, without validation.
+
+        The caller guarantees normal form: every monomial is a sorted tuple
+        of symbols (p, q) with 0 <= p <= q < 2g, no coefficient is zero, and
+        the dict is not shared with anything that later mutates it.  The
+        arithmetic below keeps these invariants, so its results skip the
+        per-term re-sorting and re-checking of ``__init__``.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "genus", genus)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
     def __setattr__(self, *args):
         raise AttributeError("CMPoly is immutable")
 
@@ -141,11 +157,15 @@ class CMPoly:
         self._check(other)
         acc = dict(self.terms)
         for mon, c in other.terms.items():
-            acc[mon] = acc.get(mon, 0) + c
-        return CMPoly(self.genus, acc)
+            c += acc.get(mon, 0)
+            if c:
+                acc[mon] = c
+            else:
+                del acc[mon]
+        return CMPoly._trusted(self.genus, acc)
 
     def __neg__(self) -> "CMPoly":
-        return CMPoly(self.genus, {m: -c for m, c in self.terms.items()})
+        return CMPoly._trusted(self.genus, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "CMPoly") -> "CMPoly":
         return self + (-other)
@@ -157,10 +177,12 @@ class CMPoly:
             for m2, c2 in other.terms.items():
                 mon = tuple(sorted(m1 + m2))
                 acc[mon] = acc.get(mon, 0) + c1 * c2
-        return CMPoly(self.genus, acc)
+        return CMPoly._trusted(self.genus, {m: c for m, c in acc.items() if c})
 
     def scale(self, n: int) -> "CMPoly":
-        return CMPoly(self.genus, {m: n * c for m, c in self.terms.items()})
+        if n == 0:
+            return CMPoly._trusted(self.genus, {})
+        return CMPoly._trusted(self.genus, {m: n * c for m, c in self.terms.items()})
 
     def constant_term(self) -> int:
         return self.terms.get((), 0)
@@ -199,60 +221,97 @@ class CMPoly:
         return f"CMPoly({self.genus}, {self})"
 
 
+@lru_cache(maxsize=None)
+def _symbol_monomials(genus: int) -> tuple[tuple[Monomial, ...], ...]:
+    """[p][q] -> the one-symbol monomial of l(e_p, e_q) in normal form,
+    ((min(p, q), max(p, q)),)."""
+    n = 2 * genus
+    return tuple(
+        tuple(((p, q),) if p <= q else ((q, p),) for q in range(n)) for p in range(n)
+    )
+
+
 def cm_generator(u: ZHClass, v: ZHClass) -> CMPoly:
     """l(u, v) expanded bilinearly over the fixed basis and normalized.
 
     Each raw l(e_q, e_p) with q > p is rewritten through the swap relation
     as l(e_p, e_q) + e_p.e_q, so the constant picks up +1 exactly when a
-    (b_i, a_i) pair is swapped into order.
+    (b_i, a_i) pair is swapped into order: it is sum_i u_{b_i} v_{a_i}.
     """
     if u.genus != v.genus:
         raise GenusMismatchError("classes have different genus")
     g = u.genus
+    monomials = _symbol_monomials(g)
     acc: dict[Monomial, int] = {}
-    const = 0
-    for p in range(2 * g):
-        cu = u.coords[p]
-        if cu == 0:
-            continue
-        for q in range(2 * g):
-            cv = v.coords[q]
-            if cv == 0:
-                continue
-            coeff = cu * cv
-            if p <= q:
-                key: Monomial = ((p, q),)
-            else:
-                key = ((q, p),)
-                # e_q.e_p with q < p equals +1 only for an (a_i, b_i) pair
-                if p == q + g:
-                    const += coeff
-            acc[key] = acc.get(key, 0) + coeff
+    v_support = [(q, cv) for q, cv in enumerate(v.coords) if cv]
+    for p, cu in enumerate(u.coords):
+        if cu:
+            row = monomials[p]
+            for q, cv in v_support:
+                key = row[q]
+                acc[key] = acc.get(key, 0) + cu * cv
+    const = sum(u.coords[g + i] * v.coords[i] for i in range(g))
     if const:
-        acc[()] = acc.get((), 0) + const
-    return CMPoly(g, acc)
+        acc[()] = const
+    return CMPoly._trusted(g, {m: c for m, c in acc.items() if c})
+
+
+def _sum_of_products(
+    genus: int, products: Sequence[tuple[CMPoly, CMPoly, int]]
+) -> CMPoly:
+    """The sum of factor * x * y over (x, y, factor), exactly over Z, for
+    linear forms x and y (every monomial () or a single symbol, as
+    cm_generator returns them).
+
+    The sum is kept as one dense integer row per monomial of the x forms,
+    indexed by the monomials of the y forms, so a product costs one list
+    comprehension per term of x.  The rows are folded into normal form once
+    at the end; a monomial pair is put in order with one comparison.
+    """
+    column: dict[Monomial, int] = {}
+    for _, y, _ in products:
+        for mon in y.terms:
+            column.setdefault(mon, len(column))
+    zero = [0] * len(column)
+    rows: dict[Monomial, list[int]] = {}
+    for x, y, factor in products:
+        dense = zero[:]
+        for mon, c in y.terms.items():
+            dense[column[mon]] = c
+        for mon, c in x.terms.items():
+            c *= factor
+            rows[mon] = [r + c * d for r, d in zip(rows.get(mon, zero), dense)]
+    acc: dict[Monomial, int] = {}
+    for m1, row in rows.items():
+        for m2, c in zip(column, row):
+            if c:
+                mon = m1 + m2 if m1 <= m2 else m2 + m1
+                acc[mon] = acc.get(mon, 0) + c
+    return CMPoly._trusted(genus, {m: c for m, c in acc.items() if c})
 
 
 def rho_separating(basis: Union[ZSubsurfaceBasis, SeparatingTwist]) -> CMPoly:
-    """Morita's value on a separating twist, from an integral basis."""
+    """Morita's value on a separating twist, from an integral basis.
+
+    The linking symbols come from ``cm_generator``; their products are
+    summed exactly over Z into one result.
+    """
     if isinstance(basis, SeparatingTwist):
         raise TypeError("rho needs the integral basis, not the mod-2 twist")
     basis.validate()
-    g = basis.genus
-
-    def l(x: ZHClass, y: ZHClass) -> CMPoly:
-        return cm_generator(x, y)
-
-    acc = CMPoly.zero(g)
+    g = check_genus(basis.genus)
+    products = []
     pairs = basis.pairs
     for A, B in pairs:
-        acc = acc - (l(A, A) * l(B, B) - l(A, B) * l(B, A))
+        products.append((cm_generator(A, A), cm_generator(B, B), -1))
+        products.append((cm_generator(A, B), cm_generator(B, A), 1))
     for i in range(len(pairs)):
         Ai, Bi = pairs[i]
         for j in range(i + 1, len(pairs)):
             Aj, Bj = pairs[j]
-            acc = acc - (l(Ai, Aj) * l(Bi, Bj) - l(Ai, Bj) * l(Aj, Bi)).scale(2)
-    return acc
+            products.append((cm_generator(Ai, Aj), cm_generator(Bi, Bj), -2))
+            products.append((cm_generator(Ai, Bj), cm_generator(Aj, Bi), 2))
+    return _sum_of_products(g, products)
 
 
 def mu(x: CMPoly) -> BoolPoly:
@@ -262,8 +321,7 @@ def mu(x: CMPoly) -> BoolPoly:
     coefficients reduce mod 2.  This respects both defining relations and
     satisfies mu(l(u, u)) = bar(u mod 2) for every integral class u.
     """
-    g = x.genus
-    acc = BoolPoly.zero(g)
+    masks: set[int] = set()
     for mon, coeff in x.terms.items():
         if coeff % 2 == 0:
             continue
@@ -277,8 +335,8 @@ def mu(x: CMPoly) -> BoolPoly:
                 break
         if dead:
             continue
-        acc = acc + BoolPoly(g, (mask,))
-    return acc
+        masks ^= {mask}
+    return BoolPoly(x.genus, masks)
 
 
 # -- evaluation ---------------------------------------------------------------

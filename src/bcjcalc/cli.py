@@ -39,7 +39,7 @@ from .cassonmorita import (
     rho_separating,
     verify_diagrams,
 )
-from .errors import CatalogError, ConsistencyError
+from .errors import CatalogError
 from .surface import zbasis_from_json
 from .wedgespan import dims, image_rank_report, orbit_classes
 
@@ -61,6 +61,16 @@ def _genus_range(text: str) -> list[int]:
     if lo < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad genus range {text!r}")
     return list(range(lo, hi + 1))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _manifest(config: dict) -> dict:
@@ -226,8 +236,17 @@ def cmd_verify(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read linking matrix: {exc}", file=sys.stderr)
             return EXIT_IO
-        except ConsistencyError as exc:
+        except KeyError as exc:
+            print(f"invalid linking matrix: missing field {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (TypeError, ValueError) as exc:
             print(f"invalid linking matrix: {exc}", file=sys.stderr)
+            return EXIT_IO
+        if L.genus != g:
+            print(
+                f"invalid linking matrix: genus {L.genus} does not match --g {g}",
+                file=sys.stderr,
+            )
             return EXIT_IO
 
     diag = verify_diagrams(g, args.trials, args.seed)
@@ -305,6 +324,8 @@ def cmd_verify(args) -> int:
 
 # -- eval ---------------------------------------------------------------------
 
+EVAL_CSV_COLUMNS = ("label", "sigma", "rho", "mu_rho")
+
 
 def cmd_eval(args) -> int:
     try:
@@ -365,6 +386,13 @@ def cmd_eval(args) -> int:
             "results": results,
         }
         _emit_json(payload, args.out)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(EVAL_CSV_COLUMNS)
+        for r in results:
+            writer.writerow([r.get(c, "") for c in EVAL_CSV_COLUMNS])
+        _emit(buf.getvalue(), args.out)
     else:
         lines = []
         for r in results:
@@ -407,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="abelian-cycle image span search")
     add_common(p, single_genus=True)
-    p.add_argument("--max-support", type=int, default=3, dest="max_support")
+    p.add_argument("--max-support", type=_positive_int, default=3, dest="max_support")
     p.add_argument("--include-bp", action="store_true", dest="include_bp")
     p.add_argument("--include-families", action="store_true", dest="include_families")
     p.add_argument(
@@ -422,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="diagram and property verification suites")
     add_common(p, single_genus=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive-mu", action="store_true", dest="exhaustive_mu")
     p.add_argument("--linking-matrix", default=None, dest="linking_matrix")

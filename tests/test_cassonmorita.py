@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc.bcjmap import sigma_separating
@@ -165,6 +166,144 @@ class TestRho:
         bad = ZSubsurfaceBasis(1, ((sf.za(1, 1), sf.za(1, 1)),))
         with pytest.raises(BasisError):
             rho_separating(bad)
+
+
+def cm_generator_reference(u, v):
+    """l(u, v) term by term through the validating constructor."""
+    g = u.genus
+    terms = {}
+    for p in range(2 * g):
+        for q in range(2 * g):
+            c = u.coords[p] * v.coords[q]
+            if p <= q:
+                terms[((p, q),)] = terms.get(((p, q),), 0) + c
+            else:
+                terms[((q, p),)] = terms.get(((q, p),), 0) + c
+                if p == q + g:
+                    terms[()] = terms.get((), 0) + c
+    return CMPoly(g, terms)
+
+
+def rho_reference(basis):
+    """Morita's formula in plain CMPoly arithmetic, one product at a time."""
+    basis.validate()
+    l = cm_generator_reference
+    acc = CMPoly.zero(basis.genus)
+    pairs = basis.pairs
+    for A, B in pairs:
+        acc = acc - (l(A, A) * l(B, B) - l(A, B) * l(B, A))
+    for i in range(len(pairs)):
+        Ai, Bi = pairs[i]
+        for j in range(i + 1, len(pairs)):
+            Aj, Bj = pairs[j]
+            acc = acc - (l(Ai, Aj) * l(Bi, Bj) - l(Ai, Bj) * l(Aj, Bi)).scale(2)
+    return acc
+
+
+class TestRhoReference:
+    def test_matches_plain_arithmetic(self):
+        rng = random.Random(41)
+        seen_h = set()
+        for g in range(1, 6):
+            for h in range(0, min(g, 3) + 1):
+                for _ in range(6):
+                    if h == 0:
+                        basis = ZSubsurfaceBasis(g, ())
+                    else:
+                        handles = sorted(rng.sample(range(1, g + 1), h))
+                        basis = random_z_symplectic_basis(g, h, rng, handles)
+                    got = rho_separating(basis)
+                    assert got == rho_reference(basis)
+                    assert_normal_form(got)
+                    seen_h.add(h)
+        assert seen_h == {0, 1, 2, 3}
+
+    def test_standard_bases(self):
+        for g in range(1, 6):
+            for h in range(1, min(g, 3) + 1):
+                basis = ZSubsurfaceBasis.standard(g, range(1, h + 1))
+                assert rho_separating(basis) == rho_reference(basis)
+
+    def test_cm_generator_matches_term_by_term(self):
+        rng = random.Random(43)
+        for g in range(1, 6):
+            for _ in range(30):
+                u, v = random_zclass(g, rng, 3), random_zclass(g, rng, 3)
+                got = cm_generator(u, v)
+                assert got == cm_generator_reference(u, v)
+                assert_normal_form(got)
+
+
+def assert_normal_form(x):
+    """No stored zero, every monomial a sorted tuple of valid symbols."""
+    n = 2 * x.genus
+    for mon, c in x.terms.items():
+        assert c != 0
+        assert isinstance(mon, tuple) and list(mon) == sorted(mon)
+        for p, q in mon:
+            assert 0 <= p <= q < n
+
+
+@st.composite
+def cmpoly_pairs(draw):
+    g = draw(st.integers(1, 3))
+    n = 2 * g
+    symbol = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+        lambda pq: (min(pq), max(pq))
+    )
+    monomial = st.lists(symbol, max_size=3).map(lambda syms: tuple(sorted(syms)))
+    terms = st.dictionaries(monomial, st.integers(-4, 4), max_size=6)
+    return CMPoly(g, draw(terms)), CMPoly(g, draw(terms))
+
+
+def rebuilt(g, products):
+    """The validating constructor over raw (monomial, coeff) pairs; the
+    monomials may be unsorted and repeated."""
+    terms = {}
+    for mon, c in products:
+        terms[mon] = terms.get(mon, 0) + c
+    return CMPoly(g, terms)
+
+
+@given(cmpoly_pairs(), st.integers(-3, 3))
+def test_hypothesis_arithmetic_stays_in_normal_form(pair, n):
+    x, y = pair
+    g = x.genus
+    xs, ys = list(x.terms.items()), list(y.terms.items())
+    cases = [
+        (x + y, rebuilt(g, xs + ys)),
+        (x - y, rebuilt(g, xs + [(m, -c) for m, c in ys])),
+        (-x, rebuilt(g, [(m, -c) for m, c in xs])),
+        (x * y, rebuilt(g, [(m2 + m1, c1 * c2) for m1, c1 in xs for m2, c2 in ys])),
+        (x.scale(n), rebuilt(g, [(m, n * c) for m, c in xs])),
+        (x.scale(0), CMPoly.zero(g)),
+        (x - x, CMPoly.zero(g)),
+    ]
+    for got, want in cases:
+        assert_normal_form(got)
+        assert got == want
+        assert got == CMPoly(g, dict(got.terms))
+    assert not (x - x).terms and not x.scale(0).terms
+
+
+class TestValidation:
+    def test_constructor_rejects_unsorted_symbol(self):
+        with pytest.raises(ValueError):
+            CMPoly(2, {((1, 0),): 1})
+
+    def test_constructor_rejects_out_of_range_symbol(self):
+        with pytest.raises(ValueError):
+            CMPoly(2, {((0, 4),): 1})
+
+    def test_from_json_rejects_unsorted_symbol(self):
+        with pytest.raises(ValueError):
+            cmpoly_from_json(2, [{"coeff": 1, "monomial": [[1, 0]]}])
+
+    def test_from_json_rejects_out_of_range_symbol(self):
+        with pytest.raises(ValueError):
+            cmpoly_from_json(2, [{"coeff": 1, "monomial": [[0, 4]]}])
+        with pytest.raises(ValueError):
+            cmpoly_from_json(2, [{"coeff": 1, "monomial": [[-1, 0]]}])
 
 
 class TestMu:

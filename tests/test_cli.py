@@ -1,5 +1,7 @@
 """Command-line contract: subcommands, exit codes, determinism, schemas."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -110,6 +112,14 @@ class TestSearch:
             d.pop("elapsed")
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
+    def test_zero_max_support_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--g", "3", "--max-support", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--max-support" in err
+        assert "Traceback" not in err
+
     def test_io_error_exits_three(self, capsys):
         code, _, err = run(
             capsys,
@@ -178,6 +188,36 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--g", "1", "--linking-matrix", str(mat_path))
         assert code == 3
         assert "a1" in err and "b1" in err
+
+    def test_linking_matrix_genus_mismatch_exits_three(self, capsys, tmp_path):
+        from bcjcalc.cassonmorita import LinkingMatrix
+
+        mat_path = tmp_path / "L1.json"
+        mat_path.write_text(json.dumps(LinkingMatrix.standard_model(1).to_json()))
+        code, out, err = run(
+            capsys, "verify", "--g", "2", "--trials", "5", "--linking-matrix", str(mat_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.strip().count("\n") == 0
+        assert "genus 1" in err and "--g 2" in err
+
+    def test_malformed_linking_matrix_exits_three(self, capsys, tmp_path):
+        mat_path = tmp_path / "L.json"
+        for data in ({"matrix": [[0, 0], [1, 0]]}, [1, 2], {"genus": 1, "matrix": 5}):
+            mat_path.write_text(json.dumps(data))
+            code, _, err = run(capsys, "verify", "--g", "1", "--linking-matrix", str(mat_path))
+            assert code == 3
+            assert err.startswith("invalid linking matrix:")
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--g", "2", "--trials", trials])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--trials" in err
+        assert "pass" not in err
 
     def test_unreadable_linking_matrix_exits_three(self, capsys, tmp_path):
         code, _, _ = run(
@@ -266,6 +306,29 @@ class TestEval:
         data = json.loads(out)
         assert len(data["manifest"]["config"]["sha256"]) == 64
         assert data["results"][0]["sigma_json"] == [[0, 2]]
+
+
+    def test_csv_format(self, capsys, tmp_path):
+        path = self.write_catalog(
+            tmp_path,
+            [
+                {"type": "separating", "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]], "label": "t1"},
+                {
+                    "type": "separating",
+                    "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]],
+                    "label": "z1",
+                    "integral": True,
+                },
+            ],
+        )
+        code, out, _ = run(capsys, "eval", path, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == [
+            ["label", "sigma", "rho", "mu_rho"],
+            ["t1", "a1*b1", "", ""],
+            ["z1", "a1*b1", "l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2", "a1*b1"],
+        ]
 
 
 class TestWorkersOverride:
