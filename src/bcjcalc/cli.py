@@ -346,6 +346,8 @@ def cmd_eval(args) -> int:
         if not isinstance(g, int) or g < 1:
             raise CatalogError(f"bad genus {g!r}")
         entries = data.get("entries", [])
+        if not isinstance(entries, list):
+            raise CatalogError(f"entries must be a list, not {type(entries).__name__}")
         results = []
         for k, entry in enumerate(entries):
             where = f"entry {k}" + (

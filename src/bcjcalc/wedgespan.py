@@ -8,15 +8,27 @@ GF(2) span and reports which non-index-matched basis elements (the subspace
 W) are still missing.  Asserted families are kept out of that check by
 default so machine-verified and asserted conclusions never mix.
 
+The wedge is bilinear over GF(2), so the images of one block of the stream
+(every descriptor on one support set against every descriptor on a disjoint
+one) span exactly the products b ^ c of a basis b of the first set's sigma
+values with a basis c of the second's.  The search inserts only those basis
+products; the images themselves are still enumerated, by distinct sigma
+pair, for the distinct-image count and for each class's first hit.
+
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
-handle (orbit classes IV and VI) are unreachable by construction.  The image
-of the induced map is however closed under the symplectic action - acting on
-a cycle's curves by a mapping class yields another commuting pair whose
-image is the matrix translate of the original - so the search saturates its
-span under substitution by a fixed set of transvections.  Every vector added
-this way is the image of a conjugated cycle; soundness rests on the
-equivariance of the twist formulas, which its own test suite verifies.
+handle (orbit classes IV and VI) are unreachable by construction.  The
+first-hit scan therefore waits only for the classes with a reachable slot,
+and stops computing images once all of them are hit.  The image of the
+induced map is however closed under the symplectic action - acting on a
+cycle's curves by a mapping class yields another commuting pair whose image
+is the matrix translate of the original - so the search saturates its span
+under substitution by a fixed set of transvections.  Every vector added this
+way is the image of a conjugated cycle, or a sum of such images; soundness
+rests on the equivariance of the twist formulas, which its own test suite
+verifies.  For v already in the span, Mv is in the span iff (M - I)v is, so
+saturation inserts that delta: it is sparse, and it depends only on the bits
+of v in the slots M moves.
 
 Wedge coordinates use the triangular flattening of unordered pairs (i < j)
 of basis indices: slot(i, j) = i(2d - i - 1)/2 + (j - i - 1), with d the
@@ -133,17 +145,27 @@ def wedge(p: BoolPoly, q: BoolPoly) -> WedgeElem:
     basis = b2_basis(p.genus)
     d = basis.size
     index = basis.index_of_mask
-    offs = _row_offsets(d)
-    bits = 0
-    for mp in p.masks:
-        ip = index[mp]
-        for mq in q.masks:
-            iq = index[mq]
-            if ip == iq:
-                continue
-            i, j = (ip, iq) if ip < iq else (iq, ip)
-            bits ^= 1 << (offs[i] + j - i - 1)
+    bits = _slot_bits(
+        _row_offsets(d), [index[m] for m in p.masks], [index[m] for m in q.masks]
+    )
     return WedgeElem(p.genus, BitVec(wedge_dim(d), bits))
+
+
+def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -> int:
+    """Slot bits of (sum of basis elements `left`) ^ (sum of `right`).
+
+    The one path from basis-index pairs to wedge slots: `wedge`, the search
+    stream and the action tables all go through it.  e_i ^ e_i vanishes and
+    e_i ^ e_j = e_j ^ e_i over GF(2), so repeated pairs cancel.
+    """
+    bits = 0
+    for i in left:
+        for j in right:
+            if i < j:
+                bits ^= 1 << (offs[i] + j - i - 1)
+            elif j < i:
+                bits ^= 1 << (offs[j] + i - j - 1)
+    return bits
 
 
 # -- abelian cycles -----------------------------------------------------------
@@ -298,30 +320,48 @@ def _support_sets(genus: int, max_support: int) -> list[tuple[int, ...]]:
     return sets
 
 
-def _descriptor_blocks(
-    genus: int, max_support: int, include_bp: bool
-) -> Iterator[tuple[tuple[_Desc, ...], tuple[_Desc, ...]]]:
-    """Descriptor lists of each pair of disjoint support sets, in stream order.
+def _sigkey_groups(descs: Sequence[_Desc]) -> list[tuple[int, _Desc]]:
+    """(position, descriptor) of the first descriptor of each distinct sigma
+    value, in order of first appearance."""
+    first: dict[tuple[int, ...], tuple[int, _Desc]] = {}
+    for pos, desc in enumerate(descs):
+        first.setdefault(desc.sigkey, (pos, desc))
+    return list(first.values())
 
-    Support sets are scanned in (size, lex) order and only pairs of distinct
-    sets are combined, so the swap-symmetric duplicate never appears.
-    """
-    sets = _support_sets(genus, max_support)
-    lists = [_descriptors_for_set(genus, S, include_bp) for S in sets]
+
+@lru_cache(maxsize=None)
+def _sigma_basis(
+    genus: int, handles: tuple[int, ...], include_bp: bool
+) -> tuple[tuple[int, ...], ...]:
+    """A basis of the span of the set's sigma values, each row given by its
+    ascending basis indices (the `sigslots` form)."""
+    span = SpanBasis(b2_basis(genus).size)
+    for _, desc in _sigkey_groups(_descriptors_for_set(genus, handles, include_bp)):
+        span.insert_bits(sum(1 << i for i in desc.sigslots))
+    return tuple(BitVec(span.length, row).support() for row in span.row_bits())
+
+
+def _disjoint_set_pairs(sets: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """Positions (k1 < k2) of each pair of disjoint support sets, in stream
+    order.  Only pairs of distinct sets are combined, so the swap-symmetric
+    duplicate never appears."""
     for k1, S1 in enumerate(sets):
         for k2 in range(k1 + 1, len(sets)):
             if not set(S1) & set(sets[k2]):
-                yield lists[k1], lists[k2]
+                yield k1, k2
 
 
 def _descriptor_pairs(
     genus: int, max_support: int, include_bp: bool
 ) -> Iterator[tuple[_Desc, _Desc]]:
-    """Deterministic stream of support-disjoint descriptor pairs; each
+    """Deterministic stream of support-disjoint descriptor pairs, one block
+    per pair of disjoint support sets taken in (size, lex) order; each
     unordered pair is emitted exactly once."""
-    for L1, L2 in _descriptor_blocks(genus, max_support, include_bp):
-        for d1 in L1:
-            for d2 in L2:
+    sets = _support_sets(genus, max_support)
+    lists = [_descriptors_for_set(genus, S, include_bp) for S in sets]
+    for k1, k2 in _disjoint_set_pairs(sets):
+        for d1 in lists[k1]:
+            for d2 in lists[k2]:
                 yield d1, d2
 
 
@@ -662,8 +702,14 @@ def closure_generators(genus: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _wedge_action_table(genus: int, M) -> tuple[int, ...]:
-    """Per-slot image bits of the linear action p ^ q -> Mp ^ Mq."""
+def _wedge_action_table(genus: int, M) -> tuple[int, tuple[int, ...]]:
+    """(moved, delta) of the linear action p ^ q -> Mp ^ Mq on wedge slots.
+
+    delta[s] is (M - I) applied to the basis vector of slot s, and `moved`
+    has bit s set iff delta[s] is nonzero; so the action sends v to
+    v ^ _apply_table(delta, v & moved).  A transvection fixes most basis
+    monomials, hence most slots, so the deltas are sparse.
+    """
     from .boolring import substitute_sp
 
     basis = b2_basis(genus)
@@ -672,21 +718,15 @@ def _wedge_action_table(genus: int, M) -> tuple[int, ...]:
     mon_images = []
     for k in range(d):
         poly = substitute_sp(M, BoolPoly(genus, (basis.monomial(k).mask,)))
-        mon_images.append(
-            tuple(sorted(basis.index_of_mask[m] for m in poly.masks))
-        )
-    table = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            bits = 0
-            for ip in mon_images[i]:
-                for iq in mon_images[j]:
-                    if ip == iq:
-                        continue
-                    x, y = (ip, iq) if ip < iq else (iq, ip)
-                    bits ^= 1 << (offs[x] + y - x - 1)
-            table.append(bits)
-    return tuple(table)
+        mon_images.append(tuple(basis.index_of_mask[m] for m in poly.masks))
+    moved = 0
+    delta = []
+    for slot, (i, j) in enumerate(_slot_pairs(d)):
+        bits = _slot_bits(offs, mon_images[i], mon_images[j]) ^ (1 << slot)
+        if bits:
+            moved |= 1 << slot
+        delta.append(bits)
+    return moved, tuple(delta)
 
 
 def _apply_table(table: Sequence[int], bits: int) -> int:
@@ -701,21 +741,31 @@ def _apply_table(table: Sequence[int], bits: int) -> int:
 
 def wedge_translate(M, w: WedgeElem) -> WedgeElem:
     """Image of a wedge vector under the symplectic substitution action."""
-    table = _wedge_action_table(w.genus, M)
-    d = b2_basis(w.genus).size
-    return WedgeElem(w.genus, BitVec(wedge_dim(d), _apply_table(table, w.coords.bits)))
+    moved, delta = _wedge_action_table(w.genus, M)
+    v = w.coords.bits
+    return WedgeElem(w.genus, BitVec(w.coords.length, v ^ _apply_table(delta, v & moved)))
 
 
 def saturate_span(genus: int, span: SpanBasis) -> int:
-    """Close a span under the transvection action; returns added rank."""
-    tables = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
+    """Close a span under the transvection action; returns added rank.
+
+    Each vector v taken from the work list is already in the span, so Mv is
+    in the span iff (M - I)v is; that sparse delta is what gets inserted and,
+    when independent, queued.  The final span is spanned by vectors w with
+    (M - I)w in it for every generator M, so it is closed under them, and it
+    holds nothing outside the closure.
+    """
+    actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
     before = span.rank
     work = list(span.row_bits())
     while work:
         v = work.pop()
-        for table in tables:
-            img = _apply_table(table, v)
-            if span.insert_bits(img):
+        for moved, delta in actions:
+            hit = v & moved
+            if not hit:
+                continue
+            img = _apply_table(delta, hit)
+            if img and span.insert_bits(img):
                 work.append(img)
     return span.rank - before
 
@@ -723,13 +773,21 @@ def saturate_span(genus: int, span: SpanBasis) -> int:
 # -- the image search ---------------------------------------------------------
 
 
-def _sigkey_groups(descs: Sequence[_Desc]) -> list[tuple[int, _Desc]]:
-    """(position, descriptor) of the first descriptor of each distinct sigma
-    value, in order of first appearance."""
-    first: dict[tuple[int, ...], tuple[int, _Desc]] = {}
-    for pos, desc in enumerate(descs):
-        first.setdefault(desc.sigkey, (pos, desc))
-    return list(first.values())
+def _stream_class_masks(genus: int) -> dict[str, int]:
+    """Per class label, the mask of its slots whose two monomials have
+    disjoint handle sets.  Every stream image pairs monomials from disjoint
+    support sets, so it has bits only there; classes with no such slot
+    (IV and VI) are left out."""
+    basis = b2_basis(genus)
+    g = genus
+    amask = (1 << g) - 1
+    handles = [(m.mask & amask) | (m.mask >> g) for m in basis.monomials]
+    masks: dict[str, int] = {}
+    for slot, lab in enumerate(_slot_labels(genus)):
+        i, j = slot_pair(basis.size, slot)
+        if lab is not None and not handles[i] & handles[j]:
+            masks[lab] = masks.get(lab, 0) | (1 << slot)
+    return masks
 
 
 def _search_shard(
@@ -744,58 +802,64 @@ def _search_shard(
     per-class first hits keyed by global stream index, the pair count and
     the set of distinct image keys.
 
-    Descriptors with equal sigma have equal images, so each block pairs the
-    sigma groups of its two lists, not the descriptors: a group pair stands
-    for |G1|.|G2| stream pairs and first appears at the stream position of
-    its two first descriptors.
+    The wedge is bilinear, so a block's images span the same space as the
+    products of a basis of each list's sigma values: only those products
+    are inserted.  Descriptors with equal sigma have equal images, so the
+    distinct-image keys pair the sigma groups of the two lists: a group pair
+    stands for |G1|.|G2| stream pairs and first appears at the stream
+    position of its two first descriptors.  Images themselves are computed
+    only while some reachable class is still unhit.
     """
     basis = b2_basis(genus)
     d = basis.size
     offs = _row_offsets(d)
     labels = _slot_labels(genus)
-    label_slots: dict[str, int] = {}
-    for slot, lab in enumerate(labels):
-        if lab is not None:
-            label_slots[lab] = label_slots.get(lab, 0) | (1 << slot)
-    unhit = sum(label_slots.values())  # the class masks are disjoint
+    class_masks = _stream_class_masks(genus)
+    unhit = sum(class_masks.values())  # the class masks are disjoint
+    sets = _support_sets(genus, max_support)
+    lists = [_descriptors_for_set(genus, S, include_bp) for S in sets]
+    groups = [_sigkey_groups(L) for L in lists]
+    bases = [_sigma_basis(genus, S, include_bp) for S in sets]
     span = SpanBasis(wedge_dim(d))
     seen: set[tuple] = set()
     hits: dict[str, tuple[int, str]] = {}
     n_pairs = 0
     base = 0
-    for block, (L1, L2) in enumerate(
-        _descriptor_blocks(genus, max_support, include_bp)
-    ):
-        n2 = len(L2)
-        block_base, base = base, base + len(L1) * n2
+    for block, (k1, k2) in enumerate(_disjoint_set_pairs(sets)):
+        n2 = len(lists[k2])
+        block_base, base = base, base + len(lists[k1]) * n2
         if block % n_shards != shard:
             continue
-        n_pairs += len(L1) * n2
-        groups2 = _sigkey_groups(L2)
+        n_pairs += len(lists[k1]) * n2
+        for r1 in bases[k1]:
+            for r2 in bases[k2]:
+                bits = _slot_bits(offs, r1, r2)
+                if bits:
+                    span.insert_bits(bits)
+        if not unhit:
+            keys2 = [d2.sigkey for _, d2 in groups[k2]]
+            seen.update([
+                (a, b) if a <= b else (b, a)
+                for a in (d1.sigkey for _, d1 in groups[k1])
+                for b in keys2
+            ])
+            continue
         # Group pairs are visited in increasing stream index, so the first
         # hit of a class is final.
-        for pos1, d1 in _sigkey_groups(L1):
-            for pos2, d2 in groups2:
+        for pos1, d1 in groups[k1]:
+            for pos2, d2 in groups[k2]:
                 key = (d1.sigkey, d2.sigkey) if d1.sigkey <= d2.sigkey else (d2.sigkey, d1.sigkey)
                 if key in seen:
                     continue
                 seen.add(key)
-                bits = 0
-                for ip in d1.sigslots:
-                    for iq in d2.sigslots:
-                        if ip == iq:
-                            continue
-                        i, j = (ip, iq) if ip < iq else (iq, ip)
-                        bits ^= 1 << (offs[i] + j - i - 1)
-                if bits == 0:
+                if not unhit:
                     continue
-                b = bits & unhit
+                b = _slot_bits(offs, d1.sigslots, d2.sigslots) & unhit
                 while b:
                     lab = labels[(b & -b).bit_length() - 1]
                     hits[lab] = (block_base + pos1 * n2 + pos2, f"{d1.label} & {d2.label}")
-                    unhit &= ~label_slots[lab]
+                    unhit &= ~class_masks[lab]
                     b &= unhit
-                span.insert_bits(bits)
     return list(span.row_bits()), hits, n_pairs, seen
 
 

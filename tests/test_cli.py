@@ -330,6 +330,17 @@ class TestEval:
             ["z1", "a1*b1", "l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2", "a1*b1"],
         ]
 
+    @pytest.mark.parametrize("entries", [5, "ab", {"type": "separating"}, None])
+    def test_entries_not_a_list_is_catalog_error(self, capsys, tmp_path, entries):
+        # a non-list `entries` used to end in a TypeError traceback (5) or be
+        # iterated character by character ("ab")
+        path = self.write_catalog(tmp_path, entries)
+        code, out, err = run(capsys, "eval", path)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [err.strip()]
+        assert err.startswith("catalog error: entries must be a list")
+
 
 class TestWorkersOverride:
     def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):

@@ -4,13 +4,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc import wedgespan
 from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError
-from bcjcalc.gf2core import F2Matrix
+from bcjcalc.gf2core import F2Matrix, SpanBasis
 from bcjcalc.surface import SubsurfaceBasis
 from bcjcalc.wedgespan import (
     AbelianCycle,
@@ -30,8 +31,11 @@ from bcjcalc.wedgespan import (
     wedge,
     wedge_dim,
     wedge_translate,
+    _descriptor_pairs,
     _search_shard,
     _slot_labels,
+    _stream_class_masks,
+    _wedge_action_table,
 )
 
 # Regression constants computed by the independent brute-force pair scan
@@ -452,6 +456,27 @@ class TestSearch:
             reports.append(r)
         assert reports[0] == reports[1] == reports[2]
 
+    def test_g4_report_pins_golden_numbers(self):
+        # the genus-4 numbers of the benchmark golden, written out: first-hit
+        # stream indices and cycles per class, and the stream counts
+        r = image_rank_report(4, 3)
+        assert r["orbit_hits"] == {
+            "I": {"index": 0, "cycle": "sep(a1,b1) & sep(a2,b2)"},
+            "II": {"index": 108, "cycle": "sep(a1,b1) & sep(a2,a3+b2)"},
+            "III": {"index": 48168, "cycle": "sep(a1,a2+b1) & sep(a3,a4+b3)"},
+            "IX": {"index": 48197, "cycle": "sep(a1,a2+b1) & sep(a3+b3,a3+a4+b4)"},
+            "V": {"index": 112, "cycle": "sep(a1,b1) & sep(a2,a3+b2+b3)"},
+            "VII": {"index": 48172, "cycle": "sep(a1,a2+b1) & sep(a3,a4+b3+b4)"},
+            "VIII": {"index": 137, "cycle": "sep(a1,b1) & sep(a2+b2,a2+a3+b3)"},
+            "X": {"index": 48604, "cycle": "sep(a1,a2+b1+b2) & sep(a3,a4+b3+b4)"},
+            "XI": {"index": 48629, "cycle": "sep(a1,a2+b1+b2) & sep(a3+b3,a3+a4+b4)"},
+        }
+        assert r["counts"]["cycles"] == 83160
+        assert r["counts"]["distinct_images"] == 2310
+        assert r["counts"]["cycle_rank"] == 282
+        assert r["rank"] == 630
+        assert r["class_coverage"]["IV"] == r["class_coverage"]["VI"] == "sp-closure"
+
     def test_report_deterministic(self):
         r1 = image_rank_report(2, 2)
         r2 = image_rank_report(2, 2)
@@ -542,4 +567,210 @@ class TestClosureGenerators:
         monkeypatch.setattr(wedgespan, "closure_generators", lambda genus: old_gens)
         saturate_span(g, old)
         assert new.rank > stream.rank
+        assert new.row_bits() == old.row_bits()
+
+
+# -- reference oracles for the search core ------------------------------------
+#
+# The loops below are the search core as it was before the stream inserted
+# per-block basis products and the saturation inserted (M - I)v deltas: one
+# wedge per distinct image, and full action tables applied to whole vectors.
+# They spell out the slot arithmetic on their own, so they share no code
+# with the module beyond the descriptor stream and `substitute_sp`.
+
+
+def ref_slot_bits(offs, left, right):
+    bits = 0
+    for ip in left:
+        for iq in right:
+            if ip == iq:
+                continue
+            i, j = (ip, iq) if ip < iq else (iq, ip)
+            bits ^= 1 << (offs[i] + j - i - 1)
+    return bits
+
+
+def ref_offsets(g):
+    d = b2_basis(g).size
+    return [i * (2 * d - i - 1) // 2 for i in range(d)]
+
+
+def ref_stream_images(g, ms):
+    """(stream index, cycle label, image bits) of every pair, in order."""
+    offs = ref_offsets(g)
+    cache = {}
+    for idx, (d1, d2) in enumerate(_descriptor_pairs(g, ms, False)):
+        key = (d1.sigkey, d2.sigkey)
+        if key not in cache:
+            cache[key] = ref_slot_bits(offs, d1.sigslots, d2.sigslots)
+        yield idx, f"{d1.label} & {d2.label}", cache[key]
+
+
+def ref_stream_span(g, ms):
+    span = SpanBasis(wedge_dim(b2_basis(g).size))
+    for _, _, bits in ref_stream_images(g, ms):
+        span.insert_bits(bits)
+    return span
+
+
+def ref_full_table(g, M):
+    from bcjcalc.boolring import substitute_sp
+
+    basis = b2_basis(g)
+    d = basis.size
+    offs = ref_offsets(g)
+    mon_images = [
+        [basis.index_of_mask[m] for m in substitute_sp(M, BoolPoly(g, (basis.monomial(k).mask,))).masks]
+        for k in range(d)
+    ]
+    return [
+        ref_slot_bits(offs, mon_images[i], mon_images[j])
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
+
+
+def ref_apply(table, bits):
+    out = 0
+    for slot in range(len(table)):
+        if (bits >> slot) & 1:
+            out ^= table[slot]
+    return out
+
+
+def ref_saturate(g, span):
+    """Saturation by full images Mv; returns added rank."""
+    tables = [ref_full_table(g, M) for M in closure_generators(g)]
+    before = span.rank
+    work = list(span.row_bits())
+    while work:
+        v = work.pop()
+        for table in tables:
+            img = ref_apply(table, v)
+            if span.insert_bits(img):
+                work.append(img)
+    return span.rank - before
+
+
+def handle_disjoint_mask(g):
+    basis = b2_basis(g)
+    d = basis.size
+
+    def handles(k):
+        return {v % g for v in range(2 * g) if (basis.monomial(k).mask >> v) & 1}
+
+    mask = 0
+    for slot in range(wedge_dim(d)):
+        i, j = slot_pair(d, slot)
+        if not handles(i) & handles(j):
+            mask |= 1 << slot
+    return mask
+
+
+class TestSearchCoreReference:
+    @pytest.mark.parametrize("g,ms", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
+    def test_block_basis_span_equals_per_image_span(self, g, ms):
+        rows, _, n_pairs, seen = _search_shard(g, ms, False, 0, 1)
+        oracle = ref_stream_span(g, ms)
+        assert tuple(rows) == oracle.row_bits()
+        assert n_pairs == sum(1 for _ in _descriptor_pairs(g, ms, False))
+        assert len(seen) == len({
+            tuple(sorted((d1.sigkey, d2.sigkey)))
+            for d1, d2 in _descriptor_pairs(g, ms, False)
+        })
+
+    @pytest.mark.parametrize("g,ms", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_early_stop_hits_equal_full_stream_scan(self, g, ms):
+        labels = _slot_labels(g)
+        classes_of = {}
+        want = {}
+        for idx, label, bits in ref_stream_images(g, ms):
+            if bits not in classes_of:
+                classes_of[bits] = {
+                    labels[s] for s in range(len(labels)) if (bits >> s) & 1
+                } - {None}
+            for lab in classes_of[bits]:
+                want.setdefault(lab, (idx, label))
+        _, hits, _, _ = _search_shard(g, ms, False, 0, 1)
+        assert hits == want
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_stream_images_lie_in_handle_disjoint_slots(self, g):
+        outside = ~handle_disjoint_mask(g)
+        images = {bits for _, _, bits in ref_stream_images(g, 3)}
+        assert len(images) > 1
+        assert all(bits & outside == 0 for bits in images)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_class_masks_are_the_handle_disjoint_labelled_slots(self, g):
+        labels = _slot_labels(g)
+        disjoint = handle_disjoint_mask(g)
+        masks = _stream_class_masks(g)
+        for lab in set(labels) - {None}:
+            want = sum(
+                1 << s for s, l in enumerate(labels) if l == lab and (disjoint >> s) & 1
+            )
+            assert masks.get(lab, 0) == want
+        if g >= 3:
+            assert "IV" not in masks and "VI" not in masks
+
+    def test_images_stop_once_every_reachable_class_is_hit(self, monkeypatch):
+        # with every labelled slot in the unhit mask, classes IV and VI are
+        # never hit and the image loop runs over the whole stream
+        real = wedgespan._slot_bits
+        labels = _slot_labels(4)
+        every_slot = {
+            lab: sum(1 << s for s, l in enumerate(labels) if l == lab)
+            for lab in set(labels) - {None}
+        }
+
+        def run_counting():
+            calls = []
+
+            def counting(offs, left, right):
+                calls.append(1)
+                return real(offs, left, right)
+
+            monkeypatch.setattr(wedgespan, "_slot_bits", counting)
+            _, hits, _, _ = _search_shard(4, 3, False, 0, 1)
+            monkeypatch.setattr(wedgespan, "_slot_bits", real)
+            return len(calls), hits
+
+        restricted, hits = run_counting()
+        monkeypatch.setattr(wedgespan, "_stream_class_masks", lambda genus: every_slot)
+        unrestricted, hits_unrestricted = run_counting()
+        assert hits == hits_unrestricted
+        assert set(hits) == set(_stream_class_masks(4)) == set(every_slot) - {"IV", "VI"}
+        assert restricted < unrestricted
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_delta_saturation_equals_full_image_saturation(self, g):
+        rows, _, _, _ = _search_shard(g, 3, False, 0, 1)
+        start = merge_shard_rows(wedge_dim(b2_basis(g).size), [rows])
+        new, old = start.copy(), start.copy()
+        assert saturate_span(g, new) == ref_saturate(g, old)
+        assert new.row_bits() == old.row_bits()
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_delta_table_matches_full_table(self, g):
+        for M in closure_generators(g):
+            moved, delta = _wedge_action_table(g, M)
+            full = ref_full_table(g, M)
+            for slot, image in enumerate(full):
+                assert delta[slot] == image ^ (1 << slot)
+                assert (moved >> slot) & 1 == (delta[slot] != 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_hypothesis_delta_saturation_on_random_spans(self, data):
+        g = data.draw(st.sampled_from([2, 3]))
+        n = wedge_dim(b2_basis(g).size)
+        vectors = data.draw(
+            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=3)
+        )
+        new, old = SpanBasis(n), SpanBasis(n)
+        for v in vectors:
+            new.insert_bits(v)
+            old.insert_bits(v)
+        assert saturate_span(g, new) == ref_saturate(g, old)
         assert new.row_bits() == old.row_bits()
