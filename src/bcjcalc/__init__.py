@@ -19,15 +19,12 @@ from .cassonmorita import (
 from .gf2core import BitVec, F2Matrix, SpanBasis, mat_rank
 from .surface import (
     HClass,
-    Spine,
-    SpinePair,
     SubsurfaceBasis,
     ZHClass,
     ZSubsurfaceBasis,
     intersect,
     is_symplectic_basis,
     random_symplectic_rebase,
-    spines_disjointly_realizable,
     support,
 )
 from .wedgespan import (
@@ -56,8 +53,6 @@ __all__ = [
     "SelfLinkingForm",
     "SeparatingTwist",
     "SpanBasis",
-    "Spine",
-    "SpinePair",
     "SubsurfaceBasis",
     "WedgeElem",
     "ZHClass",
@@ -83,7 +78,6 @@ __all__ = [
     "selflink_eval",
     "sigma_bp",
     "sigma_separating",
-    "spines_disjointly_realizable",
     "support",
     "verify_diagrams",
     "wedge",

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -93,16 +92,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _emit_json(data: dict, out_path: str | None) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=True), out_path)
-
-
-def _workers(args) -> int:
-    env = os.environ.get("BCJCALC_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, getattr(args, "workers", 1))
 
 
 # -- dims ---------------------------------------------------------------------
@@ -183,18 +172,13 @@ def cmd_search(args) -> int:
     config = {
         "g": args.g[0],
         "max_support": args.max_support,
-        "include_bp": args.include_bp,
         "include_families": args.include_families,
         "sp_closure": args.sp_closure,
-        "workers": _workers(args),
-        "seed": args.seed,
     }
     report = image_rank_report(
         args.g[0],
         args.max_support,
         include_families=args.include_families,
-        include_bp=args.include_bp,
-        workers=config["workers"],
         sp_closure=args.sp_closure,
     )
     report["manifest"] = _manifest(config)
@@ -424,21 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="genus or range, e.g. 3 or 1..6" + (" (single)" if single_genus else ""),
         )
-        p.add_argument("--format", choices=("json", "csv", "md"), default="md")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("dims", help="dimension table per genus")
     add_common(p)
+    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("orbits", help="orbit classes of the non-matched wedge basis")
     add_common(p, single_genus=True)
+    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("search", help="abelian-cycle image span search")
+    p = sub.add_parser("search", help="abelian-cycle image span search (JSON)")
     add_common(p, single_genus=True)
     p.add_argument("--max-support", type=_positive_int, default=3, dest="max_support")
-    p.add_argument("--include-bp", action="store_true", dest="include_bp")
     p.add_argument("--include-families", action="store_true", dest="include_families")
     p.add_argument(
         "--no-sp-closure",
@@ -446,17 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sp_closure",
         help="skip the equivariance saturation of the span",
     )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_search, format="json")
+    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify", help="diagram and property verification suites")
+    p = sub.add_parser("verify", help="diagram and property verification suites (JSON)")
     add_common(p, single_genus=True)
     p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive-mu", action="store_true", dest="exhaustive_mu")
     p.add_argument("--linking-matrix", default=None, dest="linking_matrix")
-    p.set_defaults(func=cmd_verify, format="json")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate sigma (and rho) on a curve catalog")
     p.add_argument("catalog", help="catalog JSON file")

@@ -9,10 +9,6 @@ class GenusMismatchError(ValueError):
     """Objects built over different surface genera were mixed."""
 
 
-class SpineError(ValueError):
-    """A curve pair that should meet once (x.y = 1) does not."""
-
-
 class BasisError(ValueError):
     """A claimed symplectic basis violates an intersection condition."""
 

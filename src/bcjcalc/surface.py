@@ -11,7 +11,8 @@ x.y = 1 is realizable by a genus-1 spine on the standard surface, and spines
 with disjoint handle supports admit disjoint representatives.  Handle-support
 disjointness is therefore a sufficient, conservative criterion for disjoint
 realization; cycles that would need overlapping supports must enter through
-the asserted-family catalog instead.
+the asserted-family catalog instead.  A spine is represented by a genus-1
+``SubsurfaceBasis``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BasisError, DimensionError, GenusMismatchError, SpineError
+from .errors import BasisError, DimensionError, GenusMismatchError
 from .gf2core import BitVec, F2Matrix, SpanBasis
 
 
@@ -175,61 +176,6 @@ def support(u: Union[HClass, ZHClass]) -> frozenset[int]:
     return frozenset(
         i + 1 for i in range(g) if u.coords[i] != 0 or u.coords[g + i] != 0
     )
-
-
-@dataclass(frozen=True, slots=True)
-class Spine:
-    """A pair of classes meeting once; models a genus-1 separating curve."""
-
-    x: HClass
-    y: HClass
-
-    def __post_init__(self):
-        _check_same_genus(self.x, self.y)
-        if intersect(self.x, self.y) != 1:
-            raise SpineError(f"not a spine: ({self.x}).({self.y}) != 1")
-
-    @property
-    def genus(self) -> int:
-        return self.x.genus
-
-    def support(self) -> frozenset[int]:
-        return support(self.x) | support(self.y)
-
-    def __str__(self) -> str:
-        return f"({self.x},{self.y})"
-
-
-@dataclass(frozen=True, slots=True)
-class SpinePair:
-    """Two spines declared as the data of a degree-2 abelian cycle."""
-
-    spine1: Spine
-    spine2: Spine
-    label: str = ""
-
-    def __post_init__(self):
-        _check_same_genus(self.spine1.x, self.spine2.x)
-
-    @property
-    def genus(self) -> int:
-        return self.spine1.genus
-
-    @classmethod
-    def disjointly_realized(cls, s1: Spine, s2: Spine, label: str = "") -> "SpinePair":
-        """Construct only if the conservative disjointness criterion holds."""
-        if not spines_disjointly_realizable(s1, s2):
-            raise SpineError(
-                f"spines {s1} and {s2} share handle support "
-                f"{sorted(s1.support() & s2.support())}"
-            )
-        return cls(s1, s2, label)
-
-
-def spines_disjointly_realizable(s1: Spine, s2: Spine) -> bool:
-    """Sufficient criterion: the handle supports of the spines are disjoint."""
-    _check_same_genus(s1.x, s2.x)
-    return not (s1.support() & s2.support())
 
 
 @dataclass(frozen=True, slots=True)
@@ -510,28 +456,6 @@ def zhclass_to_json(u: ZHClass) -> list[int]:
 
 def zhclass_from_json(genus: int, data: Sequence[int]) -> ZHClass:
     return ZHClass.from_coords(genus, data)
-
-
-def spinepair_to_json(sp: SpinePair) -> dict:
-    return {
-        "genus": sp.genus,
-        "spine1": [sp.spine1.x.coords(), sp.spine1.y.coords()],
-        "spine2": [sp.spine2.x.coords(), sp.spine2.y.coords()],
-        "label": sp.label,
-    }
-
-
-def spinepair_from_json(data: dict) -> SpinePair:
-    g = check_genus(data["genus"])
-    s1 = Spine(
-        HClass.from_coords(g, data["spine1"][0]),
-        HClass.from_coords(g, data["spine1"][1]),
-    )
-    s2 = Spine(
-        HClass.from_coords(g, data["spine2"][0]),
-        HClass.from_coords(g, data["spine2"][1]),
-    )
-    return SpinePair(s1, s2, data.get("label", ""))
 
 
 def basis_to_json(basis: Union[SubsurfaceBasis, ZSubsurfaceBasis]) -> dict:

@@ -12,8 +12,8 @@ The wedge is bilinear over GF(2), so the images of one block of the stream
 (every descriptor on one support set against every descriptor on a disjoint
 one) span exactly the products b ^ c of a basis b of the first set's sigma
 values with a basis c of the second's.  The search inserts only those basis
-products; the images themselves are still enumerated, by distinct sigma
-pair, for the distinct-image count and for each class's first hit.
+products and counts distinct images per block; images themselves are
+computed, by distinct sigma pair, only for each class's first hit.
 
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
@@ -37,6 +37,10 @@ flattening is frozen.
 
 Only genus-1 spines feed the enumeration; that the saturated span covers W
 is an empirical finding re-established per genus by the searches themselves.
+Bounding pairs cannot feed it: for a genus-1 basis (x, y) and a class C != 0
+orthogonal to both, C lies outside span(x, y), so the affine forms x-bar,
+y-bar, C-bar have independent linear parts and sigma_bp = x-bar y-bar C-bar
++ x-bar y-bar has degree exactly 3, with no wedge image.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from itertools import combinations
 from time import perf_counter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .bcjmap import BPMap, Descriptor, SeparatingTwist, is_index_matched, sigma
+from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma
 from .boolring import BoolMonomial, BoolPoly, b2_basis, require_degree
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
 from .gf2core import BitVec, SpanBasis
@@ -250,65 +254,28 @@ def _to_global(genus: int, handles: tuple[int, ...], local: int) -> int:
 
 
 class _Desc(NamedTuple):
-    descriptor: Descriptor
-    sigma: BoolPoly
+    descriptor: SeparatingTwist
     sigkey: tuple[int, ...]       # sorted monomial masks of sigma
     sigslots: tuple[int, ...]     # sorted basis indices of sigma
-    label: str
 
 
 @lru_cache(maxsize=None)
-def _descriptors_for_set(
-    genus: int, handles: tuple[int, ...], include_bp: bool
-) -> tuple[_Desc, ...]:
+def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[_Desc, ...]:
     """Deterministic descriptor list whose support is exactly `handles`."""
-    basis = b2_basis(genus)
+    index = b2_basis(genus).index_of_mask
     out = []
-
-    def pack(descriptor, sig, label):
-        key = tuple(sorted(sig.masks))
-        slots = tuple(sorted(basis.index_of_mask[m] for m in sig.masks))
-        out.append(_Desc(descriptor, sig, key, slots, label))
-
-    s = len(handles)
-    for x_local, y_local in _local_spines(s):
+    for x_local, y_local in _local_spines(len(handles)):
         x = HClass(genus, _to_global(genus, handles, x_local))
         y = HClass(genus, _to_global(genus, handles, y_local))
         twist = SeparatingTwist(
             SubsurfaceBasis(genus, ((x, y),)), label=f"sep({x},{y})"
         )
-        pack(twist, sigma(twist), twist.label)
-
-    if include_bp:
-        full = (1 << s) - 1
-        for x_local in range(1 << (2 * s)):
-            for y_local in range(1 << (2 * s)):
-                xa, xb = x_local & full, x_local >> s
-                ya, yb = y_local & full, y_local >> s
-                if ((xa & yb).bit_count() + (xb & ya).bit_count()) & 1 == 0:
-                    continue
-                for c_local in range(1, 1 << (2 * s)):
-                    u = x_local | y_local | c_local
-                    if ((u & full) | (u >> s)) != full:
-                        continue
-                    ca, cb = c_local & full, c_local >> s
-                    if ((ca & yb).bit_count() + (cb & ya).bit_count()) & 1:
-                        continue
-                    if ((ca & xb).bit_count() + (cb & xa).bit_count()) & 1:
-                        continue
-                    x = HClass(genus, _to_global(genus, handles, x_local))
-                    y = HClass(genus, _to_global(genus, handles, y_local))
-                    C = HClass(genus, _to_global(genus, handles, c_local))
-                    bp = BPMap(
-                        SubsurfaceBasis(genus, ((x, y),)),
-                        C,
-                        label=f"bp({x},{y};C={C})",
-                    )
-                    sig = sigma(bp)
-                    if sig.degree() > 2:
-                        continue
-                    pack(bp, sig, bp.label)
-
+        sig = sigma(twist)
+        out.append(_Desc(
+            twist,
+            tuple(sorted(sig.masks)),
+            tuple(sorted(index[m] for m in sig.masks)),
+        ))
     return tuple(out)
 
 
@@ -330,13 +297,11 @@ def _sigkey_groups(descs: Sequence[_Desc]) -> list[tuple[int, _Desc]]:
 
 
 @lru_cache(maxsize=None)
-def _sigma_basis(
-    genus: int, handles: tuple[int, ...], include_bp: bool
-) -> tuple[tuple[int, ...], ...]:
+def _sigma_basis(genus: int, handles: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """A basis of the span of the set's sigma values, each row given by its
     ascending basis indices (the `sigslots` form)."""
     span = SpanBasis(b2_basis(genus).size)
-    for _, desc in _sigkey_groups(_descriptors_for_set(genus, handles, include_bp)):
+    for _, desc in _sigkey_groups(_descriptors_for_set(genus, handles)):
         span.insert_bits(sum(1 << i for i in desc.sigslots))
     return tuple(BitVec(span.length, row).support() for row in span.row_bits())
 
@@ -351,14 +316,12 @@ def _disjoint_set_pairs(sets: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, 
                 yield k1, k2
 
 
-def _descriptor_pairs(
-    genus: int, max_support: int, include_bp: bool
-) -> Iterator[tuple[_Desc, _Desc]]:
+def _descriptor_pairs(genus: int, max_support: int) -> Iterator[tuple[_Desc, _Desc]]:
     """Deterministic stream of support-disjoint descriptor pairs, one block
     per pair of disjoint support sets taken in (size, lex) order; each
     unordered pair is emitted exactly once."""
     sets = _support_sets(genus, max_support)
-    lists = [_descriptors_for_set(genus, S, include_bp) for S in sets]
+    lists = [_descriptors_for_set(genus, S) for S in sets]
     for k1, k2 in _disjoint_set_pairs(sets):
         for d1 in lists[k1]:
             for d2 in lists[k2]:
@@ -366,31 +329,24 @@ def _descriptor_pairs(
 
 
 def enumerate_spine_cycles(
-    genus: int, max_support_per_spine: int, include_bp: bool = False
+    genus: int, max_support_per_spine: int
 ) -> Iterator[AbelianCycle]:
     """Deterministic stream of support-disjoint abelian cycles.
 
-    Separating descriptors are genus-1 spines (x, y) with x.y = 1 using at
-    most `max_support_per_spine` handles; optional bounding-pair descriptors
-    are kept only when their sigma value has degree <= 2.  Two runs with
-    equal parameters emit identical sequences.
-
-    A spine's sigma always has a nonzero quadratic part (a mod-2 class is
-    determined by its variable support, so the two factors never share one),
-    and in practice the bounding-pair factor never cancels it: no bp
-    descriptor survives the degree filter at the support sizes enumerated
-    here, making include_bp a no-op for the stream.  The flag is kept for
-    the contract and for any future descriptor shapes that do pass.
+    Each descriptor is the separating twist of a genus-1 spine (x, y) with
+    x.y = 1 using at most `max_support_per_spine` handles, so every sigma
+    value has degree <= 2.  Two runs with equal parameters emit identical
+    sequences.
     """
     check_genus(genus)
     if max_support_per_spine < 1:
         raise ValueError("max_support_per_spine must be >= 1")
-    for d1, d2 in _descriptor_pairs(genus, max_support_per_spine, include_bp):
+    for d1, d2 in _descriptor_pairs(genus, max_support_per_spine):
         yield AbelianCycle(
             d1.descriptor,
             d2.descriptor,
             SUPPORT_DISJOINT,
-            label=f"{d1.label} & {d2.label}",
+            label=f"{d1.descriptor.label} & {d2.descriptor.label}",
         )
 
 
@@ -791,24 +747,24 @@ def _stream_class_masks(genus: int) -> dict[str, int]:
 
 
 def _search_shard(
-    genus: int,
-    max_support: int,
-    include_bp: bool,
-    shard: int,
-    n_shards: int,
-) -> tuple[list[int], dict[str, tuple[int, str]], int, set[tuple]]:
-    """Process every n_shards-th block of the descriptor-pair stream (one
-    block per pair of disjoint support sets); returns independent rows,
-    per-class first hits keyed by global stream index, the pair count and
-    the set of distinct image keys.
+    genus: int, max_support: int
+) -> tuple[SpanBasis, dict[str, tuple[int, str]], int, int]:
+    """Fold the whole descriptor-pair stream (one block per pair of disjoint
+    support sets) into a span; returns the span, the per-class first hits
+    keyed by stream index, the pair count and the distinct-image count.
 
     The wedge is bilinear, so a block's images span the same space as the
     products of a basis of each list's sigma values: only those products
-    are inserted.  Descriptors with equal sigma have equal images, so the
-    distinct-image keys pair the sigma groups of the two lists: a group pair
-    stands for |G1|.|G2| stream pairs and first appears at the stream
-    position of its two first descriptors.  Images themselves are computed
-    only while some reachable class is still unhit.
+    are inserted.  Descriptors with equal sigma have equal images, so a
+    block's distinct images pair the sigma groups of its two lists: a group
+    pair stands for |G1|.|G2| stream pairs and first appears at the stream
+    position of its two first descriptors.  The variables of sigma(sep(x, y))
+    = x-bar y-bar are exactly supp(x) | supp(y) (its derivative along a
+    variable of x only is y-bar, of y only x-bar, of both x-bar + y-bar + 1,
+    none of them 0), so a sigma value determines its support set; blocks
+    pair distinct sets, so no group pair occurs in two blocks and the
+    distinct-image count is the sum of the block products.  Images
+    themselves are computed only while some reachable class is still unhit.
     """
     basis = b2_basis(genus)
     d = basis.size
@@ -817,67 +773,47 @@ def _search_shard(
     class_masks = _stream_class_masks(genus)
     unhit = sum(class_masks.values())  # the class masks are disjoint
     sets = _support_sets(genus, max_support)
-    lists = [_descriptors_for_set(genus, S, include_bp) for S in sets]
+    lists = [_descriptors_for_set(genus, S) for S in sets]
     groups = [_sigkey_groups(L) for L in lists]
-    bases = [_sigma_basis(genus, S, include_bp) for S in sets]
+    bases = [_sigma_basis(genus, S) for S in sets]
     span = SpanBasis(wedge_dim(d))
-    seen: set[tuple] = set()
     hits: dict[str, tuple[int, str]] = {}
     n_pairs = 0
-    base = 0
-    for block, (k1, k2) in enumerate(_disjoint_set_pairs(sets)):
+    n_distinct = 0
+    for k1, k2 in _disjoint_set_pairs(sets):
         n2 = len(lists[k2])
-        block_base, base = base, base + len(lists[k1]) * n2
-        if block % n_shards != shard:
-            continue
+        block_base = n_pairs
         n_pairs += len(lists[k1]) * n2
+        n_distinct += len(groups[k1]) * len(groups[k2])
         for r1 in bases[k1]:
             for r2 in bases[k2]:
                 bits = _slot_bits(offs, r1, r2)
                 if bits:
                     span.insert_bits(bits)
         if not unhit:
-            keys2 = [d2.sigkey for _, d2 in groups[k2]]
-            seen.update([
-                (a, b) if a <= b else (b, a)
-                for a in (d1.sigkey for _, d1 in groups[k1])
-                for b in keys2
-            ])
             continue
         # Group pairs are visited in increasing stream index, so the first
         # hit of a class is final.
         for pos1, d1 in groups[k1]:
             for pos2, d2 in groups[k2]:
-                key = (d1.sigkey, d2.sigkey) if d1.sigkey <= d2.sigkey else (d2.sigkey, d1.sigkey)
-                if key in seen:
-                    continue
-                seen.add(key)
                 if not unhit:
-                    continue
+                    break
                 b = _slot_bits(offs, d1.sigslots, d2.sigslots) & unhit
                 while b:
                     lab = labels[(b & -b).bit_length() - 1]
-                    hits[lab] = (block_base + pos1 * n2 + pos2, f"{d1.label} & {d2.label}")
+                    hits[lab] = (
+                        block_base + pos1 * n2 + pos2,
+                        f"{d1.descriptor.label} & {d2.descriptor.label}",
+                    )
                     unhit &= ~class_masks[lab]
                     b &= unhit
-    return list(span.row_bits()), hits, n_pairs, seen
-
-
-def merge_shard_rows(length: int, shards: Sequence[Sequence[int]]) -> SpanBasis:
-    """Merge worker spans by re-insertion; the span is order-independent."""
-    span = SpanBasis(length)
-    for rows in shards:
-        for row in rows:
-            span.insert_bits(row)
-    return span
+    return span, hits, n_pairs, n_distinct
 
 
 def image_rank_report(
     genus: int,
     max_support: int,
     include_families: bool = False,
-    include_bp: bool = False,
-    workers: int = 1,
     sp_closure: bool = True,
 ) -> dict:
     """Fold all enumerated cycle images into a span and report coverage.
@@ -894,42 +830,13 @@ def image_rank_report(
     g = check_genus(genus)
     if max_support < 1:
         raise ValueError("max_support must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     t0 = perf_counter()
     basis = b2_basis(g)
     d = basis.size
     dm = dims(g)
     labels = _slot_labels(g)
 
-    if workers == 1:
-        rows, hits, n_pairs, keys = _search_shard(
-            g, max_support, include_bp, 0, 1
-        )
-        shard_rows = [rows]
-        n_distinct = len(keys)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        futures = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for shard in range(workers):
-                futures.append(
-                    pool.submit(
-                        _search_shard, g, max_support, include_bp, shard, workers
-                    )
-                )
-            results = [f.result() for f in futures]
-        shard_rows = [r[0] for r in results]
-        hits = {}
-        for _, shard_hits, _, _ in results:
-            for lab, (idx, lbl) in shard_hits.items():
-                if lab not in hits or idx < hits[lab][0]:
-                    hits[lab] = (idx, lbl)
-        n_pairs = sum(r[2] for r in results)
-        n_distinct = len(set().union(*(r[3] for r in results)))
-
-    span = merge_shard_rows(wedge_dim(d), shard_rows)
+    span, hits, n_pairs, n_distinct = _search_shard(g, max_support)
     cycle_rank = span.rank
 
     closure_added = 0
@@ -970,9 +877,7 @@ def image_rank_report(
         "genus": g,
         "parameters": {
             "max_support": max_support,
-            "include_bp": include_bp,
             "include_families": include_families,
-            "workers": workers,
             "sp_closure": sp_closure,
         },
         "rank": span.rank,

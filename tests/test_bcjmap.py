@@ -4,6 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc.bcjmap import (
@@ -24,7 +25,7 @@ from bcjcalc.errors import (
     FiltrationError,
     GeometryError,
 )
-from bcjcalc.surface import HClass, SubsurfaceBasis, random_symplectic_rebase
+from bcjcalc.surface import HClass, SubsurfaceBasis, intersect, random_symplectic_rebase
 
 
 def matched_oracle(m1, m2, g):
@@ -127,6 +128,33 @@ class TestSigmaBP:
                     cbits |= 1 << (g + i - 1)
             m = BPMap(basis, HClass(g, cbits))
             assert sigma_bp(m).degree() <= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_degree_exactly_three_on_genus_one_bases(self, data):
+        # C != 0 orthogonal to x and y lies outside span(x, y), so x-bar,
+        # y-bar, C-bar have independent linear parts: no bounding pair on a
+        # genus-1 basis passes the search's degree <= 2 filter
+        g = data.draw(st.integers(min_value=2, max_value=6))
+        classes = st.integers(min_value=0, max_value=(1 << (2 * g)) - 1).map(
+            lambda bits: HClass(g, bits)
+        )
+        x = data.draw(classes.filter(bool))
+        # a class meeting x once: the dual of its lowest nonzero coordinate
+        low = (x.bits & -x.bits).bit_length() - 1
+        dual = HClass(g, 1 << (low + g if low < g else low - g))
+        y = data.draw(classes)
+        if intersect(x, y) == 0:
+            y = y + dual
+        # project onto the orthogonal complement of span(x, y)
+        C = data.draw(classes)
+        if intersect(C, y):
+            C = C + x
+        if intersect(C, x):
+            C = C + y
+        assume(C)
+        m = BPMap(SubsurfaceBasis(g, ((x, y),)), C)
+        assert sigma_bp(m).degree() == 3
 
     def test_c_zero_degenerates_to_separating(self):
         g = 3

@@ -120,6 +120,19 @@ class TestSearch:
         assert "usage:" in err and "--max-support" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--workers", "2"], ["--seed", "1"], ["--include-bp"], ["--format", "json"]],
+        ids=["workers", "seed", "include-bp", "format"],
+    )
+    def test_removed_flags_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--g", "2", "--max-support", "1", *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag[0] in err
+        assert "Traceback" not in err
+
     def test_io_error_exits_three(self, capsys):
         code, _, err = run(
             capsys,
@@ -218,6 +231,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "usage:" in err and "--trials" in err
         assert "pass" not in err
+
+    def test_format_usage_error(self, capsys):
+        # verify writes JSON only, so it takes no --format
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--g", "2", "--trials", "5", "--format", "json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--format" in err
+        assert "Traceback" not in err
 
     def test_unreadable_linking_matrix_exits_three(self, capsys, tmp_path):
         code, _, _ = run(
@@ -340,17 +362,3 @@ class TestEval:
         assert out == ""
         assert err.strip().splitlines() == [err.strip()]
         assert err.startswith("catalog error: entries must be a list")
-
-
-class TestWorkersOverride:
-    def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BCJCALC_WORKERS", "1")
-        out_path = tmp_path / "r.json"
-        code, _, _ = run(
-            capsys,
-            "search", "--g", "2", "--max-support", "1",
-            "--workers", "4", "--out", str(out_path),
-        )
-        assert code == 1  # partial coverage at g=2 either way
-        report = json.loads(out_path.read_text())
-        assert report["parameters"]["workers"] == 1

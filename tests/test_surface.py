@@ -5,18 +5,15 @@ import random
 import pytest
 
 from bcjcalc import surface as sf
-from bcjcalc.errors import BasisError, DimensionError, GenusMismatchError, SpineError
+from bcjcalc.errors import BasisError, DimensionError, GenusMismatchError
 from bcjcalc.surface import (
     HClass,
-    Spine,
-    SpinePair,
     SubsurfaceBasis,
     ZHClass,
     ZSubsurfaceBasis,
     intersect,
     is_symplectic_basis,
     random_symplectic_rebase,
-    spines_disjointly_realizable,
     support,
     symplectic_violation,
 )
@@ -89,27 +86,38 @@ class TestSupport:
         assert support(ZHClass(2, (0, 2, 0, 0))) == {2}
 
 
+def spine(x, y):
+    """A spine in its one representation, a genus-1 symplectic basis."""
+    return SubsurfaceBasis(x.genus, ((x, y),))
+
+
+def disjoint(s1, s2):
+    """The conservative disjoint-realization criterion on handle supports."""
+    return not (s1.support() & s2.support())
+
+
 class TestSpines:
     def test_invalid_spine(self):
-        with pytest.raises(SpineError):
-            Spine(sf.a(2, 1), sf.a(2, 2))
+        with pytest.raises(BasisError):
+            spine(sf.a(2, 1), sf.a(2, 2)).validate()
 
     def test_disjoint_standard(self):
-        s1 = Spine(sf.a(3, 1), sf.b(3, 1))
-        s2 = Spine(sf.a(3, 2), sf.b(3, 2))
-        assert spines_disjointly_realizable(s1, s2) is True
+        s1 = spine(sf.a(3, 1), sf.b(3, 1))
+        s2 = spine(sf.a(3, 2), sf.b(3, 2))
+        assert disjoint(s1, s2)
 
     def test_disjoint_mixed_classes(self):
         g = 3
-        s1 = Spine(sf.a(g, 1) + sf.b(g, 1), sf.a(g, 1) + sf.a(g, 2))
-        s2 = Spine(sf.a(g, 3), sf.b(g, 3))
-        assert spines_disjointly_realizable(s1, s2) is True
+        s1 = spine(sf.a(g, 1) + sf.b(g, 1), sf.a(g, 1) + sf.a(g, 2))
+        s2 = spine(sf.a(g, 3), sf.b(g, 3))
+        assert s1.support() == {1, 2}
+        assert disjoint(s1, s2)
 
     def test_shared_handle(self):
         g = 2
-        s1 = Spine(sf.a(g, 1), sf.b(g, 1))
-        s2 = Spine(sf.a(g, 1) + sf.a(g, 2), sf.b(g, 2))
-        assert spines_disjointly_realizable(s1, s2) is False
+        s1 = spine(sf.a(g, 1), sf.b(g, 1))
+        s2 = spine(sf.a(g, 1) + sf.a(g, 2), sf.b(g, 2))
+        assert not disjoint(s1, s2)
 
     def test_symmetric(self):
         rng = random.Random(4)
@@ -119,19 +127,25 @@ class TestSpines:
             x = HClass(g, rng.randrange(1, 1 << (2 * g)))
             y = HClass(g, rng.randrange(1, 1 << (2 * g)))
             if intersect(x, y) == 1:
-                spines.append(Spine(x, y))
+                spines.append(spine(x, y))
         for s1 in spines:
+            s1.validate()
             for s2 in spines:
-                assert spines_disjointly_realizable(s1, s2) == spines_disjointly_realizable(s2, s1)
+                assert disjoint(s1, s2) == disjoint(s2, s1)
 
     def test_spinepair_factory(self):
-        s1 = Spine(sf.a(2, 1), sf.b(2, 1))
-        s2 = Spine(sf.a(2, 2), sf.b(2, 2))
-        sp = SpinePair.disjointly_realized(s1, s2, "orbit-one")
-        assert sp.label == "orbit-one"
-        bad = Spine(sf.a(2, 1) + sf.a(2, 2), sf.b(2, 2))
-        with pytest.raises(SpineError):
-            SpinePair.disjointly_realized(s1, bad)
+        # a pair of spines enters the search as an abelian cycle whose
+        # support-disjoint certificate is checked
+        from bcjcalc.bcjmap import SeparatingTwist
+        from bcjcalc.errors import DisjointnessError
+        from bcjcalc.wedgespan import AbelianCycle
+
+        t1 = SeparatingTwist(spine(sf.a(2, 1), sf.b(2, 1)))
+        t2 = SeparatingTwist(spine(sf.a(2, 2), sf.b(2, 2)))
+        AbelianCycle(t1, t2, label="orbit-one").validate_certificate()
+        bad = SeparatingTwist(spine(sf.a(2, 1) + sf.a(2, 2), sf.b(2, 2)))
+        with pytest.raises(DisjointnessError):
+            AbelianCycle(t1, bad).validate_certificate()
 
 
 class TestSymplecticBasis:
@@ -263,12 +277,12 @@ class TestJson:
         assert sf.zhclass_from_json(2, sf.zhclass_to_json(u)) == u
 
     def test_spinepair_roundtrip(self):
-        sp = SpinePair(
-            Spine(sf.a(3, 1), sf.b(3, 1)),
-            Spine(sf.a(3, 2) + sf.a(3, 3), sf.b(3, 2)),
-            label="demo",
-        )
-        assert sf.spinepair_from_json(sf.spinepair_to_json(sp)) == sp
+        # spines are genus-1 bases and travel through the basis codec
+        for s in (
+            spine(sf.a(3, 1), sf.b(3, 1)),
+            spine(sf.a(3, 2) + sf.a(3, 3), sf.b(3, 2)),
+        ):
+            assert sf.basis_from_json(sf.basis_to_json(s)) == s
 
     def test_basis_roundtrip(self):
         basis = SubsurfaceBasis.standard(3, [1, 3])

@@ -23,7 +23,6 @@ from bcjcalc.wedgespan import (
     enumerate_spine_cycles,
     four_index_family_span_claim,
     image_rank_report,
-    merge_shard_rows,
     orbit_classes,
     pair_index,
     saturate_span,
@@ -32,9 +31,11 @@ from bcjcalc.wedgespan import (
     wedge_dim,
     wedge_translate,
     _descriptor_pairs,
+    _descriptors_for_set,
     _search_shard,
     _slot_labels,
     _stream_class_masks,
+    _support_sets,
     _wedge_action_table,
 )
 
@@ -240,25 +241,21 @@ class TestEnumeration:
             sigmas.add(sigma_separating(c.second.basis))
         assert sigmas == {BoolPoly(g, {0b0101}), BoolPoly(g, {0b1010})}
 
-    def test_bp_stream_degree_capped(self):
-        for c in enumerate_spine_cycles(3, 1, include_bp=True):
-            from bcjcalc.bcjmap import sigma
-
-            assert sigma(c.first).degree() <= 2
-            assert sigma(c.second).degree() <= 2
-
-    def test_bp_filter_empty_at_small_support(self):
-        # no bounding-pair descriptor on a genus-1 spine attains degree <= 2
-        # within these support budgets; the flag adds nothing to the stream
-        from bcjcalc.wedgespan import _descriptors_for_set
-        from bcjcalc.bcjmap import BPMap
-
-        for g, S in ((2, (1, 2)), (3, (1, 2, 3))):
-            descs = _descriptors_for_set(g, S, True)
-            assert not any(isinstance(d.descriptor, BPMap) for d in descs)
-        n_plain = sum(1 for _ in enumerate_spine_cycles(3, 2, include_bp=False))
-        n_bp = sum(1 for _ in enumerate_spine_cycles(3, 2, include_bp=True))
-        assert n_plain == n_bp == 2052
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_sigma_handle_support_is_the_support_set(self, g):
+        # sigma(sep(x, y)) = x-bar y-bar has exactly the variables of x and
+        # y, so a sigma value determines its support set and no sigma pair
+        # recurs across stream blocks
+        amask = (1 << g) - 1
+        for S in _support_sets(g, 3):
+            for desc in _descriptors_for_set(g, S):
+                ((x, y),) = desc.descriptor.basis.pairs
+                variables = 0
+                for m in desc.sigkey:
+                    variables |= m
+                assert variables == x.bits | y.bits
+                handles = (variables & amask) | (variables >> g)
+                assert {i + 1 for i in range(g) if (handles >> i) & 1} == set(S)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -423,39 +420,6 @@ class TestSearch:
         assert r["class_coverage"]["IV"] == "sp-closure"
         assert r["class_coverage"]["I"] == "stream"
 
-    def test_shard_merge_matches_serial(self):
-        g, ms = 3, 2
-        serial_rows, serial_hits, n_pairs, _ = _search_shard(g, ms, False, 0, 1)
-        length = wedge_dim(b2_basis(g).size)
-        span_serial = merge_shard_rows(length, [serial_rows])
-        shards = [_search_shard(g, ms, False, k, 3) for k in range(3)]
-        assert sum(s[2] for s in shards) == n_pairs
-        span_merged = merge_shard_rows(length, [s[0] for s in shards])
-        assert span_merged.rank == span_serial.rank
-        for row in serial_rows:
-            assert span_merged.contains_bits(row)
-        # merge order does not change the span
-        span_reversed = merge_shard_rows(length, [s[0] for s in shards][::-1])
-        assert span_reversed.rank == span_serial.rank
-        # earliest-index merge of per-shard hits equals the serial hits
-        merged_hits = {}
-        for _, hits, _, _ in shards:
-            for lab, (idx, lbl) in hits.items():
-                if lab not in merged_hits or idx < merged_hits[lab][0]:
-                    merged_hits[lab] = (idx, lbl)
-        assert merged_hits == serial_hits
-
-    def test_report_independent_of_workers(self):
-        # shards used to dedupe only against themselves, so the distinct
-        # image count grew with the worker count
-        reports = []
-        for workers in (1, 2, 3):
-            r = image_rank_report(3, 3, workers=workers)
-            r.pop("elapsed")
-            assert r["parameters"].pop("workers") == workers
-            reports.append(r)
-        assert reports[0] == reports[1] == reports[2]
-
     def test_g4_report_pins_golden_numbers(self):
         # the genus-4 numbers of the benchmark golden, written out: first-hit
         # stream indices and cycles per class, and the stream counts
@@ -513,8 +477,7 @@ class TestClosureMachinery:
 
     def test_saturation_idempotent(self):
         g = 2
-        rows, _, _, _ = _search_shard(g, 1, False, 0, 1)
-        span = merge_shard_rows(wedge_dim(b2_basis(g).size), [rows])
+        span, _, _, _ = _search_shard(g, 1)
         saturate_span(g, span)
         assert saturate_span(g, span) == 0
 
@@ -559,8 +522,7 @@ class TestClosureGenerators:
 
     @pytest.mark.parametrize("g", [3, 4])
     def test_saturated_span_matches_weight_two_set(self, g, monkeypatch):
-        rows, _, _, _ = _search_shard(g, 3, False, 0, 1)
-        stream = merge_shard_rows(wedge_dim(b2_basis(g).size), [rows])
+        stream, _, _, _ = _search_shard(g, 3)
         new, old = stream.copy(), stream.copy()
         saturate_span(g, new)
         old_gens = tuple(weight_le_2_transvections(g))
@@ -599,11 +561,11 @@ def ref_stream_images(g, ms):
     """(stream index, cycle label, image bits) of every pair, in order."""
     offs = ref_offsets(g)
     cache = {}
-    for idx, (d1, d2) in enumerate(_descriptor_pairs(g, ms, False)):
+    for idx, (d1, d2) in enumerate(_descriptor_pairs(g, ms)):
         key = (d1.sigkey, d2.sigkey)
         if key not in cache:
             cache[key] = ref_slot_bits(offs, d1.sigslots, d2.sigslots)
-        yield idx, f"{d1.label} & {d2.label}", cache[key]
+        yield idx, f"{d1.descriptor.label} & {d2.descriptor.label}", cache[key]
 
 
 def ref_stream_span(g, ms):
@@ -670,13 +632,14 @@ def handle_disjoint_mask(g):
 class TestSearchCoreReference:
     @pytest.mark.parametrize("g,ms", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
     def test_block_basis_span_equals_per_image_span(self, g, ms):
-        rows, _, n_pairs, seen = _search_shard(g, ms, False, 0, 1)
+        span, _, n_pairs, n_distinct = _search_shard(g, ms)
         oracle = ref_stream_span(g, ms)
-        assert tuple(rows) == oracle.row_bits()
-        assert n_pairs == sum(1 for _ in _descriptor_pairs(g, ms, False))
-        assert len(seen) == len({
+        assert span.row_bits() == oracle.row_bits()
+        assert n_pairs == sum(1 for _ in _descriptor_pairs(g, ms))
+        # the closed-form count against the whole-stream key set
+        assert n_distinct == len({
             tuple(sorted((d1.sigkey, d2.sigkey)))
-            for d1, d2 in _descriptor_pairs(g, ms, False)
+            for d1, d2 in _descriptor_pairs(g, ms)
         })
 
     @pytest.mark.parametrize("g,ms", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
@@ -691,7 +654,7 @@ class TestSearchCoreReference:
                 } - {None}
             for lab in classes_of[bits]:
                 want.setdefault(lab, (idx, label))
-        _, hits, _, _ = _search_shard(g, ms, False, 0, 1)
+        _, hits, _, _ = _search_shard(g, ms)
         assert hits == want
 
     @pytest.mark.parametrize("g", [3, 4])
@@ -732,7 +695,7 @@ class TestSearchCoreReference:
                 return real(offs, left, right)
 
             monkeypatch.setattr(wedgespan, "_slot_bits", counting)
-            _, hits, _, _ = _search_shard(4, 3, False, 0, 1)
+            _, hits, _, _ = _search_shard(4, 3)
             monkeypatch.setattr(wedgespan, "_slot_bits", real)
             return len(calls), hits
 
@@ -745,8 +708,7 @@ class TestSearchCoreReference:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_delta_saturation_equals_full_image_saturation(self, g):
-        rows, _, _, _ = _search_shard(g, 3, False, 0, 1)
-        start = merge_shard_rows(wedge_dim(b2_basis(g).size), [rows])
+        start, _, _, _ = _search_shard(g, 3)
         new, old = start.copy(), start.copy()
         assert saturate_span(g, new) == ref_saturate(g, old)
         assert new.row_bits() == old.row_bits()
