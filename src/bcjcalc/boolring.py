@@ -71,9 +71,6 @@ class BoolMonomial:
             m ^= low
         return tuple(out)
 
-    def has_variable(self, v: int) -> bool:
-        return bool((self.mask >> v) & 1)
-
     def sort_key(self) -> tuple:
         return (self.degree, self.variables())
 
@@ -114,18 +111,6 @@ class BoolPoly:
         if not 0 <= v < 2 * genus:
             raise DimensionError(f"variable index {v} out of range")
         return cls(genus, (1 << v,))
-
-    @classmethod
-    def from_monomials(cls, monomials: Sequence[BoolMonomial]) -> "BoolPoly":
-        if not monomials:
-            raise ValueError("need at least one monomial; use zero(g) instead")
-        g = monomials[0].genus
-        acc: set[int] = set()
-        for m in monomials:
-            if m.genus != g:
-                raise GenusMismatchError("mixed-genus monomials")
-            acc ^= {m.mask}
-        return cls(g, acc)
 
     def monomials(self) -> tuple[BoolMonomial, ...]:
         mons = [BoolMonomial(self.genus, m) for m in self.masks]

@@ -329,7 +329,9 @@ def cmd_eval(args) -> int:
         g = data["genus"]
         if not isinstance(g, int) or g < 1:
             raise CatalogError(f"bad genus {g!r}")
-        entries = data.get("entries", [])
+        if "entries" not in data:
+            raise CatalogError("catalog must have an entries list")
+        entries = data["entries"]
         if not isinstance(entries, list):
             raise CatalogError(f"entries must be a list, not {type(entries).__name__}")
         results = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BasisError, DimensionError, GenusMismatchError
-from .gf2core import BitVec, F2Matrix, SpanBasis
+from .gf2core import F2Matrix, SpanBasis
 
 
 def check_genus(g: int) -> int:
@@ -60,9 +60,6 @@ class HClass:
 
     def coords(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(2 * self.genus)]
-
-    def vec(self) -> BitVec:
-        return BitVec(2 * self.genus, self.bits)
 
     def __add__(self, other: "HClass") -> "HClass":
         _check_same_genus(self, other)

@@ -15,6 +15,15 @@ values with a basis c of the second's.  The search inserts only those basis
 products and counts distinct images per block; images themselves are
 computed, by distinct sigma pair, only for each class's first hit.
 
+A set's sigma data comes from one template per support size s, computed
+once at genus s from the spines on s handles: their count, the position and
+value of each distinct sigma, and a basis of their span.  Relabelling the
+handles renames the bar variables and commutes with sigma (sigma(sep(x, y))
+= x-bar y-bar, and bar's constant counts the handles on which a class has
+both coordinates, which a relabelling keeps), so every set's data is its
+template relabelled.  Twists, and their `sep(x,y)` labels, are built only
+for the templates and for the per-class first hits.
+
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
 handle (orbit classes IV and VI) are unreachable by construction.  The
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from time import perf_counter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma
 from .boolring import BoolMonomial, BoolPoly, b2_basis, require_degree
@@ -243,6 +252,8 @@ def _local_spines(s: int) -> tuple[tuple[int, int], ...]:
 
 
 def _to_global(genus: int, handles: tuple[int, ...], local: int) -> int:
+    """Relabel local bits onto `handles`.  Classes and monomials share the
+    a-then-b packing, so this one map relabels both."""
     s = len(handles)
     bits = 0
     for k, h in enumerate(handles):
@@ -253,30 +264,54 @@ def _to_global(genus: int, handles: tuple[int, ...], local: int) -> int:
     return bits
 
 
-class _Desc(NamedTuple):
-    descriptor: SeparatingTwist
-    sigkey: tuple[int, ...]       # sorted monomial masks of sigma
-    sigslots: tuple[int, ...]     # sorted basis indices of sigma
+def _twist(genus: int, handles: tuple[int, ...], pos: int) -> SeparatingTwist:
+    """The separating twist of local spine `pos` relabelled onto `handles`."""
+    local = _local_spines(len(handles))[pos]
+    x, y = (HClass(genus, _to_global(genus, handles, v)) for v in local)
+    return SeparatingTwist(SubsurfaceBasis(genus, ((x, y),)), label=f"sep({x},{y})")
 
 
 @lru_cache(maxsize=None)
-def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[_Desc, ...]:
-    """Deterministic descriptor list whose support is exactly `handles`."""
+def _template(s: int) -> tuple[int, tuple, tuple]:
+    """The sigma data of the spines on s handles, computed once at genus s.
+
+    Returns the spine count, the (position, sigma monomial masks) of the
+    first spine of each distinct sigma value in order of first appearance,
+    and a basis of their span as monomial-mask tuples.
+    """
+    n = len(_local_spines(s))
+    first: dict[frozenset[int], int] = {}
+    for pos in range(n):
+        # at genus s, relabelling onto handles 1..s is the identity
+        first.setdefault(sigma(_twist(s, tuple(range(1, s + 1)), pos)).masks, pos)
+    groups = tuple((pos, tuple(masks)) for masks, pos in first.items())
+    span = SpanBasis(1 << (2 * s))  # bit m stands for the monomial of mask m
+    for _, masks in groups:
+        span.insert_bits(sum(1 << m for m in masks))
+    basis = tuple(BitVec(span.length, row).support() for row in span.row_bits())
+    return n, groups, basis
+
+
+def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, list, list]:
+    """The template of size len(handles) relabelled onto `handles`: the
+    spine count, the (position, sigma basis indices) of each distinct sigma
+    value and a basis of their span, rows given by basis indices.
+
+    Relabelling handles commutes with sigma, so the relabelled values are
+    the sigma values of the relabelled spines, still distinct, and a basis
+    stays a basis.
+    """
+    n, groups, basis = _template(len(handles))
     index = b2_basis(genus).index_of_mask
-    out = []
-    for x_local, y_local in _local_spines(len(handles)):
-        x = HClass(genus, _to_global(genus, handles, x_local))
-        y = HClass(genus, _to_global(genus, handles, y_local))
-        twist = SeparatingTwist(
-            SubsurfaceBasis(genus, ((x, y),)), label=f"sep({x},{y})"
-        )
-        sig = sigma(twist)
-        out.append(_Desc(
-            twist,
-            tuple(sorted(sig.masks)),
-            tuple(sorted(index[m] for m in sig.masks)),
-        ))
-    return tuple(out)
+    to = {
+        m.mask: index[_to_global(genus, handles, m.mask)]
+        for m in b2_basis(len(handles)).monomials
+    }
+    return (
+        n,
+        [(pos, [to[m] for m in masks]) for pos, masks in groups],
+        [[to[m] for m in row] for row in basis],
+    )
 
 
 def _support_sets(genus: int, max_support: int) -> list[tuple[int, ...]]:
@@ -285,25 +320,6 @@ def _support_sets(genus: int, max_support: int) -> list[tuple[int, ...]]:
         sets.extend(combinations(range(1, genus + 1), size))
     sets.sort(key=lambda S: (len(S), S))
     return sets
-
-
-def _sigkey_groups(descs: Sequence[_Desc]) -> list[tuple[int, _Desc]]:
-    """(position, descriptor) of the first descriptor of each distinct sigma
-    value, in order of first appearance."""
-    first: dict[tuple[int, ...], tuple[int, _Desc]] = {}
-    for pos, desc in enumerate(descs):
-        first.setdefault(desc.sigkey, (pos, desc))
-    return list(first.values())
-
-
-@lru_cache(maxsize=None)
-def _sigma_basis(genus: int, handles: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """A basis of the span of the set's sigma values, each row given by its
-    ascending basis indices (the `sigslots` form)."""
-    span = SpanBasis(b2_basis(genus).size)
-    for _, desc in _sigkey_groups(_descriptors_for_set(genus, handles)):
-        span.insert_bits(sum(1 << i for i in desc.sigslots))
-    return tuple(BitVec(span.length, row).support() for row in span.row_bits())
 
 
 def _disjoint_set_pairs(sets: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
@@ -316,18 +332,6 @@ def _disjoint_set_pairs(sets: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, 
                 yield k1, k2
 
 
-def _descriptor_pairs(genus: int, max_support: int) -> Iterator[tuple[_Desc, _Desc]]:
-    """Deterministic stream of support-disjoint descriptor pairs, one block
-    per pair of disjoint support sets taken in (size, lex) order; each
-    unordered pair is emitted exactly once."""
-    sets = _support_sets(genus, max_support)
-    lists = [_descriptors_for_set(genus, S) for S in sets]
-    for k1, k2 in _disjoint_set_pairs(sets):
-        for d1 in lists[k1]:
-            for d2 in lists[k2]:
-                yield d1, d2
-
-
 def enumerate_spine_cycles(
     genus: int, max_support_per_spine: int
 ) -> Iterator[AbelianCycle]:
@@ -335,19 +339,24 @@ def enumerate_spine_cycles(
 
     Each descriptor is the separating twist of a genus-1 spine (x, y) with
     x.y = 1 using at most `max_support_per_spine` handles, so every sigma
-    value has degree <= 2.  Two runs with equal parameters emit identical
-    sequences.
+    value has degree <= 2.  The stream has one block per pair of disjoint
+    support sets, taken in (size, lex) order, and emits each unordered pair
+    exactly once.  Two runs with equal parameters emit identical sequences.
     """
     check_genus(genus)
     if max_support_per_spine < 1:
         raise ValueError("max_support_per_spine must be >= 1")
-    for d1, d2 in _descriptor_pairs(genus, max_support_per_spine):
-        yield AbelianCycle(
-            d1.descriptor,
-            d2.descriptor,
-            SUPPORT_DISJOINT,
-            label=f"{d1.descriptor.label} & {d2.descriptor.label}",
-        )
+    sets = _support_sets(genus, max_support_per_spine)
+    twists = [
+        [_twist(genus, S, pos) for pos in range(len(_local_spines(len(S))))]
+        for S in sets
+    ]
+    for k1, k2 in _disjoint_set_pairs(sets):
+        for t1 in twists[k1]:
+            for t2 in twists[k2]:
+                yield AbelianCycle(
+                    t1, t2, SUPPORT_DISJOINT, label=f"{t1.label} & {t2.label}"
+                )
 
 
 # -- dimension bookkeeping ----------------------------------------------------
@@ -754,9 +763,9 @@ def _search_shard(
     keyed by stream index, the pair count and the distinct-image count.
 
     The wedge is bilinear, so a block's images span the same space as the
-    products of a basis of each list's sigma values: only those products
+    products of a basis of each set's sigma values: only those products
     are inserted.  Descriptors with equal sigma have equal images, so a
-    block's distinct images pair the sigma groups of its two lists: a group
+    block's distinct images pair the sigma groups of its two sets: a group
     pair stands for |G1|.|G2| stream pairs and first appears at the stream
     position of its two first descriptors.  The variables of sigma(sep(x, y))
     = x-bar y-bar are exactly supp(x) | supp(y) (its derivative along a
@@ -773,20 +782,18 @@ def _search_shard(
     class_masks = _stream_class_masks(genus)
     unhit = sum(class_masks.values())  # the class masks are disjoint
     sets = _support_sets(genus, max_support)
-    lists = [_descriptors_for_set(genus, S) for S in sets]
-    groups = [_sigkey_groups(L) for L in lists]
-    bases = [_sigma_basis(genus, S) for S in sets]
+    data = [_descriptors_for_set(genus, S) for S in sets]
     span = SpanBasis(wedge_dim(d))
     hits: dict[str, tuple[int, str]] = {}
     n_pairs = 0
     n_distinct = 0
     for k1, k2 in _disjoint_set_pairs(sets):
-        n2 = len(lists[k2])
+        (n1, groups1, basis1), (n2, groups2, basis2) = data[k1], data[k2]
         block_base = n_pairs
-        n_pairs += len(lists[k1]) * n2
-        n_distinct += len(groups[k1]) * len(groups[k2])
-        for r1 in bases[k1]:
-            for r2 in bases[k2]:
+        n_pairs += n1 * n2
+        n_distinct += len(groups1) * len(groups2)
+        for r1 in basis1:
+            for r2 in basis2:
                 bits = _slot_bits(offs, r1, r2)
                 if bits:
                     span.insert_bits(bits)
@@ -794,17 +801,15 @@ def _search_shard(
             continue
         # Group pairs are visited in increasing stream index, so the first
         # hit of a class is final.
-        for pos1, d1 in groups[k1]:
-            for pos2, d2 in groups[k2]:
+        for pos1, sig1 in groups1:
+            for pos2, sig2 in groups2:
                 if not unhit:
                     break
-                b = _slot_bits(offs, d1.sigslots, d2.sigslots) & unhit
+                b = _slot_bits(offs, sig1, sig2) & unhit
                 while b:
                     lab = labels[(b & -b).bit_length() - 1]
-                    hits[lab] = (
-                        block_base + pos1 * n2 + pos2,
-                        f"{d1.descriptor.label} & {d2.descriptor.label}",
-                    )
+                    t1, t2 = _twist(genus, sets[k1], pos1), _twist(genus, sets[k2], pos2)
+                    hits[lab] = (block_base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
                     unhit &= ~class_masks[lab]
                     b &= unhit
     return span, hits, n_pairs, n_distinct

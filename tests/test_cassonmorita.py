@@ -460,6 +460,14 @@ class TestDiagrams:
         report = verify_diagrams(1, 60, seed=8)
         assert report["all_passed"], report
 
+    def test_zero_trials_never_pass(self):
+        report = verify_diagrams(2, 0, seed=8)
+        for name in ("triangle", "mu_quadratic", "right_square"):
+            assert report["checks"][name] == {
+                "trials": 0, "failures": 0, "witnesses": [], "passed": False,
+            }
+        assert report["all_passed"] is False
+
     def test_triangle_direct(self):
         rng = random.Random(10)
         for g in (1, 2, 3):

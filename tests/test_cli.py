@@ -159,6 +159,19 @@ class TestVerify:
         assert "sigma_basis_independence" in report["checks"]
         assert "pass" in err
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_every_reported_check_ran_trials(self, capsys, tmp_path, g):
+        out_path = tmp_path / "verify.json"
+        code, _, _ = run(
+            capsys, "verify", "--g", str(g), "--trials", "1", "--seed", "2",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        checks = json.loads(out_path.read_text())["checks"]
+        assert all(c["trials"] >= 1 for c in checks.values()), checks
+        # no two disjoint handles exist at genus 1
+        assert ("wedge_lift" in checks) == (g >= 2)
+
     def test_exhaustive_mu(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"
         code, _, _ = run(
@@ -351,6 +364,15 @@ class TestEval:
             ["t1", "a1*b1", "", ""],
             ["z1", "a1*b1", "l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2", "a1*b1"],
         ]
+
+    def test_missing_entries_is_catalog_error(self, capsys, tmp_path):
+        # docs/schemas/catalog.json requires `entries`; an empty list stays valid
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"genus": 2}))
+        code, out, err = run(capsys, "eval", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "catalog error: catalog must have an entries list"
 
     @pytest.mark.parametrize("entries", [5, "ab", {"type": "separating"}, None])
     def test_entries_not_a_list_is_catalog_error(self, capsys, tmp_path, entries):

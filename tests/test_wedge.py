@@ -1,6 +1,7 @@
 """Wedge square, cycle images, orbit classes, dimension tables, search."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc import wedgespan
-from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma_separating
+from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError
 from bcjcalc.gf2core import F2Matrix, SpanBasis
@@ -30,7 +31,6 @@ from bcjcalc.wedgespan import (
     wedge,
     wedge_dim,
     wedge_translate,
-    _descriptor_pairs,
     _descriptors_for_set,
     _search_shard,
     _slot_labels,
@@ -56,6 +56,40 @@ FROZEN_DIMS = {
 
 def spine_twist(g, x, y, label=""):
     return SeparatingTwist(SubsurfaceBasis(g, ((x, y),)), label=label)
+
+
+# -- object-level oracles for the descriptor templates -------------------------
+#
+# These build every twist as a `SeparatingTwist` at the full genus and
+# evaluate `sigma` on it, so they share no sigma code with the templates.
+# sigma is cached per twist label to keep the walks cheap.
+
+_SIGMA_BY_LABEL = {}
+
+
+def ref_sigma(twist):
+    """The monomial masks of sigma(twist), cached by genus and label."""
+    key = (twist.genus, twist.label)
+    if key not in _SIGMA_BY_LABEL:
+        _SIGMA_BY_LABEL[key] = sigma(twist).masks
+    return _SIGMA_BY_LABEL[key]
+
+
+@lru_cache(maxsize=None)
+def ref_set_twists(g, S):
+    """Twists of every spine (x, y) with x.y = 1 whose handles are exactly S,
+    x then y ascending as integers: the stream's order, since relabelling
+    onto sorted handles keeps the a-then-b bit order."""
+    allowed = sum((1 << (h - 1)) | (1 << (g + h - 1)) for h in S)
+    classes = [sf.HClass(g, v) for v in range(1 << (2 * g)) if not v & ~allowed]
+    out = []
+    for x in classes:
+        for y in classes:
+            u = x.bits | y.bits
+            handles = {h for h in S if (u >> (h - 1)) & 1 or (u >> (g + h - 1)) & 1}
+            if sf.intersect(x, y) and handles == set(S):
+                out.append(spine_twist(g, x, y, label=f"sep({x},{y})"))
+    return out
 
 
 class TestSlotIndexing:
@@ -248,18 +282,60 @@ class TestEnumeration:
         # recurs across stream blocks
         amask = (1 << g) - 1
         for S in _support_sets(g, 3):
-            for desc in _descriptors_for_set(g, S):
-                ((x, y),) = desc.descriptor.basis.pairs
+            for twist in ref_set_twists(g, S):
+                ((x, y),) = twist.basis.pairs
                 variables = 0
-                for m in desc.sigkey:
+                for m in ref_sigma(twist):
                     variables |= m
                 assert variables == x.bits | y.bits
                 handles = (variables & amask) | (variables >> g)
                 assert {i + 1 for i in range(g) if (handles >> i) & 1} == set(S)
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_stream_twists_are_the_set_twists(self, g):
+        # the object-level stream carries exactly the per-set twists of the
+        # oracle, in its order; at g >= 4 every support set occurs
+        by_set = {}
+        for twist in ref_stream(g, 3)[1].values():
+            by_set.setdefault(tuple(sorted(twist.support())), []).append(twist)
+        if g >= 4:
+            assert set(by_set) == set(_support_sets(g, 3))
+        for S, twists in by_set.items():
+            assert [t.label for t in twists] == [t.label for t in ref_set_twists(g, S)]
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             list(enumerate_spine_cycles(2, 0))
+
+
+class TestTemplates:
+    def test_template_sizes(self):
+        # n(s) spines and N(s) distinct sigma values per support size
+        sizes = [wedgespan._template(s) for s in (1, 2, 3)]
+        assert [n for n, _, _ in sizes] == [6, 108, 1674]
+        assert [len(groups) for _, groups, _ in sizes] == [1, 18, 279]
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_relabelled_template_equals_per_twist_sigma(self, g):
+        basis = b2_basis(g)
+        for S in _support_sets(g, 3):
+            twists = ref_set_twists(g, S)
+            n, groups, rows = _descriptors_for_set(g, S)
+            assert n == len(twists)
+            first = {}
+            for pos, twist in enumerate(twists):
+                first.setdefault(ref_sigma(twist), pos)
+            want = [
+                (pos, sorted(basis.index_of_mask[m] for m in masks))
+                for masks, pos in first.items()
+            ]
+            assert [(pos, sorted(sig)) for pos, sig in groups] == want
+            want_span, got_span = SpanBasis(basis.size), SpanBasis(basis.size)
+            for _, sig in want:
+                want_span.insert_bits(sum(1 << i for i in sig))
+            for row in rows:
+                assert got_span.insert_bits(sum(1 << i for i in row))
+            assert got_span.row_bits() == want_span.row_bits()
 
 
 class TestDims:
@@ -538,7 +614,7 @@ class TestClosureGenerators:
 # per-block basis products and the saturation inserted (M - I)v deltas: one
 # wedge per distinct image, and full action tables applied to whole vectors.
 # They spell out the slot arithmetic on their own, so they share no code
-# with the module beyond the descriptor stream and `substitute_sp`.
+# with the module beyond the object-level stream, `sigma` and `substitute_sp`.
 
 
 def ref_slot_bits(offs, left, right):
@@ -557,20 +633,34 @@ def ref_offsets(g):
     return [i * (2 * d - i - 1) // 2 for i in range(d)]
 
 
-def ref_stream_images(g, ms):
-    """(stream index, cycle label, image bits) of every pair, in order."""
+@lru_cache(maxsize=None)
+def ref_stream(g, ms):
+    """(cycle label, sigma pair, image bits) of every cycle of the object-level
+    stream, in order, and its distinct twists by label in order of first
+    appearance; sigma is evaluated at the full genus, once per twist."""
     offs = ref_offsets(g)
-    cache = {}
-    for idx, (d1, d2) in enumerate(_descriptor_pairs(g, ms)):
-        key = (d1.sigkey, d2.sigkey)
-        if key not in cache:
-            cache[key] = ref_slot_bits(offs, d1.sigslots, d2.sigslots)
-        yield idx, f"{d1.descriptor.label} & {d2.descriptor.label}", cache[key]
+    index = b2_basis(g).index_of_mask
+    images = {}
+    twists = {}
+    out = []
+    first = None
+    for c in enumerate_spine_cycles(g, ms):
+        if c.first is not first:
+            first, sigma_first = c.first, ref_sigma(c.first)
+            twists.setdefault(first.label, first)
+        twists.setdefault(c.second.label, c.second)
+        key = (sigma_first, ref_sigma(c.second))
+        if key not in images:
+            images[key] = ref_slot_bits(
+                offs, [index[m] for m in key[0]], [index[m] for m in key[1]]
+            )
+        out.append((c.label, key, images[key]))
+    return out, twists
 
 
 def ref_stream_span(g, ms):
     span = SpanBasis(wedge_dim(b2_basis(g).size))
-    for _, _, bits in ref_stream_images(g, ms):
+    for _, _, bits in ref_stream(g, ms)[0]:
         span.insert_bits(bits)
     return span
 
@@ -635,19 +725,17 @@ class TestSearchCoreReference:
         span, _, n_pairs, n_distinct = _search_shard(g, ms)
         oracle = ref_stream_span(g, ms)
         assert span.row_bits() == oracle.row_bits()
-        assert n_pairs == sum(1 for _ in _descriptor_pairs(g, ms))
+        cycles, _ = ref_stream(g, ms)
+        assert n_pairs == len(cycles)
         # the closed-form count against the whole-stream key set
-        assert n_distinct == len({
-            tuple(sorted((d1.sigkey, d2.sigkey)))
-            for d1, d2 in _descriptor_pairs(g, ms)
-        })
+        assert n_distinct == len({frozenset(key) for _, key, _ in cycles})
 
     @pytest.mark.parametrize("g,ms", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
     def test_early_stop_hits_equal_full_stream_scan(self, g, ms):
         labels = _slot_labels(g)
         classes_of = {}
         want = {}
-        for idx, label, bits in ref_stream_images(g, ms):
+        for idx, (label, _, bits) in enumerate(ref_stream(g, ms)[0]):
             if bits not in classes_of:
                 classes_of[bits] = {
                     labels[s] for s in range(len(labels)) if (bits >> s) & 1
@@ -660,7 +748,7 @@ class TestSearchCoreReference:
     @pytest.mark.parametrize("g", [3, 4])
     def test_stream_images_lie_in_handle_disjoint_slots(self, g):
         outside = ~handle_disjoint_mask(g)
-        images = {bits for _, _, bits in ref_stream_images(g, 3)}
+        images = {bits for _, _, bits in ref_stream(g, 3)[0]}
         assert len(images) > 1
         assert all(bits & outside == 0 for bits in images)
 
