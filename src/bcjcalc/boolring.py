@@ -227,24 +227,37 @@ def evaluate(p: BoolPoly, form: SelfLinkingForm) -> int:
     return acc
 
 
+def sp_variable_images(M: F2Matrix, genus: int) -> tuple[BoolPoly, ...]:
+    """The images bar(M e_k) of the 2g variables under substitution by M.
+
+    Raises MatrixError unless M is a symplectic 2g x 2g matrix; build these
+    once per matrix and reuse them for every polynomial substituted by it.
+    """
+    if M.n != 2 * genus:
+        raise MatrixError(f"matrix size {M.n} does not match 2g = {2 * genus}")
+    if not is_symplectic(M, genus):
+        raise MatrixError("substitution matrix does not preserve the pairing")
+    return tuple(bar(HClass(genus, M.cols[v])) for v in range(2 * genus))
+
+
+def monomial_image(genus: int, images: Sequence[BoolPoly], mask: int) -> BoolPoly:
+    """Product of the variable images of the monomial with this mask."""
+    term = BoolPoly.one(genus)
+    m = mask
+    while m:
+        v = m.bit_length() - 1
+        term = term * images[v]
+        m ^= 1 << v
+    return term
+
+
 def substitute_sp(M: F2Matrix, p: BoolPoly) -> BoolPoly:
     """Algebra endomorphism ebar_k -> bar(M e_k), M symplectic (checked)."""
     g = p.genus
-    if M.n != 2 * g:
-        raise MatrixError(f"matrix size {M.n} does not match 2g = {2 * g}")
-    if not is_symplectic(M, g):
-        raise MatrixError("substitution matrix does not preserve the pairing")
-    images = [bar(HClass(g, M.cols[v])) for v in range(2 * g)]
+    images = sp_variable_images(M, g)
     acc = BoolPoly.zero(g)
-    one = BoolPoly.one(g)
     for m in p.masks:
-        term = one
-        mm = m
-        while mm:
-            low = mm & -mm
-            term = term * images[low.bit_length() - 1]
-            mm ^= low
-        acc = acc + term
+        acc = acc + monomial_image(g, images, m)
     return acc
 
 

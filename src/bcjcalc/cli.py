@@ -48,6 +48,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+# Largest genus any command accepts; a larger one is a usage error (exit 2)
+# before any work starts.  `dims` builds a table for every genus of its range
+# by a pair scan that grows as g^4, so an unbounded range never finishes.
+MAX_GENUS = 32
+
+
 def _genus_range(text: str) -> list[int]:
     try:
         if ".." in text:
@@ -59,6 +65,10 @@ def _genus_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad genus range {text!r}") from exc
     if lo < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad genus range {text!r}")
+    if hi > MAX_GENUS:
+        raise argparse.ArgumentTypeError(
+            f"genus {hi} is above the maximum {MAX_GENUS} in {text!r}"
+        )
     return list(range(lo, hi + 1))
 
 
@@ -408,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--g",
             type=_genus_range,
             required=True,
-            help="genus or range, e.g. 3 or 1..6" + (" (single)" if single_genus else ""),
+            help=f"genus or range, e.g. 3 or 1..6, at most {MAX_GENUS}"
+            + (" (single)" if single_genus else ""),
         )
         p.add_argument("--out", default=None, help="output path (default stdout)")
 

@@ -11,12 +11,25 @@ vector v means xor-ing exactly the rows at the set bits of v & mask: the
 cost follows the number of pivots v touches, not the rank.  Membership is
 one such reduction, which is what the incremental image searches need.
 
+Back-substitution on insert uses a column index: for every non-pivot column
+c, one packed mask over the pivots whose row has bit c.  A new row with
+pivot q must be xor-ed into exactly the rows that have bit q, which the
+index names at once, and afterwards every other bit c of the new row
+toggles those rows and the new one in the mask of c.  The index holds at
+most rank x (length - rank) bits, one per (row, non-pivot column) pair.
+
+Loops over set bits walk from the top bit down (``p = b.bit_length() - 1``,
+then clear bit p), which allocates no negated integer per step.  Each visited
+row or delta is xor-ed in on its own, so the visiting order cannot change a
+result.
+
 Equality of vectors is value equality on (length, bit content); the word size
 of the underlying integers is never visible through the interface.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -100,7 +113,7 @@ class SpanBasis:
     merge by re-inserting rows.
     """
 
-    __slots__ = ("length", "_rows", "_pivmask")
+    __slots__ = ("length", "_rows", "_pivmask", "_cols")
 
     def __init__(self, length: int):
         if length < 0:
@@ -108,6 +121,9 @@ class SpanBasis:
         self.length = length
         self._rows: dict[int, int] = {}   # pivot -> fully reduced row
         self._pivmask = 0                 # bit p set iff p is a pivot
+        # non-pivot column c -> mask of the pivots whose row has bit c
+        # (an entry may be left at 0; no entry exists at a pivot column)
+        self._cols: defaultdict[int, int] = defaultdict(int)
 
     @property
     def rank(self) -> int:
@@ -128,6 +144,7 @@ class SpanBasis:
         dup = SpanBasis(self.length)
         dup._rows = dict(self._rows)
         dup._pivmask = self._pivmask
+        dup._cols = self._cols.copy()
         return dup
 
     def _check_length(self, v: BitVec) -> None:
@@ -142,9 +159,9 @@ class SpanBasis:
         rows = self._rows
         hit = bits & self._pivmask
         while hit:
-            low = hit & -hit
-            bits ^= rows[low.bit_length() - 1]
-            hit ^= low
+            p = hit.bit_length() - 1
+            bits ^= rows[p]
+            hit ^= 1 << p
         return bits
 
     def insert_bits(self, bits: int) -> bool:
@@ -152,12 +169,23 @@ class SpanBasis:
         bits = self._reduce_bits(bits)
         if bits == 0:
             return False
-        low = bits & -bits
-        rows = self._rows
-        for p in [p for p, row in rows.items() if row & low]:
+        q = (bits & -bits).bit_length() - 1
+        rows, cols = self._rows, self._cols
+        hit = cols.pop(q, 0)  # the rows that hold the new pivot
+        h = hit
+        while h:
+            p = h.bit_length() - 1
             rows[p] ^= bits
-        rows[low.bit_length() - 1] = bits
-        self._pivmask |= low
+            h ^= 1 << p
+        # Those rows and the new one now toggle every other column of bits.
+        toggle = hit | 1 << q
+        rest = bits ^ 1 << q
+        while rest:
+            c = rest.bit_length() - 1
+            cols[c] ^= toggle
+            rest ^= 1 << c
+        rows[q] = bits
+        self._pivmask |= 1 << q
         return True
 
     def insert(self, v: BitVec) -> bool:

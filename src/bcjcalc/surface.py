@@ -396,7 +396,10 @@ def transform_basis(M: F2Matrix, basis: SubsurfaceBasis) -> SubsurfaceBasis:
 
 def z_transvection_apply(v: ZHClass, x: ZHClass) -> ZHClass:
     """Integral symplectic transvection x -> x + (x.v) v."""
-    return x + v.scale(intersect(x, v))
+    n = intersect(x, v)
+    if n == 0:
+        return x
+    return ZHClass(x.genus, tuple(c + n * d for c, d in zip(x.coords, v.coords)))
 
 
 def random_z_symplectic_basis(

@@ -61,7 +61,14 @@ from time import perf_counter
 from typing import Iterator, Optional, Sequence
 
 from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma
-from .boolring import BoolMonomial, BoolPoly, b2_basis, require_degree
+from .boolring import (
+    BoolMonomial,
+    BoolPoly,
+    b2_basis,
+    monomial_image,
+    require_degree,
+    sp_variable_images,
+)
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
 from .gf2core import BitVec, SpanBasis
 from .surface import HClass, SubsurfaceBasis, check_genus
@@ -673,34 +680,45 @@ def _wedge_action_table(genus: int, M) -> tuple[int, tuple[int, ...]]:
     delta[s] is (M - I) applied to the basis vector of slot s, and `moved`
     has bit s set iff delta[s] is nonzero; so the action sends v to
     v ^ _apply_table(delta, v & moved).  A transvection fixes most basis
-    monomials, hence most slots, so the deltas are sparse.
+    monomials, hence most slots, so the deltas are sparse.  The variable
+    images are built, and M checked, once per table.  A monomial with no
+    moved variable is fixed; any other monomial's image is the product of
+    its variables' images.
     """
-    from .boolring import substitute_sp
-
     basis = b2_basis(genus)
     d = basis.size
     offs = _row_offsets(d)
-    mon_images = []
-    for k in range(d):
-        poly = substitute_sp(M, BoolPoly(genus, (basis.monomial(k).mask,)))
-        mon_images.append(tuple(basis.index_of_mask[m] for m in poly.masks))
+    images = sp_variable_images(M, genus)
+    moved_vars = sum(1 << v for v, img in enumerate(images) if img.masks != {1 << v})
+    index = basis.index_of_mask
+    mon_images = [
+        tuple(index[m] for m in monomial_image(genus, images, mono.mask).masks)
+        if mono.mask & moved_vars
+        else (k,)
+        for k, mono in enumerate(basis.monomials)
+    ]
+    fixed = [img == (k,) for k, img in enumerate(mon_images)]
     moved = 0
     delta = []
     for slot, (i, j) in enumerate(_slot_pairs(d)):
-        bits = _slot_bits(offs, mon_images[i], mon_images[j]) ^ (1 << slot)
-        if bits:
-            moved |= 1 << slot
+        bits = 0
+        if not (fixed[i] and fixed[j]):  # a slot of two fixed monomials is fixed
+            bits = _slot_bits(offs, mon_images[i], mon_images[j]) ^ (1 << slot)
+            if bits:
+                moved |= 1 << slot
         delta.append(bits)
     return moved, tuple(delta)
 
 
 def _apply_table(table: Sequence[int], bits: int) -> int:
+    # Each set bit's entry is xor-ed in on its own, so walking from the top
+    # bit down gives the same sum as any other order.
     out = 0
     b = bits
     while b:
-        low = b & -b
-        out ^= table[low.bit_length() - 1]
-        b ^= low
+        k = b.bit_length() - 1
+        out ^= table[k]
+        b ^= 1 << k
     return out
 
 

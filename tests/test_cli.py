@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from bcjcalc.cli import main
+from bcjcalc.cli import MAX_GENUS, _genus_range, main
 
 
 def run(capsys, *argv):
@@ -55,6 +55,24 @@ class TestDims:
         with pytest.raises(SystemExit) as exc:
             main(["dims"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--g", "1..99999999"],
+            ["dims", "--g", f"{MAX_GENUS}..{MAX_GENUS + 1}"],
+            ["search", "--g", str(MAX_GENUS + 1)],
+        ],
+    )
+    def test_genus_above_maximum_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"above the maximum {MAX_GENUS}" in capsys.readouterr().err
+
+    def test_maximum_genus_accepted(self):
+        assert _genus_range(f"{MAX_GENUS - 1}..{MAX_GENUS}") == [MAX_GENUS - 1, MAX_GENUS]
+        assert _genus_range(str(MAX_GENUS)) == [MAX_GENUS]
 
 
 class TestOrbits:

@@ -227,6 +227,33 @@ def test_hypothesis_pivot_reduction_matches_full_scan(case):
         assert_fully_reduced(basis)
 
 
+def column_index_from_rows(basis):
+    """Oracle: for every column with a set bit in some row other than at
+    that row's pivot, the mask of the pivots whose row has the bit."""
+    cols = {}
+    for p, row in basis._rows.items():
+        rest = row ^ (1 << p)
+        for c in range(basis.length):
+            if (rest >> c) & 1:
+                cols[c] = cols.get(c, 0) | (1 << p)
+    return cols
+
+
+def assert_column_index(basis):
+    index = basis._cols
+    assert not any(c in basis._rows for c in index)
+    assert {c: m for c, m in index.items() if m} == column_index_from_rows(basis)
+
+
+@given(insert_sequences)
+def test_hypothesis_column_index_matches_rows(case):
+    n, vectors, extra = case
+    basis = SpanBasis(n)
+    for bits in vectors + extra:
+        basis.insert_bits(bits)
+        assert_column_index(basis)
+
+
 @given(insert_sequences)
 def test_hypothesis_copy_is_independent(case):
     n, vectors, extra = case
@@ -235,6 +262,7 @@ def test_hypothesis_copy_is_independent(case):
         basis.insert_bits(bits)
     rank, rows, pivots = basis.rank, basis.row_bits(), basis.pivots
     pivot_map = dict(basis._rows)
+    index = dict(basis._cols)
     dup = basis.copy()
     for bits in extra:
         dup.insert_bits(bits)
@@ -242,7 +270,10 @@ def test_hypothesis_copy_is_independent(case):
     assert basis.row_bits() == rows
     assert basis.pivots == pivots
     assert basis._rows == pivot_map
+    assert dict(basis._cols) == index
     assert_fully_reduced(dup)
+    assert_column_index(basis)
+    assert_column_index(dup)
 
 
 class TestF2Matrix:

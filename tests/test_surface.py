@@ -255,6 +255,21 @@ class TestIntegralBases:
             tx, ty = sf.z_transvection_apply(v, x), sf.z_transvection_apply(v, y)
             assert intersect(tx, ty) == intersect(x, y)
 
+    def test_z_transvection_formula(self):
+        # x -> x + (x.v) v, spelled out with the class arithmetic
+        g = 2
+        a1, b1 = ZHClass(g, (1, 0, 0, 0)), ZHClass(g, (0, 0, 1, 0))
+        assert sf.z_transvection_apply(b1, a1) == a1 + b1
+        assert sf.z_transvection_apply(a1, b1) == b1 + (-a1)
+        rng = random.Random(10)
+        for _ in range(100):
+            v = ZHClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
+            x = ZHClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
+            tx = sf.z_transvection_apply(v, x)
+            assert tx == x + v.scale(intersect(x, v))
+            if intersect(x, v) == 0:
+                assert tx is x
+
     def test_random_z_basis_valid_and_confined(self):
         rng = random.Random(9)
         for _ in range(30):

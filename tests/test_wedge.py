@@ -11,7 +11,7 @@ from bcjcalc import surface as sf
 from bcjcalc import wedgespan
 from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
-from bcjcalc.errors import DisjointnessError, FiltrationError
+from bcjcalc.errors import DisjointnessError, FiltrationError, MatrixError
 from bcjcalc.gf2core import F2Matrix, SpanBasis
 from bcjcalc.surface import SubsurfaceBasis
 from bcjcalc.wedgespan import (
@@ -801,14 +801,23 @@ class TestSearchCoreReference:
         assert saturate_span(g, new) == ref_saturate(g, old)
         assert new.row_bits() == old.row_bits()
 
-    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("g", [2, 3, 4])
     def test_delta_table_matches_full_table(self, g):
-        for M in closure_generators(g):
+        # every generator, and products of generators, which are not transvections
+        gens = closure_generators(g)
+        products = [gens[0] @ gens[g], gens[g] @ gens[0], gens[-1] @ gens[1] @ gens[2 * g - 1]]
+        for M in gens + tuple(products):
             moved, delta = _wedge_action_table(g, M)
             full = ref_full_table(g, M)
             for slot, image in enumerate(full):
                 assert delta[slot] == image ^ (1 << slot)
                 assert (moved >> slot) & 1 == (delta[slot] != 0)
+
+    def test_action_table_rejects_non_symplectic_matrix(self):
+        g = 2
+        M = F2Matrix(2 * g, (0b0011, 0b0010, 0b0100, 0b1000))  # a1 -> a1 + a2
+        with pytest.raises(MatrixError):
+            _wedge_action_table(g, M)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
