@@ -19,6 +19,20 @@ basis (A_i, B_i) is the quadratic expression
     rho(T_c) = - sum_i [ l(A_i,A_i) l(B_i,B_i) - l(A_i,B_i) l(B_i,A_i) ]
                - 2 sum_{i<j} [ l(A_i,A_j) l(B_i,B_j) - l(A_i,B_j) l(A_j,B_i) ]
 
+rho_separating sums these products exactly in one packed kernel.  The
+unordered symbol pairs {p <= q} over the n coordinate positions the basis
+uses get local indices t = 1, 2, ... in lexicographic order (cached per n);
+t = 0 is the constant.  Each form l(x, y) is built once as (t, coeff) terms
+and packed into one integer, a signed W-bit field per t.  A product f x y
+adds f c Y to row t for each term (t, c) of x and f c X for each term of y,
+so field t2 of row t1 ends as Q[t1][t2] + Q[t2][t1], Q[t1][t2] being the
+sum of f x_t1 y_t2: the result's coefficient above the diagonal, twice it
+on it.  Each row is read from its diagonal up, one nonzero field at a time.
+A form coefficient is at most L^2, L the largest l1 norm of a basis vector,
+and the |f| sum to 2h^2, so |field| <= 4 h^2 L^4 < 2^(W-1) for
+W = bit_length(4 h^2 L^4) + 1: no field reaches into the next, and Python
+integers are exact, so the result is exact over Z at any coefficient size.
+
 The reduction mu to the square-free algebra sends the diagonal symbol
 l(e_k, e_k) to the variable ebar_k and every other ordered symbol to 0;
 the classical table value mu(l(b_i, a_i)) = 1 is realized by normalization,
@@ -44,6 +58,7 @@ from .surface import (
     ZHClass,
     ZSubsurfaceBasis,
     check_genus,
+    check_int,
     random_z_symplectic_basis,
 )
 
@@ -219,96 +234,103 @@ class CMPoly:
 
 
 @lru_cache(maxsize=None)
-def _symbol_monomials(genus: int) -> tuple[tuple[Monomial, ...], ...]:
-    """[p][q] -> the one-symbol monomial of l(e_p, e_q) in normal form,
-    ((min(p, q), max(p, q)),)."""
-    n = 2 * genus
-    return tuple(
-        tuple(((p, q),) if p <= q else ((q, p),) for q in range(n)) for p in range(n)
-    )
+def _pair_table(n: int):
+    """Local index of the unordered pairs {p <= q} over n support
+    positions, in lexicographic order from t = 1 (t = 0 is the constant):
+    the pairs, the (t, p, q) with p < q and the (t, p) with p = q."""
+    pairs = tuple((p, q) for p in range(n) for q in range(p, n))
+    off = tuple((t, p, q) for t, (p, q) in enumerate(pairs, 1) if p < q)
+    diag = tuple((t, p) for t, (p, q) in enumerate(pairs, 1) if p == q)
+    return pairs, off, diag
+
+
+def _linear_form(u, v, table, swaps) -> list[tuple[int, int]]:
+    """l(u, v) as its nonzero (t, coeff) terms over local coordinates u, v.
+
+    Each raw l(e_q, e_p) with q > p is rewritten through the swap relation
+    as l(e_p, e_q) + e_p.e_q, so the constant (t = 0) picks up +1 exactly
+    when a (b_i, a_i) pair is swapped into order: it is the sum of
+    u_b v_a over the local (a, b) positions of each handle in ``swaps``.
+    """
+    _, off, diag = table
+    terms = [(t, c) for t, p, q in off if (c := u[p] * v[q] + u[q] * v[p])]
+    terms += [(t, c) for t, p in diag if (c := u[p] * v[p])]
+    const = sum(u[b] * v[a] for a, b in swaps)
+    if const:
+        terms.append((0, const))
+    return terms
 
 
 def cm_generator(u: ZHClass, v: ZHClass) -> CMPoly:
-    """l(u, v) expanded bilinearly over the fixed basis and normalized.
-
-    Each raw l(e_q, e_p) with q > p is rewritten through the swap relation
-    as l(e_p, e_q) + e_p.e_q, so the constant picks up +1 exactly when a
-    (b_i, a_i) pair is swapped into order: it is sum_i u_{b_i} v_{a_i}.
-    """
+    """l(u, v) expanded bilinearly over the fixed basis and normalized."""
     if u.genus != v.genus:
         raise GenusMismatchError("classes have different genus")
     g = u.genus
-    monomials = _symbol_monomials(g)
-    acc: dict[Monomial, int] = {}
-    v_support = [(q, cv) for q, cv in enumerate(v.coords) if cv]
-    for p, cu in enumerate(u.coords):
-        if cu:
-            row = monomials[p]
-            for q, cv in v_support:
-                key = row[q]
-                acc[key] = acc.get(key, 0) + cu * cv
-    const = sum(u.coords[g + i] * v.coords[i] for i in range(g))
-    if const:
-        acc[()] = const
-    return CMPoly._trusted(g, {m: c for m, c in acc.items() if c})
+    table = _pair_table(2 * g)
+    terms = _linear_form(u.coords, v.coords, table, [(i, g + i) for i in range(g)])
+    return CMPoly._trusted(g, {(table[0][t - 1],) if t else (): c for t, c in terms})
 
 
-def _sum_of_products(
-    genus: int, products: Sequence[tuple[CMPoly, CMPoly, int]]
-) -> CMPoly:
-    """The sum of factor * x * y over (x, y, factor), exactly over Z, for
-    linear forms x and y (every monomial () or a single symbol, as
-    cm_generator returns them).
-
-    The sum is kept as one dense integer row per monomial of the x forms,
-    indexed by the monomials of the y forms, so a product costs one list
-    comprehension per term of x.  The rows are folded into normal form once
-    at the end; a monomial pair is put in order with one comparison.
-    """
-    column: dict[Monomial, int] = {}
-    for _, y, _ in products:
-        for mon in y.terms:
-            column.setdefault(mon, len(column))
-    zero = [0] * len(column)
-    rows: dict[Monomial, list[int]] = {}
-    for x, y, factor in products:
-        dense = zero[:]
-        for mon, c in y.terms.items():
-            dense[column[mon]] = c
-        for mon, c in x.terms.items():
-            c *= factor
-            rows[mon] = [r + c * d for r, d in zip(rows.get(mon, zero), dense)]
-    acc: dict[Monomial, int] = {}
-    for m1, row in rows.items():
-        for m2, c in zip(column, row):
-            if c:
-                mon = m1 + m2 if m1 <= m2 else m2 + m1
-                acc[mon] = acc.get(mon, 0) + c
-    return CMPoly._trusted(genus, {m: c for m, c in acc.items() if c})
+def _field_width(h: int, L: int) -> int:
+    """Bits per packed field in rho_separating: the least W with
+    2^(W-1) > 4 h^2 L^4, the bound on every field (module docstring)."""
+    return (4 * h * h * L**4).bit_length() + 1
 
 
 def rho_separating(basis: Union[ZSubsurfaceBasis, SeparatingTwist]) -> CMPoly:
     """Morita's value on a separating twist, from an integral basis.
 
-    The linking symbols come from ``cm_generator``; their products are
-    summed exactly over Z into one result.
+    Computed exactly over Z by the packed kernel of the module docstring.
     """
     if isinstance(basis, SeparatingTwist):
         raise TypeError("rho needs the integral basis, not the mod-2 twist")
     basis.validate()
     g = check_genus(basis.genus)
-    products = []
     pairs = basis.pairs
-    for A, B in pairs:
-        products.append((cm_generator(A, A), cm_generator(B, B), -1))
-        products.append((cm_generator(A, B), cm_generator(B, A), 1))
-    for i in range(len(pairs)):
-        Ai, Bi = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            Aj, Bj = pairs[j]
-            products.append((cm_generator(Ai, Aj), cm_generator(Bi, Bj), -2))
-            products.append((cm_generator(Ai, Bj), cm_generator(Aj, Bi), 2))
-    return _sum_of_products(g, products)
+    h = len(pairs)
+    if not h:
+        return CMPoly._trusted(g, {})
+    vectors = [c.coords for pair in pairs for c in pair]
+    support = [p for p in range(2 * g) if any(vec[p] for vec in vectors)]
+    local = {p: k for k, p in enumerate(support)}
+    swaps = [(local[i], local[g + i]) for i in range(g) if i in local and g + i in local]
+    table = _pair_table(len(support))
+    A = [[vec[p] for p in support] for vec in vectors[0::2]]
+    B = [[vec[p] for p in support] for vec in vectors[1::2]]
+    W = _field_width(h, max(sum(map(abs, vec)) for vec in vectors))
+    products = []
+    for i in range(h):
+        products += [(A[i], A[i], B[i], B[i], -1), (A[i], B[i], B[i], A[i], 1)]
+        for j in range(i + 1, h):
+            products += [(A[i], A[j], B[i], B[j], -2), (A[i], B[j], A[j], B[i], 2)]
+    rows = [0] * (len(table[0]) + 1)
+    shift = [W * t for t in range(len(rows))]
+    for x1, x2, y1, y2, f in products:
+        x = _linear_form(x1, x2, table, swaps)
+        y = _linear_form(y1, y2, table, swaps)
+        fX = f * sum([c << shift[t] for t, c in x])
+        fY = f * sum([c << shift[t] for t, c in y])
+        for t, c in x:
+            rows[t] += c * fY
+        for t, c in y:
+            rows[t] += c * fX
+    # Field t2 of row t1 now holds Q[t1][t2] + Q[t2][t1].  Read each row
+    # from its diagonal up: the rounded shift drops the mirror fields
+    # t2 < t1, whose sum is below half a unit of field t1.
+    mons = [()] + [((support[p], support[q]),) for p, q in table[0]]
+    mask, top = (1 << W) - 1, 1 << (W - 1)
+    terms: dict[Monomial, int] = {}
+    for t1, R in enumerate(rows):
+        if t1 and R:
+            R = (R + (1 << (W * t1 - 1))) >> (W * t1)
+        while R:
+            k = ((R & -R).bit_length() - 1) // W
+            c = (R >> (W * k)) & mask
+            if c >= top:
+                c -= 1 << W
+            R -= c << (W * k)
+            terms[mons[t1] + mons[t1 + k]] = c >> 1 if k == 0 else c
+    return CMPoly._trusted(g, terms)
 
 
 def mu(x: CMPoly) -> BoolPoly:
@@ -377,7 +399,9 @@ class LinkingMatrix:
 
     @classmethod
     def from_rows(cls, genus: int, rows: Sequence[Sequence[int]]) -> "LinkingMatrix":
-        return cls(genus, tuple(tuple(int(e) for e in row) for row in rows))
+        return cls(
+            genus, tuple(tuple(check_int(e, "linking number") for e in row) for row in rows)
+        )
 
     @classmethod
     def standard_model(cls, genus: int) -> "LinkingMatrix":

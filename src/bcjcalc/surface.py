@@ -31,6 +31,13 @@ def check_genus(g: int) -> int:
     return g
 
 
+def check_int(x, what: str = "coordinate") -> int:
+    """x itself if it is an int; a bool (JSON true/false) or a float is not."""
+    if type(x) is bool or not isinstance(x, int):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _check_same_genus(u, v) -> None:
     if u.genus != v.genus:
         raise GenusMismatchError(f"genus mismatch: {u.genus} vs {v.genus}")
@@ -93,7 +100,7 @@ class ZHClass:
 
     @classmethod
     def from_coords(cls, genus: int, coords: Sequence[int]) -> "ZHClass":
-        return cls(genus, tuple(int(c) for c in coords))
+        return cls(genus, tuple(check_int(c) for c in coords))
 
     def __add__(self, other: "ZHClass") -> "ZHClass":
         _check_same_genus(self, other)
@@ -394,14 +401,6 @@ def transform_basis(M: F2Matrix, basis: SubsurfaceBasis) -> SubsurfaceBasis:
 # -- integral symplectic data ------------------------------------------------
 
 
-def z_transvection_apply(v: ZHClass, x: ZHClass) -> ZHClass:
-    """Integral symplectic transvection x -> x + (x.v) v."""
-    n = intersect(x, v)
-    if n == 0:
-        return x
-    return ZHClass(x.genus, tuple(c + n * d for c, d in zip(x.coords, v.coords)))
-
-
 def random_z_symplectic_basis(
     genus: int,
     h: int,
@@ -419,22 +418,27 @@ def random_z_symplectic_basis(
     g = check_genus(genus)
     if handles is None:
         handles = list(range(1, h + 1))
-    if len(handles) != h:
-        raise ValueError("need exactly h handles")
-    rows = [
-        [za(g, i) for i in handles],
-        [zb(g, i) for i in handles],
-    ]
+    if len(handles) != h or len(set(handles)) != h or not all(1 <= i <= g for i in handles):
+        raise ValueError(f"need exactly h distinct handles in 1..{g}")
+    rows = [[0] * (2 * g) for _ in range(2 * h)]
+    for k, i in enumerate(handles):
+        rows[2 * k][i - 1] = rows[2 * k + 1][g + i - 1] = 1
     positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
     for _ in range(n_moves):
-        coords = [0] * (2 * g)
+        v = [0] * (2 * g)
         for p in positions:
-            coords[p] = rng.randint(-coeff_bound, coeff_bound)
-        v = ZHClass(g, tuple(coords))
-        if not v:
+            v[p] = rng.randint(-coeff_bound, coeff_bound)
+        if not any(v):
             continue
-        rows = [[z_transvection_apply(v, x) for x in r] for r in rows]
-    out = ZSubsurfaceBasis(g, tuple(zip(rows[0], rows[1])))
+        # the transvection x -> x + (x.v) v, with the pairing read on the
+        # support handles only, since v vanishes elsewhere
+        for x in rows:
+            n = sum(x[i - 1] * v[g + i - 1] - x[g + i - 1] * v[i - 1] for i in handles)
+            if n:
+                for p in positions:
+                    x[p] += n * v[p]
+    classes = [ZHClass(g, tuple(x)) for x in rows]
+    out = ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
     out.validate()
     return out
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc.bcjmap import sigma_separating
@@ -11,6 +11,7 @@ from bcjcalc.boolring import BoolPoly, bar, evaluate
 from bcjcalc.cassonmorita import (
     CMPoly,
     LinkingMatrix,
+    _field_width,
     cm_generator,
     cmpoly_from_json,
     cmpoly_to_json,
@@ -141,7 +142,9 @@ class TestRho:
         assert got == want
 
     def test_empty_basis(self):
-        assert rho_separating(ZSubsurfaceBasis(2, ())) == CMPoly.zero(2)
+        for g in range(1, 6):
+            got = rho_separating(ZSubsurfaceBasis(g, ()))
+            assert got == CMPoly.zero(g) and not got.terms
 
     def test_cross_terms_even(self):
         # the i<j sum enters with an explicit factor of 2: strip the i-terms
@@ -219,10 +222,22 @@ class TestRhoReference:
         assert seen_h == {0, 1, 2, 3}
 
     def test_standard_bases(self):
+        # up to h = g, where the support is every coordinate position
         for g in range(1, 6):
-            for h in range(1, min(g, 3) + 1):
+            for h in range(1, g + 1):
                 basis = ZSubsurfaceBasis.standard(g, range(1, h + 1))
-                assert rho_separating(basis) == rho_reference(basis)
+                got = rho_separating(basis)
+                assert got == rho_reference(basis)
+                assert_normal_form(got)
+
+    def test_field_width_bounds_every_field(self):
+        # 2^(W-1) > 4 h^2 L^4 is what keeps each packed field signed and
+        # apart from its neighbours; a width one bit short breaks it for
+        # every (h, L)
+        for h in range(1, 9):
+            for L in list(range(1, 200)) + [2**32 - 1, 2**70, 2**70 + 1]:
+                W = _field_width(h, L)
+                assert 2 ** (W - 1) > 4 * h * h * L**4 >= 2 ** (W - 2)
 
     def test_cm_generator_matches_term_by_term(self):
         rng = random.Random(43)
@@ -232,6 +247,37 @@ class TestRhoReference:
                 got = cm_generator(u, v)
                 assert got == cm_generator_reference(u, v)
                 assert_normal_form(got)
+
+
+@st.composite
+def wide_integral_bases(draw):
+    """Integral symplectic bases with coordinates up to 2^70 in size, so the
+    packed fields of rho_separating are wider than 64 bits: the standard
+    basis on h of g handles, moved by transvections along drawn directions
+    supported on those handles."""
+    g = draw(st.integers(1, 5))
+    h = draw(st.integers(0, g))
+    handles = sorted(draw(st.permutations(range(1, g + 1)))[:h])
+    positions = [i - 1 for i in handles] + [g + i - 1 for i in handles]
+    coeff = st.integers(-(2**70), 2**70)
+    A = [sf.za(g, i) for i in handles]
+    B = [sf.zb(g, i) for i in handles]
+    for _ in range(draw(st.integers(0, 2))):
+        coords = [0] * (2 * g)
+        for p in positions:
+            coords[p] = draw(coeff)
+        v = ZHClass(g, tuple(coords))
+        A = [x + v.scale(sf.intersect(x, v)) for x in A]
+        B = [x + v.scale(sf.intersect(x, v)) for x in B]
+    return ZSubsurfaceBasis(g, tuple(zip(A, B)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_integral_bases())
+def test_hypothesis_rho_matches_reference_on_wide_coefficients(basis):
+    got = rho_separating(basis)
+    assert got == rho_reference(basis)
+    assert_normal_form(got)
 
 
 def assert_normal_form(x):

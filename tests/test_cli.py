@@ -254,6 +254,24 @@ class TestVerify:
             assert code == 3
             assert err.startswith("invalid linking matrix:")
 
+    @pytest.mark.parametrize("entry", [1.5, True, "0"])
+    def test_non_integer_linking_number_exits_three(self, capsys, tmp_path, entry):
+        # the schema says integer: 1.5 used to be read as 1, true as 1, "0" as 0
+        from bcjcalc.cassonmorita import LinkingMatrix
+
+        data = LinkingMatrix.standard_model(2).to_json()
+        data["matrix"][0][0] = entry
+        mat_path = tmp_path / "L.json"
+        mat_path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "verify", "--g", "2", "--trials", "5", "--linking-matrix", str(mat_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.strip() == (
+            f"invalid linking matrix: linking number must be an integer, got {entry!r}"
+        )
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_usage_error(self, capsys, trials):
         with pytest.raises(SystemExit) as exc:
@@ -326,6 +344,26 @@ class TestEval:
         assert code == 0
         assert "z1: rho = l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2" in out
         assert "z1: mu(rho) = a1*b1" in out
+
+    @pytest.mark.parametrize("coord", [1.5, True, "1"])
+    def test_non_integer_integral_coordinate_is_catalog_error(self, capsys, tmp_path, coord):
+        # the schema says integer: true used to evaluate as 1 with exit 0
+        path = self.write_catalog(
+            tmp_path,
+            [
+                {
+                    "type": "separating",
+                    "basis": [[[coord, 0, 0, 0], [0, 0, 1, 0]]],
+                    "label": "z1",
+                    "integral": True,
+                }
+            ],
+        )
+        code, out, err = run(capsys, "eval", path)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [err.strip()]
+        assert err.startswith("catalog error: entry 0 (z1): ")
 
     def test_empty_catalog(self, capsys, tmp_path):
         path = self.write_catalog(tmp_path, [])

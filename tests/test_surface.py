@@ -244,6 +244,28 @@ class TestSpMatrices:
             assert is_symplectic_basis(sf.transform_basis(M, basis))
 
 
+def z_transvection(v, x):
+    """Oracle: the integral symplectic transvection x -> x + (x.v) v, in
+    ZHClass arithmetic."""
+    return x + v.scale(intersect(x, v))
+
+
+def z_basis_oracle(g, h, rng, handles, n_moves=6, coeff_bound=1):
+    """random_z_symplectic_basis replayed move by move through the oracle,
+    with the same draws: one randint per support position per move, and a
+    zero direction skipped."""
+    rows = [[sf.za(g, i) for i in handles], [sf.zb(g, i) for i in handles]]
+    positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
+    for _ in range(n_moves):
+        coords = [0] * (2 * g)
+        for p in positions:
+            coords[p] = rng.randint(-coeff_bound, coeff_bound)
+        v = ZHClass(g, tuple(coords))
+        if v:
+            rows = [[z_transvection(v, x) for x in r] for r in rows]
+    return sf.ZSubsurfaceBasis(g, tuple(zip(rows[0], rows[1])))
+
+
 class TestIntegralBases:
     def test_z_transvection_preserves_form(self):
         rng = random.Random(8)
@@ -252,23 +274,28 @@ class TestIntegralBases:
             v = ZHClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
             x = ZHClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
             y = ZHClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
-            tx, ty = sf.z_transvection_apply(v, x), sf.z_transvection_apply(v, y)
+            tx, ty = z_transvection(v, x), z_transvection(v, y)
             assert intersect(tx, ty) == intersect(x, y)
 
     def test_z_transvection_formula(self):
-        # x -> x + (x.v) v, spelled out with the class arithmetic
+        # x -> x + (x.v) v on the basis classes, then the builder against
+        # the oracle replay: same bases and the same generator state after
         g = 2
         a1, b1 = ZHClass(g, (1, 0, 0, 0)), ZHClass(g, (0, 0, 1, 0))
-        assert sf.z_transvection_apply(b1, a1) == a1 + b1
-        assert sf.z_transvection_apply(a1, b1) == b1 + (-a1)
-        rng = random.Random(10)
-        for _ in range(100):
-            v = ZHClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
-            x = ZHClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
-            tx = sf.z_transvection_apply(v, x)
-            assert tx == x + v.scale(intersect(x, v))
-            if intersect(x, v) == 0:
-                assert tx is x
+        assert z_transvection(b1, a1) == a1 + b1
+        assert z_transvection(a1, b1) == b1 + (-a1)
+        for seed in range(40):
+            for g in range(1, 5):
+                for h in range(0, g + 1):
+                    handles = sorted(random.Random(seed).sample(range(1, g + 1), h))
+                    mine, theirs = random.Random(seed), random.Random(seed)
+                    bound = 1 + seed % 4
+                    got = sf.random_z_symplectic_basis(
+                        g, h, mine, handles, n_moves=seed % 9, coeff_bound=bound
+                    )
+                    want = z_basis_oracle(g, h, theirs, handles, seed % 9, bound)
+                    assert got == want
+                    assert mine.getstate() == theirs.getstate()
 
     def test_random_z_basis_valid_and_confined(self):
         rng = random.Random(9)
@@ -280,6 +307,11 @@ class TestIntegralBases:
             assert is_symplectic_basis(basis)
             for A, B in basis.pairs:
                 assert support(A) | support(B) <= set(handles)
+
+    @pytest.mark.parametrize("handles", [[1, 1], [0, 2], [2, 4]])
+    def test_random_z_basis_rejects_bad_handles(self, handles):
+        with pytest.raises(ValueError):
+            sf.random_z_symplectic_basis(3, 2, random.Random(0), handles)
 
 
 class TestJson:
