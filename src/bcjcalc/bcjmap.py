@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .boolring import BoolMonomial, BoolPoly, bar, substitute_sp
 from .errors import CatalogError, FiltrationError, GeometryError, GenusMismatchError
@@ -28,11 +28,14 @@ from .gf2core import F2Matrix
 from .surface import (
     HClass,
     SubsurfaceBasis,
+    ZSubsurfaceBasis,
+    check_genus,
     intersect,
     random_symplectic_rebase,
     random_sp_word,
     support,
     transform_basis,
+    zbasis_from_json,
 )
 
 
@@ -193,11 +196,23 @@ def descriptor_to_json(d: Descriptor) -> dict:
 
 
 def descriptor_from_json(genus: int, data: dict, where: str = "entry") -> Descriptor:
+    return _entry_from_json(genus, data, where)[0]
+
+
+def _entry_from_json(
+    genus: int, data: dict, where: str
+) -> tuple[Descriptor, Optional[ZSubsurfaceBasis]]:
+    """A catalog entry's descriptor and, if it is marked "integral", its
+    integral basis.  Any schema violation is a CatalogError led by where."""
     if not isinstance(data, dict):
         raise CatalogError(f"{where}: entry must be an object")
     kind = data.get("type")
     if kind not in ("separating", "bp"):
         raise CatalogError(f"{where}: unknown type {kind!r}")
+    if kind == "bp" and "C" not in data:
+        raise CatalogError(f"{where}: bp entry is missing C")
+    if kind == "bp" and data.get("integral"):
+        raise CatalogError(f"{where}: integral evaluation needs a separating entry")
     label = data.get("label", "")
     try:
         pairs = tuple(
@@ -206,12 +221,39 @@ def descriptor_from_json(genus: int, data: dict, where: str = "entry") -> Descri
         )
         basis = SubsurfaceBasis(genus, pairs)
         if kind == "separating":
-            return SeparatingTwist(basis, label)
-        if "C" not in data:
-            raise CatalogError(f"{where}: bp entry is missing C")
-        C = HClass.from_coords(genus, data["C"])
-        return BPMap(basis, C, label)
-    except CatalogError:
-        raise
-    except (TypeError, ValueError) as exc:
+            descriptor = SeparatingTwist(basis, label)
+        else:
+            descriptor = BPMap(basis, HClass.from_coords(genus, data["C"]), label)
+        zbasis = None
+        if data.get("integral"):
+            zbasis = zbasis_from_json({"genus": genus, "pairs": data["basis"]})
+            zbasis.validate()
+        return descriptor, zbasis
+    except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"{where}: {exc}") from exc
+
+
+def catalog_from_json(
+    data, max_genus: int
+) -> tuple[int, list[tuple[Descriptor, Optional[ZSubsurfaceBasis]]]]:
+    """The genus of a curve catalog, checked before any entry is read, and
+    per entry its descriptor and integral basis (None unless "integral")."""
+    if not isinstance(data, dict) or "genus" not in data:
+        raise CatalogError("catalog must be an object with a genus field")
+    try:
+        g = check_genus(data["genus"])
+    except ValueError as exc:
+        raise CatalogError(str(exc)) from exc
+    if g > max_genus:
+        raise CatalogError(f"genus {g} is above the maximum {max_genus}")
+    if "entries" not in data:
+        raise CatalogError("catalog must have an entries list")
+    entries = data["entries"]
+    if not isinstance(entries, list):
+        raise CatalogError(f"entries must be a list, not {type(entries).__name__}")
+    parsed = []
+    for k, entry in enumerate(entries):
+        label = entry.get("label") if isinstance(entry, dict) else None
+        where = f"entry {k}" + (f" ({label})" if label else "")
+        parsed.append(_entry_from_json(g, entry, where))
+    return g, parsed

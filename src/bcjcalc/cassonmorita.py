@@ -443,7 +443,14 @@ class LinkingMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "LinkingMatrix":
-        return cls.from_rows(check_genus(data["genus"]), data["matrix"])
+        """The matrix of a linking-matrix document; a missing or malformed
+        field is a ConsistencyError, like a violated constraint."""
+        try:
+            return cls.from_rows(check_genus(data["genus"]), data["matrix"])
+        except KeyError as exc:
+            raise ConsistencyError(f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConsistencyError(str(exc)) from exc
 
 
 def epsilon(L: LinkingMatrix, x: CMPoly) -> int:
@@ -475,6 +482,35 @@ def _random_integral_class(
     return ZHClass(genus, tuple(rng.randint(-bound, bound) for _ in range(2 * genus)))
 
 
+def check_record(failures: list[str], trials: int) -> dict:
+    """One check of a verify report; a check that ran no trial never passes."""
+    return {
+        "trials": trials,
+        "failures": len(failures),
+        "witnesses": failures[:5],
+        "passed": trials > 0 and not failures,
+    }
+
+
+def right_square_failures(
+    genus: int, num_trials: int, rng: random.Random, L: Optional[LinkingMatrix] = None
+) -> list[str]:
+    """epsilon(L, rho(T_c)) mod 2 == selflink_eval(L, sigma(T_c)) on random
+    integral bases, against L when given, else a fresh random valid L per
+    trial."""
+    failures = []
+    for t in range(num_trials):
+        h = rng.randint(1, min(genus, 3))
+        handles = sorted(rng.sample(range(1, genus + 1), h))
+        zbasis = random_z_symplectic_basis(genus, h, rng, handles)
+        M = L if L is not None else LinkingMatrix.random_valid(genus, rng)
+        lhs = epsilon(M, rho_separating(zbasis)) & 1
+        rhs = selflink_eval(M, sigma_separating(zbasis.mod2()))
+        if lhs != rhs:
+            failures.append(f"trial {t}: basis {zbasis.pairs}")
+    return failures
+
+
 def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
     """Randomized verification of the commuting-diagram identities.
 
@@ -492,14 +528,7 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
     g = check_genus(genus)
     rng = random.Random(seed)
     report: dict = {"genus": g, "trials": num_trials, "seed": seed, "checks": {}}
-
-    def record(name: str, failures: list[str], trials: int) -> None:
-        report["checks"][name] = {
-            "trials": trials,
-            "failures": len(failures),
-            "witnesses": failures[:5],
-            "passed": trials > 0 and not failures,
-        }
+    checks = report["checks"]
 
     failures = []
     for t in range(num_trials):
@@ -513,26 +542,17 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
         rhs = sigma_separating(zbasis.mod2())
         if lhs != rhs:
             failures.append(f"trial {t}: basis {zbasis.pairs}")
-    record("triangle", failures, num_trials)
+    checks["triangle"] = check_record(failures, num_trials)
 
     failures = []
     for t in range(num_trials):
         u = _random_integral_class(g, rng)
         if mu(cm_generator(u, u)) != bar(u.mod2()):
             failures.append(f"trial {t}: u = {u.coords}")
-    record("mu_quadratic", failures, num_trials)
+    checks["mu_quadratic"] = check_record(failures, num_trials)
 
-    failures = []
-    for t in range(num_trials):
-        h = rng.randint(1, min(g, 3))
-        handles = sorted(rng.sample(range(1, g + 1), h))
-        zbasis = random_z_symplectic_basis(g, h, rng, handles)
-        L = LinkingMatrix.random_valid(g, rng)
-        lhs = epsilon(L, rho_separating(zbasis)) & 1
-        rhs = selflink_eval(L, sigma_separating(zbasis.mod2()))
-        if lhs != rhs:
-            failures.append(f"trial {t}: basis {zbasis.pairs}")
-    record("right_square", failures, num_trials)
+    failures = right_square_failures(g, num_trials, rng)
+    checks["right_square"] = check_record(failures, num_trials)
 
     if g >= 2:
         failures = []
@@ -549,9 +569,9 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
             rhs = wedge(sigma_separating(zb1.mod2()), sigma_separating(zb2.mod2()))
             if lhs != rhs:
                 failures.append(f"trial {t}: handles {set1} / {set2}")
-        record("wedge_lift", failures, n_lift)
+        checks["wedge_lift"] = check_record(failures, n_lift)
 
-    report["all_passed"] = all(c["passed"] for c in report["checks"].values())
+    report["all_passed"] = all(c["passed"] for c in checks.values())
     return report
 
 

@@ -2,7 +2,9 @@
 verification suites, and catalog evaluation.
 
 Exit codes are a stable contract: 0 success, 1 a mathematical check failed,
-2 usage or schema error, 3 I/O or input-file consistency error.  Reports
+2 usage or schema error, 3 I/O or input-file consistency error.  Commands
+return 0 or 1 and raise on bad input; ``main`` alone turns an exception into
+an exit code and one stderr line (argparse exits 2 on bad usage).  Reports
 embed a manifest (tool version and full configuration) so published tables
 can be re-derived; reruns with equal parameters are byte-identical once the
 run-metadata fields ("timestamp", "elapsed") are dropped.
@@ -15,15 +17,15 @@ import csv
 import hashlib
 import io
 import json
+import random
 import sys
 from datetime import datetime, timezone
 
 from . import __version__
 from .bcjmap import (
-    BPMap,
     SeparatingTwist,
     basis_independence_failures,
-    descriptor_from_json,
+    catalog_from_json,
     equivariance_failures,
     random_sp_matrices,
     sigma,
@@ -31,15 +33,16 @@ from .bcjmap import (
 from .boolring import poly_to_json
 from .cassonmorita import (
     LinkingMatrix,
+    check_record,
     cmpoly_to_json,
     epsilon,
     mu,
     mu_quadratic_exhaustive,
+    right_square_failures,
     rho_separating,
     verify_diagrams,
 )
-from .errors import CatalogError
-from .surface import zbasis_from_json
+from .errors import CatalogError, ConsistencyError, read_json
 from .wedgespan import dims, image_rank_report, orbit_classes
 
 EXIT_OK = 0
@@ -193,11 +196,7 @@ def cmd_search(args) -> int:
     )
     report["manifest"] = _manifest(config)
     report["timestamp"] = _timestamp()
-    try:
-        _emit_json(report, args.out)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _emit_json(report, args.out)
     n_missing = len(report["missing"])
     summary = (
         f"genus {report['genus']}: rank {report['rank']} of {report['dims']['dim_wedge']}"
@@ -219,83 +218,29 @@ def cmd_verify(args) -> int:
         "exhaustive_mu": args.exhaustive_mu,
         "linking_matrix": args.linking_matrix,
     }
-    checks: dict = {}
-
     L = None
     if args.linking_matrix:
-        try:
-            with open(args.linking_matrix) as fh:
-                data = json.load(fh)
-            L = LinkingMatrix.from_json(data)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read linking matrix: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except KeyError as exc:
-            print(f"invalid linking matrix: missing field {exc}", file=sys.stderr)
-            return EXIT_IO
-        except (TypeError, ValueError) as exc:
-            print(f"invalid linking matrix: {exc}", file=sys.stderr)
-            return EXIT_IO
+        L = LinkingMatrix.from_json(read_json(args.linking_matrix, ConsistencyError)[1])
         if L.genus != g:
-            print(
-                f"invalid linking matrix: genus {L.genus} does not match --g {g}",
-                file=sys.stderr,
-            )
-            return EXIT_IO
+            raise ConsistencyError(f"genus {L.genus} does not match --g {g}")
 
-    diag = verify_diagrams(g, args.trials, args.seed)
-    checks.update(diag["checks"])
-
+    checks = verify_diagrams(g, args.trials, args.seed)["checks"]
     if L is not None:
-        import random as _random
-
-        from .cassonmorita import selflink_eval
-        from .surface import random_z_symplectic_basis
-        from .bcjmap import sigma_separating
-
-        rng = _random.Random(args.seed ^ 0x11)
-        failures = []
         n = max(1, args.trials // 5)
-        for t in range(n):
-            h = rng.randint(1, min(g, 3))
-            handles = sorted(rng.sample(range(1, g + 1), h))
-            zb = random_z_symplectic_basis(g, h, rng, handles)
-            lhs = epsilon(L, rho_separating(zb)) & 1
-            rhs = selflink_eval(L, sigma_separating(zb.mod2()))
-            if lhs != rhs:
-                failures.append(f"trial {t}")
-        checks["right_square_with_matrix"] = {
-            "trials": n,
-            "failures": len(failures),
-            "witnesses": failures[:5],
-            "passed": not failures,
-        }
+        failures = right_square_failures(g, n, random.Random(args.seed ^ 0x11), L)
+        checks["right_square_with_matrix"] = check_record(failures, n)
 
-    bi = basis_independence_failures(g, max(10, args.trials // 5), args.seed)
-    checks["sigma_basis_independence"] = {
-        "trials": max(10, args.trials // 5),
-        "failures": len(bi),
-        "witnesses": bi[:5],
-        "passed": not bi,
-    }
+    n = max(10, args.trials // 5)
+    bi = basis_independence_failures(g, n, args.seed)
+    checks["sigma_basis_independence"] = check_record(bi, n)
 
     mats = random_sp_matrices(g, max(10, args.trials // 10), args.seed ^ 0x22)
     eq = equivariance_failures(g, mats, seed=args.seed ^ 0x33)
-    checks["sigma_equivariance"] = {
-        "trials": len(mats),
-        "failures": len(eq),
-        "witnesses": eq[:5],
-        "passed": not eq,
-    }
+    checks["sigma_equivariance"] = check_record(eq, len(mats))
 
     if args.exhaustive_mu:
         failures = mu_quadratic_exhaustive(g)
-        checks["mu_quadratic_exhaustive"] = {
-            "trials": 1 << (2 * g),
-            "failures": len(failures),
-            "witnesses": failures[:5],
-            "passed": not failures,
-        }
+        checks["mu_quadratic_exhaustive"] = check_record(failures, 1 << (2 * g))
 
     all_passed = all(c["passed"] for c in checks.values())
     report = {
@@ -305,11 +250,7 @@ def cmd_verify(args) -> int:
         "all_passed": all_passed,
         "timestamp": _timestamp(),
     }
-    try:
-        _emit_json(report, args.out)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _emit_json(report, args.out)
     for name, c in sorted(checks.items()):
         status = "pass" if c["passed"] else "FAIL"
         print(f"{status}  {name} ({c['trials']} trials)", file=sys.stderr)
@@ -322,58 +263,24 @@ EVAL_CSV_COLUMNS = ("label", "sigma", "rho", "mu_rho")
 
 
 def cmd_eval(args) -> int:
-    try:
-        with open(args.catalog, "rb") as fh:
-            raw = fh.read()
-        data = json.loads(raw)
-    except OSError as exc:
-        print(f"cannot read catalog: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"catalog is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if not isinstance(data, dict) or "genus" not in data:
-            raise CatalogError("catalog must be an object with a genus field")
-        g = data["genus"]
-        if not isinstance(g, int) or g < 1:
-            raise CatalogError(f"bad genus {g!r}")
-        if "entries" not in data:
-            raise CatalogError("catalog must have an entries list")
-        entries = data["entries"]
-        if not isinstance(entries, list):
-            raise CatalogError(f"entries must be a list, not {type(entries).__name__}")
-        results = []
-        for k, entry in enumerate(entries):
-            where = f"entry {k}" + (
-                f" ({entry.get('label')})" if isinstance(entry, dict) and entry.get("label") else ""
-            )
-            descriptor = descriptor_from_json(g, entry, where)
-            sig = sigma(descriptor)
-            result = {
-                "label": descriptor.label or f"entry-{k}",
-                "type": "separating" if isinstance(descriptor, SeparatingTwist) else "bp",
-                "sigma": str(sig),
-                "sigma_json": poly_to_json(sig),
-            }
-            if entry.get("integral"):
-                if isinstance(descriptor, BPMap):
-                    raise CatalogError(f"{where}: integral evaluation needs a separating entry")
-                try:
-                    zbasis = zbasis_from_json({"genus": g, "pairs": entry["basis"]})
-                    zbasis.validate()
-                except Exception as exc:
-                    raise CatalogError(f"{where}: {exc}") from exc
-                rho = rho_separating(zbasis)
-                result["rho"] = str(rho)
-                result["rho_json"] = cmpoly_to_json(rho)
-                result["mu_rho"] = str(mu(rho))
-                result["epsilon_standard"] = epsilon(LinkingMatrix.standard_model(g), rho)
-            results.append(result)
-    except CatalogError as exc:
-        print(f"catalog error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    raw, data = read_json(args.catalog, CatalogError)
+    g, entries = catalog_from_json(data, MAX_GENUS)
+    results = []
+    for k, (descriptor, zbasis) in enumerate(entries):
+        sig = sigma(descriptor)
+        result = {
+            "label": descriptor.label or f"entry-{k}",
+            "type": "separating" if isinstance(descriptor, SeparatingTwist) else "bp",
+            "sigma": str(sig),
+            "sigma_json": poly_to_json(sig),
+        }
+        if zbasis is not None:
+            rho = rho_separating(zbasis)
+            result["rho"] = str(rho)
+            result["rho_json"] = cmpoly_to_json(rho)
+            result["mu_rho"] = str(mu(rho))
+            result["epsilon_standard"] = epsilon(LinkingMatrix.standard_model(g), rho)
+        results.append(result)
 
     if args.format == "json":
         payload = {
@@ -462,7 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(what: str, exc: Exception, code: int) -> int:
+    # one stderr line, even when the message quotes a catalog label
+    print(f"{what}: " + " ".join(str(exc).splitlines()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """The error boundary: CatalogError exits 2, ConsistencyError and OSError
+    exit 3.  Any other exception is a bug and keeps its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "g", None) is not None and args.func in (
@@ -474,9 +389,12 @@ def main(argv=None) -> int:
             parser.error(f"{args.command} takes a single genus")
     try:
         return args.func(args)
+    except CatalogError as exc:
+        return _fail("catalog error", exc, EXIT_USAGE)
+    except ConsistencyError as exc:
+        return _fail("invalid linking matrix", exc, EXIT_IO)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail("i/o error", exc, EXIT_IO)
 
 
 if __name__ == "__main__":

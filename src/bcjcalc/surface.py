@@ -26,7 +26,8 @@ from .gf2core import F2Matrix, SpanBasis
 
 
 def check_genus(g: int) -> int:
-    if not isinstance(g, int) or g < 1:
+    """g itself if it is a positive int; a bool (JSON true) is not."""
+    if type(g) is not int or g < 1:
         raise ValueError(f"genus must be a positive integer, got {g!r}")
     return g
 
@@ -61,7 +62,7 @@ class HClass:
             raise DimensionError(f"expected {2 * genus} coordinates")
         bits = 0
         for i, c in enumerate(coords):
-            if c & 1:
+            if check_int(c) & 1:
                 bits |= 1 << i
         return cls(genus, bits)
 

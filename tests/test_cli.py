@@ -272,6 +272,33 @@ class TestVerify:
             f"invalid linking matrix: linking number must be an integer, got {entry!r}"
         )
 
+    def test_boolean_genus_exits_three(self, capsys, tmp_path):
+        # the schema says integer: true used to be read as genus 1, exit 0
+        from bcjcalc.cassonmorita import LinkingMatrix
+
+        data = LinkingMatrix.standard_model(1).to_json()
+        data["genus"] = True
+        mat_path = tmp_path / "L.json"
+        mat_path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "verify", "--g", "1", "--trials", "3", "--linking-matrix", str(mat_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.strip() == (
+            "invalid linking matrix: genus must be a positive integer, got True"
+        )
+
+    def test_deeply_nested_json_exits_three(self, capsys, tmp_path):
+        # 100,000 nested brackets used to end in a RecursionError traceback
+        mat_path = tmp_path / "nested.json"
+        mat_path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "verify", "--g", "1", "--linking-matrix", str(mat_path))
+        assert code == 3
+        assert out == ""
+        assert err.strip().splitlines() == [err.strip()]
+        assert err.startswith("invalid linking matrix: not valid JSON: ")
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_usage_error(self, capsys, trials):
         with pytest.raises(SystemExit) as exc:
@@ -345,9 +372,22 @@ class TestEval:
         assert "z1: rho = l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2" in out
         assert "z1: mu(rho) = a1*b1" in out
 
-    @pytest.mark.parametrize("coord", [1.5, True, "1"])
-    def test_non_integer_integral_coordinate_is_catalog_error(self, capsys, tmp_path, coord):
-        # the schema says integer: true used to evaluate as 1 with exit 0
+    @pytest.mark.parametrize(
+        "coord, integral",
+        [
+            pytest.param(1.5, True, id="1.5"),
+            pytest.param(True, True, id="True"),
+            pytest.param("1", True, id="1"),
+            pytest.param(1.5, False, id="mod2-1.5"),
+            pytest.param(True, False, id="mod2-True"),
+            pytest.param("1", False, id="mod2-1"),
+        ],
+    )
+    def test_non_integer_integral_coordinate_is_catalog_error(
+        self, capsys, tmp_path, coord, integral
+    ):
+        # the schema says integer, in a mod-2 entry too: true used to evaluate
+        # as 1 with exit 0, and a mod-2 1.5 or "1" failed on Python's `&`
         path = self.write_catalog(
             tmp_path,
             [
@@ -355,15 +395,51 @@ class TestEval:
                     "type": "separating",
                     "basis": [[[coord, 0, 0, 0], [0, 0, 1, 0]]],
                     "label": "z1",
-                    "integral": True,
+                    "integral": integral,
                 }
             ],
         )
         code, out, err = run(capsys, "eval", path)
         assert code == 2
         assert out == ""
+        assert err.strip() == (
+            f"catalog error: entry 0 (z1): coordinate must be an integer, got {coord!r}"
+        )
+
+    def test_label_line_break_keeps_one_stderr_line(self, capsys, tmp_path):
+        # the label is quoted in the message; its line break used to split it
+        path = self.write_catalog(tmp_path, [{"type": "bp", "basis": [], "label": "a\nb"}])
+        code, out, err = run(capsys, "eval", path)
+        assert code == 2
+        assert out == ""
+        assert err == "catalog error: entry 0 (a b): bp entry is missing C\n"
+
+    @pytest.mark.parametrize(
+        "genus, message",
+        [
+            (True, "genus must be a positive integer, got True"),
+            (MAX_GENUS + 1, f"genus {MAX_GENUS + 1} is above the maximum {MAX_GENUS}"),
+        ],
+        ids=["true", "above-maximum"],
+    )
+    def test_bad_genus_is_catalog_error(self, capsys, tmp_path, genus, message):
+        # true used to be read as genus 1, and a genus above MAX_GENUS was
+        # accepted; both exited 0.  The genus is checked before any entry.
+        path = self.write_catalog(tmp_path, [{"type": "nope"}], genus=genus)
+        code, out, err = run(capsys, "eval", path)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"catalog error: {message}"
+
+    def test_deeply_nested_json_is_catalog_error(self, capsys, tmp_path):
+        # 100,000 nested brackets used to end in a RecursionError traceback
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "eval", str(path))
+        assert code == 2
+        assert out == ""
         assert err.strip().splitlines() == [err.strip()]
-        assert err.startswith("catalog error: entry 0 (z1): ")
+        assert err.startswith("catalog error: not valid JSON: ")
 
     def test_empty_catalog(self, capsys, tmp_path):
         path = self.write_catalog(tmp_path, [])
