@@ -209,15 +209,24 @@ def _entry_from_json(
     kind = data.get("type")
     if kind not in ("separating", "bp"):
         raise CatalogError(f"{where}: unknown type {kind!r}")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise CatalogError(f"{where}: label must be a string, got {type(label).__name__}")
+    integral = data.get("integral", False)
+    if not isinstance(integral, bool):
+        raise CatalogError(
+            f"{where}: integral must be a boolean, got {type(integral).__name__}"
+        )
+    if "basis" not in data:
+        raise CatalogError(f"{where}: missing field 'basis'")
     if kind == "bp" and "C" not in data:
         raise CatalogError(f"{where}: bp entry is missing C")
-    if kind == "bp" and data.get("integral"):
+    if kind == "bp" and integral:
         raise CatalogError(f"{where}: integral evaluation needs a separating entry")
-    label = data.get("label", "")
     try:
         pairs = tuple(
             (HClass.from_coords(genus, A), HClass.from_coords(genus, B))
-            for A, B in data.get("basis", [])
+            for A, B in data["basis"]
         )
         basis = SubsurfaceBasis(genus, pairs)
         if kind == "separating":
@@ -225,7 +234,7 @@ def _entry_from_json(
         else:
             descriptor = BPMap(basis, HClass.from_coords(genus, data["C"]), label)
         zbasis = None
-        if data.get("integral"):
+        if integral:
             zbasis = zbasis_from_json({"genus": genus, "pairs": data["basis"]})
             zbasis.validate()
         return descriptor, zbasis
@@ -254,6 +263,6 @@ def catalog_from_json(
     parsed = []
     for k, entry in enumerate(entries):
         label = entry.get("label") if isinstance(entry, dict) else None
-        where = f"entry {k}" + (f" ({label})" if label else "")
+        where = f"entry {k}" + (f" ({label})" if isinstance(label, str) and label else "")
         parsed.append(_entry_from_json(g, entry, where))
     return g, parsed

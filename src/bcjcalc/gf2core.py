@@ -18,6 +18,12 @@ index names at once, and afterwards every other bit c of the new row
 toggles those rows and the new one in the mask of c.  The index holds at
 most rank x (length - rank) bits, one per (row, non-pivot column) pair.
 
+The pivots are also kept in one list in the order their inserts happened.
+``insert_bits`` appends to it and ``copy`` copies it, so a loop that walks
+the list by index while it inserts visits every pivot, the new ones too,
+and reads each pivot's row as it is at that moment: fully reduced against
+every pivot found so far.  Saturation walks it that way.
+
 Loops over set bits walk from the top bit down (``p = b.bit_length() - 1``,
 then clear bit p), which allocates no negated integer per step.  Each visited
 row or delta is xor-ed in on its own, so the visiting order cannot change a
@@ -113,7 +119,7 @@ class SpanBasis:
     merge by re-inserting rows.
     """
 
-    __slots__ = ("length", "_rows", "_pivmask", "_cols")
+    __slots__ = ("length", "_rows", "_pivmask", "_cols", "_order")
 
     def __init__(self, length: int):
         if length < 0:
@@ -124,6 +130,7 @@ class SpanBasis:
         # non-pivot column c -> mask of the pivots whose row has bit c
         # (an entry may be left at 0; no entry exists at a pivot column)
         self._cols: defaultdict[int, int] = defaultdict(int)
+        self._order: list[int] = []       # pivots in insertion order
 
     @property
     def rank(self) -> int:
@@ -132,6 +139,19 @@ class SpanBasis:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))
+
+    @property
+    def insertion_order(self) -> list[int]:
+        """The pivots in the order their independent inserts happened.
+
+        This is the live list: it grows with every independent insert, so a
+        loop over it by index sees the pivots added while it runs.  Callers
+        must not mutate it."""
+        return self._order
+
+    def pivot_row(self, p: int) -> int:
+        """The current, fully reduced row whose pivot is p."""
+        return self._rows[p]
 
     def rows(self) -> tuple[BitVec, ...]:
         return tuple(BitVec(self.length, r) for r in self.row_bits())
@@ -145,6 +165,7 @@ class SpanBasis:
         dup._rows = dict(self._rows)
         dup._pivmask = self._pivmask
         dup._cols = self._cols.copy()
+        dup._order = self._order.copy()
         return dup
 
     def _check_length(self, v: BitVec) -> None:
@@ -186,6 +207,7 @@ class SpanBasis:
             rest ^= 1 << c
         rows[q] = bits
         self._pivmask |= 1 << q
+        self._order.append(q)
         return True
 
     def insert(self, v: BitVec) -> bool:

@@ -732,24 +732,35 @@ def wedge_translate(M, w: WedgeElem) -> WedgeElem:
 def saturate_span(genus: int, span: SpanBasis) -> int:
     """Close a span under the transvection action; returns added rank.
 
-    Each vector v taken from the work list is already in the span, so Mv is
-    in the span iff (M - I)v is; that sparse delta is what gets inserted and,
-    when independent, queued.  The final span is spanned by vectors w with
-    (M - I)w in it for every generator M, so it is closed under them, and it
-    holds nothing outside the closure.
+    The loop walks the span's pivots in insertion order, by index, while the
+    list grows.  At each pivot q it reads q's row as it is at that moment,
+    fully reduced against every pivot found so far, so its few bits hit few
+    table entries.  That row v is in the span, so Mv is in the span iff
+    (M - I)v is; each generator's sparse delta is inserted.
+
+    Every pivot gets visited, the ones the loop itself adds too, and each
+    visited row lies in the final span with its own distinct lowest bit (a
+    row's lowest bit is its pivot, since back-substitution adds to it only
+    rows whose pivot is a higher bit of it).  So the visited rows, one per
+    pivot, form a basis of the final span, and every generator's delta was
+    inserted for each of them: the final span is closed under the
+    generators.  It holds nothing outside the closure, since each insert is
+    (M - I)v for a v already in it.
     """
     actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
     before = span.rank
-    work = list(span.row_bits())
-    while work:
-        v = work.pop()
+    order = span.insertion_order
+    i = 0
+    while i < len(order):
+        v = span.pivot_row(order[i])
+        i += 1
         for moved, delta in actions:
             hit = v & moved
             if not hit:
                 continue
             img = _apply_table(delta, hit)
-            if img and span.insert_bits(img):
-                work.append(img)
+            if img:
+                span.insert_bits(img)
     return span.rank - before
 
 

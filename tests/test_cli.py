@@ -415,6 +415,44 @@ class TestEval:
         assert err == "catalog error: entry 0 (a b): bp entry is missing C\n"
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("integral", "no", "entry 0 (z1): integral must be a boolean, got str"),
+            ("integral", 1, "entry 0 (z1): integral must be a boolean, got int"),
+            ("label", [1, {"a": 2}], "entry 0: label must be a string, got list"),
+            ("label", 7, "entry 0: label must be a string, got int"),
+        ],
+        ids=["integral-no", "integral-1", "label-list", "label-int"],
+    )
+    def test_field_type_is_catalog_error(self, capsys, tmp_path, field, value, message):
+        # the schema says label is a string and integral a boolean: "no" used
+        # to be truthy, so rho was computed, and a list label was echoed into
+        # the results; both exited 0
+        entry = {
+            "type": "separating",
+            "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]],
+            "label": "z1",
+        }
+        entry[field] = value
+        path = self.write_catalog(tmp_path, [entry])
+        code, out, err = run(capsys, "eval", path, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == f"catalog error: {message}\n"
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["mod2", "integral"])
+    def test_missing_basis_is_catalog_error(self, capsys, tmp_path, integral):
+        # a mod-2 entry used to read a missing basis as the empty one (sigma
+        # = 0, exit 0); an integral one printed the bare KeyError 'basis'
+        path = self.write_catalog(
+            tmp_path, [{"type": "separating", "label": "z", "integral": integral}]
+        )
+        code, out, err = run(capsys, "eval", path)
+        assert code == 2
+        assert out == ""
+        assert err == "catalog error: entry 0 (z): missing field 'basis'\n"
+
+    @pytest.mark.parametrize(
         "genus, message",
         [
             (True, "genus must be a positive integer, got True"),

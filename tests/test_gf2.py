@@ -276,6 +276,29 @@ def test_hypothesis_copy_is_independent(case):
     assert_column_index(dup)
 
 
+@given(insert_sequences)
+def test_hypothesis_insertion_order_lists_each_pivot_once(case):
+    n, vectors, extra = case
+    basis = SpanBasis(n)
+    want = []
+    for bits in vectors:
+        before = set(basis.pivots)
+        if basis.insert_bits(bits):
+            (new,) = set(basis.pivots) - before
+            want.append(new)
+        assert basis.insertion_order == want
+    assert sorted(basis.insertion_order) == list(basis.pivots)
+    for p in basis.insertion_order:
+        assert basis.pivot_row(p) & -basis.pivot_row(p) == 1 << p
+    order = list(basis.insertion_order)
+    dup = basis.copy()
+    for bits in extra:
+        dup.insert_bits(bits)
+    assert basis.insertion_order == order
+    assert dup.insertion_order[: len(order)] == order
+    assert sorted(dup.insertion_order) == list(dup.pivots)
+
+
 class TestF2Matrix:
     def test_identity_action(self):
         M = F2Matrix.identity(6)

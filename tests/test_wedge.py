@@ -802,6 +802,17 @@ class TestSearchCoreReference:
         assert new.row_bits() == old.row_bits()
 
     @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_saturated_span_is_closed_under_full_tables(self, g):
+        # checks closure directly, by whole images Mv of every row, rather
+        # than by comparing two saturation loops
+        span, _, _, _ = _search_shard(g, 3)
+        saturate_span(g, span)
+        rows = span.row_bits()
+        for M in closure_generators(g):
+            table = ref_full_table(g, M)
+            assert all(span.contains_bits(ref_apply(table, row)) for row in rows)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
     def test_delta_table_matches_full_table(self, g):
         # every generator, and products of generators, which are not transvections
         gens = closure_generators(g)
