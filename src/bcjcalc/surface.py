@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import BasisError, DimensionError, GenusMismatchError
-from .gf2core import F2Matrix, SpanBasis
+from .gf2core import F2Matrix
 
 
 def check_genus(g: int) -> int:
@@ -306,16 +306,6 @@ def random_symplectic_rebase(basis: SubsurfaceBasis, seed: int) -> SubsurfaceBas
     return out
 
 
-def span_rank(classes: Iterable[HClass]) -> int:
-    classes = list(classes)
-    if not classes:
-        return 0
-    sb = SpanBasis(2 * classes[0].genus)
-    for c in classes:
-        sb.insert_bits(c.bits)
-    return sb.rank
-
-
 # -- the symplectic group mod 2 --------------------------------------------
 
 
@@ -445,22 +435,6 @@ def random_z_symplectic_basis(
 
 
 # -- JSON encoding -----------------------------------------------------------
-
-
-def hclass_to_json(u: HClass) -> list[int]:
-    return u.coords()
-
-
-def hclass_from_json(genus: int, data: Sequence[int]) -> HClass:
-    return HClass.from_coords(genus, data)
-
-
-def zhclass_to_json(u: ZHClass) -> list[int]:
-    return list(u.coords)
-
-
-def zhclass_from_json(genus: int, data: Sequence[int]) -> ZHClass:
-    return ZHClass.from_coords(genus, data)
 
 
 def basis_to_json(basis: Union[SubsurfaceBasis, ZSubsurfaceBasis]) -> dict:

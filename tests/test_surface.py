@@ -6,6 +6,7 @@ import pytest
 
 from bcjcalc import surface as sf
 from bcjcalc.errors import BasisError, DimensionError, GenusMismatchError
+from bcjcalc.gf2core import SpanBasis
 from bcjcalc.surface import (
     HClass,
     SubsurfaceBasis,
@@ -188,6 +189,12 @@ class TestRebase:
         assert is_symplectic_basis(sheared)
 
     def test_rebase_valid_and_same_span(self):
+        def span_rank(classes):
+            span = SpanBasis(2 * classes[0].genus)
+            for c in classes:
+                span.insert_bits(c.bits)
+            return span.rank
+
         rng = random.Random(5)
         for g, handles in ((2, [1, 2]), (3, [1, 3]), (4, [2, 3, 4])):
             basis = SubsurfaceBasis.standard(g, handles)
@@ -195,9 +202,9 @@ class TestRebase:
                 seed = rng.randrange(1 << 30)
                 rebased = random_symplectic_rebase(basis, seed)
                 assert is_symplectic_basis(rebased)
-                r = sf.span_rank(basis.rows())
-                assert sf.span_rank(rebased.rows()) == r
-                assert sf.span_rank(basis.rows() + rebased.rows()) == r
+                r = span_rank(basis.rows())
+                assert span_rank(rebased.rows()) == r
+                assert span_rank(basis.rows() + rebased.rows()) == r
 
     def test_rebase_deterministic(self):
         basis = SubsurfaceBasis.standard(3, [1, 2])
@@ -317,11 +324,11 @@ class TestIntegralBases:
 class TestJson:
     def test_hclass_roundtrip(self):
         u = sf.a(3, 1) + sf.b(3, 2)
-        assert sf.hclass_from_json(3, sf.hclass_to_json(u)) == u
+        assert HClass.from_coords(3, u.coords()) == u
 
     def test_zhclass_roundtrip(self):
         u = ZHClass(2, (3, -1, 0, 7))
-        assert sf.zhclass_from_json(2, sf.zhclass_to_json(u)) == u
+        assert ZHClass.from_coords(2, list(u.coords)) == u
 
     def test_spinepair_roundtrip(self):
         # spines are genus-1 bases and travel through the basis codec
@@ -339,4 +346,4 @@ class TestJson:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
-            sf.hclass_from_json(2, [1, 0, 1])
+            HClass.from_coords(2, [1, 0, 1])

@@ -315,6 +315,39 @@ class TestTemplates:
         assert [n for n, _, _ in sizes] == [6, 108, 1674]
         assert [len(groups) for _, groups, _ in sizes] == [1, 18, 279]
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_each_plane_holds_six_spines_of_one_sigma(self, s):
+        # _template evaluates sigma once per plane {x, y, x+y}, on the spine
+        # with x < y < x+y; here sigma is computed on every spine of every plane
+        planes = {}
+        for x, y in wedgespan._local_spines(s):
+            basis = SubsurfaceBasis(s, ((sf.HClass(s, x), sf.HClass(s, y)),))
+            planes.setdefault(frozenset((x, y, x ^ y)), []).append(
+                ((x, y), sigma_separating(basis).masks)
+            )
+        assert len(planes) == [1, 18, 279][s - 1]
+        for spines in planes.values():
+            assert len(spines) == 6
+            assert len({value for _, value in spines}) == 1
+            # in position order, the plane's first spine and no other is picked
+            assert [x < y < x ^ y for (x, y), _ in spines] == [True] + [False] * 5
+
+    def test_template_calls_sigma_once_per_plane(self, monkeypatch):
+        calls = []
+
+        def counted(twist):
+            calls.append(twist)
+            return sigma(twist)
+
+        monkeypatch.setattr(wedgespan, "sigma", counted)
+        wedgespan._template.cache_clear()
+        try:
+            for s in (1, 2, 3):
+                wedgespan._template(s)
+        finally:
+            wedgespan._template.cache_clear()
+        assert len(calls) == 1 + 18 + 279
+
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_relabelled_template_equals_per_twist_sigma(self, g):
         basis = b2_basis(g)
