@@ -332,29 +332,3 @@ def poly_from_json(genus: int, data: Sequence[Sequence[int]]) -> BoolPoly:
             raise ValueError("duplicate monomial in JSON polynomial")
         masks.add(mask)
     return BoolPoly(genus, masks)
-
-
-def parse_poly(genus: int, text: str) -> BoolPoly:
-    """Inverse of str(): 'a1*b1 + a2 + 1' -> BoolPoly."""
-    text = text.strip()
-    if text == "0":
-        return BoolPoly.zero(genus)
-    masks = set()
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if chunk == "1":
-            mask = 0
-        else:
-            mask = 0
-            for name in chunk.split("*"):
-                name = name.strip()
-                if len(name) < 2 or name[0] not in "ab":
-                    raise ValueError(f"bad variable {name!r}")
-                idx = int(name[1:]) - 1
-                if not 0 <= idx < genus:
-                    raise ValueError(f"variable {name!r} out of range for genus {genus}")
-                mask |= 1 << (idx if name[0] == "a" else genus + idx)
-        if mask in masks:
-            raise ValueError(f"duplicate monomial {chunk!r}")
-        masks.add(mask)
-    return BoolPoly(genus, masks)

@@ -66,17 +66,6 @@ class BitVec:
             bits ^= 1 << i
         return cls(length, bits)
 
-    @classmethod
-    def from01(cls, text: str) -> "BitVec":
-        """Parse a 0/1 string; character i gives bit i."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"not a 0/1 string: {text!r}")
-        return cls(len(text), bits)
-
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.length != other.length:
             raise DimensionError(
@@ -101,9 +90,6 @@ class BitVec:
             out.append(low.bit_length() - 1)
             b ^= low
         return tuple(out)
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
 
     def to01(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))

@@ -339,33 +339,6 @@ def transvection(v: HClass) -> F2Matrix:
     return F2Matrix(n, tuple(cols))
 
 
-def handle_swap(genus: int, i: int) -> F2Matrix:
-    """Exchange a_i and b_i, fixing everything else."""
-    g = check_genus(genus)
-    if not 1 <= i <= g:
-        raise ValueError(f"handle index {i} out of range")
-    cols = list(F2Matrix.identity(2 * g).cols)
-    cols[i - 1], cols[g + i - 1] = cols[g + i - 1], cols[i - 1]
-    return F2Matrix(2 * g, tuple(cols))
-
-
-def handle_transposition(genus: int, i: int, j: int) -> F2Matrix:
-    """Exchange handles i and j: a_i <-> a_j and b_i <-> b_j."""
-    g = check_genus(genus)
-    if i == j or not (1 <= i <= g and 1 <= j <= g):
-        raise ValueError(f"bad handle pair ({i},{j})")
-    cols = list(F2Matrix.identity(2 * g).cols)
-    cols[i - 1], cols[j - 1] = cols[j - 1], cols[i - 1]
-    cols[g + i - 1], cols[g + j - 1] = cols[g + j - 1], cols[g + i - 1]
-    return F2Matrix(2 * g, tuple(cols))
-
-
-def sp_transvection_generators(genus: int) -> list[F2Matrix]:
-    """All transvections T_v, v != 0; they generate Sp(2g, 2)."""
-    g = check_genus(genus)
-    return [transvection(HClass(g, bits)) for bits in range(1, 1 << (2 * g))]
-
-
 def random_sp_word(genus: int, rng: random.Random, length: int = 8) -> F2Matrix:
     """Product of `length` random nonzero transvections."""
     g = check_genus(genus)

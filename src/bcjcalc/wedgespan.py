@@ -40,8 +40,10 @@ under substitution by a fixed set of transvections.  Every vector added this
 way is the image of a conjugated cycle, or a sum of such images; soundness
 rests on the equivariance of the twist formulas, which its own test suite
 verifies.  For v already in the span, Mv is in the span iff (M - I)v is, so
-saturation inserts that delta: it is sparse, and it depends only on the bits
-of v in the slots M moves.
+saturation inserts that delta.  It is sparse, and it is computed bit by bit
+from M's monomial images: slot (i, j) moves only if M moves monomial i or j,
+and then its delta is the slot bits of Mi ^ Mj less the slot itself.  No
+table of slot deltas is stored.
 
 Wedge coordinates use the triangular flattening of unordered pairs (i < j)
 of basis indices: slot(i, j) = i(2d - i - 1)/2 + (j - i - 1), with d the
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from time import perf_counter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma
 from .boolring import (
@@ -179,7 +181,7 @@ def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -
     """Slot bits of (sum of basis elements `left`) ^ (sum of `right`).
 
     The one path from basis-index pairs to wedge slots: `wedge`, the search
-    stream and the action tables all go through it.  e_i ^ e_i vanishes and
+    stream and the symplectic action's slot deltas all go through it.  e_i ^ e_i vanishes and
     e_i ^ e_j = e_j ^ e_i over GF(2), so repeated pairs cancel.
     """
     bits = 0
@@ -685,60 +687,70 @@ def closure_generators(genus: int) -> tuple:
     return tuple(transvection(HClass(g, v)) for v in vs)
 
 
-@lru_cache(maxsize=None)
-def _wedge_action_table(genus: int, M) -> tuple[int, tuple[int, ...]]:
-    """(moved, delta) of the linear action p ^ q -> Mp ^ Mq on wedge slots.
+def _wedge_action_table(genus: int, M) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(images, moved) of the substitution action of M on the degree-<=2 basis.
 
-    delta[s] is (M - I) applied to the basis vector of slot s, and `moved`
-    has bit s set iff delta[s] is nonzero; so the action sends v to
-    v ^ _apply_table(delta, v & moved).  A transvection fixes most basis
-    monomials, hence most slots, so the deltas are sparse.  The variable
-    images are built, and M checked, once per table.  A monomial with no
-    moved variable is fixed; any other monomial's image is the product of
-    its variables' images.
+    images[k] is the image of basis monomial k as a tuple of basis indices,
+    and `moved` has bit k set iff that image is not monomial k itself.  The
+    wedge action sends slot (i, j) to images[i] ^ images[j], so a slot of two
+    fixed monomials is fixed.  The variable images are built, and M checked,
+    once per call.  A monomial with no moved variable is fixed; any other
+    monomial's image is the product of its variables' images.
     """
     basis = b2_basis(genus)
-    d = basis.size
-    offs = _row_offsets(d)
     images = sp_variable_images(M, genus)
     moved_vars = sum(1 << v for v, img in enumerate(images) if img.masks != {1 << v})
     index = basis.index_of_mask
-    mon_images = [
+    mon_images = tuple(
         tuple(index[m] for m in monomial_image(genus, images, mono.mask).masks)
         if mono.mask & moved_vars
         else (k,)
         for k, mono in enumerate(basis.monomials)
+    )
+    moved = sum(1 << k for k, img in enumerate(mon_images) if img != (k,))
+    return mon_images, moved
+
+
+def _action_deltas(actions: Sequence[tuple[tuple, int]]) -> Callable[[int], list[int]]:
+    """The map v -> [(M - I)v for each action (images, moved) of
+    `_wedge_action_table`].
+
+    The delta of slot (i, j) under M is the slot bits of
+    images[i] ^ images[j] less the slot itself.  It is computed, for each
+    set bit of v, only for the actions that move i or j (movers[i] is the
+    mask of the actions that move monomial i); every other action fixes the
+    slot.
+    """
+    d = len(actions[0][0])
+    offs, pairs = _row_offsets(d), _slot_pairs(d)
+    movers = [
+        sum(1 << k for k, (_, moved) in enumerate(actions) if (moved >> i) & 1)
+        for i in range(d)
     ]
-    fixed = [img == (k,) for k, img in enumerate(mon_images)]
-    moved = 0
-    delta = []
-    for slot, (i, j) in enumerate(_slot_pairs(d)):
-        bits = 0
-        if not (fixed[i] and fixed[j]):  # a slot of two fixed monomials is fixed
-            bits = _slot_bits(offs, mon_images[i], mon_images[j]) ^ (1 << slot)
-            if bits:
-                moved |= 1 << slot
-        delta.append(bits)
-    return moved, tuple(delta)
 
+    def deltas(v: int) -> list[int]:
+        out = [0] * len(actions)
+        b = v
+        while b:
+            low = b & -b
+            i, j = pairs[low.bit_length() - 1]
+            gens = movers[i] | movers[j]
+            while gens:
+                k = (gens & -gens).bit_length() - 1
+                images = actions[k][0]
+                out[k] ^= _slot_bits(offs, images[i], images[j]) ^ low
+                gens &= gens - 1
+            b ^= low
+        return out
 
-def _apply_table(table: Sequence[int], bits: int) -> int:
-    # Each set bit's entry is xor-ed in on its own, so walking from the top
-    # bit down gives the same sum as any other order.
-    out = 0
-    b = bits
-    while b:
-        k = b.bit_length() - 1
-        out ^= table[k]
-        b ^= 1 << k
-    return out
+    return deltas
 
 
 def wedge_translate(M, w: WedgeElem) -> WedgeElem:
     """Image of a wedge vector under the symplectic substitution action."""
-    moved, delta = _wedge_action_table(w.genus, M)
     v = w.coords.bits
-    return WedgeElem(w.genus, BitVec(w.coords.length, v ^ _apply_table(delta, v & moved)))
+    (delta,) = _action_deltas([_wedge_action_table(w.genus, M)])(v)
+    return WedgeElem(w.genus, BitVec(w.coords.length, v ^ delta))
 
 
 def saturate_span(genus: int, span: SpanBasis) -> int:
@@ -746,9 +758,11 @@ def saturate_span(genus: int, span: SpanBasis) -> int:
 
     The loop walks the span's pivots in insertion order, by index, while the
     list grows.  At each pivot q it reads q's row as it is at that moment,
-    fully reduced against every pivot found so far, so its few bits hit few
-    table entries.  That row v is in the span, so Mv is in the span iff
-    (M - I)v is; each generator's sparse delta is inserted.
+    fully reduced against every pivot found so far, so it has few bits, and
+    each bit's delta is computed only for the generators that move one of
+    the slot's monomials.  That row v is in the span, so Mv is in the span
+    iff (M - I)v is; each generator's sparse delta is inserted, in generator
+    order.
 
     Every pivot gets visited, the ones the loop itself adds too, and each
     visited row lies in the final span with its own distinct lowest bit (a
@@ -759,20 +773,16 @@ def saturate_span(genus: int, span: SpanBasis) -> int:
     generators.  It holds nothing outside the closure, since each insert is
     (M - I)v for a v already in it.
     """
-    actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
+    deltas = _action_deltas([_wedge_action_table(genus, M) for M in closure_generators(genus)])
     before = span.rank
     order = span.insertion_order
     i = 0
     while i < len(order):
         v = span.pivot_row(order[i])
         i += 1
-        for moved, delta in actions:
-            hit = v & moved
-            if not hit:
-                continue
-            img = _apply_table(delta, hit)
-            if img:
-                span.insert_bits(img)
+        for delta in deltas(v):
+            if delta:
+                span.insert_bits(delta)
     return span.rank - before
 
 

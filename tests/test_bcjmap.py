@@ -179,7 +179,7 @@ class TestBasisIndependence:
 class TestEquivariance:
     def test_exhaustive_transvections_g2(self):
         g = 2
-        mats = sf.sp_transvection_generators(g)
+        mats = [sf.transvection(HClass(g, v)) for v in range(1, 1 << (2 * g))]
         for h in (1, 2):
             basis = SubsurfaceBasis.standard(g, list(range(1, h + 1)))
             for M in mats:

@@ -16,7 +16,6 @@ from bcjcalc.boolring import (
     b2_index,
     bar,
     evaluate,
-    parse_poly,
     poly_from_json,
     poly_to_json,
     require_degree,
@@ -201,12 +200,14 @@ class TestSubstitution:
     def test_handle_swap_fixes_diagonal(self):
         g = 2
         p = BoolPoly(g, {0b0101})  # a1*b1
-        assert substitute_sp(sf.handle_swap(g, 1), p) == p
+        M = F2Matrix(2 * g, (0b0100, 0b0010, 0b0001, 0b1000))  # a1 <-> b1
+        assert substitute_sp(M, p) == p
 
     def test_handle_transposition_moves_variable(self):
         g = 3
         p = BoolPoly.variable(g, 0)  # a1
-        M = sf.handle_transposition(g, 1, 2)
+        # a1 <-> a2 and b1 <-> b2; column k is the image of variable k
+        M = F2Matrix(2 * g, (0b000010, 0b000001, 0b000100, 0b010000, 0b001000, 0b100000))
         assert substitute_sp(M, p) == BoolPoly.variable(g, 1)
 
     def test_rejects_non_symplectic(self):
@@ -217,7 +218,7 @@ class TestSubstitution:
     def test_compatible_with_bar_exhaustive_g2(self):
         # substitute(M, bar(c)) == bar(M c) over all classes and transvections
         g = 2
-        mats = sf.sp_transvection_generators(g)
+        mats = [sf.transvection(HClass(g, v)) for v in range(1, 1 << (2 * g))]
         for M in mats:
             for cb in range(1 << (2 * g)):
                 c = HClass(g, cb)
@@ -314,13 +315,6 @@ class TestCodecs:
         g = 2
         p = BoolPoly(g, {0b0101, 0b0010, 0b0000})
         assert str(p) == "1 + a2 + a1*b1"
-
-    def test_text_roundtrip(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            g = rng.randint(1, 4)
-            p = random_poly(g, rng)
-            assert parse_poly(g, str(p)) == p
 
     def test_json_roundtrip(self):
         rng = random.Random(10)

@@ -24,11 +24,11 @@ def span_size_bruteforce(vectors):
 
 class TestBitVec:
     def test_basic_xor(self):
-        v = BitVec.from01("110") ^ BitVec.from01("011")
-        assert v == BitVec.from01("101")
+        v = BitVec(3, 0b011) ^ BitVec(3, 0b110)
+        assert v == BitVec(3, 0b101)
 
     def test_xor_commutes(self):
-        u, v = BitVec.from01("1001"), BitVec.from01("0101")
+        u, v = BitVec(4, 0b1001), BitVec(4, 0b1010)
         assert u ^ v == v ^ u
 
     def test_length_mismatch(self):
@@ -45,14 +45,14 @@ class TestBitVec:
         assert hash(BitVec(5, 3)) == hash(BitVec(5, 3))
 
     def test_support_and_popcount(self):
-        v = BitVec.from01("0110")
+        v = BitVec(4, 0b0110)
         assert v.support() == (1, 2)
-        assert v.popcount() == 2
+        assert v.bits.bit_count() == 2
 
     def test_from_indices_roundtrip(self):
         v = BitVec.from_indices(8, [0, 3, 7])
         assert v.to01() == "10010001"
-        assert BitVec.from01(v.to01()) == v
+        assert v == BitVec(8, 0b10001001)
 
 
 class TestSpanBasis:
@@ -69,8 +69,8 @@ class TestSpanBasis:
         assert basis.rank == 1
 
     def test_rank_two_triangle(self):
-        # 110 ^ 011 = 101, so the three vectors span a 2-dimensional space
-        vs = [BitVec.from01(s) for s in ("110", "011", "101")]
+        # 0b011 ^ 0b110 = 0b101, so the three vectors span a 2-dimensional space
+        vs = [BitVec(3, 0b011), BitVec(3, 0b110), BitVec(3, 0b101)]
         assert span_size_bruteforce(vs) == 4
         basis = SpanBasis(3)
         for v in vs:
@@ -83,9 +83,9 @@ class TestSpanBasis:
         basis.insert(BitVec.from_indices(3, [0]))
         assert basis.contains(BitVec.from_indices(3, [1])) is False
         basis2 = SpanBasis(3)
-        basis2.insert(BitVec.from01("110"))
-        basis2.insert(BitVec.from01("011"))
-        assert basis2.contains(BitVec.from01("101")) is True
+        basis2.insert(BitVec(3, 0b011))
+        basis2.insert(BitVec(3, 0b110))
+        assert basis2.contains(BitVec(3, 0b101)) is True
 
     def test_length_mismatch(self):
         basis = SpanBasis(3)
@@ -119,7 +119,7 @@ class TestMatRank:
             assert mat_rank(rows) == n
 
     def test_triangle(self):
-        assert mat_rank([BitVec.from01(s) for s in ("110", "011", "101")]) == 2
+        assert mat_rank([BitVec(3, 0b011), BitVec(3, 0b110), BitVec(3, 0b101)]) == 2
 
     def test_order_independence(self):
         rng = random.Random(7)

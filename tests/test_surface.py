@@ -6,7 +6,7 @@ import pytest
 
 from bcjcalc import surface as sf
 from bcjcalc.errors import BasisError, DimensionError, GenusMismatchError
-from bcjcalc.gf2core import SpanBasis
+from bcjcalc.gf2core import F2Matrix, SpanBasis
 from bcjcalc.surface import (
     HClass,
     SubsurfaceBasis,
@@ -221,8 +221,13 @@ class TestSpMatrices:
     def test_j_matrix_symplectic_check(self):
         for g in (1, 2, 3):
             assert sf.is_symplectic(sf.j_matrix(g).transpose(), g) or True
-            assert sf.is_symplectic(sf.handle_swap(g, 1), g)
-        assert sf.is_symplectic(sf.handle_transposition(3, 1, 3), 3)
+            # a1 <-> b1: column k is the image of basis vector k
+            cols = [1 << k for k in range(2 * g)]
+            cols[0], cols[g] = cols[g], cols[0]
+            assert sf.is_symplectic(F2Matrix(2 * g, tuple(cols)), g)
+        # handles 1 <-> 3 at genus 3: a1 <-> a3 and b1 <-> b3
+        M = F2Matrix(6, (0b000100, 0b000010, 0b000001, 0b100000, 0b010000, 0b001000))
+        assert sf.is_symplectic(M, 3)
 
     def test_transvections_symplectic(self):
         g = 2
@@ -236,8 +241,6 @@ class TestSpMatrices:
                 assert sf.is_symplectic(sf.random_sp_word(g, rng), g)
 
     def test_non_symplectic_detected(self):
-        from bcjcalc.gf2core import F2Matrix
-
         g = 1
         M = F2Matrix.from_rows([[1, 1], [0, 0]])
         assert sf.is_symplectic(M, g) is False

@@ -12,10 +12,11 @@ from bcjcalc import wedgespan
 from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError, MatrixError
-from bcjcalc.gf2core import F2Matrix, SpanBasis
+from bcjcalc.gf2core import BitVec, F2Matrix, SpanBasis
 from bcjcalc.surface import SubsurfaceBasis
 from bcjcalc.wedgespan import (
     AbelianCycle,
+    WedgeElem,
     asserted_families,
     closure_generators,
     cubic_type_count,
@@ -570,7 +571,7 @@ class TestClosureMachinery:
             assert wedge_translate(M, w1 + w2) == wedge_translate(M, w1) + wedge_translate(M, w2)
 
     def test_translate_matches_substitution(self):
-        # the table action agrees with wedging the substituted factors
+        # the slot-delta action agrees with wedging the substituted factors
         from bcjcalc.boolring import substitute_sp
 
         rng = random.Random(4)
@@ -847,15 +848,32 @@ class TestSearchCoreReference:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_delta_table_matches_full_table(self, g):
-        # every generator, and products of generators, which are not transvections
+        # the per-slot delta of every unit slot, under every generator and
+        # products of generators, which are not transvections
         gens = closure_generators(g)
         products = [gens[0] @ gens[g], gens[g] @ gens[0], gens[-1] @ gens[1] @ gens[2 * g - 1]]
         for M in gens + tuple(products):
-            moved, delta = _wedge_action_table(g, M)
+            images, moved = _wedge_action_table(g, M)
             full = ref_full_table(g, M)
             for slot, image in enumerate(full):
-                assert delta[slot] == image ^ (1 << slot)
-                assert (moved >> slot) & 1 == (delta[slot] != 0)
+                unit = WedgeElem.from_slots(g, (slot,))
+                assert wedge_translate(M, unit).coords.bits == image
+                i, j = slot_pair(len(images), slot)
+                if not (moved >> i) & 1 and not (moved >> j) & 1:
+                    assert image == 1 << slot
+            for k, image in enumerate(images):
+                assert ((moved >> k) & 1) == (image != (k,))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_hypothesis_translate_matches_full_table(self, data):
+        g = data.draw(st.sampled_from([2, 3]))
+        n = wedge_dim(b2_basis(g).size)
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        M = sf.random_sp_word(g, rng)
+        v = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        w = WedgeElem(g, BitVec(n, v))
+        assert wedge_translate(M, w).coords.bits == ref_apply(ref_full_table(g, M), v)
 
     def test_action_table_rejects_non_symplectic_matrix(self):
         g = 2
