@@ -33,7 +33,6 @@ from .wedgespan import (
     asserted_families,
     cycle_image,
     dims,
-    enumerate_spine_cycles,
     image_rank_report,
     orbit_classes,
     wedge,
@@ -63,7 +62,6 @@ __all__ = [
     "cm_generator",
     "cycle_image",
     "dims",
-    "enumerate_spine_cycles",
     "epsilon",
     "evaluate",
     "image_rank_report",

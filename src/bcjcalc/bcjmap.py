@@ -184,21 +184,6 @@ def random_sp_matrices(genus: int, count: int, seed: int, length: int = 8):
 # -- curve-catalog JSON -------------------------------------------------------
 
 
-def descriptor_to_json(d: Descriptor) -> dict:
-    from .surface import basis_to_json
-
-    out = {"type": "separating" if isinstance(d, SeparatingTwist) else "bp"}
-    out["basis"] = basis_to_json(d.basis)["pairs"]
-    if isinstance(d, BPMap):
-        out["C"] = d.C.coords()
-    out["label"] = d.label
-    return out
-
-
-def descriptor_from_json(genus: int, data: dict, where: str = "entry") -> Descriptor:
-    return _entry_from_json(genus, data, where)[0]
-
-
 def _entry_from_json(
     genus: int, data: dict, where: str
 ) -> tuple[Descriptor, Optional[ZSubsurfaceBasis]]:

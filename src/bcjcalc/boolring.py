@@ -318,17 +318,3 @@ def b2_index(m: BoolMonomial) -> int:
 def poly_to_json(p: BoolPoly) -> list[list[int]]:
     """Sorted list of monomials, each a sorted list of variable indices."""
     return [list(m.variables()) for m in p.monomials()]
-
-
-def poly_from_json(genus: int, data: Sequence[Sequence[int]]) -> BoolPoly:
-    masks = set()
-    for mono in data:
-        mask = 0
-        for v in mono:
-            if not 0 <= v < 2 * genus:
-                raise DimensionError(f"variable index {v} out of range")
-            mask |= 1 << v
-        if mask in masks:
-            raise ValueError("duplicate monomial in JSON polynomial")
-        masks.add(mask)
-    return BoolPoly(genus, masks)

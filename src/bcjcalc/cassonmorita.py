@@ -49,7 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .bcjmap import SeparatingTwist, sigma_separating
 from .boolring import BoolPoly, SelfLinkingForm, bar, evaluate
@@ -594,11 +594,3 @@ def cmpoly_to_json(x: CMPoly) -> list[dict]:
     for mon in sorted(x.terms, key=lambda m: (len(m), m)):
         out.append({"coeff": x.terms[mon], "monomial": [list(s) for s in mon]})
     return out
-
-
-def cmpoly_from_json(genus: int, data: Iterable[dict]) -> CMPoly:
-    terms: dict[Monomial, int] = {}
-    for item in data:
-        mon = tuple(sorted((int(p), int(q)) for p, q in item["monomial"]))
-        terms[mon] = terms.get(mon, 0) + int(item["coeff"])
-    return CMPoly(genus, terms)

@@ -407,26 +407,7 @@ def random_z_symplectic_basis(
     return out
 
 
-# -- JSON encoding -----------------------------------------------------------
-
-
-def basis_to_json(basis: Union[SubsurfaceBasis, ZSubsurfaceBasis]) -> dict:
-    if isinstance(basis, SubsurfaceBasis):
-        pairs = [[A.coords(), B.coords()] for A, B in basis.pairs]
-    else:
-        pairs = [[list(A.coords), list(B.coords)] for A, B in basis.pairs]
-    return {"genus": basis.genus, "pairs": pairs}
-
-
-def basis_from_json(data: dict) -> SubsurfaceBasis:
-    g = check_genus(data["genus"])
-    return SubsurfaceBasis(
-        g,
-        tuple(
-            (HClass.from_coords(g, A), HClass.from_coords(g, B))
-            for A, B in data["pairs"]
-        ),
-    )
+# -- JSON decoding -----------------------------------------------------------
 
 
 def zbasis_from_json(data: dict) -> ZSubsurfaceBasis:

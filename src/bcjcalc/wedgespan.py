@@ -11,9 +11,12 @@ default so machine-verified and asserted conclusions never mix.
 The wedge is bilinear over GF(2), so the images of one block of the stream
 (every descriptor on one support set against every descriptor on a disjoint
 one) span exactly the products b ^ c of a basis b of the first set's sigma
-values with a basis c of the second's.  The search inserts only those basis
-products and counts distinct images per block; images themselves are
-computed, by distinct sigma pair, only for each class's first hit.
+values with a basis c of the second's.  The search walks the blocks largest
+sets first and inserts only the basis products with a slot outside those
+already inserted as single slots, skipping every block whose slots are all
+such.  It counts distinct images per block; images themselves are computed,
+by distinct sigma pair, only in the first block of each shape (|S1|, |S2|)
+and only for each class's first hit.
 
 A set's sigma data comes from one template per support size s, computed
 once at genus s from the spines on s handles: their count, the position and
@@ -31,8 +34,9 @@ per-class first hits.
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
 handle (orbit classes IV and VI) are unreachable by construction.  The
-first-hit scan therefore waits only for the classes with a reachable slot,
-and stops computing images once all of them are hit.  The image of the
+first-hit scan therefore waits only for the classes on the support of the
+raw span, which are exactly the classes the stream hits, and stops computing
+images once all of them are hit.  The image of the
 induced map is however closed under the symplectic action - acting on a
 cycle's curves by a mapping class yields another commuting pair whose image
 is the matrix translate of the original - so the search saturates its span
@@ -351,33 +355,6 @@ def _disjoint_set_pairs(sets: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, 
         for k2 in range(k1 + 1, len(sets)):
             if not set(S1) & set(sets[k2]):
                 yield k1, k2
-
-
-def enumerate_spine_cycles(
-    genus: int, max_support_per_spine: int
-) -> Iterator[AbelianCycle]:
-    """Deterministic stream of support-disjoint abelian cycles.
-
-    Each descriptor is the separating twist of a genus-1 spine (x, y) with
-    x.y = 1 using at most `max_support_per_spine` handles, so every sigma
-    value has degree <= 2.  The stream has one block per pair of disjoint
-    support sets, taken in (size, lex) order, and emits each unordered pair
-    exactly once.  Two runs with equal parameters emit identical sequences.
-    """
-    check_genus(genus)
-    if max_support_per_spine < 1:
-        raise ValueError("max_support_per_spine must be >= 1")
-    sets = _support_sets(genus, max_support_per_spine)
-    twists = [
-        [_twist(genus, S, pos) for pos in range(len(_local_spines(len(S))))]
-        for S in sets
-    ]
-    for k1, k2 in _disjoint_set_pairs(sets):
-        for t1 in twists[k1]:
-            for t2 in twists[k2]:
-                yield AbelianCycle(
-                    t1, t2, SUPPORT_DISJOINT, label=f"{t1.label} & {t2.label}"
-                )
 
 
 # -- dimension bookkeeping ----------------------------------------------------
@@ -789,23 +766,6 @@ def saturate_span(genus: int, span: SpanBasis) -> int:
 # -- the image search ---------------------------------------------------------
 
 
-def _stream_class_masks(genus: int) -> dict[str, int]:
-    """Per class label, the mask of its slots whose two monomials have
-    disjoint handle sets.  Every stream image pairs monomials from disjoint
-    support sets, so it has bits only there; classes with no such slot
-    (IV and VI) are left out."""
-    basis = b2_basis(genus)
-    g = genus
-    amask = (1 << g) - 1
-    handles = [(m.mask & amask) | (m.mask >> g) for m in basis.monomials]
-    masks: dict[str, int] = {}
-    for slot, lab in enumerate(_slot_labels(genus)):
-        i, j = slot_pair(basis.size, slot)
-        if lab is not None and not handles[i] & handles[j]:
-            masks[lab] = masks.get(lab, 0) | (1 << slot)
-    return masks
-
-
 def _search_shard(
     genus: int, max_support: int
 ) -> tuple[SpanBasis, dict[str, tuple[int, str]], int, int]:
@@ -814,55 +774,90 @@ def _search_shard(
     keyed by stream index, the pair count and the distinct-image count.
 
     The wedge is bilinear, so a block's images span the same space as the
-    products of a basis of each set's sigma values: only those products
-    are inserted.  Descriptors with equal sigma have equal images, so a
-    block's distinct images pair the sigma groups of its two sets: a group
-    pair stands for |G1|.|G2| stream pairs and first appears at the stream
-    position of its two first descriptors.  The variables of sigma(sep(x, y))
-    = x-bar y-bar are exactly supp(x) | supp(y) (its derivative along a
-    variable of x only is y-bar, of y only x-bar, of both x-bar + y-bar + 1,
-    none of them 0), so a sigma value determines its support set; blocks
-    pair distinct sets, so no group pair occurs in two blocks and the
-    distinct-image count is the sum of the block products.  Images
-    themselves are computed only while some reachable class is still unhit.
+    products of a basis of each set's sigma values.  The span loop walks the
+    blocks largest sets first and keeps `covered`, the OR of the single-slot
+    products inserted so far, each of whose unit vectors is in the span.  A
+    block is skipped when every slot pairing a monomial of its first basis
+    with one of its second lies in `covered`, and otherwise only its
+    products with a bit outside `covered` are inserted.  Where 3-handle
+    templates (whose basis rows are single monomials) fill the handle-
+    disjoint slots first, no other block is left to insert.
+
+    Descriptors with equal sigma have equal images, so a block's distinct
+    images pair the sigma groups of its two sets: a group pair stands for
+    |G1|.|G2| stream pairs and first appears at the stream position of its
+    two first descriptors.  The variables of sigma(sep(x, y)) = x-bar y-bar
+    are exactly supp(x) | supp(y) (its derivative along a variable of x only
+    is y-bar, of y only x-bar, of both x-bar + y-bar + 1, none of them 0), so
+    a sigma value determines its support set; blocks pair distinct sets, so
+    no group pair occurs in two blocks and the distinct-image count is the
+    sum of the block products.
+
+    The hit loop walks the blocks in stream order.  Class labels do not
+    change when handles are relabelled, and two blocks of one shape
+    (|S1|, |S2|) are relabellings of each other with the same group
+    positions, so only the first block of each shape is scanned for hits.
+    The classes to wait for are the labels on the raw span's support, which
+    is the union of the supports of the stream images; the scan stops once
+    all of them are hit.
     """
     basis = b2_basis(genus)
     d = basis.size
     offs = _row_offsets(d)
     labels = _slot_labels(genus)
-    class_masks = _stream_class_masks(genus)
-    unhit = sum(class_masks.values())  # the class masks are disjoint
     sets = _support_sets(genus, max_support)
     data = [_descriptors_for_set(genus, S) for S in sets]
     span = SpanBasis(wedge_dim(d))
+
+    used = [sorted({i for row in rows for i in row}) for _, _, rows in data]
+    last = len(sets) - 1
+    covered = 0
+    for r1, r2 in _disjoint_set_pairs(sets[::-1]):
+        k1, k2 = last - r1, last - r2
+        block = _slot_bits(offs, used[k1], used[k2])
+        if block & covered == block:
+            continue
+        for row1 in data[k1][2]:
+            for row2 in data[k2][2]:
+                bits = _slot_bits(offs, row1, row2)
+                if bits & covered != bits:
+                    span.insert_bits(bits)
+                    if not bits & (bits - 1):
+                        covered |= bits
+
+    live = 0  # slots still worth testing: the raw span's support, less seen ones
+    for row in span.row_bits():
+        live |= row
+    unhit = {labels[s] for s in BitVec(span.length, live).support()} - {None}
     hits: dict[str, tuple[int, str]] = {}
+    shapes = set()
     n_pairs = 0
     n_distinct = 0
     for k1, k2 in _disjoint_set_pairs(sets):
-        (n1, groups1, basis1), (n2, groups2, basis2) = data[k1], data[k2]
+        (n1, groups1, _), (n2, groups2, _) = data[k1], data[k2]
         block_base = n_pairs
         n_pairs += n1 * n2
         n_distinct += len(groups1) * len(groups2)
-        for r1 in basis1:
-            for r2 in basis2:
-                bits = _slot_bits(offs, r1, r2)
-                if bits:
-                    span.insert_bits(bits)
-        if not unhit:
+        shape = (len(sets[k1]), len(sets[k2]))
+        if not unhit or shape in shapes:
             continue
+        shapes.add(shape)
         # Group pairs are visited in increasing stream index, so the first
         # hit of a class is final.
         for pos1, sig1 in groups1:
             for pos2, sig2 in groups2:
                 if not unhit:
                     break
-                b = _slot_bits(offs, sig1, sig2) & unhit
+                b = _slot_bits(offs, sig1, sig2) & live
                 while b:
-                    lab = labels[(b & -b).bit_length() - 1]
-                    t1, t2 = _twist(genus, sets[k1], pos1), _twist(genus, sets[k2], pos2)
-                    hits[lab] = (block_base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
-                    unhit &= ~class_masks[lab]
-                    b &= unhit
+                    low = b & -b
+                    lab = labels[low.bit_length() - 1]
+                    if lab in unhit:
+                        unhit.remove(lab)
+                        t1, t2 = _twist(genus, sets[k1], pos1), _twist(genus, sets[k2], pos2)
+                        hits[lab] = (block_base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
+                    live ^= low
+                    b ^= low
     return span, hits, n_pairs, n_distinct
 
 

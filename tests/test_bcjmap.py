@@ -11,8 +11,7 @@ from bcjcalc.bcjmap import (
     BPMap,
     SeparatingTwist,
     basis_independence_failures,
-    descriptor_from_json,
-    descriptor_to_json,
+    catalog_from_json,
     equivariance_failures,
     is_index_matched,
     sigma_bp,
@@ -348,24 +347,33 @@ class TestOrbitPatternCatalog:
         assert unmatched == all_pattern_pairs
 
 
+def read_entry(entry, genus=2):
+    """The (descriptor, integral basis) of a one-entry catalog."""
+    g, [parsed] = catalog_from_json({"genus": genus, "entries": [entry]}, 32)
+    assert g == genus
+    return parsed
+
+
 class TestCatalogJson:
     def test_separating_roundtrip(self):
         t = SeparatingTwist(SubsurfaceBasis.standard(2, [1]), label="t1")
-        data = descriptor_to_json(t)
-        assert data["type"] == "separating"
-        back = descriptor_from_json(2, data)
-        assert back == t
+        entry = {"type": "separating", "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]], "label": "t1"}
+        assert read_entry(entry) == (t, None)
 
     def test_bp_roundtrip(self):
         m = BPMap(SubsurfaceBasis.standard(2, [2]), sf.a(2, 1), label="bp1")
-        data = descriptor_to_json(m)
-        back = descriptor_from_json(2, data)
-        assert back == m
+        entry = {
+            "type": "bp",
+            "basis": [[[0, 1, 0, 0], [0, 0, 0, 1]]],
+            "C": [1, 0, 0, 0],
+            "label": "bp1",
+        }
+        assert read_entry(entry) == (m, None)
 
     def test_schema_errors(self):
         with pytest.raises(CatalogError):
-            descriptor_from_json(2, {"type": "nope"})
+            read_entry({"type": "nope"})
         with pytest.raises(CatalogError):
-            descriptor_from_json(2, {"type": "bp", "basis": []})
+            read_entry({"type": "bp", "basis": []})
         with pytest.raises(CatalogError):
-            descriptor_from_json(2, {"type": "separating", "basis": [[[1, 0], [1, 0, 0, 0]]]})
+            read_entry({"type": "separating", "basis": [[[1, 0], [1, 0, 0, 0]]]})

@@ -16,7 +16,6 @@ from bcjcalc.boolring import (
     b2_index,
     bar,
     evaluate,
-    poly_from_json,
     poly_to_json,
     require_degree,
     substitute_sp,
@@ -321,7 +320,10 @@ class TestCodecs:
         for _ in range(100):
             g = rng.randint(1, 4)
             p = random_poly(g, rng)
-            assert poly_from_json(g, poly_to_json(p)) == p
+            data = poly_to_json(p)
+            masks = [sum(1 << v for v in mono) for mono in data]
+            assert len(set(masks)) == len(masks)
+            assert BoolPoly(g, masks) == p
 
     def test_json_shape(self):
         g = 2

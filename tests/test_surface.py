@@ -324,6 +324,16 @@ class TestIntegralBases:
             sf.random_z_symplectic_basis(3, 2, random.Random(0), handles)
 
 
+def catalog_basis(genus, pairs):
+    """The basis of a one-entry separating-twist catalog."""
+    from bcjcalc.bcjmap import catalog_from_json
+
+    _, [(twist, _)] = catalog_from_json(
+        {"genus": genus, "entries": [{"type": "separating", "basis": pairs}]}, 32
+    )
+    return twist.basis
+
+
 class TestJson:
     def test_hclass_roundtrip(self):
         u = sf.a(3, 1) + sf.b(3, 2)
@@ -334,18 +344,19 @@ class TestJson:
         assert ZHClass.from_coords(2, list(u.coords)) == u
 
     def test_spinepair_roundtrip(self):
-        # spines are genus-1 bases and travel through the basis codec
+        # spines are genus-1 bases and travel through the catalog decoder
         for s in (
             spine(sf.a(3, 1), sf.b(3, 1)),
             spine(sf.a(3, 2) + sf.a(3, 3), sf.b(3, 2)),
         ):
-            assert sf.basis_from_json(sf.basis_to_json(s)) == s
+            ((x, y),) = s.pairs
+            assert catalog_basis(3, [[x.coords(), y.coords()]]) == s
 
     def test_basis_roundtrip(self):
-        basis = SubsurfaceBasis.standard(3, [1, 3])
-        assert sf.basis_from_json(sf.basis_to_json(basis)) == basis
-        zbasis = ZSubsurfaceBasis.standard(2, [1, 2])
-        assert sf.zbasis_from_json(sf.basis_to_json(zbasis)) == zbasis
+        pairs = [[[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]], [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]]]
+        assert catalog_basis(3, pairs) == SubsurfaceBasis.standard(3, [1, 3])
+        zpairs = [[[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 1]]]
+        assert sf.zbasis_from_json({"genus": 2, "pairs": zpairs}) == ZSubsurfaceBasis.standard(2, [1, 2])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):

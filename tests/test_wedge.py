@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,9 @@ from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError, MatrixError
 from bcjcalc.gf2core import BitVec, F2Matrix, SpanBasis
-from bcjcalc.surface import SubsurfaceBasis
+from bcjcalc.surface import SubsurfaceBasis, check_genus
 from bcjcalc.wedgespan import (
+    SUPPORT_DISJOINT,
     AbelianCycle,
     WedgeElem,
     asserted_families,
@@ -22,7 +24,6 @@ from bcjcalc.wedgespan import (
     cubic_type_count,
     cycle_image,
     dims,
-    enumerate_spine_cycles,
     four_index_family_span_claim,
     image_rank_report,
     orbit_classes,
@@ -33,10 +34,12 @@ from bcjcalc.wedgespan import (
     wedge_dim,
     wedge_translate,
     _descriptors_for_set,
+    _disjoint_set_pairs,
+    _local_spines,
     _search_shard,
     _slot_labels,
-    _stream_class_masks,
     _support_sets,
+    _twist,
     _wedge_action_table,
 )
 
@@ -74,6 +77,33 @@ def ref_sigma(twist):
     if key not in _SIGMA_BY_LABEL:
         _SIGMA_BY_LABEL[key] = sigma(twist).masks
     return _SIGMA_BY_LABEL[key]
+
+
+def enumerate_spine_cycles(
+    genus: int, max_support_per_spine: int
+) -> Iterator[AbelianCycle]:
+    """Deterministic stream of support-disjoint abelian cycles.
+
+    Each descriptor is the separating twist of a genus-1 spine (x, y) with
+    x.y = 1 using at most `max_support_per_spine` handles, so every sigma
+    value has degree <= 2.  The stream has one block per pair of disjoint
+    support sets, taken in (size, lex) order, and emits each unordered pair
+    exactly once.  Two runs with equal parameters emit identical sequences.
+    """
+    check_genus(genus)
+    if max_support_per_spine < 1:
+        raise ValueError("max_support_per_spine must be >= 1")
+    sets = _support_sets(genus, max_support_per_spine)
+    twists = [
+        [_twist(genus, S, pos) for pos in range(len(_local_spines(len(S))))]
+        for S in sets
+    ]
+    for k1, k2 in _disjoint_set_pairs(sets):
+        for t1 in twists[k1]:
+            for t2 in twists[k2]:
+                yield AbelianCycle(
+                    t1, t2, SUPPORT_DISJOINT, label=f"{t1.label} & {t2.label}"
+                )
 
 
 @lru_cache(maxsize=None)
@@ -753,6 +783,66 @@ def handle_disjoint_mask(g):
     return mask
 
 
+# The stream as it was before blocks were skipped: every block's basis
+# products inserted in stream order, and every block's group pairs scanned
+# for first hits, against per-class masks of the handle-disjoint slots.
+
+
+def ref_class_masks(g):
+    """Per class label, the mask of its handle-disjoint slots."""
+    disjoint = handle_disjoint_mask(g)
+    masks = {}
+    for s, lab in enumerate(_slot_labels(g)):
+        if lab is not None and (disjoint >> s) & 1:
+            masks[lab] = masks.get(lab, 0) | 1 << s
+    return masks
+
+
+def ref_block_span(g, ms):
+    offs = ref_offsets(g)
+    sets = _support_sets(g, ms)
+    data = [_descriptors_for_set(g, S) for S in sets]
+    span = SpanBasis(wedge_dim(b2_basis(g).size))
+    for k1, k2 in _disjoint_set_pairs(sets):
+        for r1 in data[k1][2]:
+            for r2 in data[k2][2]:
+                bits = ref_slot_bits(offs, r1, r2)
+                if bits:
+                    span.insert_bits(bits)
+    return span
+
+
+def ref_block_hits(g, ms):
+    """(first hits, pair count, distinct-image count) of the stream."""
+    offs = ref_offsets(g)
+    labels = _slot_labels(g)
+    class_masks = ref_class_masks(g)
+    unhit = sum(class_masks.values())
+    sets = _support_sets(g, ms)
+    data = [_descriptors_for_set(g, S) for S in sets]
+    hits = {}
+    n_pairs = n_distinct = 0
+    for k1, k2 in _disjoint_set_pairs(sets):
+        (n1, groups1, _), (n2, groups2, _) = data[k1], data[k2]
+        block_base = n_pairs
+        n_pairs += n1 * n2
+        n_distinct += len(groups1) * len(groups2)
+        if not unhit:
+            continue
+        for pos1, sig1 in groups1:
+            for pos2, sig2 in groups2:
+                if not unhit:
+                    break
+                b = ref_slot_bits(offs, sig1, sig2) & unhit
+                while b:
+                    lab = labels[(b & -b).bit_length() - 1]
+                    t1, t2 = _twist(g, sets[k1], pos1), _twist(g, sets[k2], pos2)
+                    hits[lab] = (block_base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
+                    unhit &= ~class_masks[lab]
+                    b &= unhit
+    return hits, n_pairs, n_distinct
+
+
 class TestSearchCoreReference:
     @pytest.mark.parametrize("g,ms", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
     def test_block_basis_span_equals_per_image_span(self, g, ms):
@@ -786,47 +876,48 @@ class TestSearchCoreReference:
         assert len(images) > 1
         assert all(bits & outside == 0 for bits in images)
 
-    @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_class_masks_are_the_handle_disjoint_labelled_slots(self, g):
-        labels = _slot_labels(g)
-        disjoint = handle_disjoint_mask(g)
-        masks = _stream_class_masks(g)
-        for lab in set(labels) - {None}:
-            want = sum(
-                1 << s for s, l in enumerate(labels) if l == lab and (disjoint >> s) & 1
-            )
-            assert masks.get(lab, 0) == want
-        if g >= 3:
-            assert "IV" not in masks and "VI" not in masks
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
+    def test_stream_equals_all_blocks_oracle(self, g, ms):
+        # covers the block shapes (2, 3), (3, 3) and (., 4), which the
+        # object-level stream above reaches only at g > 4
+        span, hits, n_pairs, n_distinct = _search_shard(g, ms)
+        assert span.row_bits() == ref_block_span(g, ms).row_bits()
+        assert (hits, n_pairs, n_distinct) == ref_block_hits(g, ms)
 
-    def test_images_stop_once_every_reachable_class_is_hit(self, monkeypatch):
-        # with every labelled slot in the unhit mask, classes IV and VI are
-        # never hit and the image loop runs over the whole stream
+    @pytest.mark.parametrize("g", [4, 5, 6])
+    def test_hits_are_the_classes_of_handle_disjoint_slots(self, g):
+        _, hits, _, _ = _search_shard(g, 3)
+        assert set(hits) == set(ref_class_masks(g))
+        assert "IV" not in hits and "VI" not in hits
+
+    @pytest.mark.parametrize("g", [6, 7])
+    def test_every_stream_insert_is_independent(self, g, monkeypatch):
+        for s in (1, 2, 3):
+            wedgespan._template(s)  # template spans are built outside the count
+        real = SpanBasis.insert_bits
+        calls = []
+
+        def counting(self, bits):
+            calls.append(bits)
+            return real(self, bits)
+
+        monkeypatch.setattr(SpanBasis, "insert_bits", counting)
+        span, _, _, _ = _search_shard(g, 3)
+        assert len(calls) == span.rank
+
+    def test_covered_blocks_and_hit_scan_stay_small(self, monkeypatch):
+        # every block's products and group pairs took 135,752 calls at g = 7
         real = wedgespan._slot_bits
-        labels = _slot_labels(4)
-        every_slot = {
-            lab: sum(1 << s for s, l in enumerate(labels) if l == lab)
-            for lab in set(labels) - {None}
-        }
+        calls = []
 
-        def run_counting():
-            calls = []
+        def counting(offs, left, right):
+            calls.append(1)
+            return real(offs, left, right)
 
-            def counting(offs, left, right):
-                calls.append(1)
-                return real(offs, left, right)
-
-            monkeypatch.setattr(wedgespan, "_slot_bits", counting)
-            _, hits, _, _ = _search_shard(4, 3)
-            monkeypatch.setattr(wedgespan, "_slot_bits", real)
-            return len(calls), hits
-
-        restricted, hits = run_counting()
-        monkeypatch.setattr(wedgespan, "_stream_class_masks", lambda genus: every_slot)
-        unrestricted, hits_unrestricted = run_counting()
-        assert hits == hits_unrestricted
-        assert set(hits) == set(_stream_class_masks(4)) == set(every_slot) - {"IV", "VI"}
-        assert restricted < unrestricted
+        monkeypatch.setattr(wedgespan, "_slot_bits", counting)
+        _search_shard(7, 3)
+        assert len(calls) < 30_000
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_delta_saturation_equals_full_image_saturation(self, g):
