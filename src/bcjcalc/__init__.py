@@ -6,6 +6,18 @@ __version__ = "0.1.0"
 
 from .boolring import BoolMonomial, BoolPoly, SelfLinkingForm, b2_basis, bar, evaluate
 from .bcjmap import BPMap, SeparatingTwist, is_index_matched, sigma_bp, sigma_separating
+# wedgespan before cassonmorita, which imports it: compiled here rather than
+# nested in cassonmorita's import, it leaves short commands a lower peak RSS.
+from .wedgespan import (
+    AbelianCycle,
+    WedgeElem,
+    asserted_families,
+    cycle_image,
+    dims,
+    image_rank_report,
+    orbit_classes,
+    wedge,
+)
 from .cassonmorita import (
     CMPoly,
     LinkingMatrix,
@@ -26,16 +38,6 @@ from .surface import (
     is_symplectic_basis,
     random_symplectic_rebase,
     support,
-)
-from .wedgespan import (
-    AbelianCycle,
-    WedgeElem,
-    asserted_families,
-    cycle_image,
-    dims,
-    image_rank_report,
-    orbit_classes,
-    wedge,
 )
 
 __all__ = [

@@ -137,22 +137,23 @@ def is_index_matched(m1: BoolMonomial, m2: BoolMonomial) -> bool:
 def basis_independence_failures(
     genus: int, trials: int, seed: int, max_h: int = 3
 ) -> list[str]:
-    """Random symplectic rebases must not change sigma; returns witnesses."""
+    """Random symplectic rebases must not change sigma; returns witnesses.
+
+    Exactly `trials` rebases are compared, taken in turn from the starts:
+    for each h = 1..min(max_h, genus) the standard basis on h handles and a
+    non-standard one."""
     rng = random.Random(seed)
-    failures = []
+    starts = []
     for h in range(1, min(max_h, genus) + 1):
         base = SubsurfaceBasis.standard(genus, range(1, h + 1))
-        # also exercise a non-standard starting basis
-        starts = [base, random_symplectic_rebase(base, seed ^ 0x5EED ^ h)]
-        per_start = max(1, trials // len(starts))
-        for start in starts:
-            reference = sigma_separating(start)
-            for t in range(per_start):
-                rebased = random_symplectic_rebase(start, rng.randrange(1 << 30))
-                if sigma_separating(rebased) != reference:
-                    failures.append(
-                        f"h={h} rebase changed sigma: {rebased.pairs}"
-                    )
+        starts += [base, random_symplectic_rebase(base, seed ^ 0x5EED ^ h)]
+    references = [sigma_separating(start) for start in starts]
+    failures = []
+    for t in range(trials):
+        k = t % len(starts)
+        rebased = random_symplectic_rebase(starts[k], rng.randrange(1 << 30))
+        if sigma_separating(rebased) != references[k]:
+            failures.append(f"h={starts[k].h} rebase changed sigma: {rebased.pairs}")
     return failures
 
 

@@ -39,11 +39,7 @@ from .errors import (
     MatrixError,
 )
 from .gf2core import F2Matrix
-from .surface import HClass, check_genus, is_symplectic
-
-
-def var_name(genus: int, v: int) -> str:
-    return f"a{v + 1}" if v < genus else f"b{v - genus + 1}"
+from .surface import HClass, check_genus, coordinate_name, is_symplectic
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +73,7 @@ class BoolMonomial:
     def __str__(self) -> str:
         if self.mask == 0:
             return "1"
-        return "*".join(var_name(self.genus, v) for v in self.variables())
+        return "*".join(coordinate_name(self.genus, v) for v in self.variables())
 
 
 class BoolPoly:

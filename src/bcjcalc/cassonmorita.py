@@ -59,35 +59,15 @@ from .surface import (
     ZSubsurfaceBasis,
     check_genus,
     check_int,
+    coordinate_name,
     random_z_symplectic_basis,
 )
-
-
-def coordinate_name(genus: int, p: int) -> str:
-    return f"a{p + 1}" if p < genus else f"b{p - genus + 1}"
+from .wedgespan import wedge
 
 
 def n_symbols(genus: int) -> int:
     """Distinct ordered symbols: all pairs p <= q over 2g coordinates."""
     return 2 * genus * genus + genus
-
-
-@dataclass(frozen=True, slots=True)
-class CMSymbol:
-    """Ordered generator symbol l(e_p, e_q), p <= q."""
-
-    genus: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        check_genus(self.genus)
-        if not 0 <= self.p <= self.q < 2 * self.genus:
-            raise ValueError(f"bad symbol indices ({self.p},{self.q})")
-
-    def __str__(self) -> str:
-        g = self.genus
-        return f"l({coordinate_name(g, self.p)},{coordinate_name(g, self.q)})"
 
 
 Monomial = tuple[tuple[int, int], ...]  # sorted tuple of (p, q) index pairs
@@ -202,6 +182,7 @@ class CMPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        g = self.genus
         chunks = []
         for mon in sorted(self.terms, key=lambda m: (len(m), m)):
             coeff = self.terms[mon]
@@ -211,7 +192,8 @@ class CMPoly:
                 run = 1
                 while k + run < len(mon) and mon[k + run] == mon[k]:
                     run += 1
-                name = str(CMSymbol(self.genus, *mon[k]))
+                p, q = mon[k]
+                name = f"l({coordinate_name(g, p)},{coordinate_name(g, q)})"
                 factors.append(name if run == 1 else f"{name}^{run}")
                 k += run
             body = "*".join(factors) if factors else ""
@@ -523,8 +505,6 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
 
     Failures are report content, not exceptions.
     """
-    from .wedgespan import wedge
-
     g = check_genus(genus)
     rng = random.Random(seed)
     report: dict = {"genus": g, "trials": num_trials, "seed": seed, "checks": {}}

@@ -43,7 +43,7 @@ from .cassonmorita import (
     verify_diagrams,
 )
 from .errors import CatalogError, ConsistencyError, read_json
-from .wedgespan import dims, image_rank_report, orbit_classes
+from .wedgespan import ROMAN, dims, image_rank_report, orbit_classes
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -107,74 +107,63 @@ def _emit_json(data: dict, out_path: str | None) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=True), out_path)
 
 
+def _md_table(columns, rows) -> list[str]:
+    lines = ["| " + " | ".join(map(str, row)) + " |" for row in (columns, *rows)]
+    lines.insert(1, "|" + "---|" * len(columns))
+    return lines
+
+
+def _emit_format(args, payload: dict, columns, rows, md_lines: list[str]) -> None:
+    """Write a table command's output in `args.format`: the JSON payload,
+    the CSV of `columns` and `rows`, or the markdown lines."""
+    if args.format == "json":
+        _emit_json(payload, args.out)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows(rows)
+        _emit(buf.getvalue(), args.out)
+    else:
+        _emit("\n".join(md_lines), args.out)
+
+
 # -- dims ---------------------------------------------------------------------
 
 DIMS_COLUMNS = ("g", "d", "dim_wedge", "dim_w", "dim_im", "cubic_residual")
 
 
 def cmd_dims(args) -> int:
-    rows = [dims(g) for g in args.g]
-    if args.format == "json":
-        _emit_json({"manifest": _manifest({"g": args.g}), "rows": rows}, args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(DIMS_COLUMNS)
-        for r in rows:
-            writer.writerow([r[c] for c in DIMS_COLUMNS])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = ["| " + " | ".join(DIMS_COLUMNS) + " |"]
-        lines.append("|" + "---|" * len(DIMS_COLUMNS))
-        for r in rows:
-            lines.append("| " + " | ".join(str(r[c]) for c in DIMS_COLUMNS) + " |")
-        _emit("\n".join(lines), args.out)
+    table = [dims(g) for g in args.g]
+    rows = [[r[c] for c in DIMS_COLUMNS] for r in table]
+    payload = {"manifest": _manifest({"g": args.g}), "rows": table}
+    _emit_format(args, payload, DIMS_COLUMNS, rows, _md_table(DIMS_COLUMNS, rows))
     return EXIT_OK
 
 
 # -- orbits -------------------------------------------------------------------
 
 
-def cmd_orbits(args) -> int:
-    from .wedgespan import ROMAN
+ORBIT_COLUMNS = ("class", "size", "representative")
 
+
+def cmd_orbits(args) -> int:
     report = orbit_classes(args.g[0])
-    order = [lab for lab in ROMAN if lab in report.classes]
+    rows = [
+        (lab, len(report.classes[lab]), report.representatives[lab])
+        for lab in ROMAN
+        if lab in report.classes
+    ]
     payload = {
         "manifest": _manifest({"g": report.genus}),
         "genus": report.genus,
         "n_classes": report.n_classes,
-        "classes": {
-            lab: {
-                "size": len(report.classes[lab]),
-                "representative": report.representatives[lab],
-            }
-            for lab in order
-        },
+        "classes": {lab: {"size": n, "representative": rep} for lab, n, rep in rows},
         "errors": report.errors,
     }
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("class", "size", "representative"))
-        for lab in order:
-            writer.writerow(
-                (lab, len(report.classes[lab]), report.representatives[lab])
-            )
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [f"# Orbit classes at genus {report.genus}", ""]
-        lines.append("| class | size | representative |")
-        lines.append("|---|---|---|")
-        for lab in order:
-            lines.append(
-                f"| {lab} | {len(report.classes[lab])} | {report.representatives[lab]} |"
-            )
-        for err in report.errors:
-            lines.append(f"classification error: {err}")
-        _emit("\n".join(lines), args.out)
+    md = [f"# Orbit classes at genus {report.genus}", ""] + _md_table(ORBIT_COLUMNS, rows)
+    md += [f"classification error: {err}" for err in report.errors]
+    _emit_format(args, payload, ORBIT_COLUMNS, rows, md)
     return EXIT_CHECK_FAILED if report.errors else EXIT_OK
 
 
@@ -282,30 +271,20 @@ def cmd_eval(args) -> int:
             result["epsilon_standard"] = epsilon(LinkingMatrix.standard_model(g), rho)
         results.append(result)
 
-    if args.format == "json":
-        payload = {
-            "manifest": _manifest(
-                {"catalog": args.catalog, "sha256": hashlib.sha256(raw).hexdigest()}
-            ),
-            "genus": g,
-            "results": results,
-        }
-        _emit_json(payload, args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(EVAL_CSV_COLUMNS)
-        for r in results:
-            writer.writerow([r.get(c, "") for c in EVAL_CSV_COLUMNS])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = []
-        for r in results:
-            lines.append(f"{r['label']}: sigma = {r['sigma']}")
-            if "rho" in r:
-                lines.append(f"{r['label']}: rho = {r['rho']}")
-                lines.append(f"{r['label']}: mu(rho) = {r['mu_rho']}")
-        _emit("\n".join(lines) if lines else "", args.out)
+    payload = {
+        "manifest": _manifest(
+            {"catalog": args.catalog, "sha256": hashlib.sha256(raw).hexdigest()}
+        ),
+        "genus": g,
+        "results": results,
+    }
+    rows = [[r.get(c, "") for c in EVAL_CSV_COLUMNS] for r in results]
+    md = []
+    for r in results:
+        md.append(f"{r['label']}: sigma = {r['sigma']}")
+        if "rho" in r:
+            md += [f"{r['label']}: rho = {r['rho']}", f"{r['label']}: mu(rho) = {r['mu_rho']}"]
+    _emit_format(args, payload, EVAL_CSV_COLUMNS, rows, md)
     return EXIT_OK
 
 

@@ -76,11 +76,6 @@ class BitVec:
     def __bool__(self) -> bool:
         return self.bits != 0
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise DimensionError(f"bit index {i} out of range [0,{self.length})")
-        return (self.bits >> i) & 1
-
     def support(self) -> tuple[int, ...]:
         """Indices of set bits, ascending."""
         out = []

@@ -39,6 +39,17 @@ def check_int(x, what: str = "coordinate") -> int:
     return x
 
 
+def coordinate_name(genus: int, p: int) -> str:
+    """Name of coordinate position p: a1..ag, then b1..bg."""
+    return f"a{p + 1}" if p < genus else f"b{p - genus + 1}"
+
+
+def pairing(genus: int, x: int, y: int) -> int:
+    """Mod-2 intersection x.y of two packed classes: the parity of the
+    handles i with x_{a_i} y_{b_i} = 1, plus those with x_{b_i} y_{a_i} = 1."""
+    return ((x & (y >> genus)) ^ (y & (x >> genus))).bit_count() & 1
+
+
 def _check_same_genus(u, v) -> None:
     if u.genus != v.genus:
         raise GenusMismatchError(f"genus mismatch: {u.genus} vs {v.genus}")
@@ -78,8 +89,7 @@ class HClass:
 
     def __str__(self) -> str:
         g = self.genus
-        names = [f"a{i + 1}" for i in range(g)] + [f"b{i + 1}" for i in range(g)]
-        terms = [names[i] for i in range(2 * g) if (self.bits >> i) & 1]
+        terms = [coordinate_name(g, i) for i in range(2 * g) if (self.bits >> i) & 1]
         return "+".join(terms) if terms else "0"
 
 
@@ -94,10 +104,6 @@ class ZHClass:
         check_genus(self.genus)
         if len(self.coords) != 2 * self.genus:
             raise DimensionError(f"expected {2 * self.genus} coordinates")
-
-    @classmethod
-    def zero(cls, genus: int) -> "ZHClass":
-        return cls(genus, (0,) * (2 * genus))
 
     @classmethod
     def from_coords(cls, genus: int, coords: Sequence[int]) -> "ZHClass":
@@ -156,11 +162,7 @@ def intersect(u: Union[HClass, ZHClass], v: Union[HClass, ZHClass]) -> int:
     """
     if isinstance(u, HClass) and isinstance(v, HClass):
         _check_same_genus(u, v)
-        g = u.genus
-        mask = (1 << g) - 1
-        ua, ub = u.bits & mask, u.bits >> g
-        va, vb = v.bits & mask, v.bits >> g
-        return ((ua & vb).bit_count() + (ub & va).bit_count()) & 1
+        return pairing(u.genus, u.bits, v.bits)
     if isinstance(u, ZHClass) and isinstance(v, ZHClass):
         _check_same_genus(u, v)
         g = u.genus
@@ -309,34 +311,26 @@ def random_symplectic_rebase(basis: SubsurfaceBasis, seed: int) -> SubsurfaceBas
 # -- the symplectic group mod 2 --------------------------------------------
 
 
-def j_matrix(genus: int) -> F2Matrix:
-    """Gram matrix of the mod-2 intersection form in the fixed basis."""
-    g = check_genus(genus)
-    cols = [0] * (2 * g)
-    for i in range(g):
-        cols[g + i] |= 1 << i      # e_{a_i} . e_{b_i} = 1
-        cols[i] |= 1 << (g + i)    # symmetric mod 2
-    return F2Matrix(2 * g, tuple(cols))
-
-
 def is_symplectic(M: F2Matrix, genus: int) -> bool:
-    """Check M^T J M = J over GF(2)."""
-    if M.n != 2 * genus:
+    """M^T J M = J over GF(2): M keeps the pairing of every two basis
+    vectors.  (Mod 2 the pairing is symmetric and x.x = 0, so the pairs
+    i < j suffice.)"""
+    n = 2 * genus
+    if M.n != n:
         return False
-    J = j_matrix(genus)
-    return M.transpose() @ J @ M == J
+    c = M.cols
+    return all(
+        pairing(genus, c[i], c[j]) == pairing(genus, 1 << i, 1 << j)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
 
 
 def transvection(v: HClass) -> F2Matrix:
     """The symplectic transvection x -> x + (x.v) v."""
     g = v.genus
-    n = 2 * g
-    cols = []
-    for k in range(n):
-        e = HClass(g, 1 << k)
-        img = e.bits ^ (v.bits if intersect(e, v) else 0)
-        cols.append(img)
-    return F2Matrix(n, tuple(cols))
+    cols = [(1 << k) ^ (v.bits if pairing(g, 1 << k, v.bits) else 0) for k in range(2 * g)]
+    return F2Matrix(2 * g, tuple(cols))
 
 
 def random_sp_word(genus: int, rng: random.Random, length: int = 8) -> F2Matrix:

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from time import perf_counter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -81,7 +81,7 @@ from .boolring import (
 )
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
 from .gf2core import BitVec, SpanBasis
-from .surface import HClass, SubsurfaceBasis, check_genus
+from .surface import HClass, SubsurfaceBasis, check_genus, pairing, transvection
 
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI")
@@ -91,25 +91,23 @@ def wedge_dim(d: int) -> int:
     return d * (d - 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _row_offsets(d: int) -> tuple[int, ...]:
+    """Slot of the pair (i, i + 1), per i: the frozen flattening's offsets."""
+    return tuple(i * (2 * d - i - 1) // 2 for i in range(d))
+
+
 def pair_index(d: int, i: int, j: int) -> int:
     """Slot of the unordered pair (i < j) in the triangular flattening."""
     if not 0 <= i < j < d:
         raise ValueError(f"bad pair ({i},{j}) for basis size {d}")
-    return i * (2 * d - i - 1) // 2 + (j - i - 1)
-
-
-@lru_cache(maxsize=None)
-def _row_offsets(d: int) -> tuple[int, ...]:
-    return tuple(i * (2 * d - i - 1) // 2 for i in range(d))
+    return _row_offsets(d)[i] + j - i - 1
 
 
 @lru_cache(maxsize=None)
 def _slot_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            out.append((i, j))
-    return tuple(out)
+    """The pair (i < j) of each slot, in slot order."""
+    return tuple(combinations(range(d), 2))
 
 
 def slot_pair(d: int, slot: int) -> tuple[int, int]:
@@ -255,17 +253,12 @@ def _local_spines(s: int) -> tuple[tuple[int, int], ...]:
     b-coordinates.
     """
     full = (1 << s) - 1
-    out = []
-    for x in range(1 << (2 * s)):
-        xa, xb = x & full, x >> s
-        for y in range(1 << (2 * s)):
-            ya, yb = y & full, y >> s
-            if ((xa & yb).bit_count() + (xb & ya).bit_count()) & 1 == 0:
-                continue
-            u = x | y
-            if ((u & full) | (u >> s)) == full:
-                out.append((x, y))
-    return tuple(out)
+    return tuple(
+        (x, y)
+        for x in range(1 << (2 * s))
+        for y in range(1 << (2 * s))
+        if pairing(s, x, y) and (((x | y) & full) | ((x | y) >> s)) == full
+    )
 
 
 def _to_global(genus: int, handles: tuple[int, ...], local: int) -> int:
@@ -372,12 +365,8 @@ def dims(genus: int) -> dict:
     basis = b2_basis(g)
     d = basis.size
     total = wedge_dim(d)
-    matched = 0
     mons = basis.monomials
-    for i in range(d):
-        for j in range(i + 1, d):
-            if is_index_matched(mons[i], mons[j]):
-                matched += 1
+    matched = sum(is_index_matched(mons[i], mons[j]) for i, j in _slot_pairs(d))
     return {
         "g": g,
         "d": d,
@@ -436,13 +425,8 @@ def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> Optional[str]:
 @lru_cache(maxsize=None)
 def _slot_labels(genus: int) -> tuple[Optional[str], ...]:
     """Class label per wedge slot; None marks index-matched slots."""
-    basis = b2_basis(genus)
-    d = basis.size
-    labels: list[Optional[str]] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            labels.append(classify_pair(basis.monomial(i), basis.monomial(j)))
-    return tuple(labels)
+    mons = b2_basis(genus).monomials
+    return tuple(classify_pair(mons[i], mons[j]) for i, j in _slot_pairs(len(mons)))
 
 
 def _variable_permutations(genus: int) -> list[list[int]]:
@@ -510,18 +494,12 @@ def orbit_classes(genus: int) -> OrbitReport:
         if rx != ry:
             parent[rx] = ry
 
-    offs = _row_offsets(d)
     index = basis.index_of_mask
     for perm in _variable_permutations(g):
         mon_image = [index[_permute_mask(basis.monomial(k).mask, perm)] for k in range(d)]
-        for slot in range(nslots):
-            if labels[slot] is None:
-                continue
-            i, j = slot_pair(d, slot)
-            pi, pj = mon_image[i], mon_image[j]
-            if pi > pj:
-                pi, pj = pj, pi
-            union(slot, offs[pi] + pj - pi - 1)
+        for slot, (i, j) in enumerate(_slot_pairs(d)):
+            if labels[slot] is not None:
+                union(slot, pair_index(d, *sorted((mon_image[i], mon_image[j]))))
 
     components: dict[int, list[int]] = {}
     for slot in range(nslots):
@@ -586,53 +564,32 @@ def asserted_families(genus: int) -> FamilyCatalog:
     basis = b2_basis(g)
     d = basis.size
     index = basis.index_of_mask
-    offs = _row_offsets(d)
 
-    def slot_of(maskA: int, maskB: int) -> int:
-        i, j = index[maskA], index[maskB]
-        if i > j:
-            i, j = j, i
-        return offs[i] + j - i - 1
+    def slot_of(i: int, j: int, k: int, l: int) -> int:
+        """Slot of a_i*b_j ^ a_k*b_l."""
+        masks = (1 << (i - 1) | 1 << (g + j - 1), 1 << (k - 1) | 1 << (g + l - 1))
+        return pair_index(d, *sorted(index[m] for m in masks))
 
-    def av(i: int) -> int:
-        return 1 << (i - 1)
-
-    def bv(i: int) -> int:
-        return 1 << (g + i - 1)
-
-    elements: list[FamilyElem] = []
-    warnings: list[str] = []
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            if i == j:
-                continue
-            s1 = slot_of(av(i) | bv(i), av(i) | bv(j))
-            s2 = slot_of(av(j) | bv(j), av(i) | bv(j))
-            elements.append(
-                FamilyElem(
-                    WedgeElem.from_slots(g, (s1, s2)), FAMILY_TWO_INDEX, (i, j)
-                )
-            )
-    if g < 4:
-        warnings.append(
-            f"four-index family needs four distinct handles; empty at genus {g}"
+    handles = range(1, g + 1)
+    elements = [
+        FamilyElem(
+            WedgeElem.from_slots(g, (slot_of(i, i, i, j), slot_of(j, j, i, j))),
+            FAMILY_TWO_INDEX,
+            (i, j),
         )
-    else:
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                for k in range(1, g + 1):
-                    for l in range(1, g + 1):
-                        if len({i, j, k, l}) != 4:
-                            continue
-                        s1 = slot_of(av(i) | bv(j), av(k) | bv(i))
-                        s2 = slot_of(av(l) | bv(j), av(k) | bv(l))
-                        elements.append(
-                            FamilyElem(
-                                WedgeElem.from_slots(g, (s1, s2)),
-                                FAMILY_FOUR_INDEX,
-                                (i, j, k, l),
-                            )
-                        )
+        for i, j in permutations(handles, 2)
+    ]
+    elements += [
+        FamilyElem(
+            WedgeElem.from_slots(g, (slot_of(i, j, k, i), slot_of(l, j, k, l))),
+            FAMILY_FOUR_INDEX,
+            (i, j, k, l),
+        )
+        for i, j, k, l in permutations(handles, 4)
+    ]
+    warnings = []
+    if g < 4:
+        warnings.append(f"four-index family needs four distinct handles; empty at genus {g}")
     return FamilyCatalog(g, elements, warnings)
 
 
@@ -655,8 +612,6 @@ def closure_generators(genus: int) -> tuple:
     matrices gives a sound saturation (translates of images are images of
     conjugated cycles); a generating set makes it complete.
     """
-    from .surface import transvection
-
     g = check_genus(genus)
     a = [1 << i for i in range(g)]
     b = [1 << (g + i) for i in range(g)]

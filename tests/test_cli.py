@@ -1,11 +1,13 @@
 """Command-line contract: subcommands, exit codes, determinism, schemas."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from bcjcalc import bcjmap, cli
 from bcjcalc.cli import MAX_GENUS, _genus_range, main
 
 
@@ -189,6 +191,29 @@ class TestVerify:
         assert all(c["trials"] >= 1 for c in checks.values()), checks
         # no two disjoint handles exist at genus 1
         assert ("wedge_lift" in checks) == (g >= 2)
+
+    @pytest.mark.parametrize("g, trials", [(1, 60), (2, 200), (4, 500)])
+    def test_basis_independence_compares_the_recorded_trials(
+        self, capsys, tmp_path, monkeypatch, g, trials
+    ):
+        # With a sigma that equals nothing, every comparison is a failure, so
+        # the failure count is the number of rebases compared.
+        real = cli.basis_independence_failures
+
+        def every_comparison_fails(*args):
+            with monkeypatch.context() as m:
+                m.setattr(bcjmap, "sigma_separating", lambda basis: object())
+                return real(*args)
+
+        monkeypatch.setattr(cli, "basis_independence_failures", every_comparison_fails)
+        out_path = tmp_path / "verify.json"
+        code, _, _ = run(
+            capsys, "verify", "--g", str(g), "--trials", str(trials), "--seed", "4",
+            "--out", str(out_path),
+        )
+        record = json.loads(out_path.read_text())["checks"]["sigma_basis_independence"]
+        assert code == 1
+        assert record["failures"] == record["trials"] == max(10, trials // 5)
 
     def test_exhaustive_mu(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"
@@ -554,3 +579,69 @@ class TestEval:
         assert out == ""
         assert err.strip().splitlines() == [err.strip()]
         assert err.startswith("catalog error: entries must be a list")
+
+
+# A genus-3 catalog with integral entries (one on two handles, one with a
+# coefficient 2), bounding pairs and unlabelled entries.
+PIN_CATALOG = {
+    "genus": 3,
+    "entries": [
+        {"type": "separating", "basis": [[[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]],
+         "label": "t1"},
+        {"type": "separating", "integral": True, "label": "z2",
+         "basis": [[[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
+                   [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]]]},
+        {"type": "separating", "integral": True, "label": "z1",
+         "basis": [[[1, 0, 0, 0, 0, 0], [2, 0, 0, 1, 0, 0]]]},
+        {"type": "bp", "basis": [[[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]],
+         "C": [1, 0, 1, 0, 0, 0], "label": "bp1"},
+        {"type": "separating", "integral": True,
+         "basis": [[[0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 1]]]},
+        {"type": "bp", "basis": [[[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]],
+         "C": [0, 0, 1, 0, 0, 0]},
+    ],
+}
+
+
+class TestOutputBytes:
+    """sha256 of the exact stdout of the table commands in every format.
+
+    For `eval --format json` the catalog path in `manifest.config.catalog`
+    differs per run, so that one field is dropped and the rest re-serialized
+    as the command writes it (indent 2, sorted keys, one final newline)."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["dims", "--g", "1..4", "--format", "md"],
+             "3dad9381685bbee536bda4a636e54fd11771b35a59266637a2f0506c60567226"),
+            (["dims", "--g", "1..4", "--format", "csv"],
+             "737c79d5683e623f1e8a52800c40171d7954946d8ba76b00c2d34fac10671d07"),
+            (["dims", "--g", "1..4", "--format", "json"],
+             "e24df6d592ad350ab38015679b6205544a800611d4a4587cef06e6a5ceae854e"),
+            (["orbits", "--g", "3", "--format", "md"],
+             "eadbf3f518c7671b097e58b675e09902dc04073f63b08317541a36700e76cfa7"),
+            (["orbits", "--g", "3", "--format", "csv"],
+             "ae6cfc9bb7f7968599073d976270d3b63b4a9de995678116885ec8845ea07f1b"),
+            (["orbits", "--g", "3", "--format", "json"],
+             "74dd69c537185b644267ae2b8ce71fc492845ecd20d7a538f354ef3cdc0c37bc"),
+            (["eval", "CATALOG", "--format", "md"],
+             "9c8db1b9f35db5a5c3e5dcf7fe99307af8614768b82e07135fca2ba35d4d156c"),
+            (["eval", "CATALOG", "--format", "csv"],
+             "48c6ba77500d512bab628ef4d6bbf69971f63e64889151917bec5c9466dad2ad"),
+            (["eval", "CATALOG", "--format", "json"],
+             "a5b629b20de96ac73d7fce51d89882ae3dbae4ff02897641d9a97efe165e46b8"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
+    )
+    def test_output_sha256(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(PIN_CATALOG))
+        argv = [str(path) if a == "CATALOG" else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if argv[0] == "eval" and argv[-1] == "json":
+            data = json.loads(out)
+            assert data["manifest"]["config"].pop("catalog") == str(path)
+            out = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -220,7 +220,6 @@ class TestRebase:
 class TestSpMatrices:
     def test_j_matrix_symplectic_check(self):
         for g in (1, 2, 3):
-            assert sf.is_symplectic(sf.j_matrix(g).transpose(), g) or True
             # a1 <-> b1: column k is the image of basis vector k
             cols = [1 << k for k in range(2 * g)]
             cols[0], cols[g] = cols[g], cols[0]
@@ -239,6 +238,20 @@ class TestSpMatrices:
         for g in (2, 3, 4):
             for _ in range(20):
                 assert sf.is_symplectic(sf.random_sp_word(g, rng), g)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_agrees_with_definition_on_every_matrix(self, g):
+        # M^T J M = J, J the Gram matrix of the mod-2 form: e_{a_i}.e_{b_i} = 1
+        n = 2 * g
+        J = F2Matrix.from_rows([[int(abs(i - j) == g) for j in range(n)] for i in range(n)])
+        count = 0
+        for entries in range(1 << (n * n)):
+            cols = tuple((entries >> (n * j)) & ((1 << n) - 1) for j in range(n))
+            M = F2Matrix(n, cols)
+            by_definition = M.transpose() @ J @ M == J
+            assert sf.is_symplectic(M, g) == by_definition, cols
+            count += by_definition
+        assert count == {1: 6, 2: 720}[g]  # |Sp(2, 2)| and |Sp(4, 2)|
 
     def test_non_symplectic_detected(self):
         g = 1
