@@ -28,7 +28,7 @@ from .cassonmorita import (
     selflink_eval,
     verify_diagrams,
 )
-from .gf2core import BitVec, F2Matrix, SpanBasis, mat_rank
+from .gf2core import F2Matrix, SpanBasis
 from .surface import (
     HClass,
     SubsurfaceBasis,
@@ -43,7 +43,6 @@ from .surface import (
 __all__ = [
     "__version__",
     "AbelianCycle",
-    "BitVec",
     "BoolMonomial",
     "BoolPoly",
     "BPMap",
@@ -70,7 +69,6 @@ __all__ = [
     "intersect",
     "is_index_matched",
     "is_symplectic_basis",
-    "mat_rank",
     "mu",
     "orbit_classes",
     "random_symplectic_rebase",

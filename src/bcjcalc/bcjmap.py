@@ -134,17 +134,15 @@ def is_index_matched(m1: BoolMonomial, m2: BoolMonomial) -> bool:
 # -- randomized property suites (shared by tests and the verify command) ----
 
 
-def basis_independence_failures(
-    genus: int, trials: int, seed: int, max_h: int = 3
-) -> list[str]:
+def basis_independence_failures(genus: int, trials: int, seed: int) -> list[str]:
     """Random symplectic rebases must not change sigma; returns witnesses.
 
     Exactly `trials` rebases are compared, taken in turn from the starts:
-    for each h = 1..min(max_h, genus) the standard basis on h handles and a
+    for each h = 1..min(3, genus) the standard basis on h handles and a
     non-standard one."""
     rng = random.Random(seed)
     starts = []
-    for h in range(1, min(max_h, genus) + 1):
+    for h in range(1, min(3, genus) + 1):
         base = SubsurfaceBasis.standard(genus, range(1, h + 1))
         starts += [base, random_symplectic_rebase(base, seed ^ 0x5EED ^ h)]
     references = [sigma_separating(start) for start in starts]
@@ -157,16 +155,12 @@ def basis_independence_failures(
     return failures
 
 
-def equivariance_failures(
-    genus: int,
-    matrices: list[F2Matrix],
-    h: int = 2,
-    seed: int = 0,
-) -> list[str]:
-    """Check substitute_sp(M, sigma(basis)) == sigma(M . basis) per matrix."""
+def equivariance_failures(genus: int, matrices: list[F2Matrix], seed: int = 0) -> list[str]:
+    """Check substitute_sp(M, sigma(basis)) == sigma(M . basis) per matrix,
+    with the basis the standard one on min(2, genus) handles or a rebase."""
     rng = random.Random(seed)
     failures = []
-    base = SubsurfaceBasis.standard(genus, range(1, min(h, genus) + 1))
+    base = SubsurfaceBasis.standard(genus, range(1, min(2, genus) + 1))
     variants = [base, random_symplectic_rebase(base, seed ^ 0xE9)]
     for M in matrices:
         basis = variants[rng.randrange(len(variants))]
@@ -177,9 +171,10 @@ def equivariance_failures(
     return failures
 
 
-def random_sp_matrices(genus: int, count: int, seed: int, length: int = 8):
+def random_sp_matrices(genus: int, count: int, seed: int):
+    """`count` random symplectic matrices, each a word of 8 transvections."""
     rng = random.Random(seed)
-    return [random_sp_word(genus, rng, length) for _ in range(count)]
+    return [random_sp_word(genus, rng) for _ in range(count)]
 
 
 # -- curve-catalog JSON -------------------------------------------------------

@@ -38,7 +38,7 @@ from .errors import (
     GenusMismatchError,
     MatrixError,
 )
-from .gf2core import F2Matrix
+from .gf2core import F2Matrix, bit_indices
 from .surface import HClass, check_genus, coordinate_name, is_symplectic
 
 
@@ -59,13 +59,7 @@ class BoolMonomial:
         return self.mask.bit_count()
 
     def variables(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return bit_indices(self.mask)
 
     def sort_key(self) -> tuple:
         return (self.degree, self.variables())
@@ -165,12 +159,7 @@ def require_degree(p: BoolPoly, cap: int) -> BoolPoly:
 def bar(c: HClass) -> BoolPoly:
     """The class-to-function map; linear part plus the pair-count constant."""
     g = c.genus
-    masks = []
-    m = c.bits
-    while m:
-        low = m & -m
-        masks.append(low)
-        m ^= low
+    masks = [1 << v for v in bit_indices(c.bits)]
     pairs = (c.bits & (c.bits >> g) & ((1 << g) - 1)).bit_count()
     if pairs & 1:
         masks.append(0)

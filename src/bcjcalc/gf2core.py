@@ -1,15 +1,18 @@
 """Bit-packed linear algebra over GF(2).
 
-Vectors are arbitrary-precision Python integers read as little-endian bit
-strings of a declared length, so xor of two vectors is a single operation on
-the packed representation.  ``SpanBasis`` maintains an incrementally grown,
-fully reduced row basis: every row's lowest set bit is its pivot, and no row
-has a set bit at another row's pivot.  Rows are keyed by pivot, and the set
-of pivots is also kept as one packed mask.  Because xor-ing in a fully
-reduced row clears its own pivot and touches no other pivot, reducing a
-vector v means xor-ing exactly the rows at the set bits of v & mask: the
-cost follows the number of pivots v touches, not the rank.  Membership is
-one such reduction, which is what the incremental image searches need.
+A vector is a nonnegative Python integer read as a little-endian bit string:
+bit i is coordinate i, so xor of two vectors is one integer operation.  There
+is no vector type; a caller that fixes a length checks it where it makes a
+vector (``WedgeElem`` does), and ``bit_indices`` lists a vector's set bits.
+
+``SpanBasis`` maintains an incrementally grown, fully reduced row basis:
+every row's lowest set bit is its pivot, and no row has a set bit at another
+row's pivot.  Rows are keyed by pivot, and the set of pivots is also kept as
+one packed mask.  Because xor-ing in a fully reduced row clears its own
+pivot and touches no other pivot, reducing a vector v means xor-ing exactly
+the rows at the set bits of v & mask: the cost follows the number of pivots
+v touches, not the rank.  Membership is one such reduction, which is what
+the incremental image searches need.
 
 Back-substitution on insert uses a column index: for every non-pivot column
 c, one packed mask over the pivots whose row has bit c.  A new row with
@@ -24,81 +27,33 @@ the list by index while it inserts visits every pivot, the new ones too,
 and reads each pivot's row as it is at that moment: fully reduced against
 every pivot found so far.  Saturation walks it that way.
 
-Loops over set bits walk from the top bit down (``p = b.bit_length() - 1``,
-then clear bit p), which allocates no negated integer per step.  Each visited
-row or delta is xor-ed in on its own, so the visiting order cannot change a
-result.
-
-Equality of vectors is value equality on (length, bit content); the word size
-of the underlying integers is never visible through the interface.
+The loops over set bits in ``SpanBasis`` walk from the top bit down
+(``p = b.bit_length() - 1``, then clear bit p), which allocates no negated
+integer per step.  Each visited row or delta is xor-ed in on its own, so
+the visiting order cannot change a result.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError
 
 
-@dataclass(frozen=True, slots=True)
-class BitVec:
-    """Immutable GF(2) vector of fixed length."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise DimensionError("vector length must be nonnegative")
-        if self.bits < 0 or self.bits >> self.length:
-            raise DimensionError(
-                f"bit content does not fit in {self.length} bits"
-            )
-
-    @classmethod
-    def from_indices(cls, length: int, indices: Iterable[int]) -> "BitVec":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < length:
-                raise DimensionError(f"bit index {i} out of range [0,{length})")
-            bits ^= 1 << i
-        return cls(length, bits)
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.length != other.length:
-            raise DimensionError(
-                f"length mismatch: {self.length} vs {other.length}"
-            )
-        return BitVec(self.length, self.bits ^ other.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of set bits, ascending."""
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return tuple(out)
-
-    def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
-
-    def __repr__(self) -> str:
-        return f"BitVec({self.length}, 0b{self.to01()[::-1] or '0'})"
+def bit_indices(bits: int) -> tuple[int, ...]:
+    """Indices of the set bits of a nonnegative int, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
 
 class SpanBasis:
-    """Incrementally maintained, fully reduced basis of a GF(2) subspace.
-
-    Single-writer: concurrent searches should each own a private instance and
-    merge by re-inserting rows.
-    """
+    """Incrementally maintained, fully reduced basis of a GF(2) subspace of
+    the `length`-bit vectors."""
 
     __slots__ = ("length", "_rows", "_pivmask", "_cols", "_order")
 
@@ -134,9 +89,6 @@ class SpanBasis:
         """The current, fully reduced row whose pivot is p."""
         return self._rows[p]
 
-    def rows(self) -> tuple[BitVec, ...]:
-        return tuple(BitVec(self.length, r) for r in self.row_bits())
-
     def row_bits(self) -> tuple[int, ...]:
         rows = self._rows
         return tuple(rows[p] for p in sorted(rows))
@@ -148,12 +100,6 @@ class SpanBasis:
         dup._cols = self._cols.copy()
         dup._order = self._order.copy()
         return dup
-
-    def _check_length(self, v: BitVec) -> None:
-        if v.length != self.length:
-            raise DimensionError(
-                f"vector length {v.length} != ambient dimension {self.length}"
-            )
 
     def _reduce_bits(self, bits: int) -> int:
         # Each row carries its own pivot and no other, so the pivots to clear
@@ -191,30 +137,8 @@ class SpanBasis:
         self._order.append(q)
         return True
 
-    def insert(self, v: BitVec) -> bool:
-        """Grow the span by v; returns True iff v was outside the old span."""
-        self._check_length(v)
-        return self.insert_bits(v.bits)
-
     def contains_bits(self, bits: int) -> bool:
         return self._reduce_bits(bits) == 0
-
-    def contains(self, v: BitVec) -> bool:
-        """True iff v reduces to zero against the basis rows."""
-        self._check_length(v)
-        return self.contains_bits(v.bits)
-
-
-def mat_rank(rows: Sequence[BitVec]) -> int:
-    """Rank over GF(2); equal to folding span insertion in any order."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    length = rows[0].length
-    basis = SpanBasis(length)
-    for v in rows:
-        basis.insert(v)
-    return basis.rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,40 +159,14 @@ class F2Matrix:
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "F2Matrix":
-        n = len(rows)
-        cols = [0] * n
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise DimensionError("matrix is not square")
-            for j, e in enumerate(row):
-                if e & 1:
-                    cols[j] |= 1 << i
-        return cls(n, tuple(cols))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.cols[j] >> i) & 1
-
     def mul_vec(self, bits: int) -> int:
         """Matrix-vector product M.v with v a packed column vector."""
         out = 0
-        b = bits
-        while b:
-            low = b & -b
-            out ^= self.cols[low.bit_length() - 1]
-            b ^= low
+        for i in bit_indices(bits):
+            out ^= self.cols[i]
         return out
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.n != other.n:
             raise DimensionError("size mismatch in matrix product")
         return F2Matrix(self.n, tuple(self.mul_vec(c) for c in other.cols))
-
-    def transpose(self) -> "F2Matrix":
-        rows = [[self.entry(j, i) for j in range(self.n)] for i in range(self.n)]
-        return F2Matrix.from_rows(rows)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for i in range(self.n):
-            yield tuple(self.entry(i, j) for j in range(self.n))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import BasisError, DimensionError, GenusMismatchError
-from .gf2core import F2Matrix
+from .gf2core import F2Matrix, bit_indices
 
 
 def check_genus(g: int) -> int:
@@ -89,7 +89,7 @@ class HClass:
 
     def __str__(self) -> str:
         g = self.genus
-        terms = [coordinate_name(g, i) for i in range(2 * g) if (self.bits >> i) & 1]
+        terms = [coordinate_name(g, i) for i in bit_indices(self.bits)]
         return "+".join(terms) if terms else "0"
 
 
@@ -179,7 +179,7 @@ def support(u: Union[HClass, ZHClass]) -> frozenset[int]:
     if isinstance(u, HClass):
         mask = (1 << g) - 1
         used = (u.bits & mask) | (u.bits >> g)
-        return frozenset(i + 1 for i in range(g) if (used >> i) & 1)
+        return frozenset(i + 1 for i in bit_indices(used))
     return frozenset(
         i + 1 for i in range(g) if u.coords[i] != 0 or u.coords[g + i] != 0
     )

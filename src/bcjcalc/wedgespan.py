@@ -80,7 +80,7 @@ from .boolring import (
     sp_variable_images,
 )
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
-from .gf2core import BitVec, SpanBasis
+from .gf2core import SpanBasis, bit_indices
 from .surface import HClass, SubsurfaceBasis, check_genus, pairing, transvection
 
 
@@ -116,42 +116,39 @@ def slot_pair(d: int, slot: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class WedgeElem:
-    """Element of the wedge square, indexed by unordered basis pairs."""
+    """Element of the wedge square: bit s of `bits` is the coefficient of
+    wedge slot s (see `slot_pair`)."""
 
     genus: int
-    coords: BitVec
+    bits: int
 
     def __post_init__(self):
-        d = b2_basis(self.genus).size
-        if self.coords.length != wedge_dim(d):
+        n = wedge_dim(b2_basis(self.genus).size)
+        if not 0 <= self.bits < 1 << n:
             raise GenusMismatchError(
-                f"wedge vector has length {self.coords.length}, "
-                f"expected {wedge_dim(d)} for genus {self.genus}"
+                f"wedge vector does not fit the {n} slots of genus {self.genus}"
             )
 
     @classmethod
-    def zero(cls, genus: int) -> "WedgeElem":
-        d = b2_basis(genus).size
-        return cls(genus, BitVec(wedge_dim(d)))
-
-    @classmethod
     def from_slots(cls, genus: int, slots: Sequence[int]) -> "WedgeElem":
-        d = b2_basis(genus).size
-        return cls(genus, BitVec.from_indices(wedge_dim(d), slots))
+        bits = 0
+        for s in slots:
+            bits ^= 1 << s
+        return cls(genus, bits)
 
     def __add__(self, other: "WedgeElem") -> "WedgeElem":
         if self.genus != other.genus:
             raise GenusMismatchError("cannot add wedge elements across genera")
-        return WedgeElem(self.genus, self.coords ^ other.coords)
+        return WedgeElem(self.genus, self.bits ^ other.bits)
 
     def __bool__(self) -> bool:
-        return bool(self.coords)
+        return self.bits != 0
 
     def slots(self) -> tuple[int, ...]:
-        return self.coords.support()
+        return bit_indices(self.bits)
 
     def __str__(self) -> str:
-        if not self.coords:
+        if not self.bits:
             return "0"
         return " + ".join(
             render_slot(self.genus, s) for s in self.slots()
@@ -176,7 +173,7 @@ def wedge(p: BoolPoly, q: BoolPoly) -> WedgeElem:
     bits = _slot_bits(
         _row_offsets(d), [index[m] for m in p.masks], [index[m] for m in q.masks]
     )
-    return WedgeElem(p.genus, BitVec(wedge_dim(d), bits))
+    return WedgeElem(p.genus, bits)
 
 
 def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -> int:
@@ -306,8 +303,19 @@ def _template(s: int) -> tuple[int, tuple, tuple]:
     span = SpanBasis(1 << (2 * s))  # bit m stands for the monomial of mask m
     for _, masks in groups:
         span.insert_bits(sum(1 << m for m in masks))
-    basis = tuple(BitVec(span.length, row).support() for row in span.row_bits())
+    basis = tuple(bit_indices(row) for row in span.row_bits())
     return len(spines), groups, basis
+
+
+def _relabel(genus: int, handles: tuple[int, ...], rows: Sequence) -> list[list[int]]:
+    """Rows of monomial masks on len(handles) handles, each monomial
+    relabelled onto `handles` and given by its basis index at `genus`."""
+    index = b2_basis(genus).index_of_mask
+    to = {
+        m.mask: index[_to_global(genus, handles, m.mask)]
+        for m in b2_basis(len(handles)).monomials
+    }
+    return [[to[m] for m in row] for row in rows]
 
 
 def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, list, list]:
@@ -320,16 +328,8 @@ def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, lis
     stays a basis.
     """
     n, groups, basis = _template(len(handles))
-    index = b2_basis(genus).index_of_mask
-    to = {
-        m.mask: index[_to_global(genus, handles, m.mask)]
-        for m in b2_basis(len(handles)).monomials
-    }
-    return (
-        n,
-        [(pos, [to[m] for m in masks]) for pos, masks in groups],
-        [[to[m] for m in row] for row in basis],
-    )
+    sigmas = _relabel(genus, handles, [masks for _, masks in groups])
+    return n, list(zip([pos for pos, _ in groups], sigmas)), _relabel(genus, handles, basis)
 
 
 def _support_sets(genus: int, max_support: int) -> list[tuple[int, ...]]:
@@ -448,13 +448,7 @@ def _variable_permutations(genus: int) -> list[list[int]]:
 
 
 def _permute_mask(mask: int, perm: list[int]) -> int:
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= 1 << perm[low.bit_length() - 1]
-        m ^= low
-    return out
+    return sum(1 << perm[v] for v in bit_indices(mask))
 
 
 @dataclass
@@ -680,9 +674,8 @@ def _action_deltas(actions: Sequence[tuple[tuple, int]]) -> Callable[[int], list
 
 def wedge_translate(M, w: WedgeElem) -> WedgeElem:
     """Image of a wedge vector under the symplectic substitution action."""
-    v = w.coords.bits
-    (delta,) = _action_deltas([_wedge_action_table(w.genus, M)])(v)
-    return WedgeElem(w.genus, BitVec(w.coords.length, v ^ delta))
+    (delta,) = _action_deltas([_wedge_action_table(w.genus, M)])(w.bits)
+    return WedgeElem(w.genus, w.bits ^ delta)
 
 
 def saturate_span(genus: int, span: SpanBasis) -> int:
@@ -751,7 +744,9 @@ def _search_shard(
     The hit loop walks the blocks in stream order.  Class labels do not
     change when handles are relabelled, and two blocks of one shape
     (|S1|, |S2|) are relabellings of each other with the same group
-    positions, so only the first block of each shape is scanned for hits.
+    positions, so only the first block of each shape is scanned for hits,
+    and only its two sets have their sigma groups relabelled.  Every block
+    reads its spine and group counts from the templates.
     The classes to wait for are the labels on the raw span's support, which
     is the union of the supports of the stream images; the scan stops once
     all of them are hit.
@@ -761,10 +756,10 @@ def _search_shard(
     offs = _row_offsets(d)
     labels = _slot_labels(genus)
     sets = _support_sets(genus, max_support)
-    data = [_descriptors_for_set(genus, S) for S in sets]
+    bases = [_relabel(genus, S, _template(len(S))[2]) for S in sets]
     span = SpanBasis(wedge_dim(d))
 
-    used = [sorted({i for row in rows for i in row}) for _, _, rows in data]
+    used = [sorted({i for row in rows for i in row}) for rows in bases]
     last = len(sets) - 1
     covered = 0
     for r1, r2 in _disjoint_set_pairs(sets[::-1]):
@@ -772,8 +767,8 @@ def _search_shard(
         block = _slot_bits(offs, used[k1], used[k2])
         if block & covered == block:
             continue
-        for row1 in data[k1][2]:
-            for row2 in data[k2][2]:
+        for row1 in bases[k1]:
+            for row2 in bases[k2]:
                 bits = _slot_bits(offs, row1, row2)
                 if bits & covered != bits:
                     span.insert_bits(bits)
@@ -783,20 +778,21 @@ def _search_shard(
     live = 0  # slots still worth testing: the raw span's support, less seen ones
     for row in span.row_bits():
         live |= row
-    unhit = {labels[s] for s in BitVec(span.length, live).support()} - {None}
+    unhit = {labels[s] for s in bit_indices(live)} - {None}
     hits: dict[str, tuple[int, str]] = {}
     shapes = set()
     n_pairs = 0
     n_distinct = 0
     for k1, k2 in _disjoint_set_pairs(sets):
-        (n1, groups1, _), (n2, groups2, _) = data[k1], data[k2]
+        shape = (len(sets[k1]), len(sets[k2]))
+        (n1, groups1, _), (n2, groups2, _) = map(_template, shape)
         block_base = n_pairs
         n_pairs += n1 * n2
         n_distinct += len(groups1) * len(groups2)
-        shape = (len(sets[k1]), len(sets[k2]))
         if not unhit or shape in shapes:
             continue
         shapes.add(shape)
+        groups1, groups2 = (_descriptors_for_set(genus, sets[k])[1] for k in (k1, k2))
         # Group pairs are visited in increasing stream index, so the first
         # hit of a class is final.
         for pos1, sig1 in groups1:
@@ -857,7 +853,7 @@ def image_rank_report(
         family_warnings = catalog.warnings
         for fam in catalog:
             n_family += 1
-            if span.insert_bits(fam.elem.coords.bits):
+            if span.insert_bits(fam.elem.bits):
                 family_added += 1
         if sp_closure:
             closure_added += saturate_span(g, span)

@@ -21,7 +21,7 @@ from bcjcalc.boolring import (
     substitute_sp,
 )
 from bcjcalc.errors import FiltrationError, GenusMismatchError, MatrixError
-from bcjcalc.gf2core import F2Matrix, mat_rank, BitVec
+from bcjcalc.gf2core import F2Matrix, SpanBasis
 from bcjcalc.surface import HClass
 
 
@@ -210,7 +210,7 @@ class TestSubstitution:
         assert substitute_sp(M, p) == BoolPoly.variable(g, 1)
 
     def test_rejects_non_symplectic(self):
-        M = F2Matrix.from_rows([[1, 1], [0, 0]])
+        M = F2Matrix(2, (0b01, 0b01))  # rows [[1, 1], [0, 0]]
         with pytest.raises(MatrixError):
             substitute_sp(M, BoolPoly.one(1))
 
@@ -285,15 +285,15 @@ class TestSeparation:
         exactly full rank of the basis value-vector matrix."""
         basis = b2_basis(g)
         n_forms = 1 << (2 * g)
-        rows = []
+        span = SpanBasis(n_forms)
         for k in range(basis.size):
             p = BoolPoly(g, {basis.monomial(k).mask})
             bits = 0
             for idx, form in enumerate(all_forms(g)):
                 if evaluate(p, form):
                     bits |= 1 << idx
-            rows.append(BitVec(n_forms, bits))
-        assert mat_rank(rows) == basis.size
+            span.insert_bits(bits)
+        assert span.rank == basis.size
 
     def test_random_pair_spot_check(self):
         rng = random.Random(8)

@@ -1,6 +1,7 @@
 """Wedge square, cycle images, orbit classes, dimension tables, search."""
 
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
@@ -12,8 +13,8 @@ from bcjcalc import surface as sf
 from bcjcalc import wedgespan
 from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
-from bcjcalc.errors import DisjointnessError, FiltrationError, MatrixError
-from bcjcalc.gf2core import BitVec, F2Matrix, SpanBasis
+from bcjcalc.errors import DisjointnessError, FiltrationError, GenusMismatchError, MatrixError
+from bcjcalc.gf2core import F2Matrix, SpanBasis
 from bcjcalc.surface import SubsurfaceBasis, check_genus
 from bcjcalc.wedgespan import (
     SUPPORT_DISJOINT,
@@ -189,6 +190,17 @@ class TestWedge:
         q = BoolPoly(g, {0b010010, 0b000110})  # a2*b2 + a2*a3
         w = wedge(p, q)
         assert len(w.slots()) == 2
+
+    def test_bits_must_fit_the_genus(self):
+        n = wedge_dim(b2_basis(2).size)
+        assert WedgeElem(2, (1 << n) - 1).slots() == tuple(range(n))
+        for bits in (-1, 1 << n):
+            with pytest.raises(GenusMismatchError):
+                WedgeElem(2, bits)
+
+    def test_sum_across_genera_rejected(self):
+        with pytest.raises(GenusMismatchError):
+            WedgeElem.from_slots(1, (0,)) + WedgeElem.from_slots(2, (0,))
 
 
 class TestCycleImage:
@@ -919,6 +931,18 @@ class TestSearchCoreReference:
         _search_shard(7, 3)
         assert len(calls) < 30_000
 
+    def test_only_first_blocks_relabel_sigma_groups(self):
+        # relabelling the groups of all 98 support sets held 42 MB here
+        for s in (1, 2, 3, 4):
+            wedgespan._template(s)
+        tracemalloc.start()
+        try:
+            _search_shard(7, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_delta_saturation_equals_full_image_saturation(self, g):
         start, _, _, _ = _search_shard(g, 3)
@@ -948,7 +972,7 @@ class TestSearchCoreReference:
             full = ref_full_table(g, M)
             for slot, image in enumerate(full):
                 unit = WedgeElem.from_slots(g, (slot,))
-                assert wedge_translate(M, unit).coords.bits == image
+                assert wedge_translate(M, unit).bits == image
                 i, j = slot_pair(len(images), slot)
                 if not (moved >> i) & 1 and not (moved >> j) & 1:
                     assert image == 1 << slot
@@ -963,8 +987,8 @@ class TestSearchCoreReference:
         rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
         M = sf.random_sp_word(g, rng)
         v = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-        w = WedgeElem(g, BitVec(n, v))
-        assert wedge_translate(M, w).coords.bits == ref_apply(ref_full_table(g, M), v)
+        w = WedgeElem(g, v)
+        assert wedge_translate(M, w).bits == ref_apply(ref_full_table(g, M), v)
 
     def test_action_table_rejects_non_symplectic_matrix(self):
         g = 2
