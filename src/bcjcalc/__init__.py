@@ -11,7 +11,6 @@ from .bcjmap import BPMap, SeparatingTwist, is_index_matched, sigma_bp, sigma_se
 from .wedgespan import (
     AbelianCycle,
     WedgeElem,
-    asserted_families,
     cycle_image,
     dims,
     image_rank_report,
@@ -57,7 +56,6 @@ __all__ = [
     "WedgeElem",
     "ZHClass",
     "ZSubsurfaceBasis",
-    "asserted_families",
     "b2_basis",
     "bar",
     "cm_generator",

@@ -174,15 +174,10 @@ def cmd_search(args) -> int:
     config = {
         "g": args.g[0],
         "max_support": args.max_support,
-        "include_families": args.include_families,
+        "include_families": False,
         "sp_closure": args.sp_closure,
     }
-    report = image_rank_report(
-        args.g[0],
-        args.max_support,
-        include_families=args.include_families,
-        sp_closure=args.sp_closure,
-    )
+    report = image_rank_report(args.g[0], args.max_support, sp_closure=args.sp_closure)
     report["manifest"] = _manifest(config)
     report["timestamp"] = _timestamp()
     _emit_json(report, args.out)
@@ -322,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="abelian-cycle image span search (JSON)")
     add_common(p, single_genus=True)
     p.add_argument("--max-support", type=_positive_int, default=3, dest="max_support")
-    p.add_argument("--include-families", action="store_true", dest="include_families")
     p.add_argument(
         "--no-sp-closure",
         action="store_false",

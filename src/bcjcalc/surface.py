@@ -10,9 +10,8 @@ Two modeling axioms are assumed, not checked: any mod-2 pair (x, y) with
 x.y = 1 is realizable by a genus-1 spine on the standard surface, and spines
 with disjoint handle supports admit disjoint representatives.  Handle-support
 disjointness is therefore a sufficient, conservative criterion for disjoint
-realization; cycles that would need overlapping supports must enter through
-the asserted-family catalog instead.  A spine is represented by a genus-1
-``SubsurfaceBasis``.
+realization; cycles that would need overlapping supports are not
+enumerated.  A spine is represented by a genus-1 ``SubsurfaceBasis``.
 """
 
 from __future__ import annotations

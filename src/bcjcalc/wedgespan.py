@@ -1,12 +1,10 @@
 """Wedge square of the degree-<=2 piece and the abelian-cycle image search.
 
 A commuting pair of twists f, g maps to sigma(f) ^ sigma(g) in the wedge
-square; commutation is certified either by machine-checked handle-support
-disjointness or by an "asserted:" provenance string from the catalog of
-known families.  The search folds the images of all enumerated cycles into a
+square; commutation is certified by machine-checked handle-support
+disjointness.  The search folds the images of all enumerated cycles into a
 GF(2) span and reports which non-index-matched basis elements (the subspace
-W) are still missing.  Asserted families are kept out of that check by
-default so machine-verified and asserted conclusions never mix.
+W) are still missing.
 
 The wedge is bilinear over GF(2), so the images of one block of the stream
 (every descriptor on one support set against every descriptor on a disjoint
@@ -66,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from time import perf_counter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -196,16 +194,13 @@ def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -
 # -- abelian cycles -----------------------------------------------------------
 
 
-SUPPORT_DISJOINT = "support-disjoint"
-
-
 @dataclass(frozen=True, slots=True)
 class AbelianCycle:
-    """Two curve descriptors plus a certificate that the twists commute."""
+    """Two curve descriptors whose twists commute because their handle
+    supports are disjoint."""
 
     first: Descriptor
     second: Descriptor
-    certificate: str = SUPPORT_DISJOINT
     label: str = ""
 
     @property
@@ -215,17 +210,12 @@ class AbelianCycle:
     def validate_certificate(self) -> None:
         if self.first.genus != self.second.genus:
             raise GenusMismatchError("cycle descriptors have different genus")
-        if self.certificate == SUPPORT_DISJOINT:
-            overlap = self.first.support() & self.second.support()
-            if overlap:
-                raise DisjointnessError(
-                    f"descriptors share handles {sorted(overlap)}"
-                )
-        elif not self.certificate.startswith("asserted:"):
-            raise ValueError(f"unknown certificate {self.certificate!r}")
+        overlap = self.first.support() & self.second.support()
+        if overlap:
+            raise DisjointnessError(f"descriptors share handles {sorted(overlap)}")
 
     def swapped(self) -> "AbelianCycle":
-        return AbelianCycle(self.second, self.first, self.certificate, self.label)
+        return AbelianCycle(self.second, self.first, self.label)
 
 
 def cycle_image(c: AbelianCycle) -> WedgeElem:
@@ -521,77 +511,6 @@ def orbit_classes(genus: int) -> OrbitReport:
     return OrbitReport(g, classes, representatives, errors)
 
 
-# -- asserted families --------------------------------------------------------
-
-
-FAMILY_TWO_INDEX = "asserted:matched-pair-family-2idx"
-FAMILY_FOUR_INDEX = "asserted:matched-pair-family-4idx"
-
-
-@dataclass(frozen=True, slots=True)
-class FamilyElem:
-    elem: WedgeElem
-    provenance: str
-    indices: tuple[int, ...]
-
-
-@dataclass
-class FamilyCatalog:
-    genus: int
-    elements: list[FamilyElem]
-    warnings: list[str]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def asserted_families(genus: int) -> FamilyCatalog:
-    """Catalogued sums of two index-matched basis slots known to lie in the
-    cycle image; carried with "asserted:" provenance and excluded from
-    machine-verified coverage claims.
-
-    Two-index family (i != j):  a_i*b_i ^ a_i*b_j  +  a_j*b_j ^ a_i*b_j.
-    Four-index family (i, j, k, l distinct, needs genus >= 4):
-    a_i*b_j ^ a_k*b_i  +  a_l*b_j ^ a_k*b_l.
-    """
-    g = check_genus(genus)
-    basis = b2_basis(g)
-    d = basis.size
-    index = basis.index_of_mask
-
-    def slot_of(i: int, j: int, k: int, l: int) -> int:
-        """Slot of a_i*b_j ^ a_k*b_l."""
-        masks = (1 << (i - 1) | 1 << (g + j - 1), 1 << (k - 1) | 1 << (g + l - 1))
-        return pair_index(d, *sorted(index[m] for m in masks))
-
-    handles = range(1, g + 1)
-    elements = [
-        FamilyElem(
-            WedgeElem.from_slots(g, (slot_of(i, i, i, j), slot_of(j, j, i, j))),
-            FAMILY_TWO_INDEX,
-            (i, j),
-        )
-        for i, j in permutations(handles, 2)
-    ]
-    elements += [
-        FamilyElem(
-            WedgeElem.from_slots(g, (slot_of(i, j, k, i), slot_of(l, j, k, l))),
-            FAMILY_FOUR_INDEX,
-            (i, j, k, l),
-        )
-        for i, j, k, l in permutations(handles, 4)
-    ]
-    warnings = []
-    if g < 4:
-        warnings.append(f"four-index family needs four distinct handles; empty at genus {g}")
-    return FamilyCatalog(g, elements, warnings)
-
-
-def four_index_family_span_claim(genus: int) -> int:
-    """Dimension asserted for the span of the four-index family's orbit."""
-    return (genus - 1) * (2 * genus - 2) * (2 * genus - 3)
-
-
 # -- the symplectic action on the wedge square ---------------------------------
 
 
@@ -815,7 +734,6 @@ def _search_shard(
 def image_rank_report(
     genus: int,
     max_support: int,
-    include_families: bool = False,
     sp_closure: bool = True,
 ) -> dict:
     """Fold all enumerated cycle images into a span and report coverage.
@@ -825,9 +743,10 @@ def image_rank_report(
     stays visible in the counts.  The report's `missing` list holds the
     non-index-matched basis elements outside the achieved span; an empty
     list certifies that the span covers the whole subspace W at this genus.
-    With `include_families` the span additionally absorbs the asserted
-    catalog (for cokernel studies) and the report is flagged as not purely
-    machine-verified.
+    The span holds only machine-verified cycle images and their translates,
+    so `include_families`, `family_elements`, `family_added_rank`,
+    `family_warnings` and `machine_verified_only` are constants kept for
+    report compatibility.
     """
     g = check_genus(genus)
     if max_support < 1:
@@ -844,19 +763,6 @@ def image_rank_report(
     closure_added = 0
     if sp_closure:
         closure_added = saturate_span(g, span)
-
-    n_family = 0
-    family_added = 0
-    family_warnings: list[str] = []
-    if include_families:
-        catalog = asserted_families(g)
-        family_warnings = catalog.warnings
-        for fam in catalog:
-            n_family += 1
-            if span.insert_bits(fam.elem.bits):
-                family_added += 1
-        if sp_closure:
-            closure_added += saturate_span(g, span)
 
     missing = [
         {"slot": slot, "element": render_slot(g, slot), "class": labels[slot]}
@@ -879,7 +785,7 @@ def image_rank_report(
         "genus": g,
         "parameters": {
             "max_support": max_support,
-            "include_families": include_families,
+            "include_families": False,
             "sp_closure": sp_closure,
         },
         "rank": span.rank,
@@ -897,10 +803,10 @@ def image_rank_report(
             "distinct_images": n_distinct,
             "cycle_rank": cycle_rank,
             "closure_added_rank": closure_added,
-            "family_elements": n_family,
-            "family_added_rank": family_added,
+            "family_elements": 0,
+            "family_added_rank": 0,
         },
-        "family_warnings": family_warnings,
-        "machine_verified_only": not include_families,
+        "family_warnings": [],
+        "machine_verified_only": True,
         "elapsed": perf_counter() - t0,
     }

@@ -142,8 +142,14 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--workers", "2"], ["--seed", "1"], ["--include-bp"], ["--format", "json"]],
-        ids=["workers", "seed", "include-bp", "format"],
+        [
+            ["--workers", "2"],
+            ["--seed", "1"],
+            ["--include-bp"],
+            ["--format", "json"],
+            ["--include-families"],
+        ],
+        ids=["workers", "seed", "include-bp", "format", "include-families"],
     )
     def test_removed_flags_usage_error(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -151,6 +157,9 @@ class TestSearch:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and flag[0] in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"bcjcalc: error: unrecognized arguments: {' '.join(flag)}"
+        ]
         assert "Traceback" not in err
 
     def test_io_error_exits_three(self, capsys):

@@ -119,7 +119,6 @@ FLAGS = {
     "eval": [("--format", FORMATS)],
     "search": [
         ("--max-support", ["1", "2", "3", "0", "x"]),
-        ("--include-families", [None]),
         ("--no-sp-closure", [None]),
     ],
     "verify": [
