@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 
 from .boolring import BoolMonomial, BoolPoly, SelfLinkingForm, b2_basis, bar, evaluate
 from .bcjmap import BPMap, SeparatingTwist, is_index_matched, sigma_bp, sigma_separating
-# wedgespan before cassonmorita, which imports it: compiled here rather than
-# nested in cassonmorita's import, it leaves short commands a lower peak RSS.
 from .wedgespan import (
     AbelianCycle,
     WedgeElem,

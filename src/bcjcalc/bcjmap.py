@@ -19,7 +19,6 @@ span of the non-matched pairs is the target subspace of the image search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .boolring import BoolMonomial, BoolPoly, bar, substitute_sp
@@ -37,17 +36,18 @@ from .surface import (
     transform_basis,
     zbasis_from_json,
 )
+from .value import Value
 
 
-@dataclass(frozen=True, slots=True)
-class SeparatingTwist:
+class SeparatingTwist(Value):
     """Twist about a separating curve, presented by a subsurface basis."""
 
-    basis: SubsurfaceBasis
-    label: str = ""
+    __slots__ = ("basis", "label")
 
-    def __post_init__(self):
-        self.basis.validate()
+    def __init__(self, basis: SubsurfaceBasis, label: str = ""):
+        basis.validate()
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "label", label)
 
     @property
     def genus(self) -> int:
@@ -57,27 +57,27 @@ class SeparatingTwist:
         return self.basis.support()
 
 
-@dataclass(frozen=True, slots=True)
-class BPMap:
+class BPMap(Value):
     """Bounding-pair map: subsurface basis plus the class C of one curve.
 
     C must be orthogonal to the basis span; that is what disjointness of the
     pair from the subsurface interior forces on homology.
     """
 
-    basis: SubsurfaceBasis
-    C: HClass
-    label: str = ""
+    __slots__ = ("basis", "C", "label")
 
-    def __post_init__(self):
-        self.basis.validate()
-        if self.C.genus != self.basis.genus:
+    def __init__(self, basis: SubsurfaceBasis, C: HClass, label: str = ""):
+        basis.validate()
+        if C.genus != basis.genus:
             raise GenusMismatchError("C has wrong genus")
-        for k, (A, B) in enumerate(self.basis.pairs):
-            if intersect(self.C, A) or intersect(self.C, B):
+        for k, (A, B) in enumerate(basis.pairs):
+            if intersect(C, A) or intersect(C, B):
                 raise GeometryError(
                     f"C is not orthogonal to basis pair {k + 1}"
                 )
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "label", label)
 
     @property
     def genus(self) -> int:
@@ -200,6 +200,11 @@ def _entry_from_json(
         )
     if "basis" not in data:
         raise CatalogError(f"{where}: missing field 'basis'")
+    if not isinstance(data["basis"], list):
+        raise CatalogError(
+            f"{where}: basis must be a list of [A, B] coordinate pairs, "
+            f"got {type(data['basis']).__name__}"
+        )
     if kind == "bp" and "C" not in data:
         raise CatalogError(f"{where}: bp entry is missing C")
     if kind == "bp" and integral:

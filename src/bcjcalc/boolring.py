@@ -27,7 +27,6 @@ i.e. variables travel through matrices in product order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -40,19 +39,20 @@ from .errors import (
 )
 from .gf2core import F2Matrix, bit_indices
 from .surface import HClass, check_genus, coordinate_name, is_symplectic
+from .value import Value
 
 
-@dataclass(frozen=True, slots=True)
-class BoolMonomial:
+class BoolMonomial(Value):
     """Square-free monomial: a subset of the 2g variables."""
 
-    genus: int
-    mask: int
+    __slots__ = ("genus", "mask")
 
-    def __post_init__(self):
-        check_genus(self.genus)
-        if self.mask < 0 or self.mask >> (2 * self.genus):
+    def __init__(self, genus: int, mask: int):
+        check_genus(genus)
+        if mask < 0 or mask >> (2 * genus):
             raise DimensionError("monomial mask uses variables beyond 2g")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def degree(self) -> int:
@@ -70,7 +70,7 @@ class BoolMonomial:
         return "*".join(coordinate_name(self.genus, v) for v in self.variables())
 
 
-class BoolPoly:
+class BoolPoly(Value):
     """Element of the square-free algebra; immutable set of monomial masks."""
 
     __slots__ = ("genus", "masks")
@@ -84,9 +84,6 @@ class BoolPoly:
                 raise DimensionError("monomial mask uses variables beyond 2g")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "masks", fs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BoolPoly is immutable")
 
     @classmethod
     def zero(cls, genus: int) -> "BoolPoly":
@@ -166,18 +163,18 @@ def bar(c: HClass) -> BoolPoly:
     return BoolPoly(g, masks)
 
 
-@dataclass(frozen=True, slots=True)
-class SelfLinkingForm:
+class SelfLinkingForm(Value):
     """Quadratic refinement of the intersection form, determined by its
     values on the 2g basis classes (bit k holds omega(e_k))."""
 
-    genus: int
-    values: int = 0
+    __slots__ = ("genus", "values")
 
-    def __post_init__(self):
-        check_genus(self.genus)
-        if self.values < 0 or self.values >> (2 * self.genus):
+    def __init__(self, genus: int, values: int = 0):
+        check_genus(genus)
+        if values < 0 or values >> (2 * genus):
             raise DimensionError("form values do not fit 2g bits")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "values", values)
 
     def omega(self, u: HClass) -> int:
         """Extend to all of H by omega(u+v) = omega(u) + omega(v) + u.v."""
@@ -249,19 +246,21 @@ def substitute_sp(M: F2Matrix, p: BoolPoly) -> BoolPoly:
 # -- the canonical degree-<=2 basis -----------------------------------------
 
 
-@dataclass(frozen=True)
-class B2Basis:
+class B2Basis(Value):
     """Ordered basis of the degree-<=2 filtration piece.
 
     Order: the constant 1 first, then the 2g variables in index order
     (abar_1..abar_g, bbar_1..bbar_g), then all two-variable monomials in
     lexicographic order of their sorted variable-index pairs.  Size is
-    2g^2 + g + 1.
+    2g^2 + g + 1.  Unhashable, since it holds its mask-to-index dict.
     """
 
-    genus: int
-    monomials: tuple[BoolMonomial, ...]
-    index_of_mask: dict
+    __slots__ = ("genus", "monomials", "index_of_mask")
+
+    def __init__(self, genus: int, monomials: tuple[BoolMonomial, ...], index_of_mask: dict):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "monomials", monomials)
+        object.__setattr__(self, "index_of_mask", index_of_mask)
 
     @property
     def size(self) -> int:

@@ -47,7 +47,6 @@ form, giving the evaluation on the square-free side.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
@@ -62,6 +61,7 @@ from .surface import (
     coordinate_name,
     random_z_symplectic_basis,
 )
+from .value import Value
 from .wedgespan import wedge
 
 
@@ -73,7 +73,7 @@ def n_symbols(genus: int) -> int:
 Monomial = tuple[tuple[int, int], ...]  # sorted tuple of (p, q) index pairs
 
 
-class CMPoly:
+class CMPoly(Value):
     """Integer polynomial in ordered linking symbols, in normal form."""
 
     __slots__ = ("genus", "terms")
@@ -109,9 +109,6 @@ class CMPoly:
         object.__setattr__(obj, "genus", genus)
         object.__setattr__(obj, "terms", terms)
         return obj
-
-    def __setattr__(self, *args):
-        raise AttributeError("CMPoly is immutable")
 
     @classmethod
     def zero(cls, genus: int) -> "CMPoly":
@@ -352,8 +349,7 @@ def _z_pairing(genus: int, p: int, q: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(Value):
     """Integer matrix of linking numbers L[p][q] = lk(e_p, e_q^+).
 
     The swap relation forces L^T - L = J, where J is the antisymmetric
@@ -361,23 +357,24 @@ class LinkingMatrix:
     violated entry.
     """
 
-    genus: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("genus", "entries")
 
-    def __post_init__(self):
-        g = check_genus(self.genus)
+    def __init__(self, genus: int, entries: tuple[tuple[int, ...], ...]):
+        g = check_genus(genus)
         n = 2 * g
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ConsistencyError(f"linking matrix must be {n}x{n}")
         for p in range(n):
             for q in range(n):
-                got = self.entries[q][p] - self.entries[p][q]
+                got = entries[q][p] - entries[p][q]
                 want = _z_pairing(g, p, q)
                 if got != want:
                     raise ConsistencyError(
                         f"L[{q}][{p}] - L[{p}][{q}] = {got}, expected {want} "
                         f"(pair {coordinate_name(g, p)},{coordinate_name(g, q)})"
                     )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, genus: int, rows: Sequence[Sequence[int]]) -> "LinkingMatrix":
@@ -427,6 +424,8 @@ class LinkingMatrix:
     def from_json(cls, data: dict) -> "LinkingMatrix":
         """The matrix of a linking-matrix document; a missing or malformed
         field is a ConsistencyError, like a violated constraint."""
+        if not isinstance(data, dict):
+            raise ConsistencyError("linking matrix must be a JSON object")
         try:
             return cls.from_rows(check_genus(data["genus"]), data["matrix"])
         except KeyError as exc:

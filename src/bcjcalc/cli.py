@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import random
@@ -247,6 +246,8 @@ EVAL_CSV_COLUMNS = ("label", "sigma", "rho", "mu_rho")
 
 
 def cmd_eval(args) -> int:
+    import hashlib  # only eval digests its input; a cold import costs every command
+
     raw, data = read_json(args.catalog, CatalogError)
     g, entries = catalog_from_json(data, MAX_GENUS)
     results = []

@@ -36,9 +36,9 @@ the visiting order cannot change a result.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import DimensionError
+from .value import Value
 
 
 def bit_indices(bits: int) -> tuple[int, ...]:
@@ -141,19 +141,19 @@ class SpanBasis:
         return self._reduce_bits(bits) == 0
 
 
-@dataclass(frozen=True, slots=True)
-class F2Matrix:
+class F2Matrix(Value):
     """Square GF(2) matrix stored column-major, each column a packed int."""
 
-    n: int
-    cols: tuple[int, ...]
+    __slots__ = ("n", "cols")
 
-    def __post_init__(self):
-        if len(self.cols) != self.n:
-            raise DimensionError(f"expected {self.n} columns, got {len(self.cols)}")
-        for c in self.cols:
-            if c < 0 or c >> self.n:
+    def __init__(self, n: int, cols: tuple[int, ...]):
+        if len(cols) != n:
+            raise DimensionError(f"expected {n} columns, got {len(cols)}")
+        for c in cols:
+            if c < 0 or c >> n:
                 raise DimensionError("column does not fit the declared size")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cols", cols)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":

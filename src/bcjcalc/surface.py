@@ -17,11 +17,11 @@ enumerated.  A spine is represented by a genus-1 ``SubsurfaceBasis``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import BasisError, DimensionError, GenusMismatchError
 from .gf2core import F2Matrix, bit_indices
+from .value import Value
 
 
 def check_genus(g: int) -> int:
@@ -54,17 +54,17 @@ def _check_same_genus(u, v) -> None:
         raise GenusMismatchError(f"genus mismatch: {u.genus} vs {v.genus}")
 
 
-@dataclass(frozen=True, slots=True)
-class HClass:
+class HClass(Value):
     """Mod-2 first-homology class, packed into a length-2g bit vector."""
 
-    genus: int
-    bits: int = 0
+    __slots__ = ("genus", "bits")
 
-    def __post_init__(self):
-        check_genus(self.genus)
-        if self.bits < 0 or self.bits >> (2 * self.genus):
+    def __init__(self, genus: int, bits: int = 0):
+        check_genus(genus)
+        if bits < 0 or bits >> (2 * genus):
             raise DimensionError("coordinates do not fit length 2g")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_coords(cls, genus: int, coords: Sequence[int]) -> "HClass":
@@ -92,17 +92,17 @@ class HClass:
         return "+".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True, slots=True)
-class ZHClass:
+class ZHClass(Value):
     """Integral first-homology class (same position convention)."""
 
-    genus: int
-    coords: tuple[int, ...] = ()
+    __slots__ = ("genus", "coords")
 
-    def __post_init__(self):
-        check_genus(self.genus)
-        if len(self.coords) != 2 * self.genus:
-            raise DimensionError(f"expected {2 * self.genus} coordinates")
+    def __init__(self, genus: int, coords: tuple[int, ...] = ()):
+        check_genus(genus)
+        if len(coords) != 2 * genus:
+            raise DimensionError(f"expected {2 * genus} coordinates")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def from_coords(cls, genus: int, coords: Sequence[int]) -> "ZHClass":
@@ -184,17 +184,17 @@ def support(u: Union[HClass, ZHClass]) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SubsurfaceBasis:
+class SubsurfaceBasis(Value):
     """Mod-2 symplectic basis (A_i, B_i) of a bounded subsurface."""
 
-    genus: int
-    pairs: tuple[tuple[HClass, HClass], ...] = ()
+    __slots__ = ("genus", "pairs")
 
-    def __post_init__(self):
-        for A, B in self.pairs:
-            if A.genus != self.genus or B.genus != self.genus:
+    def __init__(self, genus: int, pairs: tuple[tuple[HClass, HClass], ...] = ()):
+        for A, B in pairs:
+            if A.genus != genus or B.genus != genus:
                 raise GenusMismatchError("basis entry has wrong genus")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def h(self) -> int:
@@ -220,17 +220,17 @@ class SubsurfaceBasis:
         return cls(genus, tuple((a(genus, i), b(genus, i)) for i in handles))
 
 
-@dataclass(frozen=True, slots=True)
-class ZSubsurfaceBasis:
+class ZSubsurfaceBasis(Value):
     """Integral symplectic basis of a bounded subsurface."""
 
-    genus: int
-    pairs: tuple[tuple[ZHClass, ZHClass], ...] = ()
+    __slots__ = ("genus", "pairs")
 
-    def __post_init__(self):
-        for A, B in self.pairs:
-            if A.genus != self.genus or B.genus != self.genus:
+    def __init__(self, genus: int, pairs: tuple[tuple[ZHClass, ZHClass], ...] = ()):
+        for A, B in pairs:
+            if A.genus != genus or B.genus != genus:
                 raise GenusMismatchError("basis entry has wrong genus")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def h(self) -> int:

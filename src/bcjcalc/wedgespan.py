@@ -62,7 +62,6 @@ y-bar, C-bar have independent linear parts and sigma_bp = x-bar y-bar C-bar
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from time import perf_counter
@@ -80,6 +79,7 @@ from .boolring import (
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
 from .gf2core import SpanBasis, bit_indices
 from .surface import HClass, SubsurfaceBasis, check_genus, pairing, transvection
+from .value import Value
 
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI")
@@ -112,20 +112,20 @@ def slot_pair(d: int, slot: int) -> tuple[int, int]:
     return _slot_pairs(d)[slot]
 
 
-@dataclass(frozen=True, slots=True)
-class WedgeElem:
+class WedgeElem(Value):
     """Element of the wedge square: bit s of `bits` is the coefficient of
     wedge slot s (see `slot_pair`)."""
 
-    genus: int
-    bits: int
+    __slots__ = ("genus", "bits")
 
-    def __post_init__(self):
-        n = wedge_dim(b2_basis(self.genus).size)
-        if not 0 <= self.bits < 1 << n:
+    def __init__(self, genus: int, bits: int):
+        n = wedge_dim(b2_basis(genus).size)
+        if not 0 <= bits < 1 << n:
             raise GenusMismatchError(
-                f"wedge vector does not fit the {n} slots of genus {self.genus}"
+                f"wedge vector does not fit the {n} slots of genus {genus}"
             )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_slots(cls, genus: int, slots: Sequence[int]) -> "WedgeElem":
@@ -194,14 +194,16 @@ def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -
 # -- abelian cycles -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AbelianCycle:
+class AbelianCycle(Value):
     """Two curve descriptors whose twists commute because their handle
     supports are disjoint."""
 
-    first: Descriptor
-    second: Descriptor
-    label: str = ""
+    __slots__ = ("first", "second", "label")
+
+    def __init__(self, first: Descriptor, second: Descriptor, label: str = ""):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "label", label)
 
     @property
     def genus(self) -> int:
@@ -441,15 +443,27 @@ def _permute_mask(mask: int, perm: list[int]) -> int:
     return sum(1 << perm[v] for v in bit_indices(mask))
 
 
-@dataclass
-class OrbitReport:
+class OrbitReport(Value):
     """Partition of the non-index-matched wedge basis under the generator
-    maps, with structural labels."""
+    maps, with structural labels.  Unlike the other values it is mutable,
+    and so unhashable."""
 
-    genus: int
-    classes: dict[str, list[int]]
-    representatives: dict[str, str]
-    errors: list[str]
+    __slots__ = ("genus", "classes", "representatives", "errors")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        genus: int,
+        classes: dict[str, list[int]],
+        representatives: dict[str, str],
+        errors: list[str],
+    ):
+        self.genus = genus
+        self.classes = classes
+        self.representatives = representatives
+        self.errors = errors
 
     @property
     def n_classes(self) -> int:

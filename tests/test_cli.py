@@ -288,6 +288,17 @@ class TestVerify:
             assert code == 3
             assert err.startswith("invalid linking matrix:")
 
+    @pytest.mark.parametrize("data", [[1, 2], "L", 5, None], ids=["list", "str", "int", "null"])
+    def test_non_object_linking_matrix_exits_three(self, capsys, tmp_path, data):
+        # a list used to be indexed by "genus": "list indices must be integers
+        # or slices, not str"
+        mat_path = tmp_path / "L.json"
+        mat_path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--g", "1", "--linking-matrix", str(mat_path))
+        assert code == 3
+        assert out == ""
+        assert err == "invalid linking matrix: linking matrix must be a JSON object\n"
+
     @pytest.mark.parametrize("entry", [1.5, True, "0"])
     def test_non_integer_linking_number_exits_three(self, capsys, tmp_path, entry):
         # the schema says integer: 1.5 used to be read as 1, true as 1, "0" as 0
@@ -487,6 +498,31 @@ class TestEval:
         assert err == "catalog error: entry 0 (z): missing field 'basis'\n"
 
     @pytest.mark.parametrize(
+        "basis, integral, got",
+        [
+            (5, False, "int"),
+            (5, True, "int"),
+            ("ab", False, "str"),
+            ({"A": [1, 0, 0, 0]}, False, "dict"),
+            ({}, False, "dict"),
+            (None, True, "NoneType"),
+        ],
+        ids=["int", "integral-int", "str", "dict", "empty-dict", "null"],
+    )
+    def test_basis_not_a_list_is_catalog_error(self, capsys, tmp_path, basis, integral, got):
+        # 5 used to say "'int' object is not iterable", naming no field, and
+        # an empty object was read as the empty basis (exit 0)
+        entry = {"type": "separating", "basis": basis, "label": "z", "integral": integral}
+        path = self.write_catalog(tmp_path, [entry])
+        code, out, err = run(capsys, "eval", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"catalog error: entry 0 (z): basis must be a list of [A, B] coordinate pairs, "
+            f"got {got}\n"
+        )
+
+    @pytest.mark.parametrize(
         "genus, message",
         [
             (True, "genus must be a positive integer, got True"),
@@ -543,7 +579,8 @@ class TestEval:
         code, out, _ = run(capsys, "eval", path, "--format", "json")
         assert code == 0
         data = json.loads(out)
-        assert len(data["manifest"]["config"]["sha256"]) == 64
+        with open(path, "rb") as fh:
+            assert data["manifest"]["config"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
         assert data["results"][0]["sigma_json"] == [[0, 2]]
 
 
