@@ -19,7 +19,6 @@ span of the non-matched pairs is the target subspace of the image search.
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
 
 from .boolring import BoolMonomial, BoolPoly, bar, substitute_sp
 from .errors import CatalogError, FiltrationError, GeometryError, GenusMismatchError
@@ -87,10 +86,10 @@ class BPMap(Value):
         return self.basis.support() | support(self.C)
 
 
-Descriptor = Union[SeparatingTwist, BPMap]
+Descriptor = SeparatingTwist | BPMap
 
 
-def sigma_separating(t: Union[SeparatingTwist, SubsurfaceBasis]) -> BoolPoly:
+def sigma_separating(t: SeparatingTwist | SubsurfaceBasis) -> BoolPoly:
     """sum_i bar(A_i) bar(B_i); degree <= 2, basis-choice independent."""
     basis = t.basis if isinstance(t, SeparatingTwist) else t
     basis.validate()
@@ -180,9 +179,17 @@ def random_sp_matrices(genus: int, count: int, seed: int):
 # -- curve-catalog JSON -------------------------------------------------------
 
 
+def _check_list(value, n: int | None, want: str) -> None:
+    """Raise the CatalogError `want`, saying what value is, unless it is a
+    list (of n items, if n is given)."""
+    if not isinstance(value, list) or n is not None and len(value) != n:
+        got = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
+        raise CatalogError(f"{want}, got {got}")
+
+
 def _entry_from_json(
     genus: int, data: dict, where: str
-) -> tuple[Descriptor, Optional[ZSubsurfaceBasis]]:
+) -> tuple[Descriptor, ZSubsurfaceBasis | None]:
     """A catalog entry's descriptor and, if it is marked "integral", its
     integral basis.  Any schema violation is a CatalogError led by where."""
     if not isinstance(data, dict):
@@ -200,20 +207,20 @@ def _entry_from_json(
         )
     if "basis" not in data:
         raise CatalogError(f"{where}: missing field 'basis'")
-    if not isinstance(data["basis"], list):
-        raise CatalogError(
-            f"{where}: basis must be a list of [A, B] coordinate pairs, "
-            f"got {type(data['basis']).__name__}"
-        )
+    _check_list(data["basis"], None, f"{where}: basis must be a list of [A, B] coordinate pairs")
     if kind == "bp" and "C" not in data:
         raise CatalogError(f"{where}: bp entry is missing C")
     if kind == "bp" and integral:
         raise CatalogError(f"{where}: integral evaluation needs a separating entry")
+    n = 2 * genus
+    for k, pair in enumerate(data["basis"]):
+        _check_list(pair, 2, f"{where}: basis[{k}] must be an [A, B] pair")
+        for i, coords in enumerate(pair):
+            _check_list(coords, n, f"{where}: basis[{k}][{i}] must be a list of {n} coordinates")
+    if kind == "bp":
+        _check_list(data["C"], n, f"{where}: C must be a list of {n} coordinates")
     try:
-        pairs = tuple(
-            (HClass.from_coords(genus, A), HClass.from_coords(genus, B))
-            for A, B in data["basis"]
-        )
+        pairs = tuple(tuple(HClass.from_coords(genus, c) for c in pair) for pair in data["basis"])
         basis = SubsurfaceBasis(genus, pairs)
         if kind == "separating":
             descriptor = SeparatingTwist(basis, label)
@@ -230,7 +237,7 @@ def _entry_from_json(
 
 def catalog_from_json(
     data, max_genus: int
-) -> tuple[int, list[tuple[Descriptor, Optional[ZSubsurfaceBasis]]]]:
+) -> tuple[int, list[tuple[Descriptor, ZSubsurfaceBasis | None]]]:
     """The genus of a curve catalog, checked before any entry is read, and
     per entry its descriptor and integral basis (None unless "integral")."""
     if not isinstance(data, dict) or "genus" not in data:

@@ -27,9 +27,9 @@ i.e. variables travel through matrices in product order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionError,

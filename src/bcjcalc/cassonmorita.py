@@ -47,8 +47,8 @@ form, giving the evaluation on the square-free side.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
 
 from .bcjmap import SeparatingTwist, sigma_separating
 from .boolring import BoolPoly, SelfLinkingForm, bar, evaluate
@@ -78,7 +78,7 @@ class CMPoly(Value):
 
     __slots__ = ("genus", "terms")
 
-    def __init__(self, genus: int, terms: Optional[Mapping[Monomial, int]] = None):
+    def __init__(self, genus: int, terms: Mapping[Monomial, int] | None = None):
         check_genus(genus)
         clean: dict[Monomial, int] = {}
         if terms:
@@ -256,7 +256,7 @@ def _field_width(h: int, L: int) -> int:
     return (4 * h * h * L**4).bit_length() + 1
 
 
-def rho_separating(basis: Union[ZSubsurfaceBasis, SeparatingTwist]) -> CMPoly:
+def rho_separating(basis: ZSubsurfaceBasis | SeparatingTwist) -> CMPoly:
     """Morita's value on a separating twist, from an integral basis.
 
     Computed exactly over Z by the packed kernel of the module docstring.
@@ -378,6 +378,11 @@ class LinkingMatrix(Value):
 
     @classmethod
     def from_rows(cls, genus: int, rows: Sequence[Sequence[int]]) -> "LinkingMatrix":
+        if not isinstance(rows, (list, tuple)):
+            raise TypeError(f"matrix must be a list of rows, got {type(rows).__name__}")
+        for p, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(f"matrix row {p} must be a list, got {type(row).__name__}")
         return cls(
             genus, tuple(tuple(check_int(e, "linking number") for e in row) for row in rows)
         )
@@ -474,7 +479,7 @@ def check_record(failures: list[str], trials: int) -> dict:
 
 
 def right_square_failures(
-    genus: int, num_trials: int, rng: random.Random, L: Optional[LinkingMatrix] = None
+    genus: int, num_trials: int, rng: random.Random, L: LinkingMatrix | None = None
 ) -> list[str]:
     """epsilon(L, rho(T_c)) mod 2 == selflink_eval(L, sigma(T_c)) on random
     integral bases, against L when given, else a fresh random valid L per

@@ -17,7 +17,7 @@ enumerated.  A spine is represented by a genus-1 ``SubsurfaceBasis``.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from .errors import BasisError, DimensionError, GenusMismatchError
 from .gf2core import F2Matrix, bit_indices
@@ -49,6 +49,11 @@ def pairing(genus: int, x: int, y: int) -> int:
     return ((x & (y >> genus)) ^ (y & (x >> genus))).bit_count() & 1
 
 
+def handle_bits(genus: int, bits: int) -> int:
+    """Bit i - 1 is set iff a packed class (or monomial) has a coordinate on handle i."""
+    return (bits & ((1 << genus) - 1)) | (bits >> genus)
+
+
 def _check_same_genus(u, v) -> None:
     if u.genus != v.genus:
         raise GenusMismatchError(f"genus mismatch: {u.genus} vs {v.genus}")
@@ -68,6 +73,8 @@ class HClass(Value):
 
     @classmethod
     def from_coords(cls, genus: int, coords: Sequence[int]) -> "HClass":
+        if not isinstance(coords, (list, tuple)):
+            raise TypeError(f"coordinates must be a list, got {type(coords).__name__}")
         if len(coords) != 2 * genus:
             raise DimensionError(f"expected {2 * genus} coordinates")
         bits = 0
@@ -153,7 +160,7 @@ def zb(genus: int, i: int) -> ZHClass:
     return ZHClass(genus, tuple(1 if k == genus + i - 1 else 0 for k in range(2 * genus)))
 
 
-def intersect(u: Union[HClass, ZHClass], v: Union[HClass, ZHClass]) -> int:
+def intersect(u: HClass | ZHClass, v: HClass | ZHClass) -> int:
     """Symplectic intersection u.v; mod 2 for HClass, signed for ZHClass.
 
     The pairing is a_i.b_i = 1 for every handle, all other basis products 0;
@@ -172,13 +179,11 @@ def intersect(u: Union[HClass, ZHClass], v: Union[HClass, ZHClass]) -> int:
     raise TypeError("intersect needs two HClass or two ZHClass arguments")
 
 
-def support(u: Union[HClass, ZHClass]) -> frozenset[int]:
+def support(u: HClass | ZHClass) -> frozenset[int]:
     """Handles (1-based) on which u has a nonzero a- or b-coordinate."""
     g = u.genus
     if isinstance(u, HClass):
-        mask = (1 << g) - 1
-        used = (u.bits & mask) | (u.bits >> g)
-        return frozenset(i + 1 for i in bit_indices(used))
+        return frozenset(i + 1 for i in bit_indices(handle_bits(g, u.bits)))
     return frozenset(
         i + 1 for i in range(g) if u.coords[i] != 0 or u.coords[g + i] != 0
     )
@@ -252,8 +257,8 @@ class ZSubsurfaceBasis(Value):
 
 
 def symplectic_violation(
-    basis: Union[SubsurfaceBasis, ZSubsurfaceBasis],
-) -> Optional[str]:
+    basis: SubsurfaceBasis | ZSubsurfaceBasis,
+) -> str | None:
     """First violated intersection condition, or None if the basis is valid."""
     pairs = basis.pairs
     for i, (Ai, Bi) in enumerate(pairs):
@@ -269,7 +274,7 @@ def symplectic_violation(
     return None
 
 
-def is_symplectic_basis(basis: Union[SubsurfaceBasis, ZSubsurfaceBasis]) -> bool:
+def is_symplectic_basis(basis: SubsurfaceBasis | ZSubsurfaceBasis) -> bool:
     return symplectic_violation(basis) is None
 
 
@@ -362,7 +367,7 @@ def random_z_symplectic_basis(
     genus: int,
     h: int,
     rng: random.Random,
-    handles: Optional[Sequence[int]] = None,
+    handles: Sequence[int] | None = None,
     n_moves: int = 6,
     coeff_bound: int = 1,
 ) -> ZSubsurfaceBasis:

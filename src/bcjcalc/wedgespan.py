@@ -18,16 +18,17 @@ and only for each class's first hit.
 
 A set's sigma data comes from one template per support size s, computed
 once at genus s from the spines on s handles: their count, the position and
-value of each distinct sigma, and a basis of their span.  Relabelling the
-handles renames the bar variables and commutes with sigma (sigma(sep(x, y))
-= x-bar y-bar, and bar's constant counts the handles on which a class has
-both coordinates, which a relabelling keeps), so every set's data is its
-template relabelled.  A template evaluates sigma once per plane
-{x, y, x+y}, not once per spine: sigma of a separating twist does not depend
-on the choice of symplectic basis, so the 6 ordered bases of a plane share
-one value, and the 1,788 spines on 1..3 handles cost 298 calls.  Twists, and
-their `sep(x,y)` labels, are built only for the templates and for the
-per-class first hits.
+value of each distinct sigma, and a basis of their span, in basis indices.
+Every relabelling is one map of variables, injective and sending partners
+to partners; such a map commutes with sigma (sigma(sep(x, y)) = x-bar y-bar,
+and it keeps bar's constant, the count of handles on which a class has both
+coordinates), so every set's data is its template carried through
+`_basis_map`.  A template evaluates sigma once per plane {x, y, x+y}, not
+once per spine: sigma of a separating twist does not depend on the choice
+of symplectic basis, so the 6 ordered bases of a plane share one value, and
+the 1,788 spines on 1..3 handles cost 298 calls.  Twists, and their
+`sep(x,y)` labels, are built only for the templates and for the per-class
+first hits.
 
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
@@ -62,10 +63,10 @@ y-bar, C-bar have independent linear parts and sigma_bp = x-bar y-bar C-bar
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations
 from time import perf_counter
-from typing import Callable, Iterator, Optional, Sequence
 
 from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma
 from .boolring import (
@@ -78,7 +79,7 @@ from .boolring import (
 )
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
 from .gf2core import SpanBasis, bit_indices
-from .surface import HClass, SubsurfaceBasis, check_genus, pairing, transvection
+from .surface import HClass, SubsurfaceBasis, check_genus, handle_bits, pairing, transvection
 from .value import Value
 
 
@@ -246,27 +247,33 @@ def _local_spines(s: int) -> tuple[tuple[int, int], ...]:
         (x, y)
         for x in range(1 << (2 * s))
         for y in range(1 << (2 * s))
-        if pairing(s, x, y) and (((x | y) & full) | ((x | y) >> s)) == full
+        if pairing(s, x, y) and handle_bits(s, x | y) == full
     )
 
 
-def _to_global(genus: int, handles: tuple[int, ...], local: int) -> int:
-    """Relabel local bits onto `handles`.  Classes and monomials share the
-    a-then-b packing, so this one map relabels both."""
-    s = len(handles)
-    bits = 0
-    for k, h in enumerate(handles):
-        if (local >> k) & 1:
-            bits |= 1 << (h - 1)
-        if (local >> (s + k)) & 1:
-            bits |= 1 << (genus + h - 1)
-    return bits
+def _handle_map(genus: int, handles: Sequence[int]) -> tuple[int, ...]:
+    """The variable map taking handle k + 1 onto handle handles[k] at `genus`:
+    entry v is the image of variable v at genus len(handles)."""
+    return tuple(h - 1 for h in handles) + tuple(genus + h - 1 for h in handles)
+
+
+def _map_bits(var_map: Sequence[int], bits: int) -> int:
+    """A packed class or monomial (one packing) with its variables renamed."""
+    return sum(1 << var_map[v] for v in bit_indices(bits))
+
+
+def _basis_map(genus: int, var_map: Sequence[int]) -> list[int]:
+    """The basis index at `genus` of the image of each degree-<=2 basis index
+    at genus len(var_map) // 2, under an injective, partner-preserving
+    variable map; slot images follow through `pair_index`."""
+    index = b2_basis(genus).index_of_mask
+    return [index[_map_bits(var_map, m.mask)] for m in b2_basis(len(var_map) // 2).monomials]
 
 
 def _twist(genus: int, handles: tuple[int, ...], pos: int) -> SeparatingTwist:
     """The separating twist of local spine `pos` relabelled onto `handles`."""
-    local = _local_spines(len(handles))[pos]
-    x, y = (HClass(genus, _to_global(genus, handles, v)) for v in local)
+    var_map = _handle_map(genus, handles)
+    x, y = (HClass(genus, _map_bits(var_map, v)) for v in _local_spines(len(handles))[pos])
     return SeparatingTwist(SubsurfaceBasis(genus, ((x, y),)), label=f"sep({x},{y})")
 
 
@@ -274,9 +281,9 @@ def _twist(genus: int, handles: tuple[int, ...], pos: int) -> SeparatingTwist:
 def _template(s: int) -> tuple[int, tuple, tuple]:
     """The sigma data of the spines on s handles, computed once at genus s.
 
-    Returns the spine count, the (position, sigma monomial masks) of the
+    Returns the spine count, the (position, sigma basis indices) of the
     first spine of each distinct sigma value in order of first appearance,
-    and a basis of their span as monomial-mask tuples.
+    and a basis of their span, rows given by basis indices at genus s.
 
     sigma(sep(x, y)) depends only on the plane {x, y, x+y}: it does not
     depend on the choice of symplectic basis, and the 6 ordered bases of one
@@ -291,23 +298,21 @@ def _template(s: int) -> tuple[int, tuple, tuple]:
     for pos, (x, y) in enumerate(spines):
         if x < y < x ^ y:
             first.setdefault(sigma(_twist(s, handles, pos)).masks, pos)
-    groups = tuple((pos, tuple(masks)) for masks, pos in first.items())
-    span = SpanBasis(1 << (2 * s))  # bit m stands for the monomial of mask m
-    for _, masks in groups:
+    # bit m is the monomial of mask m, not basis index m: the echelon basis,
+    # and so which products the stream inserts, depends on the bit order
+    span = SpanBasis(1 << (2 * s))
+    for masks in first:
         span.insert_bits(sum(1 << m for m in masks))
-    basis = tuple(bit_indices(row) for row in span.row_bits())
+    index = b2_basis(s).index_of_mask
+    groups = tuple((pos, tuple(index[m] for m in masks)) for masks, pos in first.items())
+    basis = tuple(tuple(index[m] for m in bit_indices(row)) for row in span.row_bits())
     return len(spines), groups, basis
 
 
 def _relabel(genus: int, handles: tuple[int, ...], rows: Sequence) -> list[list[int]]:
-    """Rows of monomial masks on len(handles) handles, each monomial
-    relabelled onto `handles` and given by its basis index at `genus`."""
-    index = b2_basis(genus).index_of_mask
-    to = {
-        m.mask: index[_to_global(genus, handles, m.mask)]
-        for m in b2_basis(len(handles)).monomials
-    }
-    return [[to[m] for m in row] for row in rows]
+    """Rows of basis indices at genus len(handles), relabelled onto `handles`."""
+    to = _basis_map(genus, _handle_map(genus, handles))
+    return [[to[i] for i in row] for row in rows]
 
 
 def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, list, list]:
@@ -320,7 +325,7 @@ def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, lis
     stays a basis.
     """
     n, groups, basis = _template(len(handles))
-    sigmas = _relabel(genus, handles, [masks for _, masks in groups])
+    sigmas = _relabel(genus, handles, [sig for _, sig in groups])
     return n, list(zip([pos for pos, _ in groups], sigmas)), _relabel(genus, handles, basis)
 
 
@@ -373,7 +378,7 @@ def dims(genus: int) -> dict:
 # -- orbit classification -----------------------------------------------------
 
 
-def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> Optional[str]:
+def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> str | None:
     """Structural class I..XI of a wedge basis pair; None if index-matched.
 
     The classes are the equivalence classes of non-matched basis pairs under
@@ -382,31 +387,23 @@ def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> Optional[str]:
     """
     if is_index_matched(m1, m2):
         return None
-    g = m1.genus
-    amask = (1 << g) - 1
-
-    def handles(m: BoolMonomial) -> int:
-        return (m.mask & amask) | (m.mask >> g)
-
-    def is_diagonal(m: BoolMonomial) -> bool:
-        return m.degree == 2 and handles(m).bit_count() == 1
-
     x, y = sorted((m1, m2), key=lambda m: -m.degree)
     dx, dy = x.degree, y.degree
+    hx, hy = handle_bits(m1.genus, x.mask), handle_bits(m1.genus, y.mask)
+    diag_x = dx == 2 and hx.bit_count() == 1  # a_i b_i, on one handle
+    diag_y = dy == 2 and hy.bit_count() == 1
     if (dx, dy) == (2, 2):
-        diag_x, diag_y = is_diagonal(x), is_diagonal(y)
         if diag_x and diag_y:
             return "I"
         if diag_x or diag_y:
             return "II"
-        shared = handles(x) & handles(y)
-        return "III" if shared == 0 else "IV"
+        return "III" if hx & hy == 0 else "IV"
     if (dx, dy) == (2, 1):
-        if is_diagonal(x):
+        if diag_x:
             return "V"
-        return "VI" if handles(x) & handles(y) else "VII"
+        return "VI" if hx & hy else "VII"
     if (dx, dy) == (2, 0):
-        return "VIII" if is_diagonal(x) else "IX"
+        return "VIII" if diag_x else "IX"
     if (dx, dy) == (1, 1):
         return "X"
     if (dx, dy) == (1, 0):
@@ -415,32 +412,10 @@ def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> Optional[str]:
 
 
 @lru_cache(maxsize=None)
-def _slot_labels(genus: int) -> tuple[Optional[str], ...]:
+def _slot_labels(genus: int) -> tuple[str | None, ...]:
     """Class label per wedge slot; None marks index-matched slots."""
     mons = b2_basis(genus).monomials
     return tuple(classify_pair(mons[i], mons[j]) for i, j in _slot_pairs(len(mons)))
-
-
-def _variable_permutations(genus: int) -> list[list[int]]:
-    """The generator maps as permutations of variable indices: one swap per
-    handle and one transposition per handle pair."""
-    g = genus
-    perms = []
-    for i in range(g):
-        p = list(range(2 * g))
-        p[i], p[g + i] = p[g + i], p[i]
-        perms.append(p)
-    for i in range(g):
-        for j in range(i + 1, g):
-            p = list(range(2 * g))
-            p[i], p[j] = p[j], p[i]
-            p[g + i], p[g + j] = p[g + j], p[g + i]
-            perms.append(p)
-    return perms
-
-
-def _permute_mask(mask: int, perm: list[int]) -> int:
-    return sum(1 << perm[v] for v in bit_indices(mask))
 
 
 class OrbitReport(Value):
@@ -472,10 +447,10 @@ class OrbitReport(Value):
 
 def orbit_classes(genus: int) -> OrbitReport:
     """Connected components of the non-matched wedge basis under handle
-    swaps and transpositions, labelled by their index pattern."""
+    swaps and transpositions, labelled by their index pattern.  Each
+    generator is a variable map, carried onto slots by `_basis_map`."""
     g = check_genus(genus)
-    basis = b2_basis(g)
-    d = basis.size
+    d = b2_basis(g).size
     labels = _slot_labels(g)
     nslots = wedge_dim(d)
 
@@ -492,12 +467,17 @@ def orbit_classes(genus: int) -> OrbitReport:
         if rx != ry:
             parent[rx] = ry
 
-    index = basis.index_of_mask
-    for perm in _variable_permutations(g):
-        mon_image = [index[_permute_mask(basis.monomial(k).mask, perm)] for k in range(d)]
+    hs = range(1, g + 1)
+    swaps = [tuple((v + g) % (2 * g) if v % g == i else v for v in range(2 * g)) for i in range(g)]
+    transpositions = [
+        _handle_map(g, [j if h == i else i if h == j else h for h in hs])
+        for i, j in combinations(hs, 2)
+    ]
+    for var_map in swaps + transpositions:
+        image = _basis_map(g, var_map)
         for slot, (i, j) in enumerate(_slot_pairs(d)):
             if labels[slot] is not None:
-                union(slot, pair_index(d, *sorted((mon_image[i], mon_image[j]))))
+                union(slot, pair_index(d, *sorted((image[i], image[j]))))
 
     components: dict[int, list[int]] = {}
     for slot in range(nslots):

@@ -288,6 +288,24 @@ class TestVerify:
             assert code == 3
             assert err.startswith("invalid linking matrix:")
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (5, "matrix must be a list of rows, got int"),
+            ([5, [1, 0]], "matrix row 0 must be a list, got int"),
+            ([[0, 0], "10"], "matrix row 1 must be a list, got str"),
+        ],
+        ids=["matrix-int", "row-int", "row-str"],
+    )
+    def test_malformed_matrix_field_is_named(self, capsys, tmp_path, matrix, message):
+        # these used to say "'int' object is not iterable", naming no field
+        mat_path = tmp_path / "L.json"
+        mat_path.write_text(json.dumps({"genus": 1, "matrix": matrix}))
+        code, out, err = run(capsys, "verify", "--g", "1", "--linking-matrix", str(mat_path))
+        assert code == 3
+        assert out == ""
+        assert err == f"invalid linking matrix: {message}\n"
+
     @pytest.mark.parametrize("data", [[1, 2], "L", 5, None], ids=["list", "str", "int", "null"])
     def test_non_object_linking_matrix_exits_three(self, capsys, tmp_path, data):
         # a list used to be indexed by "genus": "list indices must be integers
@@ -523,6 +541,31 @@ class TestEval:
         )
 
     @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"type": "bp", "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]], "C": 5},
+             "C must be a list of 4 coordinates, got int"),
+            ({"type": "bp", "basis": [], "C": [1, 0, 0]},
+             "C must be a list of 4 coordinates, got a list of 3"),
+            ({"type": "separating", "basis": [[5, 6]]},
+             "basis[0][0] must be a list of 4 coordinates, got int"),
+            ({"type": "separating", "basis": [[[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]]},
+             "basis[0] must be an [A, B] pair, got a list of 3"),
+            ({"type": "separating", "basis": [5]}, "basis[0] must be an [A, B] pair, got int"),
+        ],
+        ids=["C-int", "C-short", "basis-ints", "basis-triple", "basis-pair-int"],
+    )
+    def test_malformed_field_is_named(self, capsys, tmp_path, entry, message):
+        # these used to say "object of type 'int' has no len()", "too many
+        # values to unpack (expected 2)" or "cannot unpack non-iterable int
+        # object", naming no field
+        path = self.write_catalog(tmp_path, [entry])
+        code, out, err = run(capsys, "eval", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"catalog error: entry 0: {message}\n"
+
+    @pytest.mark.parametrize(
         "genus, message",
         [
             (True, "genus must be a positive integer, got True"),
@@ -671,6 +714,19 @@ class TestOutputBytes:
              "ae6cfc9bb7f7968599073d976270d3b63b4a9de995678116885ec8845ea07f1b"),
             (["orbits", "--g", "3", "--format", "json"],
              "74dd69c537185b644267ae2b8ce71fc492845ecd20d7a538f354ef3cdc0c37bc"),
+            # g = 4 is the first genus with class III
+            (["orbits", "--g", "4", "--format", "md"],
+             "3c466963178d298fa3b2c3b016c940097e3452373622bdd4294a092d5486a716"),
+            (["orbits", "--g", "4", "--format", "csv"],
+             "20211e8861d02634a13cb8a46287f54d1ef0c6450db65e4546b58ff3ff3c4060"),
+            (["orbits", "--g", "4", "--format", "json"],
+             "9f2f46cea4491d6f0339c53948b185ebcc9c08e5b767f83727182ab0834c0798"),
+            (["orbits", "--g", "5", "--format", "md"],
+             "6df958ce6ea923447963cb4cbf8b132c494f0982c43ae9a661db6da0f10ff3de"),
+            (["orbits", "--g", "5", "--format", "csv"],
+             "83ce09771bc83e410265515f47c0f067f0fe30fcb80f0a65f66a1edb442cb6c1"),
+            (["orbits", "--g", "5", "--format", "json"],
+             "d9fb0795c1fb34371954e1dcbed7ab43c21bbc810994e83085c2f392e6e9bac7"),
             (["eval", "CATALOG", "--format", "md"],
              "9c8db1b9f35db5a5c3e5dcf7fe99307af8614768b82e07135fca2ba35d4d156c"),
             (["eval", "CATALOG", "--format", "csv"],

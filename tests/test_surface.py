@@ -378,3 +378,9 @@ class TestJson:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
             HClass.from_coords(2, [1, 0, 1])
+
+    @pytest.mark.parametrize("coords, got", [(5, "int"), ("1010", "str"), (None, "NoneType")])
+    def test_non_list_rejected_with_its_type(self, coords, got):
+        # 5 used to fail inside len(): "object of type 'int' has no len()"
+        with pytest.raises(TypeError, match=f"^coordinates must be a list, got {got}$"):
+            HClass.from_coords(2, coords)

@@ -198,12 +198,14 @@ def test_defaults_and_keywords():
 
 def test_cold_import_skips_heavy_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize; hashlib is only
-    # needed by eval.  None of them may load when the package and its CLI
-    # do.  -S keeps site-packages .pth files from importing them first.
+    # needed by eval; annotations are strings, so typing is not needed.  None
+    # of them may load when the package and its CLI do.  -S keeps
+    # site-packages .pth files from importing them first.
     src = os.path.dirname(os.path.dirname(bcjcalc.__file__))
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bcjcalc, bcjcalc.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules))"
+        "heavy = ('dataclasses', 'inspect', 'hashlib', 'typing'); "
+        "print(sorted(m for m in heavy if m in sys.modules))"
     )
     r = subprocess.run(
         [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True

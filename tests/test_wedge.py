@@ -31,6 +31,7 @@ from bcjcalc.wedgespan import (
     wedge,
     wedge_dim,
     wedge_translate,
+    _basis_map,
     _descriptors_for_set,
     _disjoint_set_pairs,
     _local_spines,
@@ -378,6 +379,18 @@ class TestTemplates:
             wedgespan._template.cache_clear()
         assert len(calls) == 1 + 18 + 279
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_template_basis_is_the_echelon_in_mask_order(self, s):
+        # the stream inserts products of these rows, so the echelon that
+        # picks them is pinned: bit m is the monomial of mask m, whose order
+        # differs from the basis-index order (a1*a2 sorts after every variable)
+        _, groups, basis = wedgespan._template(s)
+        masks = [m.mask for m in b2_basis(s).monomials]
+        span = SpanBasis(1 << (2 * s))
+        for _, sig in groups:
+            span.insert_bits(sum(1 << masks[i] for i in sig))
+        assert tuple(sum(1 << masks[i] for i in row) for row in basis) == span.row_bits()
+
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_relabelled_template_equals_per_twist_sigma(self, g):
         basis = b2_basis(g)
@@ -462,25 +475,67 @@ class TestOrbitClasses:
         assert covered == unmatched
 
     def test_generator_invariance(self):
-        # translating any member by a generator map stays in its class
-        from bcjcalc.wedgespan import _variable_permutations, _permute_mask
-        from bcjcalc.boolring import b2_basis
+        # translating any member by a generator map stays in its class; each
+        # handle swap and handle transposition is built as a permutation
+        # matrix, and its monomial images come from the substitution action
+        # (`_wedge_action_table`), which shares no code with `_basis_map`
+        for g in (3, 4):
+            rep = orbit_classes(g)
+            d = b2_basis(g).size
+            slot_to_class = {s: lab for lab, slots in rep.classes.items() for s in slots}
+            perms = []
+            for i in range(g):
+                p = list(range(2 * g))
+                p[i], p[g + i] = g + i, i
+                perms.append(p)
+            for i, j in combinations(range(g), 2):
+                p = list(range(2 * g))
+                p[i], p[j], p[g + i], p[g + j] = j, i, g + j, g + i
+                perms.append(p)
+            assert len(perms) == g + g * (g - 1) // 2
+            for p in perms:
+                M = F2Matrix(2 * g, tuple(1 << p[k] for k in range(2 * g)))
+                images, _ = _wedge_action_table(g, M)
+                for s, lab in slot_to_class.items():
+                    i, j = slot_pair(d, s)
+                    (pi,), (pj,) = images[i], images[j]
+                    assert slot_to_class[pair_index(d, min(pi, pj), max(pi, pj))] == lab
 
-        g = 3
-        rep = orbit_classes(g)
-        basis = b2_basis(g)
-        d = basis.size
-        slot_to_class = {}
-        for lab, slots in rep.classes.items():
-            for s in slots:
-                slot_to_class[s] = lab
-        for perm in _variable_permutations(g):
-            for s, lab in slot_to_class.items():
-                i, j = slot_pair(d, s)
-                pi = basis.index_of_mask[_permute_mask(basis.monomial(i).mask, perm)]
-                pj = basis.index_of_mask[_permute_mask(basis.monomial(j).mask, perm)]
-                t = pair_index(d, min(pi, pj), max(pi, pj))
-                assert slot_to_class[t] == lab
+
+@st.composite
+def partner_maps(draw):
+    """(k, g, phi): an injective, partner-preserving variable map from genus
+    k in {1, 2, 3} into genus g <= 5, a handle injection composed with
+    random a_i <-> b_i swaps, written out without the module's helpers."""
+    k = draw(st.integers(1, 3))
+    g = draw(st.integers(k, 5))
+    handles = draw(st.permutations(range(g)))[:k]
+    swaps = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    a_images = [h + g * swap for h, swap in zip(handles, swaps)]
+    return k, g, tuple(a_images + [(v + g) % (2 * g) for v in a_images])
+
+
+class TestRelabelling:
+    @given(partner_maps(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_basis_map_commutes_with_sigma(self, kgphi, data):
+        # sigma(sep(x, y)) carried through _basis_map is sigma(sep(phi x, phi y))
+        k, g, phi = kgphi
+        x = data.draw(st.integers(1, (1 << (2 * k)) - 1), label="x")
+        y = data.draw(
+            st.integers(1, (1 << (2 * k)) - 1).filter(lambda y: sf.pairing(k, x, y)), label="y"
+        )
+
+        def image(v):
+            return sum(1 << phi[b] for b in range(2 * k) if (v >> b) & 1)
+
+        local = sigma(spine_twist(k, sf.HClass(k, x), sf.HClass(k, y)))
+        full = sigma(spine_twist(g, sf.HClass(g, image(x)), sf.HClass(g, image(y))))
+        to = _basis_map(g, phi)
+        index_k, index_g = b2_basis(k).index_of_mask, b2_basis(g).index_of_mask
+        assert sorted(to[index_k[m]] for m in local.masks) == sorted(
+            index_g[m] for m in full.masks
+        )
 
 
 def family_slot_pairs(g):
