@@ -26,6 +26,7 @@ from .gf2core import F2Matrix
 from .surface import (
     HClass,
     SubsurfaceBasis,
+    ZHClass,
     ZSubsurfaceBasis,
     check_genus,
     intersect,
@@ -33,7 +34,6 @@ from .surface import (
     random_sp_word,
     support,
     transform_basis,
-    zbasis_from_json,
 )
 from .value import Value
 
@@ -123,11 +123,8 @@ def is_index_matched(m1: BoolMonomial, m2: BoolMonomial) -> bool:
         raise ValueError("index-matching is defined on distinct monomials")
     if m1.degree > 2 or m2.degree > 2:
         raise FiltrationError("index-matching is defined on the degree-<=2 basis")
-    g = m1.genus
-    amask = (1 << g) - 1
-    a1, b1 = m1.mask & amask, m1.mask >> g
-    a2, b2 = m2.mask & amask, m2.mask >> g
-    return bool((a1 & b2) | (a2 & b1))
+    g, x, y = m1.genus, m1.mask, m2.mask
+    return bool((x & (y >> g)) | (y & (x >> g)))
 
 
 # -- randomized property suites (shared by tests and the verify command) ----
@@ -228,7 +225,10 @@ def _entry_from_json(
             descriptor = BPMap(basis, HClass.from_coords(genus, data["C"]), label)
         zbasis = None
         if integral:
-            zbasis = zbasis_from_json({"genus": genus, "pairs": data["basis"]})
+            zbasis = ZSubsurfaceBasis(
+                genus,
+                tuple(tuple(ZHClass.from_coords(genus, c) for c in pair) for pair in data["basis"]),
+            )
             zbasis.validate()
         return descriptor, zbasis
     except (KeyError, TypeError, ValueError) as exc:

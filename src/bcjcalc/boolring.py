@@ -14,8 +14,8 @@ form at c".  It is not additive; its defect is exactly the intersection form:
 Iterating that relation over a support S gives the closed form used here:
 bar(sum_{k in S} e_k) = sum_{k in S} ebar_k + #{k < l in S : e_k.e_l = 1},
 and in the fixed basis the pair count is just the number of handles whose
-a- and b-variable both occur in S.  The closed form has no ordering
-ambiguity and costs O(|S|) with bit tricks.
+a- and b-variable both occur in S (``surface.paired_handles``).  The closed
+form has no ordering ambiguity and costs O(|S|) with bit tricks.
 
 Substitution by a symplectic matrix M is the algebra endomorphism with
 ebar_k -> bar(M e_k).  Under this pinned convention the composition law is
@@ -38,7 +38,7 @@ from .errors import (
     MatrixError,
 )
 from .gf2core import F2Matrix, bit_indices
-from .surface import HClass, check_genus, coordinate_name, is_symplectic
+from .surface import HClass, check_genus, coordinate_name, is_symplectic, paired_handles
 from .value import Value
 
 
@@ -113,16 +113,6 @@ class BoolPoly(Value):
     def __bool__(self) -> bool:
         return bool(self.masks)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BoolPoly)
-            and self.genus == other.genus
-            and self.masks == other.masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.genus, self.masks))
-
     def __add__(self, other: "BoolPoly") -> "BoolPoly":
         if self.genus != other.genus:
             raise GenusMismatchError("cannot add across genera")
@@ -157,8 +147,7 @@ def bar(c: HClass) -> BoolPoly:
     """The class-to-function map; linear part plus the pair-count constant."""
     g = c.genus
     masks = [1 << v for v in bit_indices(c.bits)]
-    pairs = (c.bits & (c.bits >> g) & ((1 << g) - 1)).bit_count()
-    if pairs & 1:
+    if paired_handles(g, c.bits).bit_count() & 1:
         masks.append(0)
     return BoolPoly(g, masks)
 
@@ -180,10 +169,8 @@ class SelfLinkingForm(Value):
         """Extend to all of H by omega(u+v) = omega(u) + omega(v) + u.v."""
         if u.genus != self.genus:
             raise GenusMismatchError("form and class have different genus")
-        g = self.genus
         linear = (u.bits & self.values).bit_count()
-        pairs = (u.bits & (u.bits >> g) & ((1 << g) - 1)).bit_count()
-        return (linear + pairs) & 1
+        return (linear + paired_handles(self.genus, u.bits).bit_count()) & 1
 
     def basis_value(self, v: int) -> int:
         return (self.values >> v) & 1

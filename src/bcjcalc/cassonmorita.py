@@ -59,6 +59,7 @@ from .surface import (
     check_genus,
     check_int,
     coordinate_name,
+    parity_bits,
     random_z_symplectic_basis,
 )
 from .value import Value
@@ -131,14 +132,8 @@ class CMPoly(Value):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CMPoly)
-            and self.genus == other.genus
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
+        # Value's hash of the field tuple would fail on the dict `terms`
         return hash((self.genus, frozenset(self.terms.items())))
 
     def _check(self, other: "CMPoly") -> None:
@@ -416,11 +411,8 @@ class LinkingMatrix(Value):
 
     def omega(self) -> SelfLinkingForm:
         """Mod-2 diagonal; the self-linking form u -> u^T L u mod 2."""
-        values = 0
-        for k in range(2 * self.genus):
-            if self.entries[k][k] & 1:
-                values |= 1 << k
-        return SelfLinkingForm(self.genus, values)
+        diagonal = [self.entries[k][k] for k in range(2 * self.genus)]
+        return SelfLinkingForm(self.genus, parity_bits(diagonal))
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "matrix": [list(r) for r in self.entries]}

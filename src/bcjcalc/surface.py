@@ -54,6 +54,17 @@ def handle_bits(genus: int, bits: int) -> int:
     return (bits & ((1 << genus) - 1)) | (bits >> genus)
 
 
+def paired_handles(genus: int, bits: int) -> int:
+    """Bit i - 1 is set iff a packed class (or monomial) has both coordinates
+    on handle i; the count of these handles is the constant of bar."""
+    return bits & (bits >> genus)
+
+
+def parity_bits(coords: Sequence[int]) -> int:
+    """The packed mod-2 reduction of integer coordinates: bit i is coords[i] mod 2."""
+    return sum(1 << i for i, c in enumerate(coords) if c & 1)
+
+
 def _check_same_genus(u, v) -> None:
     if u.genus != v.genus:
         raise GenusMismatchError(f"genus mismatch: {u.genus} vs {v.genus}")
@@ -77,11 +88,7 @@ class HClass(Value):
             raise TypeError(f"coordinates must be a list, got {type(coords).__name__}")
         if len(coords) != 2 * genus:
             raise DimensionError(f"expected {2 * genus} coordinates")
-        bits = 0
-        for i, c in enumerate(coords):
-            if check_int(c) & 1:
-                bits |= 1 << i
-        return cls(genus, bits)
+        return cls(genus, parity_bits([check_int(c) for c in coords]))
 
     def coords(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(2 * self.genus)]
@@ -126,11 +133,7 @@ class ZHClass(Value):
         return ZHClass(self.genus, tuple(n * c for c in self.coords))
 
     def mod2(self) -> HClass:
-        bits = 0
-        for i, c in enumerate(self.coords):
-            if c & 1:
-                bits |= 1 << i
-        return HClass(self.genus, bits)
+        return HClass(self.genus, parity_bits(self.coords))
 
     def __bool__(self) -> bool:
         return any(self.coords)
@@ -404,16 +407,3 @@ def random_z_symplectic_basis(
     out.validate()
     return out
 
-
-# -- JSON decoding -----------------------------------------------------------
-
-
-def zbasis_from_json(data: dict) -> ZSubsurfaceBasis:
-    g = check_genus(data["genus"])
-    return ZSubsurfaceBasis(
-        g,
-        tuple(
-            (ZHClass.from_coords(g, A), ZHClass.from_coords(g, B))
-            for A, B in data["pairs"]
-        ),
-    )

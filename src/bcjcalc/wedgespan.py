@@ -22,13 +22,13 @@ value of each distinct sigma, and a basis of their span, in basis indices.
 Every relabelling is one map of variables, injective and sending partners
 to partners; such a map commutes with sigma (sigma(sep(x, y)) = x-bar y-bar,
 and it keeps bar's constant, the count of handles on which a class has both
-coordinates), so every set's data is its template carried through
-`_basis_map`.  A template evaluates sigma once per plane {x, y, x+y}, not
-once per spine: sigma of a separating twist does not depend on the choice
-of symplectic basis, so the 6 ordered bases of a plane share one value, and
-the 1,788 spines on 1..3 handles cost 298 calls.  Twists, and their
-`sep(x,y)` labels, are built only for the templates and for the per-class
-first hits.
+coordinates, `surface.paired_handles`), so every set's data is its template
+carried through `_basis_map`.  A template evaluates sigma once per plane
+{x, y, x+y}, not once per spine: sigma of a separating twist does not depend
+on the choice of symplectic basis, so the 6 ordered bases of a plane share
+one value, and the 1,788 spines on 1..3 handles cost 298 calls.  Twists, and
+their `sep(x,y)` labels, are built only for the templates and for the
+per-class first hits.
 
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
@@ -79,7 +79,15 @@ from .boolring import (
 )
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
 from .gf2core import SpanBasis, bit_indices
-from .surface import HClass, SubsurfaceBasis, check_genus, handle_bits, pairing, transvection
+from .surface import (
+    HClass,
+    SubsurfaceBasis,
+    check_genus,
+    handle_bits,
+    paired_handles,
+    pairing,
+    transvection,
+)
 from .value import Value
 
 
@@ -362,8 +370,7 @@ def dims(genus: int) -> dict:
     basis = b2_basis(g)
     d = basis.size
     total = wedge_dim(d)
-    mons = basis.monomials
-    matched = sum(is_index_matched(mons[i], mons[j]) for i, j in _slot_pairs(d))
+    matched = sum(is_index_matched(m1, m2) for m1, m2 in combinations(basis.monomials, 2))
     return {
         "g": g,
         "d": d,
@@ -389,9 +396,10 @@ def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> str | None:
         return None
     x, y = sorted((m1, m2), key=lambda m: -m.degree)
     dx, dy = x.degree, y.degree
-    hx, hy = handle_bits(m1.genus, x.mask), handle_bits(m1.genus, y.mask)
-    diag_x = dx == 2 and hx.bit_count() == 1  # a_i b_i, on one handle
-    diag_y = dy == 2 and hy.bit_count() == 1
+    g = m1.genus
+    hx, hy = handle_bits(g, x.mask), handle_bits(g, y.mask)
+    diag_x = paired_handles(g, x.mask) != 0  # a_i b_i: both coordinates of one handle
+    diag_y = paired_handles(g, y.mask) != 0
     if (dx, dy) == (2, 2):
         if diag_x and diag_y:
             return "I"
@@ -467,13 +475,13 @@ def orbit_classes(genus: int) -> OrbitReport:
         if rx != ry:
             parent[rx] = ry
 
-    hs = range(1, g + 1)
-    swaps = [tuple((v + g) % (2 * g) if v % g == i else v for v in range(2 * g)) for i in range(g)]
+    # a_1 <-> b_1 and the adjacent transpositions generate all swaps and transpositions (B_g)
+    swap = tuple((v + g) % (2 * g) if v % g == 0 else v for v in range(2 * g))
     transpositions = [
-        _handle_map(g, [j if h == i else i if h == j else h for h in hs])
-        for i, j in combinations(hs, 2)
+        _handle_map(g, [i + 1 if h == i else i if h == i + 1 else h for h in range(1, g + 1)])
+        for i in range(1, g)
     ]
-    for var_map in swaps + transpositions:
+    for var_map in [swap] + transpositions:
         image = _basis_map(g, var_map)
         for slot, (i, j) in enumerate(_slot_pairs(d)):
             if labels[slot] is not None:

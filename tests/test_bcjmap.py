@@ -17,7 +17,15 @@ from bcjcalc.bcjmap import (
     sigma_bp,
     sigma_separating,
 )
-from bcjcalc.boolring import BoolMonomial, BoolPoly, all_forms, bar, evaluate, substitute_sp
+from bcjcalc.boolring import (
+    BoolMonomial,
+    BoolPoly,
+    all_forms,
+    b2_basis,
+    bar,
+    evaluate,
+    substitute_sp,
+)
 from bcjcalc.errors import (
     BasisError,
     CatalogError,
@@ -193,6 +201,14 @@ class TestEquivariance:
             assert equivariance_failures(g, mats, seed=5) == []
 
 
+@st.composite
+def basis_pairs(draw):
+    """Two distinct monomials of the degree-<=2 basis at a genus up to 8."""
+    mons = b2_basis(draw(st.integers(1, 8))).monomials
+    i, j = draw(st.lists(st.integers(0, len(mons) - 1), min_size=2, max_size=2, unique=True))
+    return mons[i], mons[j]
+
+
 class TestIndexMatched:
     def test_matched_examples(self):
         g = 3
@@ -213,6 +229,17 @@ class TestIndexMatched:
         with pytest.raises(FiltrationError):
             is_index_matched(BoolMonomial(2, 0b0111), BoolMonomial(2, 0b0001))
 
+    @given(basis_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_a_b_split(self, pair):
+        # the split into a- and b-halves that is_index_matched used to make
+        m1, m2 = pair
+        g = m1.genus
+        amask = (1 << g) - 1
+        a1, b1 = m1.mask & amask, m1.mask >> g
+        a2, b2 = m2.mask & amask, m2.mask >> g
+        assert is_index_matched(m1, m2) is bool((a1 & b2) | (a2 & b1))
+
     def test_constant_never_matched(self):
         g = 2
         one = BoolMonomial(g, 0)
@@ -222,8 +249,6 @@ class TestIndexMatched:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_agrees_with_oracle_exhaustive(self, g):
-        from bcjcalc.boolring import b2_basis
-
         basis = b2_basis(g)
         for i in range(basis.size):
             for j in range(i + 1, basis.size):

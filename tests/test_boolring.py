@@ -116,6 +116,14 @@ def test_hypothesis_ring_laws(data):
     assert p * (q + r) == p * q + p * r
 
 
+@st.composite
+def class_and_form(draw):
+    """A genus, a packed class and the basis values of a form at it."""
+    g = draw(st.integers(1, 10))
+    top = (1 << (2 * g)) - 1
+    return g, draw(st.integers(0, top)), draw(st.integers(0, top))
+
+
 class TestBar:
     def test_basis_variable(self):
         assert bar(sf.a(2, 1)) == BoolPoly.variable(2, 0)
@@ -143,6 +151,20 @@ class TestBar:
                     defect = bar(u + v) + bar(u) + bar(v)
                     want = one if sf.intersect(u, v) else BoolPoly.zero(g)
                     assert defect == want
+
+    @given(class_and_form())
+    @settings(max_examples=300, deadline=None)
+    def test_constant_counts_paired_handles(self, gbv):
+        # the inline pair count that bar and omega carried before
+        # surface.paired_handles owned it is the oracle here
+        g, bits, values = gbv
+        pairs = (bits & (bits >> g) & ((1 << g) - 1)).bit_count()
+        assert sf.paired_handles(g, bits).bit_count() == pairs
+        p = bar(HClass(g, bits))
+        assert (0 in p.masks) == bool(pairs & 1)
+        assert p.masks - {0} == {1 << v for v in range(2 * g) if (bits >> v) & 1}
+        linear = (bits & values).bit_count()
+        assert SelfLinkingForm(g, values).omega(HClass(g, bits)) == (linear + pairs) & 1
 
     def test_defect_is_intersection_randomized_high_genus(self):
         rng = random.Random(3)

@@ -501,6 +501,24 @@ class TestLinkingMatrix:
         L = LinkingMatrix.standard_model(2)
         assert LinkingMatrix.from_json(L.to_json()) == L
 
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda g: st.lists(st.integers(-(10**20), 10**20), min_size=2 * g, max_size=2 * g)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_omega_is_the_diagonal_mod2(self, diagonal):
+        # the constraint leaves the diagonal free, so any integers will do
+        n = len(diagonal)
+        g = n // 2
+        rows = [[0] * n for _ in range(n)]
+        for i in range(g):
+            rows[g + i][i] = 1
+        for k, c in enumerate(diagonal):
+            rows[k][k] = c
+        form = LinkingMatrix.from_rows(g, rows).omega()
+        assert [form.basis_value(k) for k in range(n)] == [c % 2 for c in diagonal]
+
 
 class TestDiagrams:
     def test_verify_passes_g2(self):

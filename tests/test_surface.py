@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc.errors import BasisError, DimensionError, GenusMismatchError
@@ -85,6 +86,45 @@ class TestSupport:
 
     def test_integral_support(self):
         assert support(ZHClass(2, (0, 2, 0, 0))) == {2}
+
+
+@st.composite
+def packed_classes(draw):
+    g = draw(st.integers(1, 8))
+    return g, draw(st.integers(0, (1 << (2 * g)) - 1))
+
+
+class TestHandleFacts:
+    @given(packed_classes())
+    @settings(max_examples=300, deadline=None)
+    def test_paired_handles_matches_coordinate_scan(self, gbits):
+        g, bits = gbits
+        c = HClass(g, bits).coords()
+        want = sum(1 << i for i in range(g) if c[i] and c[g + i])
+        assert sf.paired_handles(g, bits) == want
+        assert sf.handle_bits(g, bits) == sum(1 << i for i in range(g) if c[i] or c[g + i])
+
+
+@st.composite
+def integer_coords(draw):
+    g = draw(st.integers(1, 6))
+    coords = draw(st.lists(st.integers(-(10**30), 10**30), min_size=2 * g, max_size=2 * g))
+    return g, coords
+
+
+class TestParityBits:
+    @given(integer_coords())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_coordinatewise_mod2(self, gcoords):
+        g, coords = gcoords
+        want = [c % 2 for c in coords]
+        assert sf.parity_bits(coords) == sum(r << i for i, r in enumerate(want))
+        assert HClass.from_coords(g, coords).coords() == want
+        assert ZHClass(g, tuple(coords)).mod2().coords() == want
+
+    def test_from_coords_checks_every_coordinate(self):
+        with pytest.raises(TypeError, match="coordinate must be an integer, got 1.0"):
+            HClass.from_coords(1, [0, 1.0])
 
 
 def spine(x, y):
@@ -373,7 +413,15 @@ class TestJson:
         pairs = [[[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]], [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]]]
         assert catalog_basis(3, pairs) == SubsurfaceBasis.standard(3, [1, 3])
         zpairs = [[[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 1]]]
-        assert sf.zbasis_from_json({"genus": 2, "pairs": zpairs}) == ZSubsurfaceBasis.standard(2, [1, 2])
+        zbasis = ZSubsurfaceBasis(
+            2, tuple(tuple(ZHClass.from_coords(2, c) for c in pair) for pair in zpairs)
+        )
+        assert zbasis == ZSubsurfaceBasis.standard(2, [1, 2])
+        from bcjcalc.bcjmap import catalog_from_json
+
+        entry = {"type": "separating", "basis": zpairs, "integral": True}
+        _, [(_, decoded)] = catalog_from_json({"genus": 2, "entries": [entry]}, 32)
+        assert decoded == zbasis
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):

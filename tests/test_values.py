@@ -29,7 +29,8 @@ from bcjcalc import (
     ZSubsurfaceBasis,
     b2_basis,
 )
-from bcjcalc.boolring import B2Basis
+from bcjcalc.boolring import B2Basis, BoolPoly
+from bcjcalc.cassonmorita import CMPoly
 from bcjcalc.wedgespan import OrbitReport
 
 H1 = "HClass(genus=2, bits=1)"
@@ -165,6 +166,25 @@ def test_hash_is_the_field_tuple_hash():
     assert hash(HClass(2, 3)) == hash((2, 3))
     assert hash(WedgeElem(1, 5)) == hash((1, 5))
     assert HClass(2, 3) != (2, 3)
+
+
+def test_polynomial_equality_comes_from_value():
+    # BoolPoly and CMPoly define no __eq__; CMPoly adds only a __hash__,
+    # since its terms are a dict
+    assert "__eq__" not in vars(BoolPoly) and "__hash__" not in vars(BoolPoly)
+    assert "__eq__" not in vars(CMPoly) and "__hash__" in vars(CMPoly)
+    for p, again, other in (
+        (BoolPoly(2, {0, 5}), BoolPoly(2, [5, 0, 5, 5]), BoolPoly(3, {0, 5})),
+        (CMPoly(2, {((0, 2),): 3}), CMPoly.symbol(2, 0, 2, 3), CMPoly(2, {((0, 2),): -3})),
+    ):
+        assert p is not again
+        assert p == again and not p != again and hash(p) == hash(again)
+        assert p != other and not p == other
+        assert len({p, again, other}) == 2
+    assert hash(BoolPoly(2, {0, 5})) == hash((2, frozenset({0, 5})))
+    # the same genus and the "same" constant, in the two algebras
+    assert BoolPoly.one(2) != CMPoly.one(2) and not BoolPoly.one(2) == CMPoly.one(2)
+    assert BoolPoly.zero(2) != CMPoly.zero(2)
 
 
 def test_b2basis_is_unhashable():

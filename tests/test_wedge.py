@@ -26,6 +26,7 @@ from bcjcalc.wedgespan import (
     image_rank_report,
     orbit_classes,
     pair_index,
+    render_slot,
     saturate_span,
     slot_pair,
     wedge,
@@ -34,6 +35,7 @@ from bcjcalc.wedgespan import (
     _basis_map,
     _descriptors_for_set,
     _disjoint_set_pairs,
+    _handle_map,
     _local_spines,
     _search_shard,
     _slot_labels,
@@ -473,6 +475,57 @@ class TestOrbitClasses:
                 assert s not in covered
                 covered.add(s)
         assert covered == unmatched
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_generating_set_matches_every_swap_and_transposition(self, g):
+        # orbit_classes walks only a_1 <-> b_1 and the adjacent handle
+        # transpositions; the components under all g swaps and C(g, 2)
+        # transpositions must give the same report
+        d = b2_basis(g).size
+        labels = _slot_labels(g)
+        parent = list(range(wedge_dim(d)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        swaps = [
+            tuple((v + g) % (2 * g) if v % g == i else v for v in range(2 * g)) for i in range(g)
+        ]
+        transpositions = [
+            _handle_map(g, [j if h == i else i if h == j else h for h in range(1, g + 1)])
+            for i, j in combinations(range(1, g + 1), 2)
+        ]
+        for var_map in swaps + transpositions:
+            image = _basis_map(g, var_map)
+            for slot in range(wedge_dim(d)):
+                if labels[slot] is not None:
+                    i, j = slot_pair(d, slot)
+                    parent[find(slot)] = find(pair_index(d, *sorted((image[i], image[j]))))
+        components = {}
+        for slot in range(wedge_dim(d)):
+            if labels[slot] is not None:
+                components.setdefault(find(slot), []).append(slot)
+        classes, representatives, errors = {}, {}, []
+        for slots in components.values():
+            seen = {labels[s] for s in slots}
+            if len(seen) != 1:
+                errors.append(
+                    f"component of {render_slot(g, slots[0])} mixes patterns {sorted(seen)}"
+                )
+                continue
+            (lab,) = seen
+            if lab in classes:
+                errors.append(f"pattern {lab} splits into several components")
+                continue
+            classes[lab] = slots
+            representatives[lab] = render_slot(g, slots[0])
+        report = orbit_classes(g)
+        assert report.classes == classes
+        assert list(report.classes) == list(classes)
+        assert report.representatives == representatives
+        assert report.errors == errors
 
     def test_generator_invariance(self):
         # translating any member by a generator map stays in its class; each
