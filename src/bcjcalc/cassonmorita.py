@@ -19,19 +19,40 @@ basis (A_i, B_i) is the quadratic expression
     rho(T_c) = - sum_i [ l(A_i,A_i) l(B_i,B_i) - l(A_i,B_i) l(B_i,A_i) ]
                - 2 sum_{i<j} [ l(A_i,A_j) l(B_i,B_j) - l(A_i,B_j) l(A_j,B_i) ]
 
-rho_separating sums these products exactly in one packed kernel.  The
-unordered symbol pairs {p <= q} over the n coordinate positions the basis
-uses get local indices t = 1, 2, ... in lexicographic order (cached per n);
-t = 0 is the constant.  Each form l(x, y) is built once as (t, coeff) terms
-and packed into one integer, a signed W-bit field per t.  A product f x y
-adds f c Y to row t for each term (t, c) of x and f c X for each term of y,
-so field t2 of row t1 ends as Q[t1][t2] + Q[t2][t1], Q[t1][t2] being the
-sum of f x_t1 y_t2: the result's coefficient above the diagonal, twice it
-on it.  Each row is read from its diagonal up, one nonzero field at a time.
-A form coefficient is at most L^2, L the largest l1 norm of a basis vector,
-and the |f| sum to 2h^2, so |field| <= 4 h^2 L^4 < 2^(W-1) for
-W = bit_length(4 h^2 L^4) + 1: no field reaches into the next, and Python
-integers are exact, so the result is exact over Z at any coefficient size.
+rho_separating evaluates it in closed form.  Let Lam_pq = l(e_p, e_q) =
+s_pq + [p = q + g], s_pq the normal-form symbol of {p, q}, so l(x, y) =
+x^T Lam y and Lam^T = Lam + J, where x.y = x^T J y.  Let P = sum_i A_i B_i^T
+and N = P - P^T, the integer antisymmetric matrix of the basis.  Entries
+commute, so tr(XY) = tr(YX) = tr(Y^T X^T); write <X, Y> = tr(X^T Y).
+
+1. A_i.A_j = B_i.B_j = 0, so each i<j bracket equals its j<i mirror, and
+   l(B_i,A_i) = l(A_i,B_i) + 1: rho = sum_i l(A_i,B_i)
+   - sum_{i,j} [ l(A_i,A_j) l(B_i,B_j) - l(A_i,B_j) l(A_j,B_i) ].
+2. By bilinearity, rho = - <Lam, P Lam P^T> + <Lam, P Lam^T P> + <P, Lam>.
+3. rho = 1/2 tr(Lam N Lam^T N).  With a, b the h x 2g matrices of the A_i
+   and B_i, P = a^T b and a J a^T = b J b^T = 0, a J b^T = I, so
+   P J P = -P and P J P^T = P^T J P = 0.  Put T1 = tr(Lam P Lam^T P) and
+   T2 = tr(Lam P Lam^T P^T).  Replacing Lam^T by Lam + J or Lam by Lam^T - J,
+     <Lam, P Lam^T P> = T1 + tr(Lam^T P J P) = T1 - <P, Lam>,
+     <Lam, P Lam P^T> = tr(Lam P Lam P^T) + tr(P^T J P Lam)
+                      = T2 - tr(Lam P J P^T) = T2,
+   so rho = T1 - T2.  Transposing and cycling, tr(Lam P^T Lam^T P^T) = T1
+   and tr(Lam P^T Lam^T P) = T2, so expanding N = P - P^T gives
+   tr(Lam N Lam^T N) = 2 T1 - 2 T2 = 2 rho: the symmetric part of P drops out.
+4. N is antisymmetric, so in tr(Lam N Lam^T N) = sum Lam_pq N_qr Lam_sr N_sp
+   the terms with q > r fold onto q < r and those with s > p onto s < p,
+   each fold doubling the bracket:
+     rho = sum over q<r with x = N_qr != 0 and s<p with y = N_sp != 0 of
+           x y [ l(e_p,e_q) l(e_s,e_r) - l(e_p,e_r) l(e_s,e_q) ].
+
+So rho depends on the basis only through N, which every symplectic basis
+of the same subspace shares.  The code splits Lam = S + C, S the symmetric
+symbols and C_pq = [p = q + g], into 1/2 tr(SNSN) + tr(SNCN) +
+1/2 tr(CNC^T N): step 4's sum with s for l over unordered pairs of
+nonzeros (its bracket is symmetric under (q, r) <-> (s, p)), N_{p,b_i}
+N_{a_i,r} on s_pr for each handle i, and sum_{i<j} N_{a_i,a_j} N_{b_j,b_i}.
+Building N over the n support positions costs O(h n^2) and the sum
+O(nnz(N)^2), in exact integer arithmetic.
 
 The reduction mu to the square-free algebra sends the diagonal symbol
 l(e_k, e_k) to the variable ebar_k and every other ordered symbol to 0;
@@ -47,8 +68,10 @@ form, giving the evaluation on the square-free side.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from operator import mul
 
 from .bcjmap import SeparatingTwist, sigma_separating
 from .boolring import BoolPoly, SelfLinkingForm, bar, evaluate
@@ -179,16 +202,11 @@ class CMPoly(Value):
         for mon in sorted(self.terms, key=lambda m: (len(m), m)):
             coeff = self.terms[mon]
             factors = []
-            k = 0
-            while k < len(mon):
-                run = 1
-                while k + run < len(mon) and mon[k + run] == mon[k]:
-                    run += 1
-                p, q = mon[k]
+            for p, q in dict.fromkeys(mon):
                 name = f"l({coordinate_name(g, p)},{coordinate_name(g, q)})"
+                run = mon.count((p, q))
                 factors.append(name if run == 1 else f"{name}^{run}")
-                k += run
-            body = "*".join(factors) if factors else ""
+            body = "*".join(factors)
             if not body:
                 chunk = str(coeff)
             elif coeff == 1:
@@ -207,103 +225,89 @@ class CMPoly(Value):
         return f"CMPoly({self.genus}, {self})"
 
 
-@lru_cache(maxsize=None)
-def _pair_table(n: int):
-    """Local index of the unordered pairs {p <= q} over n support
-    positions, in lexicographic order from t = 1 (t = 0 is the constant):
-    the pairs, the (t, p, q) with p < q and the (t, p) with p = q."""
-    pairs = tuple((p, q) for p in range(n) for q in range(p, n))
-    off = tuple((t, p, q) for t, (p, q) in enumerate(pairs, 1) if p < q)
-    diag = tuple((t, p) for t, (p, q) in enumerate(pairs, 1) if p == q)
-    return pairs, off, diag
-
-
-def _linear_form(u, v, table, swaps) -> list[tuple[int, int]]:
-    """l(u, v) as its nonzero (t, coeff) terms over local coordinates u, v.
-
-    Each raw l(e_q, e_p) with q > p is rewritten through the swap relation
-    as l(e_p, e_q) + e_p.e_q, so the constant (t = 0) picks up +1 exactly
-    when a (b_i, a_i) pair is swapped into order: it is the sum of
-    u_b v_a over the local (a, b) positions of each handle in ``swaps``.
-    """
-    _, off, diag = table
-    terms = [(t, c) for t, p, q in off if (c := u[p] * v[q] + u[q] * v[p])]
-    terms += [(t, c) for t, p in diag if (c := u[p] * v[p])]
-    const = sum(u[b] * v[a] for a, b in swaps)
-    if const:
-        terms.append((0, const))
-    return terms
-
-
 def cm_generator(u: ZHClass, v: ZHClass) -> CMPoly:
-    """l(u, v) expanded bilinearly over the fixed basis and normalized."""
+    """l(u, v) expanded bilinearly over the fixed basis and normalized: a
+    raw l(e_q, e_p) with q > p is l(e_p, e_q) + e_p.e_q, so the constant is
+    the sum of u_{b_i} v_{a_i}."""
     if u.genus != v.genus:
         raise GenusMismatchError("classes have different genus")
     g = u.genus
-    table = _pair_table(2 * g)
-    terms = _linear_form(u.coords, v.coords, table, [(i, g + i) for i in range(g)])
-    return CMPoly._trusted(g, {(table[0][t - 1],) if t else (): c for t, c in terms})
+    x, y = u.coords, v.coords
+    support = [p for p in range(2 * g) if x[p] or y[p]]
+    terms: dict[Monomial, int] = {}
+    for k, p in enumerate(support):
+        xp, yp = x[p], y[p]
+        if c := xp * yp:
+            terms[((p, p),)] = c
+        for q in support[k + 1 :]:
+            if c := xp * y[q] + x[q] * yp:
+                terms[((p, q),)] = c
+    if c := sum(x[g + i] * y[i] for i in range(g)):
+        terms[()] = c
+    return CMPoly._trusted(g, terms)
 
 
-def _field_width(h: int, L: int) -> int:
-    """Bits per packed field in rho_separating: the least W with
-    2^(W-1) > 4 h^2 L^4, the bound on every field (module docstring)."""
-    return (4 * h * h * L**4).bit_length() + 1
+@lru_cache(maxsize=None)
+def _symbols(genus: int):
+    """The monomials of degree <= 1, () then the symbols in lexicographic
+    order, and index[p][q] = index[q][p], the index of the symbol of {p, q}."""
+    n = 2 * genus
+    symbols = [(p, q) for p in range(n) for q in range(p, n)]
+    index = [[0] * n for _ in range(n)]
+    for t, (p, q) in enumerate(symbols, 1):
+        index[p][q] = index[q][p] = t
+    return [()] + [(pq,) for pq in symbols], index
 
 
 def rho_separating(basis: ZSubsurfaceBasis | SeparatingTwist) -> CMPoly:
     """Morita's value on a separating twist, from an integral basis.
 
-    Computed exactly over Z by the packed kernel of the module docstring.
+    Computed exactly over Z from the basis's antisymmetric matrix N by the
+    closed form of the module docstring.
     """
     if isinstance(basis, SeparatingTwist):
         raise TypeError("rho needs the integral basis, not the mod-2 twist")
     basis.validate()
     g = check_genus(basis.genus)
-    pairs = basis.pairs
-    h = len(pairs)
-    if not h:
-        return CMPoly._trusted(g, {})
-    vectors = [c.coords for pair in pairs for c in pair]
-    support = [p for p in range(2 * g) if any(vec[p] for vec in vectors)]
-    local = {p: k for k, p in enumerate(support)}
-    swaps = [(local[i], local[g + i]) for i in range(g) if i in local and g + i in local]
-    table = _pair_table(len(support))
-    A = [[vec[p] for p in support] for vec in vectors[0::2]]
-    B = [[vec[p] for p in support] for vec in vectors[1::2]]
-    W = _field_width(h, max(sum(map(abs, vec)) for vec in vectors))
-    products = []
-    for i in range(h):
-        products += [(A[i], A[i], B[i], B[i], -1), (A[i], B[i], B[i], A[i], 1)]
-        for j in range(i + 1, h):
-            products += [(A[i], A[j], B[i], B[j], -2), (A[i], B[j], A[j], B[i], 2)]
-    rows = [0] * (len(table[0]) + 1)
-    shift = [W * t for t in range(len(rows))]
-    for x1, x2, y1, y2, f in products:
-        x = _linear_form(x1, x2, table, swaps)
-        y = _linear_form(y1, y2, table, swaps)
-        fX = f * sum([c << shift[t] for t, c in x])
-        fY = f * sum([c << shift[t] for t, c in y])
-        for t, c in x:
-            rows[t] += c * fY
-        for t, c in y:
-            rows[t] += c * fX
-    # Field t2 of row t1 now holds Q[t1][t2] + Q[t2][t1].  Read each row
-    # from its diagonal up: the rounded shift drops the mirror fields
-    # t2 < t1, whose sum is below half a unit of field t1.
-    mons = [()] + [((support[p], support[q]),) for p, q in table[0]]
-    mask, top = (1 << W) - 1, 1 << (W - 1)
-    terms: dict[Monomial, int] = {}
-    for t1, R in enumerate(rows):
-        if t1 and R:
-            R = (R + (1 << (W * t1 - 1))) >> (W * t1)
-        while R:
-            k = ((R & -R).bit_length() - 1) // W
-            c = (R >> (W * k)) & mask
-            if c >= top:
-                c -= 1 << W
-            R -= c << (W * k)
-            terms[mons[t1] + mons[t1 + k]] = c >> 1 if k == 0 else c
+    A = list(zip(*[a.coords for a, _ in basis.pairs]))  # A[p] = (A_1p, ..., A_hp)
+    B = list(zip(*[b.coords for _, b in basis.pairs]))
+    support = [p for p, (a, b) in enumerate(zip(A, B)) if any(a) or any(b)]
+    nz = []  # (q, r, N_qr) for q < r and N_qr != 0
+    rows: dict[int, dict[int, int]] = {p: {} for p in support}
+    for k, q in enumerate(support):
+        aq, bq = A[q], B[q]
+        for r in support[k + 1 :]:
+            if x := sum(map(mul, aq, B[r])) - sum(map(mul, bq, A[r])):
+                nz.append((q, r, x))
+                rows[q][r] = x
+                rows[r][q] = -x
+    mons, index = _symbols(g)
+    W = len(mons)
+    acc = defaultdict(int)  # key u * W + v, u <= v: coefficient of mons[u] + mons[v]
+    # quadratic part, over unordered pairs of nonzeros
+    for k, (q, r, x) in enumerate(nz):
+        iq, ir = index[q], index[r]
+        f = x * x
+        acc[iq[r] * (W + 1)] += f
+        acc[iq[q] * W + ir[r]] -= f
+        x2 = 2 * x
+        for s, p, y in nz[k + 1 :]:
+            f = x2 * y
+            u, v = iq[p], ir[s]
+            acc[u * W + v if u <= v else v * W + u] += f
+            u, v = ir[p], iq[s]
+            acc[u * W + v if u <= v else v * W + u] -= f
+    # linear part: N_{p,b_i} N_{a_i,r} on the symbol of {p, r}; constant:
+    # N_{a_k,a_i} N_{b_i,b_k} for handles k < i
+    handles = [i for i in range(g) if i in rows and g + i in rows]
+    for j, i in enumerate(handles):
+        for p, x in rows[g + i].items():  # x = N_{b_i,p} = -N_{p,b_i}
+            ip = index[p]
+            for r, y in rows[i].items():
+                acc[ip[r]] -= x * y
+        for k in handles[:j]:
+            acc[0] -= rows[k].get(i, 0) * rows[g + k].get(g + i, 0)
+    terms = {mons[key // W] + mons[key % W]: c for key, c in acc.items() if c}
     return CMPoly._trusted(g, terms)
 
 
@@ -316,19 +320,14 @@ def mu(x: CMPoly) -> BoolPoly:
     """
     masks: set[int] = set()
     for mon, coeff in x.terms.items():
-        if coeff % 2 == 0:
-            continue
-        mask = 0
-        dead = False
-        for p, q in mon:
-            if p == q:
+        if coeff % 2:
+            mask = 0
+            for p, q in mon:
+                if p != q:
+                    break
                 mask |= 1 << p
             else:
-                dead = True
-                break
-        if dead:
-            continue
-        masks ^= {mask}
+                masks ^= {mask}
     return BoolPoly(x.genus, masks)
 
 

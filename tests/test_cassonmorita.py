@@ -11,7 +11,6 @@ from bcjcalc.boolring import BoolPoly, bar, evaluate
 from bcjcalc.cassonmorita import (
     CMPoly,
     LinkingMatrix,
-    _field_width,
     cm_generator,
     cmpoly_to_json,
     epsilon,
@@ -202,6 +201,36 @@ def rho_reference(basis):
     return acc
 
 
+def z_transvect(g, rows, v):
+    """x -> x + (x.v) v over Z on each coordinate list in rows, in place."""
+    for x in rows:
+        n = sum(x[i] * v[g + i] - x[g + i] * v[i] for i in range(g))
+        for p in range(2 * g):
+            x[p] += n * v[p]
+
+
+def dense_sub_basis(g, k, rng, bound, moves=3):
+    """The first k pairs of the standard basis on all g handles after
+    integral transvections along directions on every coordinate: for k < g
+    a non-coordinate subspace, where N has nonzeros off the handle pairs."""
+    rows = [[int(p == q) for p in range(2 * g)] for i in range(g) for q in (i, g + i)]
+    for _ in range(moves):
+        z_transvect(g, rows, [rng.randint(-bound, bound) for _ in range(2 * g)])
+    classes = [ZHClass(g, tuple(x)) for x in rows[: 2 * k]]
+    return ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
+
+
+def n_nonzeros(basis):
+    """Nonzero entries N_pq, p < q, of N = sum_i A_i B_i^T - B_i A_i^T."""
+    n = 2 * basis.genus
+    return sum(
+        1
+        for p in range(n)
+        for q in range(p + 1, n)
+        if sum(A.coords[p] * B.coords[q] - B.coords[p] * A.coords[q] for A, B in basis.pairs)
+    )
+
+
 class TestRhoReference:
     def test_matches_plain_arithmetic(self):
         rng = random.Random(41)
@@ -229,14 +258,21 @@ class TestRhoReference:
                 assert got == rho_reference(basis)
                 assert_normal_form(got)
 
-    def test_field_width_bounds_every_field(self):
-        # 2^(W-1) > 4 h^2 L^4 is what keeps each packed field signed and
-        # apart from its neighbours; a width one bit short breaks it for
-        # every (h, L)
-        for h in range(1, 9):
-            for L in list(range(1, 200)) + [2**32 - 1, 2**70, 2**70 + 1]:
-                W = _field_width(h, L)
-                assert 2 ** (W - 1) > 4 * h * h * L**4 >= 2 ** (W - 2)
+    def test_matches_plain_arithmetic_where_n_is_dense(self):
+        # a coordinate subspace has N with one nonzero per handle; sub-bases
+        # of a transvected full basis reach the general case
+        rng = random.Random(47)
+        dense = 0
+        for g in range(1, 6):
+            for k in range(1, g + 1):
+                for bound in (1, 2, 2**30):
+                    for _ in range(2):
+                        basis = dense_sub_basis(g, k, rng, bound)
+                        got = rho_separating(basis)
+                        assert got == rho_reference(basis)
+                        assert_normal_form(got)
+                        dense += n_nonzeros(basis) > k
+        assert dense == 60  # every basis with k < g
 
     def test_cm_generator_matches_term_by_term(self):
         rng = random.Random(43)
@@ -250,17 +286,20 @@ class TestRhoReference:
 
 @st.composite
 def wide_integral_bases(draw):
-    """Integral symplectic bases with coordinates up to 2^70 in size, so the
-    packed fields of rho_separating are wider than 64 bits: the standard
-    basis on h of g handles, moved by transvections along drawn directions
-    supported on those handles."""
+    """Integral symplectic bases with coordinates up to 2^70 in size, so
+    every product runs past 64 bits.  The standard basis on h of g handles
+    is moved by transvections along drawn directions supported on those
+    handles (a coordinate subspace), or, in the dense case, the standard
+    basis on all g handles is moved along directions on every coordinate
+    and cut to the pairs of those h handles."""
     g = draw(st.integers(1, 5))
     h = draw(st.integers(0, g))
     handles = sorted(draw(st.permutations(range(1, g + 1)))[:h])
-    positions = [i - 1 for i in handles] + [g + i - 1 for i in handles]
+    moved = list(range(1, g + 1)) if draw(st.booleans()) else handles
+    positions = [i - 1 for i in moved] + [g + i - 1 for i in moved]
     coeff = st.integers(-(2**70), 2**70)
-    A = [sf.za(g, i) for i in handles]
-    B = [sf.zb(g, i) for i in handles]
+    A = [sf.za(g, i) for i in moved]
+    B = [sf.zb(g, i) for i in moved]
     for _ in range(draw(st.integers(0, 2))):
         coords = [0] * (2 * g)
         for p in positions:
@@ -268,7 +307,8 @@ def wide_integral_bases(draw):
         v = ZHClass(g, tuple(coords))
         A = [x + v.scale(sf.intersect(x, v)) for x in A]
         B = [x + v.scale(sf.intersect(x, v)) for x in B]
-    return ZSubsurfaceBasis(g, tuple(zip(A, B)))
+    keep = [moved.index(i) for i in handles]
+    return ZSubsurfaceBasis(g, tuple((A[k], B[k]) for k in keep))
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,6 +317,60 @@ def test_hypothesis_rho_matches_reference_on_wide_coefficients(basis):
     got = rho_separating(basis)
     assert got == rho_reference(basis)
     assert_normal_form(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_integral_bases(), st.data())
+def test_hypothesis_rho_commutes_with_handle_relabelling(basis, data):
+    # a handle permutation preserves the intersection form, so it acts on
+    # normal-form symbols by relabelling both positions and re-sorting them
+    g = basis.genus
+    perm = data.draw(st.permutations(range(g)))
+    move = list(perm) + [g + i for i in perm]  # new position of each coordinate
+
+    def relabel(x):
+        coords = [0] * (2 * g)
+        for p, c in enumerate(x.coords):
+            coords[move[p]] = c
+        return ZHClass(g, tuple(coords))
+
+    moved = ZSubsurfaceBasis(g, tuple((relabel(A), relabel(B)) for A, B in basis.pairs))
+    want = CMPoly(
+        g,
+        {
+            tuple(tuple(sorted((move[p], move[q]))) for p, q in mon): c
+            for mon, c in rho_separating(basis).terms.items()
+        },
+    )
+    assert rho_separating(moved) == want
+
+
+class TestRhoInvariance:
+    def test_basis_independence_over_z(self):
+        # rho depends on the basis only through N, which every symplectic
+        # basis of the same subspace shares: integral transvections along
+        # vectors of the span move the basis and leave rho unchanged
+        rng = random.Random(53)
+        changed = 0
+        for g in range(1, 6):
+            for h in range(1, g + 1):
+                for dense in (False, True):
+                    if dense:
+                        basis = dense_sub_basis(g, h, rng, 2)
+                    else:
+                        handles = sorted(rng.sample(range(1, g + 1), h))
+                        basis = random_z_symplectic_basis(g, h, rng, handles)
+                    want = rho_separating(basis)
+                    rows = [list(c.coords) for pair in basis.pairs for c in pair]
+                    for _ in range(3):
+                        coeffs = [rng.randint(-2, 2) for _ in rows]
+                        v = [sum(c * x[p] for c, x in zip(coeffs, rows)) for p in range(2 * g)]
+                        z_transvect(g, rows, v)
+                        classes = [ZHClass(g, tuple(x)) for x in rows]
+                        moved = ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
+                        changed += moved != basis
+                        assert rho_separating(moved) == want
+        assert changed == 90  # every move changed the basis
 
 
 def assert_normal_form(x):
