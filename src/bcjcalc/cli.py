@@ -149,7 +149,7 @@ ORBIT_COLUMNS = ("class", "size", "representative")
 def cmd_orbits(args) -> int:
     report = orbit_classes(args.g[0])
     rows = [
-        (lab, len(report.classes[lab]), report.representatives[lab])
+        (lab, report.classes[lab], report.representatives[lab])
         for lab in ROMAN
         if lab in report.classes
     ]

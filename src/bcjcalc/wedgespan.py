@@ -66,6 +66,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from time import perf_counter
 
 from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma
@@ -92,6 +93,7 @@ from .value import Value
 
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI")
+CENSUS_GENUS = 4  # every label's slots use at most 4 handles
 
 
 def wedge_dim(d: int) -> int:
@@ -135,13 +137,6 @@ class WedgeElem(Value):
             )
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def from_slots(cls, genus: int, slots: Sequence[int]) -> "WedgeElem":
-        bits = 0
-        for s in slots:
-            bits ^= 1 << s
-        return cls(genus, bits)
 
     def __add__(self, other: "WedgeElem") -> "WedgeElem":
         if self.genus != other.genus:
@@ -224,9 +219,6 @@ class AbelianCycle(Value):
         overlap = self.first.support() & self.second.support()
         if overlap:
             raise DisjointnessError(f"descriptors share handles {sorted(overlap)}")
-
-    def swapped(self) -> "AbelianCycle":
-        return AbelianCycle(self.second, self.first, self.label)
 
 
 def cycle_image(c: AbelianCycle) -> WedgeElem:
@@ -365,20 +357,22 @@ def cubic_type_count(genus: int) -> int:
 
 
 def dims(genus: int) -> dict:
-    """Exact dimension table at one genus; dim IM by exhaustive pair scan."""
+    """Exact dimension table at one genus, from the genus-4 census: dim W
+    is the sum of the label sizes c_L * C(g, k_L) (`_class_sizes`), and the
+    index-matched rest of the C(d, 2) slots is dim IM."""
     g = check_genus(genus)
-    basis = b2_basis(g)
-    d = basis.size
+    d = b2_basis(g).size
     total = wedge_dim(d)
-    matched = sum(is_index_matched(m1, m2) for m1, m2 in combinations(basis.monomials, 2))
+    dim_w = sum(_class_sizes(g).values())
+    dim_im = total - dim_w
     return {
         "g": g,
         "d": d,
         "dim_wedge": total,
-        "dim_im": matched,
-        "dim_w": total - matched,
+        "dim_im": dim_im,
+        "dim_w": dim_w,
         "cubic_type": cubic_type_count(g),
-        "cubic_residual": matched - cubic_type_count(g),
+        "cubic_residual": dim_im - cubic_type_count(g),
     }
 
 
@@ -426,27 +420,38 @@ def _slot_labels(genus: int) -> tuple[str | None, ...]:
     return tuple(classify_pair(mons[i], mons[j]) for i, j in _slot_pairs(len(mons)))
 
 
+@lru_cache(maxsize=None)
+def _census() -> dict[str, tuple[int, int]]:
+    """(k_L, c_L) per label L, read off the slots at genus 4: the slots of L
+    use exactly k_L handles, and any k_L handles carry c_L of them (its count
+    at genus 4 over C(4, k_L)), since relabelling keeps a slot's label."""
+    g = CENSUS_GENUS
+    mons = b2_basis(g).monomials
+    census: dict[str, list[int]] = {}  # label -> [k_L, count at genus 4]
+    for (i, j), lab in zip(_slot_pairs(len(mons)), _slot_labels(g)):
+        if lab is not None:
+            k = handle_bits(g, mons[i].mask | mons[j].mask).bit_count()
+            census.setdefault(lab, [k, 0])[1] += 1
+    return {lab: (k, n // comb(g, k)) for lab, (k, n) in census.items()}
+
+
+def _class_sizes(genus: int) -> dict[str, int]:
+    """Slot count c_L * C(g, k_L) of each label at genus g; 0 for k_L > g."""
+    return {lab: c * comb(genus, k) for lab, (k, c) in _census().items()}
+
+
 class OrbitReport(Value):
-    """Partition of the non-index-matched wedge basis under the generator
-    maps, with structural labels.  Unlike the other values it is mutable,
-    and so unhashable."""
+    """The orbit classes of the non-index-matched wedge basis under handle
+    swaps and transpositions: per label, its slot count (`classes`) and its
+    first slot, rendered (`representatives`); and any partition errors."""
 
     __slots__ = ("genus", "classes", "representatives", "errors")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(
-        self,
-        genus: int,
-        classes: dict[str, list[int]],
-        representatives: dict[str, str],
-        errors: list[str],
-    ):
-        self.genus = genus
-        self.classes = classes
-        self.representatives = representatives
-        self.errors = errors
+    def __init__(self, genus: int, classes: dict, representatives: dict, errors: list):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "errors", errors)
 
     @property
     def n_classes(self) -> int:
@@ -455,61 +460,59 @@ class OrbitReport(Value):
 
 def orbit_classes(genus: int) -> OrbitReport:
     """Connected components of the non-matched wedge basis under handle
-    swaps and transpositions, labelled by their index pattern.  Each
-    generator is a variable map, carried onto slots by `_basis_map`."""
+    swaps and transpositions, labelled by their index pattern.
+
+    Slots are joined at genus min(g, 4) only, under generator maps carried
+    onto slots by `_basis_map`: that gives the components, representatives
+    and errors.  Sizes are the census's c_L * C(g, k_L) (`_class_sizes`);
+    the README's "`dims` and `orbits` at the largest genus" shows why each
+    label is one class at every genus, with genus 4's first slot.
+    """
     g = check_genus(genus)
-    d = b2_basis(g).size
-    labels = _slot_labels(g)
+    h = min(g, CENSUS_GENUS)
+    d = b2_basis(h).size
+    labels = _slot_labels(h)
     nslots = wedge_dim(d)
 
     parent = list(range(nslots))
 
     def find(x: int) -> int:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    # a_1 <-> b_1 and the adjacent transpositions generate all swaps and transpositions (B_g)
-    swap = tuple((v + g) % (2 * g) if v % g == 0 else v for v in range(2 * g))
+    # a_1 <-> b_1 and the adjacent transpositions generate all swaps and transpositions (B_h)
+    swap = tuple((v + h) % (2 * h) if v % h == 0 else v for v in range(2 * h))
     transpositions = [
-        _handle_map(g, [i + 1 if h == i else i if h == i + 1 else h for h in range(1, g + 1)])
-        for i in range(1, g)
+        _handle_map(h, [i + 1 if k == i else i if k == i + 1 else k for k in range(1, h + 1)])
+        for i in range(1, h)
     ]
     for var_map in [swap] + transpositions:
-        image = _basis_map(g, var_map)
+        image = _basis_map(h, var_map)
         for slot, (i, j) in enumerate(_slot_pairs(d)):
             if labels[slot] is not None:
-                union(slot, pair_index(d, *sorted((image[i], image[j]))))
+                parent[find(slot)] = find(pair_index(d, *sorted((image[i], image[j]))))
 
     components: dict[int, list[int]] = {}
     for slot in range(nslots):
-        if labels[slot] is None:
-            continue
-        components.setdefault(find(slot), []).append(slot)
+        if labels[slot] is not None:
+            components.setdefault(find(slot), []).append(slot)
 
-    classes: dict[str, list[int]] = {}
-    representatives: dict[str, str] = {}
-    errors: list[str] = []
+    sizes = _class_sizes(g)
+    classes, representatives, errors = {}, {}, []
     for slots in components.values():
-        slots.sort()
         seen = {labels[s] for s in slots}
         if len(seen) != 1:
             errors.append(
-                f"component of {render_slot(g, slots[0])} mixes patterns {sorted(seen)}"
+                f"component of {render_slot(h, slots[0])} mixes patterns {sorted(seen)}"
             )
             continue
         lab = next(iter(seen))
         if lab in classes:
             errors.append(f"pattern {lab} splits into several components")
             continue
-        classes[lab] = slots
-        representatives[lab] = render_slot(g, slots[0])
+        classes[lab] = sizes[lab]
+        representatives[lab] = render_slot(h, slots[0])
     return OrbitReport(g, classes, representatives, errors)
 
 
@@ -772,16 +775,12 @@ def image_rank_report(
         if labels[slot] is not None and not span.contains_bits(1 << slot)
     ]
     incomplete = {m["class"] for m in missing}
-    class_coverage = {}
-    for lab in ROMAN:
-        if not any(l == lab for l in labels):
-            continue
-        if lab in incomplete:
-            class_coverage[lab] = "incomplete"
-        elif lab in hits:
-            class_coverage[lab] = "stream"
-        else:
-            class_coverage[lab] = "sp-closure"
+    sizes = _class_sizes(g)
+    class_coverage = {
+        lab: "incomplete" if lab in incomplete else "stream" if lab in hits else "sp-closure"
+        for lab in ROMAN
+        if sizes[lab]
+    }
 
     return {
         "genus": g,

@@ -49,6 +49,8 @@ from bcjcalc.wedgespan import (
     wedge,
 )
 
+from test_wedge import ref_orbit_classes
+
 # dim W per genus, precomputed by the independent brute-force pair scan and
 # frozen; these instantiate the quartic dimension polynomial numerically.
 FROZEN_DIM_W = {1: 3, 2: 27, 3: 132, 4: 426, 5: 1065, 6: 2253}
@@ -103,7 +105,11 @@ def test_criterion_02_orbit_count():
             basis = b2_basis(g)
             from bcjcalc.wedgespan import slot_pair
 
-            for label, slots in report.classes.items():
+            # the report holds sizes; the slot lists come from the
+            # full-generator union-find at genus g
+            classes, _, _ = ref_orbit_classes(g)
+            assert report.classes == {label: len(slots) for label, slots in classes.items()}
+            for label, slots in classes.items():
                 for slot in (slots[0], slots[-1]):
                     i, j = slot_pair(basis.size, slot)
                     assert classify_pair(basis.monomial(i), basis.monomial(j)) == label

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterator
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc import wedgespan
-from bcjcalc.bcjmap import BPMap, SeparatingTwist, sigma, sigma_separating
+from bcjcalc.bcjmap import BPMap, SeparatingTwist, is_index_matched, sigma, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError, GenusMismatchError, MatrixError
 from bcjcalc.gf2core import F2Matrix, SpanBasis
@@ -198,7 +199,7 @@ class TestWedge:
 
     def test_sum_across_genera_rejected(self):
         with pytest.raises(GenusMismatchError):
-            WedgeElem.from_slots(1, (0,)) + WedgeElem.from_slots(2, (0,))
+            WedgeElem(1, 1 << 0) + WedgeElem(2, 1 << 0)
 
 
 class TestCycleImage:
@@ -259,7 +260,7 @@ class TestCycleImage:
             spine_twist(g, sf.a(g, 1), sf.b(g, 1)),
             spine_twist(g, sf.a(g, 2) + sf.a(g, 3), sf.b(g, 2)),
         )
-        assert cycle_image(c) == cycle_image(c.swapped())
+        assert cycle_image(c) == cycle_image(AbelianCycle(c.second, c.first, c.label))
 
     def test_support_overlap_rejected(self):
         g = 2
@@ -416,6 +417,55 @@ class TestTemplates:
             assert got_span.row_bits() == want_span.row_bits()
 
 
+@lru_cache(maxsize=None)
+def ref_orbit_classes(g):
+    """The orbit classes as slot lists, by union-find at genus g itself under
+    all g handle swaps and C(g, 2) handle transpositions: (classes,
+    representatives, errors), classes mapping each label to its slots in
+    order, in the order of their first slots."""
+    d = b2_basis(g).size
+    labels = _slot_labels(g)
+    parent = list(range(wedge_dim(d)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    swaps = [
+        tuple((v + g) % (2 * g) if v % g == i else v for v in range(2 * g)) for i in range(g)
+    ]
+    transpositions = [
+        _handle_map(g, [j if h == i else i if h == j else h for h in range(1, g + 1)])
+        for i, j in combinations(range(1, g + 1), 2)
+    ]
+    for var_map in swaps + transpositions:
+        image = _basis_map(g, var_map)
+        for slot in range(wedge_dim(d)):
+            if labels[slot] is not None:
+                i, j = slot_pair(d, slot)
+                parent[find(slot)] = find(pair_index(d, *sorted((image[i], image[j]))))
+    components = {}
+    for slot in range(wedge_dim(d)):
+        if labels[slot] is not None:
+            components.setdefault(find(slot), []).append(slot)
+    classes, representatives, errors = {}, {}, []
+    for slots in components.values():
+        seen = {labels[s] for s in slots}
+        if len(seen) != 1:
+            errors.append(
+                f"component of {render_slot(g, slots[0])} mixes patterns {sorted(seen)}"
+            )
+            continue
+        (lab,) = seen
+        if lab in classes:
+            errors.append(f"pattern {lab} splits into several components")
+            continue
+        classes[lab] = slots
+        representatives[lab] = render_slot(g, slots[0])
+    return classes, representatives, errors
+
+
 class TestDims:
     @pytest.mark.parametrize("g", sorted(FROZEN_DIMS))
     def test_frozen_regression(self, g):
@@ -440,6 +490,14 @@ class TestDims:
             assert got["cubic_residual"] == got["dim_im"] - cubic_type_count(g)
             assert got["cubic_residual"] >= 0
 
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_dim_im_matches_pair_walk(self, g):
+        # dims reads the genus-4 census; count the index-matched pairs of
+        # basis monomials directly
+        mons = b2_basis(g).monomials
+        matched = sum(is_index_matched(m1, m2) for m1, m2 in combinations(mons, 2))
+        assert dims(g)["dim_im"] == matched
+
 
 class TestOrbitClasses:
     def test_counts(self):
@@ -461,16 +519,16 @@ class TestOrbitClasses:
         i = basis.index_of_mask[0b001001]          # a1*b1
         j = basis.index_of_mask[0b100010]          # a2*b3
         slot = pair_index(basis.size, min(i, j), max(i, j))
-        rep = orbit_classes(g)
-        assert slot in rep.classes["II"]
+        classes, _, _ = ref_orbit_classes(g)
+        assert slot in classes["II"]
 
     def test_partition_covers_unmatched(self):
         g = 3
-        rep = orbit_classes(g)
+        classes, _, _ = ref_orbit_classes(g)
         labels = _slot_labels(g)
         unmatched = {s for s in range(wedge_dim(b2_basis(g).size)) if labels[s]}
         covered = set()
-        for slots in rep.classes.values():
+        for slots in classes.values():
             for s in slots:
                 assert s not in covered
                 covered.add(s)
@@ -478,54 +536,60 @@ class TestOrbitClasses:
 
     @pytest.mark.parametrize("g", range(1, 7))
     def test_generating_set_matches_every_swap_and_transposition(self, g):
-        # orbit_classes walks only a_1 <-> b_1 and the adjacent handle
-        # transpositions; the components under all g swaps and C(g, 2)
+        # orbit_classes joins slots at genus min(g, 4) only, under a_1 <-> b_1
+        # and the adjacent handle transpositions, and scales the sizes above
+        # genus 4; the components at genus g under all g swaps and C(g, 2)
         # transpositions must give the same report
-        d = b2_basis(g).size
-        labels = _slot_labels(g)
-        parent = list(range(wedge_dim(d)))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        swaps = [
-            tuple((v + g) % (2 * g) if v % g == i else v for v in range(2 * g)) for i in range(g)
-        ]
-        transpositions = [
-            _handle_map(g, [j if h == i else i if h == j else h for h in range(1, g + 1)])
-            for i, j in combinations(range(1, g + 1), 2)
-        ]
-        for var_map in swaps + transpositions:
-            image = _basis_map(g, var_map)
-            for slot in range(wedge_dim(d)):
-                if labels[slot] is not None:
-                    i, j = slot_pair(d, slot)
-                    parent[find(slot)] = find(pair_index(d, *sorted((image[i], image[j]))))
-        components = {}
-        for slot in range(wedge_dim(d)):
-            if labels[slot] is not None:
-                components.setdefault(find(slot), []).append(slot)
-        classes, representatives, errors = {}, {}, []
-        for slots in components.values():
-            seen = {labels[s] for s in slots}
-            if len(seen) != 1:
-                errors.append(
-                    f"component of {render_slot(g, slots[0])} mixes patterns {sorted(seen)}"
-                )
-                continue
-            (lab,) = seen
-            if lab in classes:
-                errors.append(f"pattern {lab} splits into several components")
-                continue
-            classes[lab] = slots
-            representatives[lab] = render_slot(g, slots[0])
+        classes, representatives, errors = ref_orbit_classes(g)
         report = orbit_classes(g)
-        assert report.classes == classes
+        assert report.classes == {lab: len(slots) for lab, slots in classes.items()}
         assert list(report.classes) == list(classes)
         assert report.representatives == representatives
         assert report.errors == errors
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_census_handle_counts(self, g):
+        # every slot of label L uses exactly k_L handles, and L has
+        # c_L * C(g, k_L) slots
+        d = b2_basis(g).size
+        mons = b2_basis(g).monomials
+        classes, _, _ = ref_orbit_classes(g)
+        census = wedgespan._census()
+        for lab, slots in classes.items():
+            k, c = census[lab]
+            assert len(slots) == c * comb(g, k)
+            for s in slots:
+                i, j = slot_pair(d, s)
+                assert sf.handle_bits(g, mons[i].mask | mons[j].mask).bit_count() == k
+
+    def test_no_slot_table_above_genus_four(self, monkeypatch):
+        # dims and orbit_classes above genus 4 read the genus-4 census and
+        # scale it; they build no slot labels or slot pairs at their genus
+        slot_labels, slot_pairs = wedgespan._slot_labels, wedgespan._slot_pairs
+
+        def labels_to_four(genus):
+            assert genus <= 4, f"_slot_labels({genus})"
+            return slot_labels(genus)
+
+        def pairs_to_four(d):
+            assert d <= b2_basis(4).size, f"_slot_pairs({d})"
+            return slot_pairs(d)
+
+        monkeypatch.setattr(wedgespan, "_slot_labels", labels_to_four)
+        monkeypatch.setattr(wedgespan, "_slot_pairs", pairs_to_four)
+        for g in (5, 12, 32):
+            report = orbit_classes(g)
+            assert report.errors == [] and report.n_classes == 11
+            assert sum(report.classes.values()) == dims(g)["dim_w"]
+        assert dims(5)["dim_w"] == FROZEN_DIMS[5][3]
+        assert orbit_classes(12).representatives == orbit_classes(4).representatives
+
+    def test_search_runs_no_union_find(self, monkeypatch):
+        def refuse(genus):
+            raise AssertionError("orbit_classes on the search path")
+
+        monkeypatch.setattr(wedgespan, "orbit_classes", refuse)
+        assert image_rank_report(3, 2)["dims"] == dims(3)
 
     def test_generator_invariance(self):
         # translating any member by a generator map stays in its class; each
@@ -533,9 +597,9 @@ class TestOrbitClasses:
         # matrix, and its monomial images come from the substitution action
         # (`_wedge_action_table`), which shares no code with `_basis_map`
         for g in (3, 4):
-            rep = orbit_classes(g)
+            classes, _, _ = ref_orbit_classes(g)
             d = b2_basis(g).size
-            slot_to_class = {s: lab for lab, slots in rep.classes.items() for s in slots}
+            slot_to_class = {s: lab for lab, slots in classes.items() for s in slots}
             perms = []
             for i in range(g):
                 p = list(range(2 * g))
@@ -1060,7 +1124,7 @@ class TestSearchCoreReference:
             images, moved = _wedge_action_table(g, M)
             full = ref_full_table(g, M)
             for slot, image in enumerate(full):
-                unit = WedgeElem.from_slots(g, (slot,))
+                unit = WedgeElem(g, 1 << slot)
                 assert wedge_translate(M, unit).bits == image
                 i, j = slot_pair(len(images), slot)
                 if not (moved >> i) & 1 and not (moved >> j) & 1:
