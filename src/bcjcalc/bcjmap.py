@@ -22,7 +22,7 @@ import random
 
 from .boolring import BoolMonomial, BoolPoly, bar, substitute_sp
 from .errors import CatalogError, FiltrationError, GeometryError, GenusMismatchError
-from .gf2core import F2Matrix
+from .gf2core import F2Matrix, bit_indices
 from .surface import (
     HClass,
     SubsurfaceBasis,
@@ -30,6 +30,7 @@ from .surface import (
     ZSubsurfaceBasis,
     check_genus,
     intersect,
+    paired_handles,
     random_symplectic_rebase,
     random_sp_word,
     support,
@@ -93,10 +94,33 @@ def sigma_separating(t: SeparatingTwist | SubsurfaceBasis) -> BoolPoly:
     """sum_i bar(A_i) bar(B_i); degree <= 2, basis-choice independent."""
     basis = t.basis if isinstance(t, SeparatingTwist) else t
     basis.validate()
-    acc = BoolPoly.zero(basis.genus)
+    # one pass over the masks, derived in the README: with c(X) the
+    # constant of bar(X), bar(A) bar(B) = sum_{k in A, l in B} ebar_k ebar_l
+    # + c(B) A + c(A) B + c(A) c(B)
+    g = basis.genus
+    rows: dict[int, int] = {}  # k -> XOR of the B_i over the i with k in A_i
+    linear = const = 0
     for A, B in basis.pairs:
-        acc = acc + bar(A) * bar(B)
-    return acc
+        x, y = A.bits, B.bits
+        cx = paired_handles(g, x).bit_count() & 1
+        cy = paired_handles(g, y).bit_count() & 1
+        for k in bit_indices(x):
+            rows[k] = rows.get(k, 0) ^ y
+        if cy:
+            linear ^= x
+        if cx:
+            linear ^= y
+        const ^= cx & cy
+    masks: set[int] = set()
+    for k, row in rows.items():
+        diagonal = 1 << k
+        linear ^= row & diagonal  # ebar_k^2 = ebar_k
+        for l in bit_indices(row & ~diagonal):
+            masks ^= {diagonal | 1 << l}
+    masks.update(1 << k for k in bit_indices(linear))
+    if const:
+        masks.add(0)
+    return BoolPoly(g, masks)
 
 
 def sigma_bp(m: BPMap) -> BoolPoly:

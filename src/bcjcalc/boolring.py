@@ -27,7 +27,7 @@ i.e. variables travel through matrices in product order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import combinations
 
@@ -172,16 +172,6 @@ class SelfLinkingForm(Value):
         linear = (u.bits & self.values).bit_count()
         return (linear + paired_handles(self.genus, u.bits).bit_count()) & 1
 
-    def basis_value(self, v: int) -> int:
-        return (self.values >> v) & 1
-
-
-def all_forms(genus: int) -> Iterator[SelfLinkingForm]:
-    """All 2^(2g) self-linking forms."""
-    g = check_genus(genus)
-    for values in range(1 << (2 * g)):
-        yield SelfLinkingForm(g, values)
-
 
 def evaluate(p: BoolPoly, form: SelfLinkingForm) -> int:
     """Evaluate p at a form: ebar_k -> omega(e_k), an algebra map to GF(2)."""
@@ -277,10 +267,6 @@ def b2_basis(genus: int) -> B2Basis:
     basis = B2Basis(g, tuple(mons), index)
     assert basis.size == 2 * g * g + g + 1
     return basis
-
-
-def b2_index(m: BoolMonomial) -> int:
-    return b2_basis(m.genus).index(m)
 
 
 # -- text / JSON codecs ------------------------------------------------------

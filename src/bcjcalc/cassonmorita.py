@@ -334,15 +334,6 @@ def mu(x: CMPoly) -> BoolPoly:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _z_pairing(genus: int, p: int, q: int) -> int:
-    """e_p.e_q over Z: +1 for (a_i, b_i), -1 for (b_i, a_i), else 0."""
-    if q == p + genus:
-        return 1
-    if p == q + genus:
-        return -1
-    return 0
-
-
 class LinkingMatrix(Value):
     """Integer matrix of linking numbers L[p][q] = lk(e_p, e_q^+).
 
@@ -358,10 +349,14 @@ class LinkingMatrix(Value):
         n = 2 * g
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ConsistencyError(f"linking matrix must be {n}x{n}")
+        # J_pq = e_p.e_q is +1 at (a_i, b_i), -1 at (b_i, a_i), else 0.  The
+        # diagonal always holds, and a violation at (q, p) below it mirrors
+        # one at (p, q) in an earlier row, so the pairs p < q meet the first.
         for p in range(n):
-            for q in range(n):
-                got = entries[q][p] - entries[p][q]
-                want = _z_pairing(g, p, q)
+            row = entries[p]
+            for q in range(p + 1, n):
+                got = entries[q][p] - row[q]
+                want = 1 if q == p + g else 0
                 if got != want:
                     raise ConsistencyError(
                         f"L[{q}][{p}] - L[{p}][{q}] = {got}, expected {want} "
@@ -397,13 +392,15 @@ class LinkingMatrix(Value):
         triangle, lower triangle forced."""
         g = check_genus(genus)
         n = 2 * g
+        randint = rng.randint
         rows = [[0] * n for _ in range(n)]
         for p in range(n):
-            rows[p][p] = rng.randint(-bound, bound)
+            row = rows[p]
+            row[p] = randint(-bound, bound)
             for q in range(p + 1, n):
-                rows[p][q] = rng.randint(-bound, bound)
-                rows[q][p] = rows[p][q] + _z_pairing(g, p, q)
-        return cls.from_rows(g, rows)
+                x = row[q] = randint(-bound, bound)
+                rows[q][p] = x + 1 if q == p + g else x
+        return cls(g, tuple(map(tuple, rows)))
 
     def entry(self, p: int, q: int) -> int:
         return self.entries[p][q]

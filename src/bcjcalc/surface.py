@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from functools import partial
 
 from .errors import BasisError, DimensionError, GenusMismatchError
 from .gf2core import F2Matrix, bit_indices
@@ -62,7 +63,10 @@ def paired_handles(genus: int, bits: int) -> int:
 
 def parity_bits(coords: Sequence[int]) -> int:
     """The packed mod-2 reduction of integer coordinates: bit i is coords[i] mod 2."""
-    return sum(1 << i for i, c in enumerate(coords) if c & 1)
+    bits = 0
+    for c in reversed(coords):
+        bits = bits << 1 | c & 1
+    return bits
 
 
 def _check_same_genus(u, v) -> None:
@@ -262,18 +266,33 @@ class ZSubsurfaceBasis(Value):
 def symplectic_violation(
     basis: SubsurfaceBasis | ZSubsurfaceBasis,
 ) -> str | None:
-    """First violated intersection condition, or None if the basis is valid."""
-    pairs = basis.pairs
-    for i, (Ai, Bi) in enumerate(pairs):
-        for j, (Aj, Bj) in enumerate(pairs):
+    """First violated intersection condition, or None if the basis is valid.
+
+    The pairing is chosen once per basis: ``pairing`` on the packed bits mod
+    2, the signed form of ``intersect`` on the coordinates over Z."""
+    g = basis.genus
+    if isinstance(basis, SubsurfaceBasis):
+        rows = [(A.bits, B.bits) for A, B in basis.pairs]
+        dot = partial(pairing, g)
+    else:
+        rows = [(A.coords, B.coords) for A, B in basis.pairs]
+
+        def dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+            total = 0
+            for i in range(g):
+                total += x[i] * y[g + i] - x[g + i] * y[i]
+            return total
+
+    for i, (Ai, Bi) in enumerate(rows):
+        for j, (Aj, Bj) in enumerate(rows):
             want = 1 if i == j else 0
-            if intersect(Ai, Bj) != want:
-                return f"A{i + 1}.B{j + 1} = {intersect(Ai, Bj)}, expected {want}"
+            if (n := dot(Ai, Bj)) != want:
+                return f"A{i + 1}.B{j + 1} = {n}, expected {want}"
             if j > i:
-                if intersect(Ai, Aj) != 0:
-                    return f"A{i + 1}.A{j + 1} = {intersect(Ai, Aj)}, expected 0"
-                if intersect(Bi, Bj) != 0:
-                    return f"B{i + 1}.B{j + 1} = {intersect(Bi, Bj)}, expected 0"
+                if n := dot(Ai, Aj):
+                    return f"A{i + 1}.A{j + 1} = {n}, expected 0"
+                if n := dot(Bi, Bj):
+                    return f"B{i + 1}.B{j + 1} = {n}, expected 0"
     return None
 
 
@@ -378,7 +397,10 @@ def random_z_symplectic_basis(
 
     Built by applying random integral transvections to the standard basis on
     the chosen handles; transvection directions are supported on those same
-    handles, so the result's handle support stays inside them.
+    handles, so the result's handle support stays inside them.  Each move
+    draws one ``randint`` per support position, a zero direction is skipped,
+    and the result is symplectic by construction, so it is not validated
+    here: ``rho_separating`` validates every basis it is given.
     """
     g = check_genus(genus)
     if handles is None:
@@ -389,10 +411,11 @@ def random_z_symplectic_basis(
     for k, i in enumerate(handles):
         rows[2 * k][i - 1] = rows[2 * k + 1][g + i - 1] = 1
     positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
+    randint, low = rng.randint, -coeff_bound
     for _ in range(n_moves):
         v = [0] * (2 * g)
         for p in positions:
-            v[p] = rng.randint(-coeff_bound, coeff_bound)
+            v[p] = randint(low, coeff_bound)
         if not any(v):
             continue
         # the transvection x -> x + (x.v) v, with the pairing read on the
@@ -403,7 +426,4 @@ def random_z_symplectic_basis(
                 for p in positions:
                     x[p] += n * v[p]
     classes = [ZHClass(g, tuple(x)) for x in rows]
-    out = ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
-    out.validate()
-    return out
-
+    return ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))

@@ -16,7 +16,7 @@ from bcjcalc import surface as sf
 from bcjcalc.bcjmap import SeparatingTwist, sigma_separating
 from bcjcalc.boolring import (
     BoolPoly,
-    all_forms,
+    SelfLinkingForm,
     b2_basis,
     evaluate,
     substitute_sp,
@@ -275,8 +275,8 @@ def test_criterion_10_b2_separation():
             for k in range(basis.size):
                 p = BoolPoly(g, {basis.monomial(k).mask})
                 bits = 0
-                for idx, form in enumerate(all_forms(g)):
-                    if evaluate(p, form):
+                for idx in range(n_forms):
+                    if evaluate(p, SelfLinkingForm(g, idx)):
                         bits |= 1 << idx
                 span.insert_bits(bits)
             # evaluation is linear in the polynomial, so full rank of the

@@ -20,7 +20,7 @@ from bcjcalc.bcjmap import (
 from bcjcalc.boolring import (
     BoolMonomial,
     BoolPoly,
-    all_forms,
+    SelfLinkingForm,
     b2_basis,
     bar,
     evaluate,
@@ -32,6 +32,7 @@ from bcjcalc.errors import (
     FiltrationError,
     GeometryError,
 )
+from bcjcalc.gf2core import F2Matrix
 from bcjcalc.surface import HClass, SubsurfaceBasis, intersect, random_symplectic_rebase
 
 
@@ -44,6 +45,14 @@ def matched_oracle(m1, m2, g):
         if (ai in s1 and bi in s2) or (ai in s2 and bi in s1):
             return True
     return False
+
+
+def bar_product(basis):
+    """sum_i bar(A_i) bar(B_i), multiplied out in BoolPoly."""
+    acc = BoolPoly.zero(basis.genus)
+    for A, B in basis.pairs:
+        acc = acc + bar(A) * bar(B)
+    return acc
 
 
 class TestSigmaSeparating:
@@ -88,6 +97,39 @@ class TestSigmaSeparating:
         with pytest.raises(BasisError):
             SeparatingTwist(bad)
 
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_equals_the_bar_product(self, g):
+        # the one-pass kernel against sum_i bar(A_i) bar(B_i) multiplied out
+        # in BoolPoly, on coordinate bases, their rebases, and dense
+        # sub-bases of a moved basis of the whole surface
+        rng = random.Random(100 + g)
+        for _ in range(40):
+            h = rng.randint(0, g)
+            coordinate = SubsurfaceBasis.standard(g, sorted(rng.sample(range(1, g + 1), h)))
+            rebased = coordinate
+            if h:
+                rebased = random_symplectic_rebase(coordinate, rng.randrange(1 << 30))
+            full = sf.transform_basis(
+                sf.random_sp_word(g, rng, rng.randint(1, 10)),
+                SubsurfaceBasis.standard(g, range(1, g + 1)),
+            )
+            dense = SubsurfaceBasis(g, tuple(rng.sample(full.pairs, h)))
+            for basis in (coordinate, rebased, dense):
+                assert sigma_separating(basis) == bar_product(basis)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_bar_product_hypothesis(self, data):
+        g = data.draw(st.integers(1, 6))
+        # a word of transvections moves the standard basis of the surface
+        M = F2Matrix.identity(2 * g)
+        for v in data.draw(st.lists(st.integers(1, (1 << (2 * g)) - 1), max_size=8)):
+            M = sf.transvection(HClass(g, v)) @ M
+        full = sf.transform_basis(M, SubsurfaceBasis.standard(g, range(1, g + 1)))
+        pairs = data.draw(st.permutations(full.pairs))
+        basis = SubsurfaceBasis(g, tuple(pairs[: data.draw(st.integers(0, g))]))
+        assert sigma_separating(basis) == bar_product(basis)
+
 
 class TestSigmaBP:
     def test_empty_subsurface(self):
@@ -107,7 +149,8 @@ class TestSigmaBP:
         g = 2
         m = BPMap(SubsurfaceBasis.standard(g, [2]), sf.a(g, 1))
         got = sigma_bp(m)
-        for form in all_forms(g):
+        for values in range(1 << (2 * g)):
+            form = SelfLinkingForm(g, values)
             direct = (form.omega(sf.a(g, 2)) & form.omega(sf.b(g, 2))) & (
                 form.omega(sf.a(g, 1)) ^ 1
             )

@@ -543,6 +543,37 @@ class TestLinkingMatrix:
             for _ in range(20):
                 LinkingMatrix.random_valid(g, rng)  # constructor validates
 
+    def test_first_violation_matches_full_scan(self):
+        # the constructor reads the pairs above the diagonal only; a scan of
+        # every entry against J names the same first violation
+        def full_scan(g, rows):
+            n = 2 * g
+            e = [ZHClass(g, tuple(int(k == p) for k in range(n))) for p in range(n)]
+            for p in range(n):
+                for q in range(n):
+                    got = rows[q][p] - rows[p][q]
+                    want = sf.intersect(e[p], e[q])
+                    if got != want:
+                        return f"L[{q}][{p}] - L[{p}][{q}] = {got}, expected {want}"
+            return None
+
+        rng = random.Random(16)
+        broken = 0
+        for _ in range(400):
+            g = rng.randint(1, 4)
+            rows = [list(row) for row in LinkingMatrix.random_valid(g, rng).entries]
+            for _ in range(rng.randint(0, 3)):
+                rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice((-1, 1))
+            want = full_scan(g, rows)
+            if want is None:
+                LinkingMatrix.from_rows(g, rows)
+                continue
+            broken += 1
+            with pytest.raises(ConsistencyError) as err:
+                LinkingMatrix.from_rows(g, rows)
+            assert str(err.value).startswith(want + " (pair ")
+        assert broken > 200
+
     def test_epsilon_is_ring_hom(self):
         rng = random.Random(7)
         g = 2
@@ -611,7 +642,7 @@ class TestLinkingMatrix:
         for k, c in enumerate(diagonal):
             rows[k][k] = c
         form = LinkingMatrix.from_rows(g, rows).omega()
-        assert [form.basis_value(k) for k in range(n)] == [c % 2 for c in diagonal]
+        assert [(form.values >> k) & 1 for k in range(n)] == [c % 2 for c in diagonal]
 
 
 class TestDiagrams:
@@ -622,6 +653,29 @@ class TestDiagrams:
     def test_verify_passes_g1(self):
         report = verify_diagrams(1, 60, seed=8)
         assert report["all_passed"], report
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_integral_basis_validated_once(self, seed, monkeypatch):
+        # the generator leaves the check to rho_separating, the one
+        # validation of every integral basis that verify draws
+        from bcjcalc import cassonmorita
+
+        calls = {"validate": 0, "rho": 0}
+        validate, rho = ZSubsurfaceBasis.validate, cassonmorita.rho_separating
+
+        def counted_validate(basis):
+            calls["validate"] += 1
+            return validate(basis)
+
+        def counted_rho(basis):
+            calls["rho"] += 1
+            return rho(basis)
+
+        monkeypatch.setattr(ZSubsurfaceBasis, "validate", counted_validate)
+        monkeypatch.setattr(cassonmorita, "rho_separating", counted_rho)
+        assert verify_diagrams(4, 40, seed)["all_passed"]
+        assert calls["rho"] > 40
+        assert calls["validate"] == calls["rho"]
 
     def test_zero_trials_never_pass(self):
         report = verify_diagrams(2, 0, seed=8)

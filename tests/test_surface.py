@@ -189,7 +189,46 @@ class TestSpines:
             AbelianCycle(t1, bad).validate_certificate()
 
 
+def violation_reference(basis):
+    """The first violated condition, each pairing read through intersect."""
+    pairs = basis.pairs
+    for i, (Ai, Bi) in enumerate(pairs):
+        for j, (Aj, Bj) in enumerate(pairs):
+            want = 1 if i == j else 0
+            if intersect(Ai, Bj) != want:
+                return f"A{i + 1}.B{j + 1} = {intersect(Ai, Bj)}, expected {want}"
+            if j > i:
+                if intersect(Ai, Aj) != 0:
+                    return f"A{i + 1}.A{j + 1} = {intersect(Ai, Aj)}, expected 0"
+                if intersect(Bi, Bj) != 0:
+                    return f"B{i + 1}.B{j + 1} = {intersect(Bi, Bj)}, expected 0"
+    return None
+
+
 class TestSymplecticBasis:
+    def test_first_violation_matches_intersect_reference(self):
+        # broken bases over Z and their mod-2 reductions: random classes, and
+        # valid bases with one coordinate moved
+        rng = random.Random(12)
+        broken = 0
+        for _ in range(1500):
+            g = rng.randint(1, 5)
+            h = rng.randint(1, min(g, 3))
+            handles = sorted(rng.sample(range(1, g + 1), h))
+            if rng.random() < 0.5:
+                rows = [[rng.randint(-2, 2) for _ in range(2 * g)] for _ in range(2 * h)]
+            else:
+                valid = sf.random_z_symplectic_basis(g, h, rng, handles)
+                rows = [list(c.coords) for pair in valid.pairs for c in pair]
+                rows[rng.randrange(2 * h)][rng.randrange(2 * g)] += rng.choice((-1, 1))
+            classes = [ZHClass(g, tuple(r)) for r in rows]
+            zbasis = ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
+            for basis in (zbasis, zbasis.mod2()):
+                want = violation_reference(basis)
+                assert symplectic_violation(basis) == want
+                broken += want is not None
+        assert broken > 2000
+
     def test_standard_valid(self):
         assert is_symplectic_basis(SubsurfaceBasis.standard(3, [1]))
         assert is_symplectic_basis(SubsurfaceBasis.standard(3, [1, 2]))
@@ -365,15 +404,21 @@ class TestIntegralBases:
                     assert mine.getstate() == theirs.getstate()
 
     def test_random_z_basis_valid_and_confined(self):
+        # the generator does not validate its output, so every setting of the
+        # oracle replay's grid is checked here
         rng = random.Random(9)
-        for _ in range(30):
-            g = rng.randint(2, 5)
-            h = rng.randint(1, min(g, 3))
-            handles = sorted(rng.sample(range(1, g + 1), h))
-            basis = sf.random_z_symplectic_basis(g, h, rng, handles)
-            assert is_symplectic_basis(basis)
-            for A, B in basis.pairs:
-                assert support(A) | support(B) <= set(handles)
+        for g in range(1, 5):
+            for h in range(0, g + 1):
+                for n_moves in range(9):
+                    for bound in range(1, 5):
+                        handles = sorted(rng.sample(range(1, g + 1), h))
+                        basis = sf.random_z_symplectic_basis(
+                            g, h, rng, handles, n_moves=n_moves, coeff_bound=bound
+                        )
+                        assert basis.h == h
+                        assert is_symplectic_basis(basis)
+                        for A, B in basis.pairs:
+                            assert support(A) | support(B) <= set(handles)
 
     @pytest.mark.parametrize("handles", [[1, 1], [0, 2], [2, 4]])
     def test_random_z_basis_rejects_bad_handles(self, handles):
