@@ -89,11 +89,6 @@ from .value import Value
 from .wedgespan import wedge
 
 
-def n_symbols(genus: int) -> int:
-    """Distinct ordered symbols: all pairs p <= q over 2g coordinates."""
-    return 2 * genus * genus + genus
-
-
 Monomial = tuple[tuple[int, int], ...]  # sorted tuple of (p, q) index pairs
 
 
@@ -409,9 +404,6 @@ class LinkingMatrix(Value):
         """Mod-2 diagonal; the self-linking form u -> u^T L u mod 2."""
         diagonal = [self.entries[k][k] for k in range(2 * self.genus)]
         return SelfLinkingForm(self.genus, parity_bits(diagonal))
-
-    def to_json(self) -> dict:
-        return {"genus": self.genus, "matrix": [list(r) for r in self.entries]}
 
     @classmethod
     def from_json(cls, data: dict) -> "LinkingMatrix":

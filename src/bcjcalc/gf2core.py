@@ -7,12 +7,12 @@ vector (``WedgeElem`` does), and ``bit_indices`` lists a vector's set bits.
 
 ``SpanBasis`` maintains an incrementally grown, fully reduced row basis:
 every row's lowest set bit is its pivot, and no row has a set bit at another
-row's pivot.  Rows are keyed by pivot, and the set of pivots is also kept as
-one packed mask.  Because xor-ing in a fully reduced row clears its own
-pivot and touches no other pivot, reducing a vector v means xor-ing exactly
-the rows at the set bits of v & mask: the cost follows the number of pivots
-v touches, not the rank.  Membership is one such reduction, which is what
-the incremental image searches need.
+row's pivot.  Rows are keyed by pivot (unit rows aside, see below), and the
+set of pivots is also kept as one packed mask.  Because xor-ing in a fully
+reduced row clears its own pivot and touches no other pivot, reducing a
+vector v means xor-ing exactly the rows at the set bits of v & mask: the
+cost follows the number of pivots v touches, not the rank.  Membership is
+one such reduction, which is what the incremental image searches need.
 
 Back-substitution on insert uses a column index: for every non-pivot column
 c, one packed mask over the pivots whose row has bit c.  A new row with
@@ -20,6 +20,17 @@ pivot q must be xor-ed into exactly the rows that have bit q, which the
 index names at once, and afterwards every other bit c of the new row
 toggles those rows and the new one in the mask of c.  The index holds at
 most rank x (length - rank) bits, one per (row, non-pivot column) pair.
+
+The unit rows, those equal to e_p, are kept only as one more packed mask,
+and the row dict holds the other rows.  A unit row touches no column but
+its pivot, so reducing clears every unit pivot of v with one AND before the
+loop over the other rows.  Most dependent inserts of a saturation are sums
+of unit rows, and the image search reads the mask to skip products whose
+slots are all units.  An insert adds a unit row when the reduced vector is
+one bit, and back-substitution can turn a row into one (a row with a bit
+at the new pivot is never a unit row, so none is lost).  Stored as an int,
+e_p takes p bits: at the end of a genus-10 search 18,645 of the 21,945 rows
+are unit rows, which as ints held 27 MB.
 
 The pivots are also kept in one list in the order their inserts happened.
 ``insert_bits`` appends to it and ``copy`` copies it, so a loop that walks
@@ -55,14 +66,15 @@ class SpanBasis:
     """Incrementally maintained, fully reduced basis of a GF(2) subspace of
     the `length`-bit vectors."""
 
-    __slots__ = ("length", "_rows", "_pivmask", "_cols", "_order")
+    __slots__ = ("length", "_rows", "_pivmask", "_units", "_cols", "_order")
 
     def __init__(self, length: int):
         if length < 0:
             raise DimensionError("ambient dimension must be nonnegative")
         self.length = length
-        self._rows: dict[int, int] = {}   # pivot -> fully reduced row
+        self._rows: dict[int, int] = {}   # pivot -> row, unit rows excepted
         self._pivmask = 0                 # bit p set iff p is a pivot
+        self._units = 0                   # bit p set iff row p is e_p
         # non-pivot column c -> mask of the pivots whose row has bit c
         # (an entry may be left at 0; no entry exists at a pivot column)
         self._cols: defaultdict[int, int] = defaultdict(int)
@@ -70,11 +82,11 @@ class SpanBasis:
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._order)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
+        return tuple(sorted(self._order))
 
     @property
     def insertion_order(self) -> list[int]:
@@ -85,26 +97,42 @@ class SpanBasis:
         must not mutate it."""
         return self._order
 
+    @property
+    def units(self) -> int:
+        """Mask of the pivots p whose row is the unit vector e_p: every
+        vector inside it lies in the span."""
+        return self._units
+
     def pivot_row(self, p: int) -> int:
         """The current, fully reduced row whose pivot is p."""
-        return self._rows[p]
+        return 1 << p if self._units >> p & 1 else self._rows[p]
 
     def row_bits(self) -> tuple[int, ...]:
-        rows = self._rows
-        return tuple(rows[p] for p in sorted(rows))
+        return tuple(map(self.pivot_row, self.pivots))
+
+    def support(self) -> int:
+        """The OR of the rows: the coordinates some vector of the span uses.
+        Read off the unit mask and the other rows, with no e_p built."""
+        bits = self._units
+        for row in self._rows.values():
+            bits |= row
+        return bits
 
     def copy(self) -> "SpanBasis":
         dup = SpanBasis(self.length)
         dup._rows = dict(self._rows)
         dup._pivmask = self._pivmask
+        dup._units = self._units
         dup._cols = self._cols.copy()
         dup._order = self._order.copy()
         return dup
 
     def _reduce_bits(self, bits: int) -> int:
         # Each row carries its own pivot and no other, so the pivots to clear
-        # are known up front and the rows can be applied in any order.
+        # are known up front and the rows can be applied in any order; the
+        # unit rows among them are applied at once.
         rows = self._rows
+        bits ^= bits & self._units
         hit = bits & self._pivmask
         while hit:
             p = hit.bit_length() - 1
@@ -120,10 +148,16 @@ class SpanBasis:
         q = (bits & -bits).bit_length() - 1
         rows, cols = self._rows, self._cols
         hit = cols.pop(q, 0)  # the rows that hold the new pivot
+        units = self._units
         h = hit
         while h:
             p = h.bit_length() - 1
-            rows[p] ^= bits
+            row = rows[p] ^ bits
+            if row == 1 << p:
+                units |= row
+                del rows[p]
+            else:
+                rows[p] = row
             h ^= 1 << p
         # Those rows and the new one now toggle every other column of bits.
         toggle = hit | 1 << q
@@ -132,7 +166,11 @@ class SpanBasis:
             c = rest.bit_length() - 1
             cols[c] ^= toggle
             rest ^= 1 << c
-        rows[q] = bits
+        if bits == 1 << q:
+            units |= bits
+        else:
+            rows[q] = bits
+        self._units = units
         self._pivmask |= 1 << q
         self._order.append(q)
         return True

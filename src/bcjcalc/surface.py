@@ -306,7 +306,8 @@ def random_symplectic_rebase(basis: SubsurfaceBasis, seed: int) -> SubsurfaceBas
     Applies a random sequence of elementary moves: swap A_i <-> B_i (sign-free
     mod 2), shear A_i <- A_i + B_i, the cross-pair move A_i <- A_i + A_j with
     its dual correction B_j <- B_j + B_i, and pair permutation.  Each move
-    preserves both the symplectic conditions and the row span.
+    preserves both the symplectic conditions and the row span, so only the
+    input is validated; sigma validates every basis it is given.
     """
     basis.validate()
     rng = random.Random(seed)
@@ -329,9 +330,7 @@ def random_symplectic_rebase(basis: SubsurfaceBasis, seed: int) -> SubsurfaceBas
             pairs[j][1] = pairs[j][1] + pairs[i][1]
         else:
             rng.shuffle(pairs)
-    out = SubsurfaceBasis(basis.genus, tuple((p[0], p[1]) for p in pairs))
-    out.validate()
-    return out
+    return SubsurfaceBasis(basis.genus, tuple((p[0], p[1]) for p in pairs))
 
 
 # -- the symplectic group mod 2 --------------------------------------------

@@ -10,11 +10,11 @@ The wedge is bilinear over GF(2), so the images of one block of the stream
 (every descriptor on one support set against every descriptor on a disjoint
 one) span exactly the products b ^ c of a basis b of the first set's sigma
 values with a basis c of the second's.  The search walks the blocks largest
-sets first and inserts only the basis products with a slot outside those
-already inserted as single slots, skipping every block whose slots are all
-such.  It counts distinct images per block; images themselves are computed,
-by distinct sigma pair, only in the first block of each shape (|S1|, |S2|)
-and only for each class's first hit.
+sets first and inserts only the basis products with a slot outside the
+span's unit rows, skipping every block whose slots are all such.  It counts
+distinct images per block; images themselves are computed, by distinct
+sigma pair, only in the first block of each shape (|S1|, |S2|) and only for
+each class's first hit.
 
 A set's sigma data comes from one template per support size s, computed
 once at genus s from the spines on s handles: their count, the position and
@@ -39,14 +39,14 @@ images once all of them are hit.  The image of the
 induced map is however closed under the symplectic action - acting on a
 cycle's curves by a mapping class yields another commuting pair whose image
 is the matrix translate of the original - so the search saturates its span
-under substitution by a fixed set of transvections.  Every vector added this
-way is the image of a conjugated cycle, or a sum of such images; soundness
-rests on the equivariance of the twist formulas, which its own test suite
-verifies.  For v already in the span, Mv is in the span iff (M - I)v is, so
-saturation inserts that delta.  It is sparse, and it is computed bit by bit
-from M's monomial images: slot (i, j) moves only if M moves monomial i or j,
-and then its delta is the slot bits of Mi ^ Mj less the slot itself.  No
-table of slot deltas is stored.
+under substitution by the 2g + 1 transvections of `closure_generators`.
+Every vector added this way is the image of a conjugated cycle, or a sum of
+such images; soundness rests on the equivariance of the twist formulas,
+which its own test suite verifies.  For v already in the span, Mv is in the
+span iff (M - I)v is, so saturation inserts that delta.  It is sparse, and
+it is computed bit by bit from M's monomial images: slot (i, j) moves only
+if M moves monomial i or j, and then its delta is the slot bits of Mi ^ Mj
+less the slot itself.  No table of slot deltas is stored.
 
 Wedge coordinates use the triangular flattening of unordered pairs (i < j)
 of basis indices: slot(i, j) = i(2d - i - 1)/2 + (j - i - 1), with d the
@@ -192,6 +192,23 @@ def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -
                 bits ^= 1 << (offs[i] + j - i - 1)
             elif j < i:
                 bits ^= 1 << (offs[j] + i - j - 1)
+    return bits
+
+
+def _block_bits(
+    offs: Sequence[int], left: tuple[Sequence[int], int], right: tuple[Sequence[int], int]
+) -> int:
+    """`_slot_bits` of two sets of basis indices, each given as (indices,
+    mask), by one shift per index rather than one step per pair: for i in
+    `left`, the slots (i, j) with j > i in `right` are the bits of
+    right's mask >> (i + 1), moved to row i's offset; the slots (j, i) with
+    j in `right` and i > j come the same way from left's mask."""
+    (lidx, lmask), (ridx, rmask) = left, right
+    bits = 0
+    for i in lidx:
+        bits ^= (rmask >> (i + 1)) << offs[i]
+    for j in ridx:
+        bits ^= (lmask >> (j + 1)) << offs[j]
     return bits
 
 
@@ -521,19 +538,23 @@ def orbit_classes(genus: int) -> OrbitReport:
 
 @lru_cache(maxsize=None)
 def closure_generators(genus: int) -> tuple:
-    """Transvections along a_i, b_i (i = 1..g) and a_i + a_{i+1} (i < g).
+    """Transvections along a_1, a_2, b_i (i = 1..g) and a_i + a_{i+1} (i < g).
 
-    These 3g - 1 matrices are the mod-2 images of the Lickorish twist
-    generators of the mapping class group (Humphries' set is a subset), so
-    they generate Sp(2g, 2).  Saturating under them therefore gives the same
-    subspace as saturating under the whole group.  Any subset of symplectic
-    matrices gives a sound saturation (translates of images are images of
-    conjugated cycles); a generating set makes it complete.
+    These 2g + 1 matrices (2 at genus 1) are the mod-2 images of Humphries'
+    twist generators of the mapping class group, so they generate
+    Sp(2g, 2).  Saturating under them therefore gives the same subspace as
+    saturating under the whole group.  Any subset of symplectic matrices
+    gives a sound saturation (translates of images are images of conjugated
+    cycles); a generating set makes it complete.
+
+    The first min(g, 2) + g act inside one handle; the g - 1 mixing ones
+    come last, and `saturate_span` with `handle_invariant` applies only
+    those to the rows it starts with.
     """
     g = check_genus(genus)
     a = [1 << i for i in range(g)]
     b = [1 << (g + i) for i in range(g)]
-    vs = a + b + [a[i] | a[i + 1] for i in range(g - 1)]
+    vs = a[:2] + b + [a[i] | a[i + 1] for i in range(g - 1)]
     return tuple(transvection(HClass(g, v)) for v in vs)
 
 
@@ -602,7 +623,7 @@ def wedge_translate(M, w: WedgeElem) -> WedgeElem:
     return WedgeElem(w.genus, w.bits ^ delta)
 
 
-def saturate_span(genus: int, span: SpanBasis) -> int:
+def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False) -> int:
     """Close a span under the transvection action; returns added rank.
 
     The loop walks the span's pivots in insertion order, by index, while the
@@ -621,11 +642,29 @@ def saturate_span(genus: int, span: SpanBasis) -> int:
     inserted for each of them: the final span is closed under the
     generators.  It holds nothing outside the closure, since each insert is
     (M - I)v for a v already in it.
+
+    `handle_invariant` asserts that the starting span S0 is invariant under
+    the single-handle generators (those along a_i or b_i); the span of the
+    stream images is (README, "What the search verifies").  Then the rows
+    present at the start are visited with the g - 1 mixing generators only,
+    and every later pivot with all of them.  The final span is S0 plus the
+    span of the later visited rows, whose lowest bits are new pivots, and a
+    single-handle M maps S0 into itself, so closure still holds.
     """
-    deltas = _action_deltas([_wedge_action_table(genus, M) for M in closure_generators(genus)])
+    actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
+    deltas = _action_deltas(actions)
     before = span.rank
     order = span.insertion_order
     i = 0
+    if handle_invariant:
+        mixing = actions[len(actions) - (genus - 1):]
+        if mixing:
+            mixing_deltas = _action_deltas(mixing)
+            for k in range(before):
+                for delta in mixing_deltas(span.pivot_row(order[k])):
+                    if delta:
+                        span.insert_bits(delta)
+        i = before
     while i < len(order):
         v = span.pivot_row(order[i])
         i += 1
@@ -647,13 +686,14 @@ def _search_shard(
 
     The wedge is bilinear, so a block's images span the same space as the
     products of a basis of each set's sigma values.  The span loop walks the
-    blocks largest sets first and keeps `covered`, the OR of the single-slot
-    products inserted so far, each of whose unit vectors is in the span.  A
-    block is skipped when every slot pairing a monomial of its first basis
-    with one of its second lies in `covered`, and otherwise only its
-    products with a bit outside `covered` are inserted.  Where 3-handle
-    templates (whose basis rows are single monomials) fill the handle-
-    disjoint slots first, no other block is left to insert.
+    blocks largest sets first and reads the span's unit mask: each of its
+    slots is a row e_s, so a vector inside it is in the span.  A block is
+    skipped when every slot pairing a monomial of its first basis with one
+    of its second lies in the mask (that block mask is built by
+    `_block_bits`, one shift per monomial), and otherwise only its products
+    with a bit outside the mask are inserted.  Where 3-handle templates
+    (whose basis rows are single monomials) fill the handle-disjoint slots
+    first, no other block is left to insert.
 
     Descriptors with equal sigma have equal images, so a block's distinct
     images pair the sigma groups of its two sets: a group pair stands for
@@ -683,25 +723,24 @@ def _search_shard(
     bases = [_relabel(genus, S, _template(len(S))[2]) for S in sets]
     span = SpanBasis(wedge_dim(d))
 
-    used = [sorted({i for row in rows for i in row}) for rows in bases]
+    used = []  # (indices, mask) of the basis indices each set's basis uses
+    for rows in bases:
+        idx = {i for row in rows for i in row}
+        used.append((tuple(idx), sum(1 << i for i in idx)))
     last = len(sets) - 1
-    covered = 0
     for r1, r2 in _disjoint_set_pairs(sets[::-1]):
         k1, k2 = last - r1, last - r2
-        block = _slot_bits(offs, used[k1], used[k2])
-        if block & covered == block:
+        block = _block_bits(offs, used[k1], used[k2])
+        if block & span.units == block:
             continue
         for row1 in bases[k1]:
             for row2 in bases[k2]:
                 bits = _slot_bits(offs, row1, row2)
-                if bits & covered != bits:
+                if bits & span.units != bits:
                     span.insert_bits(bits)
-                    if not bits & (bits - 1):
-                        covered |= bits
 
-    live = 0  # slots still worth testing: the raw span's support, less seen ones
-    for row in span.row_bits():
-        live |= row
+    # slots still worth testing: the raw span's support, less the ones seen
+    live = span.support()
     unhit = {labels[s] for s in bit_indices(live)} - {None}
     hits: dict[str, tuple[int, str]] = {}
     shapes = set()
@@ -767,7 +806,7 @@ def image_rank_report(
 
     closure_added = 0
     if sp_closure:
-        closure_added = saturate_span(g, span)
+        closure_added = saturate_span(g, span, handle_invariant=True)
 
     missing = [
         {"slot": slot, "element": render_slot(g, slot), "class": labels[slot]}

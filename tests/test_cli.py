@@ -8,7 +8,14 @@ import json
 import pytest
 
 from bcjcalc import bcjmap, cli
+from bcjcalc.cassonmorita import LinkingMatrix
 from bcjcalc.cli import MAX_GENUS, _genus_range, main
+
+
+def standard_model_json(g):
+    """The standard-model linking matrix at genus g as a linking-matrix document."""
+    L = LinkingMatrix.standard_model(g)
+    return {"genus": g, "matrix": [list(row) for row in L.entries]}
 
 
 def run(capsys, *argv):
@@ -246,10 +253,8 @@ class TestVerify:
         assert d1 == d2
 
     def test_valid_linking_matrix_used(self, capsys, tmp_path):
-        from bcjcalc.cassonmorita import LinkingMatrix
-
         mat_path = tmp_path / "L.json"
-        mat_path.write_text(json.dumps(LinkingMatrix.standard_model(2).to_json()))
+        mat_path.write_text(json.dumps(standard_model_json(2)))
         out_path = tmp_path / "verify.json"
         code, _, _ = run(
             capsys,
@@ -268,10 +273,8 @@ class TestVerify:
         assert "a1" in err and "b1" in err
 
     def test_linking_matrix_genus_mismatch_exits_three(self, capsys, tmp_path):
-        from bcjcalc.cassonmorita import LinkingMatrix
-
         mat_path = tmp_path / "L1.json"
-        mat_path.write_text(json.dumps(LinkingMatrix.standard_model(1).to_json()))
+        mat_path.write_text(json.dumps(standard_model_json(1)))
         code, out, err = run(
             capsys, "verify", "--g", "2", "--trials", "5", "--linking-matrix", str(mat_path)
         )
@@ -320,9 +323,7 @@ class TestVerify:
     @pytest.mark.parametrize("entry", [1.5, True, "0"])
     def test_non_integer_linking_number_exits_three(self, capsys, tmp_path, entry):
         # the schema says integer: 1.5 used to be read as 1, true as 1, "0" as 0
-        from bcjcalc.cassonmorita import LinkingMatrix
-
-        data = LinkingMatrix.standard_model(2).to_json()
+        data = standard_model_json(2)
         data["matrix"][0][0] = entry
         mat_path = tmp_path / "L.json"
         mat_path.write_text(json.dumps(data))
@@ -337,9 +338,7 @@ class TestVerify:
 
     def test_boolean_genus_exits_three(self, capsys, tmp_path):
         # the schema says integer: true used to be read as genus 1, exit 0
-        from bcjcalc.cassonmorita import LinkingMatrix
-
-        data = LinkingMatrix.standard_model(1).to_json()
+        data = standard_model_json(1)
         data["genus"] = True
         mat_path = tmp_path / "L.json"
         mat_path.write_text(json.dumps(data))

@@ -208,7 +208,7 @@ def column_index_from_rows(basis):
     """Oracle: for every column with a set bit in some row other than at
     that row's pivot, the mask of the pivots whose row has the bit."""
     cols = {}
-    for p, row in basis._rows.items():
+    for p, row in zip(basis.pivots, basis.row_bits()):
         rest = row ^ (1 << p)
         for c in range(basis.length):
             if (rest >> c) & 1:
@@ -218,7 +218,7 @@ def column_index_from_rows(basis):
 
 def assert_column_index(basis):
     index = basis._cols
-    assert not any(c in basis._rows for c in index)
+    assert not any(basis._pivmask >> c & 1 for c in index)
     assert {c: m for c, m in index.items() if m} == column_index_from_rows(basis)
 
 
@@ -229,6 +229,50 @@ def test_hypothesis_column_index_matches_rows(case):
     for bits in vectors + extra:
         basis.insert_bits(bits)
         assert_column_index(basis)
+
+
+def unit_mask_from_rows(basis):
+    """Oracle: the mask of the pivots p whose row is e_p."""
+    return sum(1 << p for p, row in zip(basis.pivots, basis.row_bits()) if row == 1 << p)
+
+
+def reduce_without_units(basis, bits):
+    """Oracle: the pivot loop alone, with no unit-mask step."""
+    for p in bit_indices(bits & basis._pivmask):
+        bits ^= basis.pivot_row(p)
+    return bits
+
+
+@given(insert_sequences)
+def test_hypothesis_unit_mask_matches_rows(case):
+    n, vectors, probes = case
+    basis = SpanBasis(n)
+    for bits in vectors:
+        basis.insert_bits(bits)
+        assert basis._units == basis.units == unit_mask_from_rows(basis)
+        # the row dict holds exactly the other rows
+        assert all(row != 1 << p for p, row in basis._rows.items())
+        assert sum(1 << p for p in basis._rows) == basis._pivmask ^ basis._units
+        support = 0
+        for row in basis.row_bits():
+            support |= row
+        assert basis.support() == support
+        for probe in probes + vectors:
+            assert basis._reduce_bits(probe) == reduce_without_units(basis, probe)
+    assert basis.copy()._units == basis._units
+
+
+def test_back_substitution_makes_unit_rows():
+    basis = SpanBasis(3)
+    basis.insert_bits(0b011)
+    basis.insert_bits(0b101)
+    assert basis.units == 0
+    assert basis.row_bits() == (0b101, 0b110)
+    # reduces to e_2, whose back-substitution leaves e_0 and e_1 in rows 0, 1
+    basis.insert_bits(0b010)
+    assert basis.row_bits() == (0b001, 0b010, 0b100)
+    assert basis.units == 0b111
+    assert basis._rows == {}  # unit rows live in the mask only
 
 
 @given(insert_sequences)

@@ -1,6 +1,7 @@
 """The fixed surface model: intersection form, spines, symplectic bases."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +285,33 @@ class TestRebase:
                 r = span_rank(basis.rows())
                 assert span_rank(rebased.rows()) == r
                 assert span_rank(basis.rows() + rebased.rows()) == r
+
+    def test_rebase_validates_its_input_only(self, monkeypatch):
+        # sigma validates every rebased basis it is given; validating the
+        # output here as well added 104 validations to verify --g 4
+        # --trials 500 --seed 5151
+        real = sf.symplectic_violation
+        calls = []
+
+        def counting(basis):
+            calls.append(basis)
+            return real(basis)
+
+        monkeypatch.setattr(sf, "symplectic_violation", counting)
+        basis = SubsurfaceBasis.standard(4, [1, 2, 4])
+        random_symplectic_rebase(basis, 7)
+        assert calls == [basis]
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_rebase_output_symplectic_on_grid(self, g):
+        # every handle set, from standard and from already rebased bases
+        for size in range(1, g + 1):
+            for handles in combinations(range(1, g + 1), size):
+                basis = SubsurfaceBasis.standard(g, handles)
+                for seed in range(12):
+                    basis = random_symplectic_rebase(basis, seed)
+                    assert is_symplectic_basis(basis)
+                    assert basis.support() == frozenset(handles)
 
     def test_rebase_deterministic(self):
         basis = SubsurfaceBasis.standard(3, [1, 2])

@@ -34,6 +34,7 @@ from bcjcalc.wedgespan import (
     wedge_dim,
     wedge_translate,
     _basis_map,
+    _block_bits,
     _descriptors_for_set,
     _disjoint_set_pairs,
     _handle_map,
@@ -789,7 +790,7 @@ class TestClosureMachinery:
 
 def weight_le_2_transvections(g):
     """Transvections along every class with at most two nonzero coordinates,
-    the saturation set used before the 3g - 1 generators."""
+    the saturation set used before the Lickorish and Humphries generators."""
     vs = [1 << k for k in range(2 * g)]
     vs += [(1 << i) | (1 << j) for i, j in combinations(range(2 * g), 2)]
     return [sf.transvection(sf.HClass(g, v)) for v in vs]
@@ -801,7 +802,7 @@ class TestClosureGenerators:
         # h T_v h^-1 = T_{h v}, so an orbit of all nonzero classes puts every
         # transvection in the generated group, which is then Sp(2g, 2)
         gens = closure_generators(g)
-        assert len(gens) == 3 * g - 1
+        assert len(gens) == min(g, 2) + 2 * g - 1
         orbit, frontier = {1}, [1]
         while frontier:
             v = frontier.pop()
@@ -857,9 +858,12 @@ def ref_slot_bits(offs, left, right):
     return bits
 
 
-def ref_offsets(g):
-    d = b2_basis(g).size
+def ref_offsets_d(d):
     return [i * (2 * d - i - 1) // 2 for i in range(d)]
+
+
+def ref_offsets(g):
+    return ref_offsets_d(b2_basis(g).size)
 
 
 @lru_cache(maxsize=None)
@@ -913,15 +917,21 @@ def ref_full_table(g, M):
 
 def ref_apply(table, bits):
     out = 0
-    for slot in range(len(table)):
-        if (bits >> slot) & 1:
-            out ^= table[slot]
+    while bits:
+        low = bits & -bits
+        out ^= table[low.bit_length() - 1]
+        bits ^= low
     return out
+
+
+@lru_cache(maxsize=None)
+def ref_tables(g):
+    return tuple(ref_full_table(g, M) for M in closure_generators(g))
 
 
 def ref_saturate(g, span):
     """Saturation by full images Mv; returns added rank."""
-    tables = [ref_full_table(g, M) for M in closure_generators(g)]
+    tables = ref_tables(g)
     before = span.rank
     work = list(span.row_bits())
     while work:
@@ -1008,6 +1018,72 @@ def ref_block_hits(g, ms):
     return hits, n_pairs, n_distinct
 
 
+@lru_cache(maxsize=None)
+def ref_saturated_rows(g, rows):
+    """The rows of the full-image saturation of the span of `rows`."""
+    span = SpanBasis(wedge_dim(b2_basis(g).size))
+    for row in rows:
+        span.insert_bits(row)
+    ref_saturate(g, span)
+    return span.row_bits()
+
+
+def single_handle_transvections(g):
+    """The transvections along a_i and b_i, each acting inside handle i."""
+    return [sf.transvection(sf.HClass(g, 1 << k)) for k in range(2 * g)]
+
+
+STREAM_SPANS = [(g, ms) for g in (2, 3, 4, 5) for ms in (1, 2, 3, 4)]
+
+
+class TestHandleInvariantSaturation:
+    @pytest.mark.parametrize("g,ms", STREAM_SPANS)
+    def test_stream_span_is_single_handle_invariant(self, g, ms):
+        # the lemma behind handle_invariant, checked row by row: (M - I)v
+        # lies in the stream span for every single-handle M
+        span, _, _, _ = _search_shard(g, ms)
+        rows = span.row_bits()
+        for M in single_handle_transvections(g):
+            table = ref_full_table(g, M)
+            assert all(span.contains_bits(ref_apply(table, v) ^ v) for v in rows)
+
+    @pytest.mark.parametrize("g,ms", STREAM_SPANS)
+    def test_handle_invariant_equals_full_image_saturation(self, g, ms):
+        span, _, _, _ = _search_shard(g, ms)
+        start = span.rank
+        want = ref_saturated_rows(g, span.row_bits())
+        assert saturate_span(g, span, handle_invariant=True) == len(want) - start
+        assert span.row_bits() == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_unit_slot_spans_take_the_default_path(self, data):
+        g = data.draw(st.sampled_from([2, 3]))
+        n = wedge_dim(b2_basis(g).size)
+        slots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        new, old = SpanBasis(n), SpanBasis(n)
+        for s in slots:
+            new.insert_bits(1 << s)
+            old.insert_bits(1 << s)
+        assert saturate_span(g, new) == ref_saturate(g, old)
+        assert new.row_bits() == old.row_bits()
+
+    def test_skipping_is_unsound_for_other_spans(self):
+        # a single unit slot spans no single-handle invariant subspace in
+        # general, so only the stream span may skip those generators
+        g = 2
+        n = wedge_dim(b2_basis(g).size)
+        differ = 0
+        for s in range(n):
+            full, skipped = SpanBasis(n), SpanBasis(n)
+            full.insert_bits(1 << s)
+            skipped.insert_bits(1 << s)
+            saturate_span(g, full)
+            saturate_span(g, skipped, handle_invariant=True)
+            differ += full.row_bits() != skipped.row_bits()
+        assert differ > 0
+
+
 class TestSearchCoreReference:
     @pytest.mark.parametrize("g,ms", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
     def test_block_basis_span_equals_per_image_span(self, g, ms):
@@ -1050,14 +1126,29 @@ class TestSearchCoreReference:
         assert span.row_bits() == ref_block_span(g, ms).row_bits()
         assert (hits, n_pairs, n_distinct) == ref_block_hits(g, ms)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_hypothesis_block_bits_match_pairwise_slots(self, data):
+        # any two index sets, overlapping or not: each pair (i, j), i != j,
+        # comes from exactly one shift
+        d = b2_basis(data.draw(st.sampled_from([2, 3, 4]))).size
+        left, right = (
+            sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=d))) for _ in range(2)
+        )
+        masks = [sum(1 << i for i in idx) for idx in (left, right)]
+        got = _block_bits(ref_offsets_d(d), (left, masks[0]), (right, masks[1]))
+        assert got == ref_slot_bits(ref_offsets_d(d), left, right)
+
     @pytest.mark.parametrize("g", [4, 5, 6])
     def test_hits_are_the_classes_of_handle_disjoint_slots(self, g):
         _, hits, _, _ = _search_shard(g, 3)
         assert set(hits) == set(ref_class_masks(g))
         assert "IV" not in hits and "VI" not in hits
 
-    @pytest.mark.parametrize("g", [6, 7])
+    @pytest.mark.parametrize("g", [5, 6, 7])
     def test_every_stream_insert_is_independent(self, g, monkeypatch):
+        # from genus 5 on; tracking only the single-slot products inserted,
+        # genus 5 made 3,680 inserts for its rank of 745
         for s in (1, 2, 3):
             wedgespan._template(s)  # template spans are built outside the count
         real = SpanBasis.insert_bits
