@@ -83,6 +83,7 @@ from .surface import (
     check_int,
     coordinate_name,
     parity_bits,
+    randint_draw,
     random_z_symplectic_basis,
 )
 from .value import Value
@@ -387,13 +388,13 @@ class LinkingMatrix(Value):
         triangle, lower triangle forced."""
         g = check_genus(genus)
         n = 2 * g
-        randint = rng.randint
+        draw = randint_draw(rng)
         rows = [[0] * n for _ in range(n)]
         for p in range(n):
             row = rows[p]
-            row[p] = randint(-bound, bound)
+            row[p] = draw(-bound, bound)
             for q in range(p + 1, n):
-                x = row[q] = randint(-bound, bound)
+                x = row[q] = draw(-bound, bound)
                 rows[q][p] = x + 1 if q == p + g else x
         return cls(g, tuple(map(tuple, rows)))
 
@@ -445,7 +446,8 @@ def selflink_eval(L: LinkingMatrix, p: BoolPoly) -> int:
 def _random_integral_class(
     genus: int, rng: random.Random, bound: int = 2
 ) -> ZHClass:
-    return ZHClass(genus, tuple(rng.randint(-bound, bound) for _ in range(2 * genus)))
+    draw = randint_draw(rng)
+    return ZHClass(genus, tuple(draw(-bound, bound) for _ in range(2 * genus)))
 
 
 def check_record(failures: list[str], trials: int) -> dict:
@@ -464,9 +466,10 @@ def right_square_failures(
     """epsilon(L, rho(T_c)) mod 2 == selflink_eval(L, sigma(T_c)) on random
     integral bases, against L when given, else a fresh random valid L per
     trial."""
+    draw = randint_draw(rng)
     failures = []
     for t in range(num_trials):
-        h = rng.randint(1, min(genus, 3))
+        h = draw(1, min(genus, 3))
         handles = sorted(rng.sample(range(1, genus + 1), h))
         zbasis = random_z_symplectic_basis(genus, h, rng, handles)
         M = L if L is not None else LinkingMatrix.random_valid(genus, rng)
@@ -491,12 +494,13 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
     """
     g = check_genus(genus)
     rng = random.Random(seed)
+    draw = randint_draw(rng)
     report: dict = {"genus": g, "trials": num_trials, "seed": seed, "checks": {}}
     checks = report["checks"]
 
     failures = []
     for t in range(num_trials):
-        h = rng.randint(0, min(g, 3))
+        h = draw(0, min(g, 3))
         if h == 0:
             zbasis = ZSubsurfaceBasis(g, ())
         else:
@@ -524,8 +528,8 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
         for t in range(n_lift):
             handles = list(range(1, g + 1))
             rng.shuffle(handles)
-            h1 = rng.randint(1, min(g - 1, 2))
-            h2 = rng.randint(1, min(g - h1, 2))
+            h1 = draw(1, min(g - 1, 2))
+            h2 = draw(1, min(g - h1, 2))
             set1, set2 = sorted(handles[:h1]), sorted(handles[h1 : h1 + h2])
             zb1 = random_z_symplectic_basis(g, h1, rng, set1)
             zb2 = random_z_symplectic_basis(g, h2, rng, set2)

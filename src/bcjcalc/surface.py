@@ -17,7 +17,7 @@ enumerated.  A spine is represented by a genus-1 ``SubsurfaceBasis``.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import partial
 
 from .errors import BasisError, DimensionError, GenusMismatchError
@@ -384,6 +384,34 @@ def transform_basis(M: F2Matrix, basis: SubsurfaceBasis) -> SubsurfaceBasis:
 # -- integral symplectic data ------------------------------------------------
 
 
+def randint_draw(rng: random.Random) -> Callable[[int, int], int]:
+    """A ``draw(low, high)`` that returns what ``rng.randint(low, high)``
+    would, and leaves ``rng`` in the same state.
+
+    It runs CPython's own rejection loop on ``rng.getrandbits`` (3.10 to
+    3.13): with n = high - low + 1 and k = n.bit_length(), draw k bits until
+    the value r is below n, and return low + r.  k is n's bit length, not
+    n - 1's, so a power of two n takes one bit more than it needs and is
+    redrawn about half the time; ``randint`` does the same.  What it saves is
+    ``randint``'s three Python frames (``randint``, ``randrange`` and
+    ``_randbelow``) and their argument checks, about half the cost of each
+    draw.
+    """
+    getrandbits = rng.getrandbits
+
+    def draw(low: int, high: int) -> int:
+        n = high - low + 1
+        if n < 1:
+            raise ValueError(f"empty range for draw({low}, {high})")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return low + r
+
+    return draw
+
+
 def random_z_symplectic_basis(
     genus: int,
     h: int,
@@ -397,8 +425,13 @@ def random_z_symplectic_basis(
     Built by applying random integral transvections to the standard basis on
     the chosen handles; transvection directions are supported on those same
     handles, so the result's handle support stays inside them.  Each move
-    draws one ``randint`` per support position, a zero direction is skipped,
-    and the result is symplectic by construction, so it is not validated
+    draws one entry in [-coeff_bound, coeff_bound] per support position, a
+    positions before b positions, with the values and generator state of
+    ``rng.randint`` (`randint_draw`); a zero direction is skipped.  The
+    transvection x -> x + (x.v) v reads and writes only v's nonzero entries:
+    x.v is the sum of x[partner(p)] * (+-v_p) over them, and only those
+    positions of x change (with coeff_bound 1, a third of the entries are
+    0).  The result is symplectic by construction, so it is not validated
     here: ``rho_separating`` validates every basis it is given.
     """
     g = check_genus(genus)
@@ -410,19 +443,20 @@ def random_z_symplectic_basis(
     for k, i in enumerate(handles):
         rows[2 * k][i - 1] = rows[2 * k + 1][g + i - 1] = 1
     positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
-    randint, low = rng.randint, -coeff_bound
+    draw, low = randint_draw(rng), -coeff_bound
     for _ in range(n_moves):
-        v = [0] * (2 * g)
-        for p in positions:
-            v[p] = randint(low, coeff_bound)
-        if not any(v):
+        v = [(p, c) for p in positions if (c := draw(low, coeff_bound))]
+        if not v:
             continue
-        # the transvection x -> x + (x.v) v, with the pairing read on the
-        # support handles only, since v vanishes elsewhere
+        # x.v = sum over i of x[a_i] v[b_i] - x[b_i] v[a_i]: a nonzero v_p
+        # at b_i pairs with x[a_i] and sign +, at a_i with x[b_i] and sign -
+        dual = [(p - g, c) if p >= g else (p + g, -c) for p, c in v]
         for x in rows:
-            n = sum(x[i - 1] * v[g + i - 1] - x[g + i - 1] * v[i - 1] for i in handles)
+            n = 0
+            for q, c in dual:
+                n += x[q] * c
             if n:
-                for p in positions:
-                    x[p] += n * v[p]
+                for p, c in v:
+                    x[p] += n * c
     classes = [ZHClass(g, tuple(x)) for x in rows]
     return ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))

@@ -26,9 +26,10 @@ coordinates, `surface.paired_handles`), so every set's data is its template
 carried through `_basis_map`.  A template evaluates sigma once per plane
 {x, y, x+y}, not once per spine: sigma of a separating twist does not depend
 on the choice of symplectic basis, so the 6 ordered bases of a plane share
-one value, and the 1,788 spines on 1..3 handles cost 298 calls.  Twists, and
-their `sep(x,y)` labels, are built only for the templates and for the
-per-class first hits.
+one value, and the 1,788 spines on 1..3 handles cost 298 calls.  A
+template hands sigma a bare twist of the spine at genus s, so twists with
+their handle maps and `sep(x,y)` labels (`_twist`) are built for the
+per-class first hits only.
 
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
@@ -310,11 +311,13 @@ def _template(s: int) -> tuple[int, tuple, tuple]:
     with x < y < x+y.
     """
     spines = _local_spines(s)
-    handles = tuple(range(1, s + 1))  # at genus s, relabelling is the identity
     first: dict[frozenset[int], int] = {}
     for pos, (x, y) in enumerate(spines):
         if x < y < x ^ y:
-            first.setdefault(sigma(_twist(s, handles, pos)).masks, pos)
+            # at genus s relabelling is the identity, so the spine is its own
+            # twist's basis, and no label is needed
+            twist = SeparatingTwist(SubsurfaceBasis(s, ((HClass(s, x), HClass(s, y)),)))
+            first.setdefault(sigma(twist).masks, pos)
     # bit m is the monomial of mask m, not basis index m: the echelon basis,
     # and so which products the stream inserts, depends on the bit order
     span = SpanBasis(1 << (2 * s))
@@ -691,9 +694,12 @@ def _search_shard(
     skipped when every slot pairing a monomial of its first basis with one
     of its second lies in the mask (that block mask is built by
     `_block_bits`, one shift per monomial), and otherwise only its products
-    with a bit outside the mask are inserted.  Where 3-handle templates
-    (whose basis rows are single monomials) fill the handle-disjoint slots
-    first, no other block is left to insert.
+    with a bit outside the mask are inserted.  Where both sets' template
+    rows are single monomials (1, 3 and 4 handles), each product is one
+    slot of the block mask, so the block's slots outside the unit mask are
+    inserted one by one and no product is computed.  Where 3-handle
+    templates fill the handle-disjoint slots first, no other block is left
+    to insert.
 
     Descriptors with equal sigma have equal images, so a block's distinct
     images pair the sigma groups of its two sets: a group pair stands for
@@ -727,11 +733,21 @@ def _search_shard(
     for rows in bases:
         idx = {i for row in rows for i in row}
         used.append((tuple(idx), sum(1 << i for i in idx)))
+    single = [all(len(row) == 1 for row in rows) for rows in bases]
     last = len(sets) - 1
     for r1, r2 in _disjoint_set_pairs(sets[::-1]):
         k1, k2 = last - r1, last - r2
-        block = _block_bits(offs, used[k1], used[k2])
-        if block & span.units == block:
+        new = _block_bits(offs, used[k1], used[k2]) & ~span.units
+        if not new:
+            continue
+        if single[k1] and single[k2]:
+            # every product is one slot of the block, so the slots outside
+            # the unit mask are the vectors to insert
+            while new:
+                low = new & -new
+                if not low & span.units:
+                    span.insert_bits(low)
+                new ^= low
             continue
         for row1 in bases[k1]:
             for row2 in bases[k2]:

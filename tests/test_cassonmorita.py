@@ -11,6 +11,7 @@ from bcjcalc.boolring import BoolPoly, bar, evaluate
 from bcjcalc.cassonmorita import (
     CMPoly,
     LinkingMatrix,
+    _random_integral_class,
     cm_generator,
     cmpoly_to_json,
     epsilon,
@@ -535,6 +536,37 @@ class TestLinkingMatrix:
         for g in (1, 2, 3):
             for _ in range(20):
                 LinkingMatrix.random_valid(g, rng)  # constructor validates
+
+    def test_random_valid_draws_match_randint(self):
+        # the reference draws with randint, in the same order: the diagonal
+        # entry of each row, then the entries right of it
+        def reference(g, rng, bound):
+            n = 2 * g
+            rows = [[0] * n for _ in range(n)]
+            for p in range(n):
+                rows[p][p] = rng.randint(-bound, bound)
+                for q in range(p + 1, n):
+                    rows[p][q] = rng.randint(-bound, bound)
+                    rows[q][p] = rows[p][q] + (q == p + g)
+            return tuple(map(tuple, rows))
+
+        for seed in range(30):
+            g, bound = 1 + seed % 4, seed % 5
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert LinkingMatrix.random_valid(g, mine, bound).entries == reference(
+                g, theirs, bound
+            )
+            assert mine.getstate() == theirs.getstate()
+
+    def test_random_integral_class_matches_randint(self):
+        for seed in range(30):
+            g, bound = 1 + seed % 4, seed % 4
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert _random_integral_class(g, mine, bound) == random_zclass(
+                    g, theirs, bound
+                )
+            assert mine.getstate() == theirs.getstate()
 
     def test_first_violation_matches_full_scan(self):
         # the constructor reads the pairs above the diagonal only; a scan of

@@ -454,6 +454,37 @@ class TestIntegralBases:
             sf.random_z_symplectic_basis(3, 2, random.Random(0), handles)
 
 
+class TestRandintDraw:
+    # n = 1, 2, 4 and 8 are powers of two: k = n.bit_length() draws one bit
+    # more than n needs, so about half their draws are rejected and redrawn
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9])
+    def test_draw_equals_randint(self, n):
+        for seed in range(20):
+            for low in (-(n // 2), 0, 5):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                draw = sf.randint_draw(mine)
+                got = [draw(low, low + n - 1) for _ in range(60)]
+                want = [theirs.randint(low, low + n - 1) for _ in range(60)]
+                assert got == want
+                assert mine.getstate() == theirs.getstate()
+
+    def test_draw_interleaves_with_other_calls(self):
+        # the draw reads the generator itself, so other calls between draws
+        # see the state randint would leave
+        mine, theirs = random.Random(3), random.Random(3)
+        draw = sf.randint_draw(mine)
+        for k in range(200):
+            n = 1 + k % 9
+            assert draw(-n, n) == theirs.randint(-n, n)
+            assert mine.sample(range(10), 3) == theirs.sample(range(10), 3)
+        assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("low, high", [(0, -1), (3, 1)])
+    def test_empty_range_raises(self, low, high):
+        with pytest.raises(ValueError):
+            sf.randint_draw(random.Random(0))(low, high)
+
+
 def catalog_basis(genus, pairs):
     """The basis of a one-entry separating-twist catalog."""
     from bcjcalc.bcjmap import catalog_from_json

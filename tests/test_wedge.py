@@ -15,7 +15,7 @@ from bcjcalc import wedgespan
 from bcjcalc.bcjmap import BPMap, SeparatingTwist, is_index_matched, sigma, sigma_separating
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError, GenusMismatchError, MatrixError
-from bcjcalc.gf2core import F2Matrix, SpanBasis
+from bcjcalc.gf2core import F2Matrix, SpanBasis, bit_indices
 from bcjcalc.surface import SubsurfaceBasis, check_genus
 from bcjcalc.wedgespan import (
     AbelianCycle,
@@ -382,6 +382,27 @@ class TestTemplates:
         finally:
             wedgespan._template.cache_clear()
         assert len(calls) == 1 + 18 + 279
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_template_equals_reference_through_twist(self, s):
+        # the template hands sigma a bare twist of each local spine; built
+        # through the labelled, relabelled _twist, the data is the same
+        spines = _local_spines(s)
+        handles = tuple(range(1, s + 1))
+        first = {}
+        for pos, (x, y) in enumerate(spines):
+            if x < y < x ^ y:
+                first.setdefault(sigma(_twist(s, handles, pos)).masks, pos)
+        index = b2_basis(s).index_of_mask
+        span = SpanBasis(1 << (2 * s))
+        for masks in first:
+            span.insert_bits(sum(1 << m for m in masks))
+        want = (
+            len(spines),
+            tuple((pos, tuple(index[m] for m in masks)) for masks, pos in first.items()),
+            tuple(tuple(index[m] for m in bit_indices(row)) for row in span.row_bits()),
+        )
+        assert wedgespan._template(s) == want
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_template_basis_is_the_echelon_in_mask_order(self, s):
@@ -1174,6 +1195,30 @@ class TestSearchCoreReference:
         monkeypatch.setattr(wedgespan, "_slot_bits", counting)
         _search_shard(7, 3)
         assert len(calls) < 30_000
+
+    def test_single_monomial_blocks_compute_no_products(self, monkeypatch):
+        # the 1- and 3-handle templates' basis rows are single monomials, so
+        # such a block inserts slots of its block mask; at g = 8 the span
+        # loop skips every other block, so _slot_bits runs only in the hit
+        # scan, which starts by reading the span's support
+        for s in (1, 2, 3):
+            wedgespan._template(s)
+        real_slot_bits, real_support = wedgespan._slot_bits, SpanBasis.support
+        calls = {"span loop": 0, "hit scan": 0}
+        phase = ["span loop"]
+
+        def counting(offs, left, right):
+            calls[phase[0]] += 1
+            return real_slot_bits(offs, left, right)
+
+        def support(span):
+            phase[0] = "hit scan"
+            return real_support(span)
+
+        monkeypatch.setattr(wedgespan, "_slot_bits", counting)
+        monkeypatch.setattr(SpanBasis, "support", support)
+        _search_shard(8, 3)
+        assert calls == {"span loop": 0, "hit scan": 348}
 
     def test_only_first_blocks_relabel_sigma_groups(self):
         # relabelling the groups of all 98 support sets held 42 MB here
