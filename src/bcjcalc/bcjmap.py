@@ -90,18 +90,13 @@ class BPMap(Value):
 Descriptor = SeparatingTwist | BPMap
 
 
-def sigma_separating(t: SeparatingTwist | SubsurfaceBasis) -> BoolPoly:
-    """sum_i bar(A_i) bar(B_i); degree <= 2, basis-choice independent."""
-    basis = t.basis if isinstance(t, SeparatingTwist) else t
-    basis.validate()
-    # one pass over the masks, derived in the README: with c(X) the
-    # constant of bar(X), bar(A) bar(B) = sum_{k in A, l in B} ebar_k ebar_l
-    # + c(B) A + c(A) B + c(A) c(B)
-    g = basis.genus
+def sigma_masks(g: int, pairs) -> frozenset[int]:
+    """Masks of sum_i bar(A_i) bar(B_i) from unchecked pairs (A.bits, B.bits), in
+    one pass derived in the README: with c(X) the constant of bar(X), bar(A)
+    bar(B) = sum_{k in A, l in B} ebar_k ebar_l + c(B) A + c(A) B + c(A) c(B)."""
     rows: dict[int, int] = {}  # k -> XOR of the B_i over the i with k in A_i
     linear = const = 0
-    for A, B in basis.pairs:
-        x, y = A.bits, B.bits
+    for x, y in pairs:
         cx = paired_handles(g, x).bit_count() & 1
         cy = paired_handles(g, y).bit_count() & 1
         for k in bit_indices(x):
@@ -120,7 +115,15 @@ def sigma_separating(t: SeparatingTwist | SubsurfaceBasis) -> BoolPoly:
     masks.update(1 << k for k in bit_indices(linear))
     if const:
         masks.add(0)
-    return BoolPoly(g, masks)
+    return frozenset(masks)
+
+
+def sigma_separating(t: SeparatingTwist | SubsurfaceBasis) -> BoolPoly:
+    """sum_i bar(A_i) bar(B_i); degree <= 2, basis-choice independent.  The
+    basis is validated, then evaluated by `sigma_masks`, the search's kernel."""
+    b = t.basis if isinstance(t, SeparatingTwist) else t
+    b.validate()
+    return BoolPoly(b.genus, sigma_masks(b.genus, [(A.bits, B.bits) for A, B in b.pairs]))
 
 
 def sigma_bp(m: BPMap) -> BoolPoly:

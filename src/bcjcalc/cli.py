@@ -13,8 +13,6 @@ run-metadata fields ("timestamp", "elapsed") are dropped.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import random
 import sys
@@ -118,6 +116,9 @@ def _emit_format(args, payload: dict, columns, rows, md_lines: list[str]) -> Non
     if args.format == "json":
         _emit_json(payload, args.out)
     elif args.format == "csv":
+        import csv  # only --format csv writes CSV; a cold import costs every command
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(columns)

@@ -27,9 +27,9 @@ carried through `_basis_map`.  A template evaluates sigma once per plane
 {x, y, x+y}, not once per spine: sigma of a separating twist does not depend
 on the choice of symplectic basis, so the 6 ordered bases of a plane share
 one value, and the 1,788 spines on 1..3 handles cost 298 calls.  A
-template hands sigma a bare twist of the spine at genus s, so twists with
-their handle maps and `sep(x,y)` labels (`_twist`) are built for the
-per-class first hits only.
+template calls sigma's kernel `sigma_masks` on the packed spine at genus s,
+so twists with their handle maps and `sep(x,y)` labels (`_twist`) are built
+for the per-class first hits only.
 
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
@@ -70,7 +70,7 @@ from itertools import combinations
 from math import comb
 from time import perf_counter
 
-from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma
+from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma, sigma_masks
 from .boolring import (
     BoolMonomial,
     BoolPoly,
@@ -87,7 +87,6 @@ from .surface import (
     check_genus,
     handle_bits,
     paired_handles,
-    pairing,
     transvection,
 )
 from .value import Value
@@ -258,14 +257,15 @@ def _local_spines(s: int) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (x, y) on s handles, x.y = 1, using all s handles.
 
     Local packing: bits 0..s-1 are a-coordinates, bits s..2s-1 are
-    b-coordinates.
+    b-coordinates.  The two tests are `pairing` and `handle_bits`, inline.
     """
-    full = (1 << s) - 1
+    full, n = (1 << s) - 1, 1 << (2 * s)
     return tuple(
         (x, y)
-        for x in range(1 << (2 * s))
-        for y in range(1 << (2 * s))
-        if pairing(s, x, y) and handle_bits(s, x | y) == full
+        for x in range(n)
+        for y in range(n)
+        if ((x & (y >> s)) ^ (y & (x >> s))).bit_count() & 1
+        and ((x | y) & full) | ((x | y) >> s) == full
     )
 
 
@@ -308,16 +308,15 @@ def _template(s: int) -> tuple[int, tuple, tuple]:
     plane are all spines.  So sigma is evaluated only on the first spine of
     each plane, in position order, which is the first spine of its value.
     Spines are ordered by x, then y, so a plane's first spine is the one
-    with x < y < x+y.
+    with x < y < x+y.  sigma is `sigma_separating`'s kernel `sigma_masks` on
+    the packed spine, with no separate validation: x.y = 1, the spine filter,
+    is all that `symplectic_violation` checks for a one-pair basis.
     """
     spines = _local_spines(s)
     first: dict[frozenset[int], int] = {}
     for pos, (x, y) in enumerate(spines):
         if x < y < x ^ y:
-            # at genus s relabelling is the identity, so the spine is its own
-            # twist's basis, and no label is needed
-            twist = SeparatingTwist(SubsurfaceBasis(s, ((HClass(s, x), HClass(s, y)),)))
-            first.setdefault(sigma(twist).masks, pos)
+            first.setdefault(sigma_masks(s, ((x, y),)), pos)
     # bit m is the monomial of mask m, not basis index m: the echelon basis,
     # and so which products the stream inserts, depends on the bit order
     span = SpanBasis(1 << (2 * s))
@@ -404,16 +403,27 @@ def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> str | None:
 
     The classes are the equivalence classes of non-matched basis pairs under
     handle swaps (a_i <-> b_i) and handle transpositions, distinguished by
-    the index pattern of the two monomials.
+    the index pattern of the two monomials (`_pair_label`).
     """
     if is_index_matched(m1, m2):
         return None
-    x, y = sorted((m1, m2), key=lambda m: -m.degree)
-    dx, dy = x.degree, y.degree
     g = m1.genus
-    hx, hy = handle_bits(g, x.mask), handle_bits(g, y.mask)
-    diag_x = paired_handles(g, x.mask) != 0  # a_i b_i: both coordinates of one handle
-    diag_y = paired_handles(g, y.mask) != 0
+    return _pair_label(g, _monomial_facts(g, m1.mask), _monomial_facts(g, m2.mask))
+
+
+def _monomial_facts(g: int, mask: int) -> tuple[int, int, int, bool]:
+    """(mask, degree, handle bits, diagonal: some a_i b_i divides it) of a monomial."""
+    return mask, mask.bit_count(), handle_bits(g, mask), paired_handles(g, mask) != 0
+
+
+def _pair_label(g: int, x: tuple, y: tuple) -> str | None:
+    """The class of the slot of two distinct degree-<=2 monomials given by their
+    `_monomial_facts`, or None if index-matched: the one labeller, on masks."""
+    if (x[0] & (y[0] >> g)) | (y[0] & (x[0] >> g)):
+        return None
+    if x[1] < y[1]:
+        x, y = y, x
+    (_, dx, hx, diag_x), (_, dy, hy, diag_y) = x, y
     if (dx, dy) == (2, 2):
         if diag_x and diag_y:
             return "I"
@@ -426,18 +436,14 @@ def classify_pair(m1: BoolMonomial, m2: BoolMonomial) -> str | None:
         return "VI" if hx & hy else "VII"
     if (dx, dy) == (2, 0):
         return "VIII" if diag_x else "IX"
-    if (dx, dy) == (1, 1):
-        return "X"
-    if (dx, dy) == (1, 0):
-        return "XI"
-    raise AssertionError(f"unclassifiable degrees {(dx, dy)}")
+    return "X" if dy else "XI"  # (1, 1) or (1, 0): the monomials are distinct
 
 
 @lru_cache(maxsize=None)
 def _slot_labels(genus: int) -> tuple[str | None, ...]:
     """Class label per wedge slot; None marks index-matched slots."""
-    mons = b2_basis(genus).monomials
-    return tuple(classify_pair(mons[i], mons[j]) for i, j in _slot_pairs(len(mons)))
+    facts = [_monomial_facts(genus, m.mask) for m in b2_basis(genus).monomials]
+    return tuple(_pair_label(genus, facts[i], facts[j]) for i, j in _slot_pairs(len(facts)))
 
 
 @lru_cache(maxsize=None)

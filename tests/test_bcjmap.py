@@ -15,6 +15,7 @@ from bcjcalc.bcjmap import (
     equivariance_failures,
     is_index_matched,
     sigma_bp,
+    sigma_masks,
     sigma_separating,
 )
 from bcjcalc.boolring import (
@@ -53,6 +54,19 @@ def bar_product(basis):
     for A, B in basis.pairs:
         acc = acc + bar(A) * bar(B)
     return acc
+
+
+@st.composite
+def moved_bases(draw, min_h=0):
+    """A valid mod-2 basis on min_h..g pairs at genus g <= 6: pairs of the
+    standard basis of the surface moved by a word of transvections."""
+    g = draw(st.integers(max(1, min_h), 6))
+    M = F2Matrix.identity(2 * g)
+    for v in draw(st.lists(st.integers(1, (1 << (2 * g)) - 1), max_size=8)):
+        M = sf.transvection(HClass(g, v)) @ M
+    full = sf.transform_basis(M, SubsurfaceBasis.standard(g, range(1, g + 1)))
+    pairs = draw(st.permutations(full.pairs))
+    return SubsurfaceBasis(g, tuple(pairs[: draw(st.integers(min_h, g))]))
 
 
 class TestSigmaSeparating:
@@ -117,18 +131,19 @@ class TestSigmaSeparating:
             for basis in (coordinate, rebased, dense):
                 assert sigma_separating(basis) == bar_product(basis)
 
-    @given(st.data())
+    @given(moved_bases())
     @settings(max_examples=150, deadline=None)
-    def test_equals_the_bar_product_hypothesis(self, data):
-        g = data.draw(st.integers(1, 6))
-        # a word of transvections moves the standard basis of the surface
-        M = F2Matrix.identity(2 * g)
-        for v in data.draw(st.lists(st.integers(1, (1 << (2 * g)) - 1), max_size=8)):
-            M = sf.transvection(HClass(g, v)) @ M
-        full = sf.transform_basis(M, SubsurfaceBasis.standard(g, range(1, g + 1)))
-        pairs = data.draw(st.permutations(full.pairs))
-        basis = SubsurfaceBasis(g, tuple(pairs[: data.draw(st.integers(0, g))]))
+    def test_equals_the_bar_product_hypothesis(self, basis):
         assert sigma_separating(basis) == bar_product(basis)
+
+    @given(moved_bases(min_h=1), st.integers(0, (1 << 30) - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_on_bare_pairs_hypothesis(self, basis, seed):
+        # sigma_masks on packed pairs with no basis object, against
+        # sigma_separating and the bar product, on a basis and a rebase of it
+        for b in (basis, random_symplectic_rebase(basis, seed)):
+            got = sigma_masks(b.genus, [(A.bits, B.bits) for A, B in b.pairs])
+            assert got == sigma_separating(b).masks == bar_product(b).masks
 
 
 class TestSigmaBP:

@@ -12,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from bcjcalc import surface as sf
 from bcjcalc import wedgespan
-from bcjcalc.bcjmap import BPMap, SeparatingTwist, is_index_matched, sigma, sigma_separating
+from bcjcalc.bcjmap import (
+    BPMap,
+    SeparatingTwist,
+    is_index_matched,
+    sigma,
+    sigma_masks,
+    sigma_separating,
+)
 from bcjcalc.boolring import BoolPoly, b2_basis
 from bcjcalc.errors import DisjointnessError, FiltrationError, GenusMismatchError, MatrixError
 from bcjcalc.gf2core import F2Matrix, SpanBasis, bit_indices
@@ -367,14 +374,26 @@ class TestTemplates:
             # in position order, the plane's first spine and no other is picked
             assert [x < y < x ^ y for (x, y), _ in spines] == [True] + [False] * 5
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_local_spines_are_pairing_and_handle_bits(self, s):
+        # the inline tests of _local_spines against the surface helpers
+        n, full = 1 << (2 * s), (1 << s) - 1
+        want = tuple(
+            (x, y)
+            for x in range(n)
+            for y in range(n)
+            if sf.pairing(s, x, y) and sf.handle_bits(s, x | y) == full
+        )
+        assert _local_spines(s) == want
+
     def test_template_calls_sigma_once_per_plane(self, monkeypatch):
         calls = []
 
-        def counted(twist):
-            calls.append(twist)
-            return sigma(twist)
+        def counted(g, pairs):
+            calls.append(pairs)
+            return sigma_masks(g, pairs)
 
-        monkeypatch.setattr(wedgespan, "sigma", counted)
+        monkeypatch.setattr(wedgespan, "sigma_masks", counted)
         wedgespan._template.cache_clear()
         try:
             for s in (1, 2, 3):
@@ -437,6 +456,46 @@ class TestTemplates:
             for row in rows:
                 assert got_span.insert_bits(sum(1 << i for i in row))
             assert got_span.row_bits() == want_span.row_bits()
+
+
+def reference_classify_pair(m1, m2):
+    """The labeller restated on BoolMonomial objects: sort by degree, then
+    read handle bits and diagonals off each monomial."""
+    if is_index_matched(m1, m2):
+        return None
+    x, y = sorted((m1, m2), key=lambda m: -m.degree)
+    dx, dy = x.degree, y.degree
+    g = m1.genus
+    hx, hy = sf.handle_bits(g, x.mask), sf.handle_bits(g, y.mask)
+    diag_x = sf.paired_handles(g, x.mask) != 0  # a_i b_i: both coordinates of one handle
+    diag_y = sf.paired_handles(g, y.mask) != 0
+    if (dx, dy) == (2, 2):
+        if diag_x and diag_y:
+            return "I"
+        if diag_x or diag_y:
+            return "II"
+        return "III" if hx & hy == 0 else "IV"
+    if (dx, dy) == (2, 1):
+        if diag_x:
+            return "V"
+        return "VI" if hx & hy else "VII"
+    if (dx, dy) == (2, 0):
+        return "VIII" if diag_x else "IX"
+    if (dx, dy) == (1, 1):
+        return "X"
+    if (dx, dy) == (1, 0):
+        return "XI"
+    raise AssertionError(f"unclassifiable degrees {(dx, dy)}")
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_slot_labels_equal_object_classifier(g):
+    # the mask labeller on every slot against the object-level restatement
+    mons = b2_basis(g).monomials
+    want = tuple(
+        reference_classify_pair(mons[i], mons[j]) for i, j in combinations(range(len(mons)), 2)
+    )
+    assert _slot_labels(g) == want
 
 
 @lru_cache(maxsize=None)
