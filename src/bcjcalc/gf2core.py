@@ -25,12 +25,14 @@ The unit rows, those equal to e_p, are kept only as one more packed mask,
 and the row dict holds the other rows.  A unit row touches no column but
 its pivot, so reducing clears every unit pivot of v with one AND before the
 loop over the other rows.  Most dependent inserts of a saturation are sums
-of unit rows, and the image search reads the mask to skip products whose
-slots are all units.  An insert adds a unit row when the reduced vector is
-one bit, and back-substitution can turn a row into one (a row with a bit
-at the new pivot is never a unit row, so none is lost).  Stored as an int,
+of unit rows.  An insert adds a unit row when the reduced vector is one
+bit, and back-substitution can turn a row into one (a row with a bit at
+the new pivot is never a unit row, so none is lost).  Stored as an int,
 e_p takes p bits: at the end of a genus-10 search 18,645 of the 21,945 rows
 are unit rows, which as ints held 27 MB.
+
+``insert_units`` puts e_p for a list of new pivots p, in that order, into a
+span of unit rows only with one OR: it builds the image search's stream span.
 
 The pivots are also kept in one list in the order their inserts happened.
 ``insert_bits`` appends to it and ``copy`` copies it, so a loop that walks
@@ -47,6 +49,7 @@ the visiting order cannot change a result.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 
 from .errors import DimensionError
 from .value import Value
@@ -110,14 +113,6 @@ class SpanBasis:
     def row_bits(self) -> tuple[int, ...]:
         return tuple(map(self.pivot_row, self.pivots))
 
-    def support(self) -> int:
-        """The OR of the rows: the coordinates some vector of the span uses.
-        Read off the unit mask and the other rows, with no e_p built."""
-        bits = self._units
-        for row in self._rows.values():
-            bits |= row
-        return bits
-
     def copy(self) -> "SpanBasis":
         dup = SpanBasis(self.length)
         dup._rows = dict(self._rows)
@@ -174,6 +169,23 @@ class SpanBasis:
         self._pivmask |= 1 << q
         self._order.append(q)
         return True
+
+    def insert_units(self, pivots: Sequence[int]) -> None:
+        """Insert e_p for every p of `pivots`, in that order: distinct
+        columns that are no pivot yet, into a span of unit rows only, whose
+        column index is then empty (an entry goes only when its column
+        becomes a pivot, and until then some row has a bit there)."""
+        if self._rows:
+            raise ValueError("insert_units needs a span that holds unit rows only")
+        digits = bytearray(b"0" * self.length)  # digit -1 - p is bit p
+        for p in pivots:
+            digits[-1 - p] = 49  # ord("1")
+        mask = int(b"0" + digits, 2)
+        if mask.bit_count() != len(pivots) or mask & self._pivmask:
+            raise ValueError("insert_units takes distinct columns that are no pivot yet")
+        self._units |= mask
+        self._pivmask |= mask
+        self._order.extend(pivots)
 
     def contains_bits(self, bits: int) -> bool:
         return self._reduce_bits(bits) == 0

@@ -9,12 +9,12 @@ W) are still missing.
 The wedge is bilinear over GF(2), so the images of one block of the stream
 (every descriptor on one support set against every descriptor on a disjoint
 one) span exactly the products b ^ c of a basis b of the first set's sigma
-values with a basis c of the second's.  The search walks the blocks largest
-sets first and inserts only the basis products with a slot outside the
-span's unit rows, skipping every block whose slots are all such.  It counts
-distinct images per block; images themselves are computed, by distinct
-sigma pair, only in the first block of each shape (|S1|, |S2|) and only for
-each class's first hit.
+values with a basis c of the second's.  The search inserts those products
+at genus min(g, 4) only, where they span unit rows only, and carries the
+unit slots onto genus g by handle pattern (`_search_shard` shows why that
+is the genus-g span).  It counts distinct images per block; images
+themselves are computed, by distinct sigma pair, only in the first block of
+each shape (|S1|, |S2|) and only for each class's first hit.
 
 A set's sigma data comes from one template per support size s, computed
 once at genus s from the spines on s handles: their count, the position and
@@ -34,13 +34,12 @@ for the per-class first hits only.
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
 handle (orbit classes IV and VI) are unreachable by construction.  The
-first-hit scan therefore waits only for the classes on the support of the
-raw span, which are exactly the classes the stream hits, and stops computing
-images once all of them are hit.  The image of the
-induced map is however closed under the symplectic action - acting on a
-cycle's curves by a mapping class yields another commuting pair whose image
-is the matrix translate of the original - so the search saturates its span
-under substitution by the 2g + 1 transvections of `closure_generators`.
+first-hit scan therefore waits only for the classes on the raw span's
+slots, exactly the classes the stream hits.  The image of the induced map
+is however closed under the symplectic action - acting on a cycle's curves
+by a mapping class yields another commuting pair whose image is the matrix
+translate of the original - so the search saturates its span under
+substitution by the 2g + 1 transvections of `closure_generators`.
 Every vector added this way is the image of a conjugated cycle, or a sum of
 such images; soundness rests on the equivariance of the twist formulas,
 which its own test suite verifies.  For v already in the span, Mv is in the
@@ -195,23 +194,6 @@ def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -
     return bits
 
 
-def _block_bits(
-    offs: Sequence[int], left: tuple[Sequence[int], int], right: tuple[Sequence[int], int]
-) -> int:
-    """`_slot_bits` of two sets of basis indices, each given as (indices,
-    mask), by one shift per index rather than one step per pair: for i in
-    `left`, the slots (i, j) with j > i in `right` are the bits of
-    right's mask >> (i + 1), moved to row i's offset; the slots (j, i) with
-    j in `right` and i > j come the same way from left's mask."""
-    (lidx, lmask), (ridx, rmask) = left, right
-    bits = 0
-    for i in lidx:
-        bits ^= (rmask >> (i + 1)) << offs[i]
-    for j in ridx:
-        bits ^= (lmask >> (j + 1)) << offs[j]
-    return bits
-
-
 # -- abelian cycles -----------------------------------------------------------
 
 
@@ -328,12 +310,6 @@ def _template(s: int) -> tuple[int, tuple, tuple]:
     return len(spines), groups, basis
 
 
-def _relabel(genus: int, handles: tuple[int, ...], rows: Sequence) -> list[list[int]]:
-    """Rows of basis indices at genus len(handles), relabelled onto `handles`."""
-    to = _basis_map(genus, _handle_map(genus, handles))
-    return [[to[i] for i in row] for row in rows]
-
-
 def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, list, list]:
     """The template of size len(handles) relabelled onto `handles`: the
     spine count, the (position, sigma basis indices) of each distinct sigma
@@ -344,8 +320,9 @@ def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, lis
     stays a basis.
     """
     n, groups, basis = _template(len(handles))
-    sigmas = _relabel(genus, handles, [sig for _, sig in groups])
-    return n, list(zip([pos for pos, _ in groups], sigmas)), _relabel(genus, handles, basis)
+    to = _basis_map(genus, _handle_map(genus, handles))
+    groups = [(pos, [to[i] for i in sig]) for pos, sig in groups]
+    return n, groups, [[to[i] for i in row] for row in basis]
 
 
 def _support_sets(genus: int, max_support: int) -> list[tuple[int, ...]]:
@@ -686,6 +663,36 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
 # -- the image search ---------------------------------------------------------
 
 
+def _disjoint_slots(genus: int) -> int:
+    """D_g: the mask of the slots whose two monomials have disjoint handle
+    sets.  The constant uses no handle, so its slots are all in it."""
+    hb = [handle_bits(genus, m.mask) for m in b2_basis(genus).monomials]
+    return sum(1 << s for s, (i, j) in enumerate(_slot_pairs(len(hb))) if not hb[i] & hb[j])
+
+
+def _carry_slots(units: int, h: int, genus: int) -> list[int]:
+    """The slots at `genus` of the slots `units` at genus h, carried by
+    handle pattern: a slot on exactly the handles T, |T| = k, is one iff the
+    order-keeping map 1..k -> T sends a slot of `units` to it, so each is
+    made once; `units` must be invariant under permuting handles.  Slots
+    come 4-handle ones first, then by handle set from the highest handles
+    down: saturation visits them in this order, which keeps its transient
+    rows short (237 MB at genus 16, against 256 MB in ascending order)."""
+    d_h, d = b2_basis(h).size, b2_basis(genus).size
+    slots = []
+    for k in range(h, 0, -1):
+        up = _basis_map(h, _handle_map(h, range(1, k + 1)))  # genus k -> genus h
+        hb = [handle_bits(k, m.mask) for m in b2_basis(k).monomials]
+        on_all = [(i, j) for i, j in _slot_pairs(len(hb)) if hb[i] | hb[j] == (1 << k) - 1]
+        pattern = [
+            (i, j) for i, j in on_all if units >> pair_index(d_h, *sorted((up[i], up[j]))) & 1
+        ]
+        for handles in combinations(range(genus, 0, -1), k):
+            to = _basis_map(genus, _handle_map(genus, handles[::-1]))
+            slots.extend(pair_index(d, *sorted((to[i], to[j]))) for i, j in pattern)
+    return slots
+
+
 def _search_shard(
     genus: int, max_support: int
 ) -> tuple[SpanBasis, dict[str, tuple[int, str]], int, int]:
@@ -694,18 +701,15 @@ def _search_shard(
     keyed by stream index, the pair count and the distinct-image count.
 
     The wedge is bilinear, so a block's images span the same space as the
-    products of a basis of each set's sigma values.  The span loop walks the
-    blocks largest sets first and reads the span's unit mask: each of its
-    slots is a row e_s, so a vector inside it is in the span.  A block is
-    skipped when every slot pairing a monomial of its first basis with one
-    of its second lies in the mask (that block mask is built by
-    `_block_bits`, one shift per monomial), and otherwise only its products
-    with a bit outside the mask are inserted.  Where both sets' template
-    rows are single monomials (1, 3 and 4 handles), each product is one
-    slot of the block mask, so the block's slots outside the unit mask are
-    inserted one by one and no product is computed.  Where 3-handle
-    templates fill the handle-disjoint slots first, no other block is left
-    to insert.
+    products of a basis of each set's sigma values.  Those are inserted at
+    genus h = min(g, 4), where the span must hold unit rows only, and its
+    unit slots carried onto genus g (`_carry_slots`) are the span: sound,
+    as a genus-h block relabelled onto h of the g handles is a genus-g
+    block and the genus-h span is invariant under permuting handles, as its
+    set of blocks is; complete with `max_support` <= 2, as every block then uses at
+    most 4 handles, and with `max_support` >= 3 once the genus-4 mask is
+    D_4 (`_disjoint_slots`, checked), as every image pairs monomials on
+    disjoint supports, so the span lies in D_g, which is D_4 carried.
 
     Descriptors with equal sigma have equal images, so a block's distinct
     images pair the sigma groups of its two sets: a group pair stands for
@@ -721,53 +725,35 @@ def _search_shard(
     change when handles are relabelled, and two blocks of one shape
     (|S1|, |S2|) are relabellings of each other with the same group
     positions, so only the first block of each shape is scanned for hits,
-    and only its two sets have their sigma groups relabelled.  Every block
-    reads its spine and group counts from the templates.
-    The classes to wait for are the labels on the raw span's support, which
-    is the union of the supports of the stream images; the scan stops once
-    all of them are hit.
+    and only its two sets have their sigma groups relabelled.  The scan
+    stops once every label on the span's slots (the union of the supports
+    of the stream images) is hit; relabelling keeps a slot's label, so
+    those are the labels of the genus-h unit slots.
     """
-    basis = b2_basis(genus)
-    d = basis.size
-    offs = _row_offsets(d)
-    labels = _slot_labels(genus)
-    sets = _support_sets(genus, max_support)
-    bases = [_relabel(genus, S, _template(len(S))[2]) for S in sets]
-    span = SpanBasis(wedge_dim(d))
-
-    used = []  # (indices, mask) of the basis indices each set's basis uses
-    for rows in bases:
-        idx = {i for row in rows for i in row}
-        used.append((tuple(idx), sum(1 << i for i in idx)))
-    single = [all(len(row) == 1 for row in rows) for rows in bases]
-    last = len(sets) - 1
-    for r1, r2 in _disjoint_set_pairs(sets[::-1]):
-        k1, k2 = last - r1, last - r2
-        new = _block_bits(offs, used[k1], used[k2]) & ~span.units
-        if not new:
-            continue
-        if single[k1] and single[k2]:
-            # every product is one slot of the block, so the slots outside
-            # the unit mask are the vectors to insert
-            while new:
-                low = new & -new
-                if not low & span.units:
-                    span.insert_bits(low)
-                new ^= low
-            continue
+    h = min(genus, CENSUS_GENUS)
+    sets = _support_sets(h, max_support)
+    bases = [_descriptors_for_set(h, S)[2] for S in sets]
+    offs = _row_offsets(b2_basis(h).size)
+    local = SpanBasis(wedge_dim(b2_basis(h).size))
+    for k1, k2 in _disjoint_set_pairs(sets):
         for row1 in bases[k1]:
             for row2 in bases[k2]:
-                bits = _slot_bits(offs, row1, row2)
-                if bits & span.units != bits:
-                    span.insert_bits(bits)
+                local.insert_bits(_slot_bits(offs, row1, row2))
+    if local.rank != local.units.bit_count():
+        raise RuntimeError(f"the genus-{h} stream span has a row that is not a unit row")
+    if genus > h and max_support >= 3 and local.units != _disjoint_slots(h):
+        raise RuntimeError(f"the genus-{h} stream span is not D_{h}, so it may not carry")
+    span = SpanBasis(wedge_dim(b2_basis(genus).size))
+    span.insert_units(_carry_slots(local.units, h, genus))
 
-    # slots still worth testing: the raw span's support, less the ones seen
-    live = span.support()
-    unhit = {labels[s] for s in bit_indices(live)} - {None}
+    offs = _row_offsets(b2_basis(genus).size)
+    labels = _slot_labels(genus)
+    sets = _support_sets(genus, max_support)
+    live = span.units  # slots still worth testing: the span's, less the ones seen
+    unhit = {_slot_labels(h)[s] for s in bit_indices(local.units)} - {None}
     hits: dict[str, tuple[int, str]] = {}
     shapes = set()
-    n_pairs = 0
-    n_distinct = 0
+    n_pairs = n_distinct = 0
     for k1, k2 in _disjoint_set_pairs(sets):
         shape = (len(sets[k1]), len(sets[k2]))
         (n1, groups1, _), (n2, groups2, _) = map(_template, shape)
@@ -818,8 +804,7 @@ def image_rank_report(
     if max_support < 1:
         raise ValueError("max_support must be >= 1")
     t0 = perf_counter()
-    basis = b2_basis(g)
-    d = basis.size
+    d = b2_basis(g).size
     dm = dims(g)
     labels = _slot_labels(g)
 

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, strategies as st
 
 from bcjcalc.gf2core import F2Matrix, SpanBasis, bit_indices
@@ -243,22 +244,22 @@ def reduce_without_units(basis, bits):
     return bits
 
 
+def assert_unit_mask_matches_rows(basis, probes):
+    assert basis._units == basis.units == unit_mask_from_rows(basis)
+    # the row dict holds exactly the other rows
+    assert all(row != 1 << p for p, row in basis._rows.items())
+    assert sum(1 << p for p in basis._rows) == basis._pivmask ^ basis._units
+    for probe in probes:
+        assert basis._reduce_bits(probe) == reduce_without_units(basis, probe)
+
+
 @given(insert_sequences)
 def test_hypothesis_unit_mask_matches_rows(case):
     n, vectors, probes = case
     basis = SpanBasis(n)
     for bits in vectors:
         basis.insert_bits(bits)
-        assert basis._units == basis.units == unit_mask_from_rows(basis)
-        # the row dict holds exactly the other rows
-        assert all(row != 1 << p for p, row in basis._rows.items())
-        assert sum(1 << p for p in basis._rows) == basis._pivmask ^ basis._units
-        support = 0
-        for row in basis.row_bits():
-            support |= row
-        assert basis.support() == support
-        for probe in probes + vectors:
-            assert basis._reduce_bits(probe) == reduce_without_units(basis, probe)
+        assert_unit_mask_matches_rows(basis, probes + vectors)
     assert basis.copy()._units == basis._units
 
 
@@ -273,6 +274,71 @@ def test_back_substitution_makes_unit_rows():
     assert basis.row_bits() == (0b001, 0b010, 0b100)
     assert basis.units == 0b111
     assert basis._rows == {}  # unit rows live in the mask only
+
+
+unit_pivot_sequences = st.integers(min_value=1, max_value=64).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.permutations(range(n)),
+        st.lists(st.integers(0, n), min_size=1, max_size=4),
+        packed_vectors(n),
+    )
+)
+
+
+@given(unit_pivot_sequences)
+def test_hypothesis_insert_units_equals_unit_inserts_one_by_one(case):
+    # the columns in a random order, cut into runs: the first run is
+    # inserted one by one into both spans, each later one by insert_units
+    n, columns, cuts, probes = case
+    cuts = sorted(cuts)
+    runs = [columns[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    bulk, single = SpanBasis(n), SpanBasis(n)
+    for p in runs[0]:
+        bulk.insert_bits(1 << p)
+    for run in runs:
+        for p in run:
+            single.insert_bits(1 << p)
+        if run is not runs[0]:
+            bulk.insert_units(run)
+        assert bulk.insertion_order == single.insertion_order
+        assert bulk.row_bits() == single.row_bits()
+        assert (bulk._units, bulk._pivmask, bulk._rows) == (single._units, single._pivmask, {})
+        assert_fully_reduced(bulk)
+        assert_column_index(bulk)
+        assert_unit_mask_matches_rows(bulk, probes)
+        dup = bulk.copy()
+        assert (dup.units, dup.insertion_order, dup.row_bits()) == (
+            bulk.units, bulk.insertion_order, bulk.row_bits()
+        )
+
+
+def test_insert_units_after_back_substitution():
+    # back-substitution leaves only unit rows, and an empty column index
+    basis = SpanBasis(5)
+    for bits in (0b011, 0b101, 0b010):
+        basis.insert_bits(bits)
+    assert not basis._cols
+    basis.insert_units([4, 3])
+    assert basis.row_bits() == (0b1, 0b10, 0b100, 0b1000, 0b10000)
+    assert basis.insertion_order[3:] == [4, 3]
+    assert not basis.copy().insert_bits(0b11111)
+
+
+def test_insert_units_rejects_other_spans_and_old_or_repeated_pivots():
+    basis = SpanBasis(3)
+    basis.insert_bits(0b011)
+    with pytest.raises(ValueError):
+        basis.insert_units([2])
+    assert basis.row_bits() == (0b011,)
+    basis = SpanBasis(3)
+    basis.insert_bits(0b001)
+    for pivots in ([0], [1, 1], [2, 0]):
+        with pytest.raises(ValueError):
+            basis.insert_units(pivots)
+    assert (basis.units, basis.insertion_order) == (0b001, [0])
+    basis.insert_units([])
+    assert SpanBasis(0).insert_units([]) is None
 
 
 @given(insert_sequences)

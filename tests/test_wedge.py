@@ -41,7 +41,6 @@ from bcjcalc.wedgespan import (
     wedge_dim,
     wedge_translate,
     _basis_map,
-    _block_bits,
     _descriptors_for_set,
     _disjoint_set_pairs,
     _handle_map,
@@ -938,12 +937,9 @@ def ref_slot_bits(offs, left, right):
     return bits
 
 
-def ref_offsets_d(d):
-    return [i * (2 * d - i - 1) // 2 for i in range(d)]
-
-
 def ref_offsets(g):
-    return ref_offsets_d(b2_basis(g).size)
+    d = b2_basis(g).size
+    return [i * (2 * d - i - 1) // 2 for i in range(d)]
 
 
 @lru_cache(maxsize=None)
@@ -1198,26 +1194,55 @@ class TestSearchCoreReference:
         assert all(bits & outside == 0 for bits in images)
 
     @pytest.mark.parametrize("ms", [1, 2, 3, 4])
-    @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7, 8])
     def test_stream_equals_all_blocks_oracle(self, g, ms):
         # covers the block shapes (2, 3), (3, 3) and (., 4), which the
-        # object-level stream above reaches only at g > 4
+        # object-level stream above reaches only at g > 4, and the spans
+        # carried from genus 4 at every --max-support
         span, hits, n_pairs, n_distinct = _search_shard(g, ms)
         assert span.row_bits() == ref_block_span(g, ms).row_bits()
-        assert (hits, n_pairs, n_distinct) == ref_block_hits(g, ms)
+        if (g, ms) != (8, 4):  # the hits oracle alone takes about 11 s there
+            assert (hits, n_pairs, n_distinct) == ref_block_hits(g, ms)
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_hypothesis_block_bits_match_pairwise_slots(self, data):
-        # any two index sets, overlapping or not: each pair (i, j), i != j,
-        # comes from exactly one shift
-        d = b2_basis(data.draw(st.sampled_from([2, 3, 4]))).size
-        left, right = (
-            sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=d))) for _ in range(2)
+    @pytest.mark.parametrize("ms", [2, 3, 4])
+    @pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
+    def test_stream_mask_is_the_handle_disjoint_slots(self, g, ms):
+        span, _, _, _ = _search_shard(g, ms)
+        disjoint = handle_disjoint_mask(g)
+        assert span.units == disjoint
+        assert span.rank == disjoint.bit_count()
+
+    @pytest.mark.parametrize("ms", [3, 4])
+    def test_a_genus_4_mask_short_of_d4_raises(self, ms, monkeypatch):
+        # D_4 less the constant's slots: the genus-4 stream span no longer
+        # matches it, so carrying that span to genus 5 is not known complete
+        basis = b2_basis(4)
+        const = basis.index_of_mask[0]
+        without_const = handle_disjoint_mask(4) & ~sum(
+            1 << pair_index(basis.size, *sorted((const, k)))
+            for k in range(basis.size)
+            if k != const
         )
-        masks = [sum(1 << i for i in idx) for idx in (left, right)]
-        got = _block_bits(ref_offsets_d(d), (left, masks[0]), (right, masks[1]))
-        assert got == ref_slot_bits(ref_offsets_d(d), left, right)
+        monkeypatch.setattr(wedgespan, "_disjoint_slots", lambda genus: without_const)
+        with pytest.raises(RuntimeError, match="D_4"):
+            _search_shard(5, ms)
+        # genus 4 itself carries nothing, and --max-support 2 needs no D_4
+        assert _search_shard(4, ms)[0].units == handle_disjoint_mask(4)
+        assert _search_shard(5, 2)[0].units == handle_disjoint_mask(5)
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_a_genus_h_span_with_a_non_unit_row_raises(self, g, monkeypatch):
+        # the 2-handle template cut to its first basis row: the block loop's
+        # span is then no unit span, and there is no mask to carry
+        real = wedgespan._template
+
+        def first_row_only(s):
+            n, groups, basis = real(s)
+            return (n, groups, basis[:1]) if s == 2 else (n, groups, basis)
+
+        monkeypatch.setattr(wedgespan, "_template", first_row_only)
+        with pytest.raises(RuntimeError, match="not a unit row"):
+            _search_shard(g, 2)
 
     @pytest.mark.parametrize("g", [4, 5, 6])
     def test_hits_are_the_classes_of_handle_disjoint_slots(self, g):
@@ -1226,21 +1251,22 @@ class TestSearchCoreReference:
         assert "IV" not in hits and "VI" not in hits
 
     @pytest.mark.parametrize("g", [5, 6, 7])
-    def test_every_stream_insert_is_independent(self, g, monkeypatch):
-        # from genus 5 on; tracking only the single-slot products inserted,
-        # genus 5 made 3,680 inserts for its rank of 745
-        for s in (1, 2, 3):
-            wedgespan._template(s)  # template spans are built outside the count
+    def test_no_insert_bits_builds_the_stream_span_above_genus_4(self, g, monkeypatch):
+        # the block loop runs at genus 4; genus g gets its unit slots at once
         real = SpanBasis.insert_bits
-        calls = []
+        spans = []
 
-        def counting(self, bits):
-            calls.append(bits)
+        def recording(self, bits):
+            spans.append(self)
             return real(self, bits)
 
-        monkeypatch.setattr(SpanBasis, "insert_bits", counting)
+        monkeypatch.setattr(SpanBasis, "insert_bits", recording)
         span, _, _, _ = _search_shard(g, 3)
-        assert len(calls) == span.rank
+        assert spans and all(s is not span for s in spans)
+        assert {s.length for s in spans} <= {wedge_dim(b2_basis(4).size)} | {
+            1 << (2 * s) for s in (1, 2, 3)  # template spans, if not yet cached
+        }
+        assert span.rank == span.units.bit_count() == handle_disjoint_mask(g).bit_count()
 
     def test_covered_blocks_and_hit_scan_stay_small(self, monkeypatch):
         # every block's products and group pairs took 135,752 calls at g = 7
@@ -1254,30 +1280,6 @@ class TestSearchCoreReference:
         monkeypatch.setattr(wedgespan, "_slot_bits", counting)
         _search_shard(7, 3)
         assert len(calls) < 30_000
-
-    def test_single_monomial_blocks_compute_no_products(self, monkeypatch):
-        # the 1- and 3-handle templates' basis rows are single monomials, so
-        # such a block inserts slots of its block mask; at g = 8 the span
-        # loop skips every other block, so _slot_bits runs only in the hit
-        # scan, which starts by reading the span's support
-        for s in (1, 2, 3):
-            wedgespan._template(s)
-        real_slot_bits, real_support = wedgespan._slot_bits, SpanBasis.support
-        calls = {"span loop": 0, "hit scan": 0}
-        phase = ["span loop"]
-
-        def counting(offs, left, right):
-            calls[phase[0]] += 1
-            return real_slot_bits(offs, left, right)
-
-        def support(span):
-            phase[0] = "hit scan"
-            return real_support(span)
-
-        monkeypatch.setattr(wedgespan, "_slot_bits", counting)
-        monkeypatch.setattr(SpanBasis, "support", support)
-        _search_shard(8, 3)
-        assert calls == {"span loop": 0, "hit scan": 348}
 
     def test_only_first_blocks_relabel_sigma_groups(self):
         # relabelling the groups of all 98 support sets held 42 MB here
