@@ -39,11 +39,14 @@ slots, exactly the classes the stream hits.  The image of the induced map
 is however closed under the symplectic action - acting on a cycle's curves
 by a mapping class yields another commuting pair whose image is the matrix
 translate of the original - so the search saturates its span under
-substitution by the 2g + 1 transvections of `closure_generators`.
-Every vector added this way is the image of a conjugated cycle, or a sum of
-such images; soundness rests on the equivariance of the twist formulas,
-which its own test suite verifies.  For v already in the span, Mv is in the
-span iff (M - I)v is, so saturation inserts that delta.  It is sparse, and
+substitution by the five matrices of `closure_generators` (fewer at genus
+1 and 2): T_{a_1}, T_{b_1}, the handle swap, the handle cycle and
+T_{a_1 + a_2}.  They generate Sp(2g, 2), since the permutations conjugate
+the three transvections onto all of Humphries' generators.  Every vector
+added this way is the image of a conjugated cycle, or a sum of such
+images; soundness rests on the equivariance of the twist formulas
+(Johnson), which its own test suite verifies.  For v already in the span,
+Mv is in the span iff (M - I)v is, so saturation inserts that delta.  It is sparse, and
 it is computed bit by bit from M's monomial images: slot (i, j) moves only
 if M moves monomial i or j, and then its delta is the slot bits of Mi ^ Mj
 less the slot itself.  No table of slot deltas is stored.
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from time import perf_counter
 
@@ -79,7 +82,7 @@ from .boolring import (
     sp_variable_images,
 )
 from .errors import DisjointnessError, FiltrationError, GenusMismatchError
-from .gf2core import SpanBasis, bit_indices
+from .gf2core import F2Matrix, SpanBasis, bit_indices
 from .surface import (
     HClass,
     SubsurfaceBasis,
@@ -337,9 +340,10 @@ def _disjoint_set_pairs(sets: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, 
     """Positions (k1 < k2) of each pair of disjoint support sets, in stream
     order.  Only pairs of distinct sets are combined, so the swap-symmetric
     duplicate never appears."""
-    for k1, S1 in enumerate(sets):
-        for k2 in range(k1 + 1, len(sets)):
-            if not set(S1) & set(sets[k2]):
+    masks = [sum(1 << h for h in S) for S in sets]
+    for k1, m1 in enumerate(masks):
+        for k2 in range(k1 + 1, len(masks)):
+            if not m1 & masks[k2]:
                 yield k1, k2
 
 
@@ -524,24 +528,33 @@ def orbit_classes(genus: int) -> OrbitReport:
 
 @lru_cache(maxsize=None)
 def closure_generators(genus: int) -> tuple:
-    """Transvections along a_1, a_2, b_i (i = 1..g) and a_i + a_{i+1} (i < g).
+    """T_{a_1}, T_{b_1}, the handle swap P_(12), the handle cycle
+    P_(1 2 ... g) and T_{a_1 + a_2}, in this order.
 
-    These 2g + 1 matrices (2 at genus 1) are the mod-2 images of Humphries'
-    twist generators of the mapping class group, so they generate
-    Sp(2g, 2).  Saturating under them therefore gives the same subspace as
-    saturating under the whole group.  Any subset of symplectic matrices
+    Genus 1 keeps the two transvections, and at genus 2 the cycle is the
+    swap, so there are 2, 4 and then 5 matrices.  A handle permutation P is
+    symplectic and a mapping class (it permutes the handles of the surface),
+    and P T_v P^-1 = T_{Pv}.  The swap and the cycle generate every handle
+    permutation, so these conjugate T_{a_1}, T_{b_1} and T_{a_1 + a_2} onto
+    all 2g + 1 of Humphries' twist generators; the group they generate is
+    therefore Sp(2g, 2), and saturating under them gives the same subspace
+    as saturating under the whole group.  Any set of symplectic matrices
     gives a sound saturation (translates of images are images of conjugated
     cycles); a generating set makes it complete.
 
-    The first min(g, 2) + g act inside one handle; the g - 1 mixing ones
-    come last, and `saturate_span` with `handle_invariant` applies only
-    those to the rows it starts with.
+    T_{a_1 + a_2} is the only one that mixes handles without permuting
+    them, so it comes last, and `saturate_span` with `handle_invariant`
+    applies only it to the rows it starts with.
     """
     g = check_genus(genus)
-    a = [1 << i for i in range(g)]
-    b = [1 << (g + i) for i in range(g)]
-    vs = a[:2] + b + [a[i] | a[i + 1] for i in range(g - 1)]
-    return tuple(transvection(HClass(g, v)) for v in vs)
+    t_a1, t_b1 = (transvection(HClass(g, v)) for v in (1, 1 << g))
+    if g == 1:
+        return t_a1, t_b1
+    # handle k + 1 goes to handles[k]: the swap, then the cycle (at genus 2
+    # the same permutation, kept once)
+    swap_and_cycle = dict.fromkeys([(2, 1, *range(3, g + 1)), (*range(2, g + 1), 1)])
+    perms = (F2Matrix(2 * g, tuple(1 << v for v in _handle_map(g, p))) for p in swap_and_cycle)
+    return (t_a1, t_b1, *perms, transvection(HClass(g, 0b11)))
 
 
 def _wedge_action_table(genus: int, M) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -610,7 +623,8 @@ def wedge_translate(M, w: WedgeElem) -> WedgeElem:
 
 
 def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False) -> int:
-    """Close a span under the transvection action; returns added rank.
+    """Close a span under the action of `closure_generators`; returns the
+    added rank.
 
     The loop walks the span's pivots in insertion order, by index, while the
     list grows.  At each pivot q it reads q's row as it is at that moment,
@@ -630,12 +644,13 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
     (M - I)v for a v already in it.
 
     `handle_invariant` asserts that the starting span S0 is invariant under
-    the single-handle generators (those along a_i or b_i); the span of the
-    stream images is (README, "What the search verifies").  Then the rows
-    present at the start are visited with the g - 1 mixing generators only,
-    and every later pivot with all of them.  The final span is S0 plus the
-    span of the later visited rows, whose lowest bits are new pivots, and a
-    single-handle M maps S0 into itself, so closure still holds.
+    every generator but the last, T_{a_1 + a_2}: under the single-handle
+    transvections and the handle permutations.  The span of the stream
+    images is (README, "What the search verifies").  Then the rows present
+    at the start are visited with T_{a_1 + a_2} only, and every later pivot
+    with all of them.  The final span is S0 plus the span of the later
+    visited rows, whose lowest bits are new pivots, and the other
+    generators map S0 into itself, so closure still holds.
     """
     actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
     deltas = _action_deltas(actions)
@@ -643,13 +658,12 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
     order = span.insertion_order
     i = 0
     if handle_invariant:
-        mixing = actions[len(actions) - (genus - 1):]
-        if mixing:
-            mixing_deltas = _action_deltas(mixing)
+        if genus >= 2:
+            mixing_deltas = _action_deltas(actions[-1:])
             for k in range(before):
-                for delta in mixing_deltas(span.pivot_row(order[k])):
-                    if delta:
-                        span.insert_bits(delta)
+                (delta,) = mixing_deltas(span.pivot_row(order[k]))
+                if delta:
+                    span.insert_bits(delta)
         i = before
     while i < len(order):
         v = span.pivot_row(order[i])
@@ -719,16 +733,18 @@ def _search_shard(
     is y-bar, of y only x-bar, of both x-bar + y-bar + 1, none of them 0), so
     a sigma value determines its support set; blocks pair distinct sets, so
     no group pair occurs in two blocks and the distinct-image count is the
-    sum of the block products.
+    sum of the block products.  Both counts depend on a block's shape
+    (|S1|, |S2|) alone, so they are summed by shape in closed form.
 
-    The hit loop walks the blocks in stream order.  Class labels do not
-    change when handles are relabelled, and two blocks of one shape
-    (|S1|, |S2|) are relabellings of each other with the same group
-    positions, so only the first block of each shape is scanned for hits,
-    and only its two sets have their sigma groups relabelled.  The scan
-    stops once every label on the span's slots (the union of the supports
-    of the stream images) is hit; relabelling keeps a slot's label, so
-    those are the labels of the genus-h unit slots.
+    The hit loop walks the blocks in stream order, keeping the stream index
+    of each block's first pair.  Class labels do not change when handles
+    are relabelled, and two blocks of one shape (|S1|, |S2|) are
+    relabellings of each other with the same group positions, so only the
+    first block of each shape is scanned for hits, and only its two sets
+    have their sigma groups relabelled.  The scan
+    stops, and the walk with it, once every label on the span's slots (the
+    union of the supports of the stream images) is hit; relabelling keeps a
+    slot's label, so those are the labels of the genus-h unit slots.
     """
     h = min(genus, CENSUS_GENUS)
     sets = _support_sets(h, max_support)
@@ -753,14 +769,14 @@ def _search_shard(
     unhit = {_slot_labels(h)[s] for s in bit_indices(local.units)} - {None}
     hits: dict[str, tuple[int, str]] = {}
     shapes = set()
-    n_pairs = n_distinct = 0
+    stream_base = 0  # stream index of the first pair of the next block
     for k1, k2 in _disjoint_set_pairs(sets):
+        if not unhit:
+            break
         shape = (len(sets[k1]), len(sets[k2]))
-        (n1, groups1, _), (n2, groups2, _) = map(_template, shape)
-        block_base = n_pairs
-        n_pairs += n1 * n2
-        n_distinct += len(groups1) * len(groups2)
-        if not unhit or shape in shapes:
+        block_base, n2 = stream_base, _template(shape[1])[0]
+        stream_base += _template(shape[0])[0] * n2
+        if shape in shapes:
             continue
         shapes.add(shape)
         groups1, groups2 = (_descriptors_for_set(genus, sets[k])[1] for k in (k1, k2))
@@ -780,6 +796,16 @@ def _search_shard(
                         hits[lab] = (block_base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
                     live ^= low
                     b ^= low
+
+    # the counts by shape (a, b), a <= b: C(g, a).C(g - a, b) blocks, half
+    # as many when a = b, each of n(a).n(b) pairs and G(a).G(b) group pairs
+    n_pairs = n_distinct = 0
+    sizes = range(1, min(max_support, genus) + 1)
+    for a, b in combinations_with_replacement(sizes, 2):
+        blocks = comb(genus, a) * comb(genus - a, b) // (2 if a == b else 1)
+        (n1, groups1, _), (n2, groups2, _) = _template(a), _template(b)
+        n_pairs += blocks * n1 * n2
+        n_distinct += blocks * len(groups1) * len(groups2)
     return span, hits, n_pairs, n_distinct
 
 
@@ -791,7 +817,7 @@ def image_rank_report(
     """Fold all enumerated cycle images into a span and report coverage.
 
     With `sp_closure` (the default) the span is saturated under the
-    transvection action before coverage is judged; the raw pre-closure rank
+    symplectic action before coverage is judged; the raw pre-closure rank
     stays visible in the counts.  The report's `missing` list holds the
     non-index-matched basis elements outside the achieved span; an empty
     list certifies that the span covers the whole subspace W at this genus.

@@ -483,6 +483,29 @@ class TestMu:
         assert mu_quadratic_exhaustive(1) == []
         assert mu_quadratic_exhaustive(2) == []
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_quadratic_identity_exhaustive(self, g):
+        assert mu_quadratic_exhaustive(g) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_is_ring_hom_on_generator_products(self, data):
+        # x is a product of one or two l(u, v), y one l(u, v), all with
+        # wide coefficients
+        g = data.draw(st.integers(1, 4))
+        wide = st.integers(-(10**12), 10**12)
+
+        def product(factors):
+            acc = CMPoly.one(g)
+            for _ in range(factors):
+                u, v = (ZHClass(g, tuple(data.draw(wide) for _ in range(2 * g))) for _ in "uv")
+                acc = acc * cm_generator(u, v)
+            return acc
+
+        x, y = product(data.draw(st.integers(1, 2))), product(1)
+        assert mu(x * y) == mu(x) * mu(y)
+        assert mu(x + y) == mu(x) + mu(y)
+
     def test_mixed_product_vanishes(self):
         # mu kills l(A,B) l(B,A) whenever A.B = 1
         rng = random.Random(5)
@@ -646,6 +669,14 @@ class TestLinkingMatrix:
                     for q in range(2 * g):
                         quad += coords[p] * L.entry(p, q) * coords[q]
                 assert selflink_eval(L, bar(u)) == quad % 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_epsilon_of_self_linking_symbol_is_omega_mod_2(self, g, seed, data):
+        # epsilon(L, l(u, u)) = u^T L u, which mod 2 is omega_L(u mod 2)
+        L = LinkingMatrix.random_valid(g, random.Random(seed), bound=10**6)
+        u = ZHClass(g, tuple(data.draw(st.integers(-(10**9), 10**9)) for _ in range(2 * g)))
+        assert epsilon(L, cm_generator(u, u)) % 2 == L.omega().omega(u.mod2())
 
     def test_json_roundtrip(self):
         L = LinkingMatrix.standard_model(2)

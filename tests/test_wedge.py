@@ -875,13 +875,46 @@ def weight_le_2_transvections(g):
     return [sf.transvection(sf.HClass(g, v)) for v in vs]
 
 
+def humphries_transvections(g):
+    """The transvections along a_1, a_2, b_i (i = 1..g) and a_i + a_{i+1}
+    (i < g): the mod-2 images of Humphries' 2g + 1 twist generators (2 at
+    genus 1), the saturation set before the handle permutations."""
+    a = [1 << i for i in range(g)]
+    b = [1 << (g + i) for i in range(g)]
+    vs = a[:2] + b + [a[i] | a[i + 1] for i in range(g - 1)]
+    return tuple(sf.transvection(sf.HClass(g, v)) for v in vs)
+
+
+def handle_permutation(g, perm):
+    """The matrix sending a_i to a_perm[i] and b_i to b_perm[i], handles
+    numbered from 0."""
+    cols = [1 << perm[i] for i in range(g)] + [1 << (g + perm[i]) for i in range(g)]
+    return F2Matrix(2 * g, tuple(cols))
+
+
+def handle_swap_and_cycle(g):
+    """P_(12) and P_(1 2 ... g), as one matrix at genus 2, none at genus 1."""
+    perms = [[1, 0, *range(2, g)]] if g >= 2 else []
+    if g >= 3:
+        perms.append([(i + 1) % g for i in range(g)])
+    return [handle_permutation(g, perm) for perm in perms]
+
+
 class TestClosureGenerators:
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_generators_are_three_transvections_and_two_permutations(self, g):
+        # the order is part of the contract: handle_invariant saturation
+        # applies only the last generator to the rows it starts with
+        t = [sf.transvection(sf.HClass(g, v)) for v in (1, 1 << g, 0b11)]
+        want = t[:2] + handle_swap_and_cycle(g) + t[2:] if g >= 2 else t[:2]
+        assert closure_generators(g) == tuple(want)
+
     @pytest.mark.parametrize("g", range(1, 8))
     def test_orbit_of_a1_is_every_nonzero_class(self, g):
         # h T_v h^-1 = T_{h v}, so an orbit of all nonzero classes puts every
         # transvection in the generated group, which is then Sp(2g, 2)
         gens = closure_generators(g)
-        assert len(gens) == min(g, 2) + 2 * g - 1
+        assert len(gens) == {1: 2, 2: 4}.get(g, 5)
         orbit, frontier = {1}, [1]
         while frontier:
             v = frontier.pop()
@@ -915,6 +948,28 @@ class TestClosureGenerators:
         saturate_span(g, old)
         assert new.rank > stream.rank
         assert new.row_bits() == old.row_bits()
+
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_saturated_span_equals_humphries_saturation(self, g, ms, monkeypatch):
+        stream, _, _, _ = _search_shard(g, ms)
+        new, old = stream.copy(), stream.copy()
+        saturate_span(g, new, handle_invariant=True)
+        monkeypatch.setattr(wedgespan, "closure_generators", humphries_transvections)
+        saturate_span(g, old)
+        assert new.rank > stream.rank
+        assert new.row_bits() == old.row_bits()
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_saturated_span_is_closed_under_every_humphries_transvection(self, g):
+        # by whole images Mv of every row, through tables built from
+        # substitute_sp, not through the generators' delta tables
+        span, _, _, _ = _search_shard(g, 3)
+        saturate_span(g, span, handle_invariant=True)
+        rows = span.row_bits()
+        for M in humphries_transvections(g):
+            table = ref_full_table(g, M)
+            assert all(span.contains_bits(ref_apply(table, row)) for row in rows)
 
 
 # -- reference oracles for the search core ------------------------------------
@@ -1116,10 +1171,11 @@ class TestHandleInvariantSaturation:
     @pytest.mark.parametrize("g,ms", STREAM_SPANS)
     def test_stream_span_is_single_handle_invariant(self, g, ms):
         # the lemma behind handle_invariant, checked row by row: (M - I)v
-        # lies in the stream span for every single-handle M
+        # lies in the stream span for every single-handle M and for the
+        # handle swap and cycle
         span, _, _, _ = _search_shard(g, ms)
         rows = span.row_bits()
-        for M in single_handle_transvections(g):
+        for M in single_handle_transvections(g) + handle_swap_and_cycle(g):
             table = ref_full_table(g, M)
             assert all(span.contains_bits(ref_apply(table, v) ^ v) for v in rows)
 
@@ -1203,6 +1259,19 @@ class TestSearchCoreReference:
         assert span.row_bits() == ref_block_span(g, ms).row_bits()
         if (g, ms) != (8, 4):  # the hits oracle alone takes about 11 s there
             assert (hits, n_pairs, n_distinct) == ref_block_hits(g, ms)
+
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_closed_form_counts_equal_the_full_walk(self, g, ms):
+        # every pair of disjoint support sets, each adding its templates'
+        # spine and sigma-group products
+        n_pairs = n_distinct = 0
+        for S1, S2 in combinations(_support_sets(g, ms), 2):
+            if not set(S1) & set(S2):
+                (n1, groups1, _), (n2, groups2, _) = map(wedgespan._template, (len(S1), len(S2)))
+                n_pairs += n1 * n2
+                n_distinct += len(groups1) * len(groups2)
+        assert _search_shard(g, ms)[2:] == (n_pairs, n_distinct)
 
     @pytest.mark.parametrize("ms", [2, 3, 4])
     @pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
@@ -1316,7 +1385,7 @@ class TestSearchCoreReference:
         # the per-slot delta of every unit slot, under every generator and
         # products of generators, which are not transvections
         gens = closure_generators(g)
-        products = [gens[0] @ gens[g], gens[g] @ gens[0], gens[-1] @ gens[1] @ gens[2 * g - 1]]
+        products = [gens[0] @ gens[1], gens[1] @ gens[0], gens[-1] @ gens[1] @ gens[-2]]
         for M in gens + tuple(products):
             images, moved = _wedge_action_table(g, M)
             full = ref_full_table(g, M)
