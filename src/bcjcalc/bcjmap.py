@@ -22,7 +22,7 @@ import random
 
 from .boolring import BoolMonomial, BoolPoly, bar, substitute_sp
 from .errors import CatalogError, FiltrationError, GeometryError, GenusMismatchError
-from .gf2core import F2Matrix, bit_indices
+from .gf2core import F2Matrix
 from .surface import (
     HClass,
     SubsurfaceBasis,
@@ -30,7 +30,6 @@ from .surface import (
     ZSubsurfaceBasis,
     check_genus,
     intersect,
-    paired_handles,
     random_symplectic_rebase,
     random_sp_word,
     support,
@@ -93,26 +92,38 @@ Descriptor = SeparatingTwist | BPMap
 def sigma_masks(g: int, pairs) -> frozenset[int]:
     """Masks of sum_i bar(A_i) bar(B_i) from unchecked pairs (A.bits, B.bits), in
     one pass derived in the README: with c(X) the constant of bar(X), bar(A)
-    bar(B) = sum_{k in A, l in B} ebar_k ebar_l + c(B) A + c(A) B + c(A) c(B)."""
-    rows: dict[int, int] = {}  # k -> XOR of the B_i over the i with k in A_i
+    bar(B) = sum_{k in A, l in B} ebar_k ebar_l + c(B) A + c(A) B + c(A) c(B).
+    Set bits are walked as one-bit masks, each its variable's monomial."""
+    rows: dict[int, int] = {}  # 1 << k -> XOR of the B_i over the i with k in A_i
     linear = const = 0
     for x, y in pairs:
-        cx = paired_handles(g, x).bit_count() & 1
-        cy = paired_handles(g, y).bit_count() & 1
-        for k in bit_indices(x):
-            rows[k] = rows.get(k, 0) ^ y
+        cx = (x & (x >> g)).bit_count() & 1  # `paired_handles` parity
+        cy = (y & (y >> g)).bit_count() & 1
         if cy:
             linear ^= x
         if cx:
             linear ^= y
         const ^= cx & cy
+        while x:
+            k = x & -x
+            rows[k] = rows.get(k, 0) ^ y
+            x ^= k
     masks: set[int] = set()
     for k, row in rows.items():
-        diagonal = 1 << k
-        linear ^= row & diagonal  # ebar_k^2 = ebar_k
-        for l in bit_indices(row & ~diagonal):
-            masks ^= {diagonal | 1 << l}
-    masks.update(1 << k for k in bit_indices(linear))
+        if row & k:  # ebar_k^2 = ebar_k
+            linear ^= k
+            row ^= k
+        while row:
+            l = row & -row
+            if (m := k | l) in masks:  # {k, l} can come from row k and from row l
+                masks.remove(m)
+            else:
+                masks.add(m)
+            row ^= l
+    while linear:
+        k = linear & -linear
+        masks.add(k)
+        linear ^= k
     if const:
         masks.add(0)
     return frozenset(masks)

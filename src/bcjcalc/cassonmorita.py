@@ -73,7 +73,7 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from operator import mul
 
-from .bcjmap import SeparatingTwist, sigma_separating
+from .bcjmap import SeparatingTwist, sigma_masks
 from .boolring import BoolPoly, SelfLinkingForm, bar, evaluate
 from .errors import ConsistencyError, GenusMismatchError
 from .surface import (
@@ -84,6 +84,7 @@ from .surface import (
     coordinate_name,
     parity_bits,
     randint_draw,
+    randint_draws,
     random_z_symplectic_basis,
 )
 from .value import Value
@@ -385,17 +386,21 @@ class LinkingMatrix(Value):
     @classmethod
     def random_valid(cls, genus: int, rng: random.Random, bound: int = 3) -> "LinkingMatrix":
         """Random matrix satisfying the constraint: free diagonal and upper
-        triangle, lower triangle forced."""
+        triangle, drawn row by row in one `randint_draws` call, lower
+        triangle forced."""
         g = check_genus(genus)
         n = 2 * g
-        draw = randint_draw(rng)
+        entries = randint_draws(rng, -bound, bound, n * (n + 1) // 2)
         rows = [[0] * n for _ in range(n)]
+        k = 0
         for p in range(n):
             row = rows[p]
-            row[p] = draw(-bound, bound)
+            row[p:] = entries[k : k + n - p]  # the diagonal, then right of it
+            k += n - p
             for q in range(p + 1, n):
-                x = row[q] = draw(-bound, bound)
-                rows[q][p] = x + 1 if q == p + g else x
+                rows[q][p] = row[q]
+            if p < g:
+                rows[p + g][p] += 1
         return cls(g, tuple(map(tuple, rows)))
 
     def entry(self, p: int, q: int) -> int:
@@ -446,8 +451,16 @@ def selflink_eval(L: LinkingMatrix, p: BoolPoly) -> int:
 def _random_integral_class(
     genus: int, rng: random.Random, bound: int = 2
 ) -> ZHClass:
-    draw = randint_draw(rng)
-    return ZHClass(genus, tuple(draw(-bound, bound) for _ in range(2 * genus)))
+    return ZHClass(genus, tuple(randint_draws(rng, -bound, bound, 2 * genus)))
+
+
+def _rho_sigma(basis: ZSubsurfaceBasis) -> tuple[CMPoly, BoolPoly]:
+    """rho and sigma of one integral basis.  rho validates it over Z first,
+    so it is symplectic mod 2 and sigma reads its parity bits unchecked."""
+    rho = rho_separating(basis)
+    g = basis.genus
+    pairs = [(parity_bits(A.coords), parity_bits(B.coords)) for A, B in basis.pairs]
+    return rho, BoolPoly(g, sigma_masks(g, pairs))
 
 
 def check_record(failures: list[str], trials: int) -> dict:
@@ -473,8 +486,9 @@ def right_square_failures(
         handles = sorted(rng.sample(range(1, genus + 1), h))
         zbasis = random_z_symplectic_basis(genus, h, rng, handles)
         M = L if L is not None else LinkingMatrix.random_valid(genus, rng)
-        lhs = epsilon(M, rho_separating(zbasis)) & 1
-        rhs = selflink_eval(M, sigma_separating(zbasis.mod2()))
+        rho, sig = _rho_sigma(zbasis)
+        lhs = epsilon(M, rho) & 1
+        rhs = selflink_eval(M, sig)
         if lhs != rhs:
             failures.append(f"trial {t}: basis {zbasis.pairs}")
     return failures
@@ -506,9 +520,8 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
         else:
             handles = sorted(rng.sample(range(1, g + 1), h))
             zbasis = random_z_symplectic_basis(g, h, rng, handles)
-        lhs = mu(rho_separating(zbasis))
-        rhs = sigma_separating(zbasis.mod2())
-        if lhs != rhs:
+        rho, sig = _rho_sigma(zbasis)
+        if mu(rho) != sig:
             failures.append(f"trial {t}: basis {zbasis.pairs}")
     checks["triangle"] = check_record(failures, num_trials)
 
@@ -533,9 +546,8 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
             set1, set2 = sorted(handles[:h1]), sorted(handles[h1 : h1 + h2])
             zb1 = random_z_symplectic_basis(g, h1, rng, set1)
             zb2 = random_z_symplectic_basis(g, h2, rng, set2)
-            lhs = wedge(mu(rho_separating(zb1)), mu(rho_separating(zb2)))
-            rhs = wedge(sigma_separating(zb1.mod2()), sigma_separating(zb2.mod2()))
-            if lhs != rhs:
+            (rho1, sig1), (rho2, sig2) = _rho_sigma(zb1), _rho_sigma(zb2)
+            if wedge(mu(rho1), mu(rho2)) != wedge(sig1, sig2):
                 failures.append(f"trial {t}: handles {set1} / {set2}")
         checks["wedge_lift"] = check_record(failures, n_lift)
 

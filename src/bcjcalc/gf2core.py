@@ -50,13 +50,22 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
+from itertools import compress
 
 from .errors import DimensionError
 from .value import Value
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def bit_indices(bits: int) -> tuple[int, ...]:
-    """Indices of the set bits of a nonnegative int, ascending."""
+    """Indices of the set bits of a nonnegative int, ascending.  Clearing
+    the lowest bit rewrites the whole int, so past 64 set bits one pass over
+    the binary digits, which costs only the width, reads them instead."""
+    if bits.bit_count() > 64:
+        digits = bin(bits)[:1:-1].encode().translate(_DIGIT_VALUES)
+        return tuple(compress(range(len(digits)), digits))
     out = []
     while bits:
         low = bits & -bits

@@ -359,13 +359,15 @@ def transvection(v: HClass) -> F2Matrix:
 
 
 def random_sp_word(genus: int, rng: random.Random, length: int = 8) -> F2Matrix:
-    """Product of `length` random nonzero transvections."""
+    """Product of `length` random nonzero transvections, the later ones on
+    the left.  Each is applied to the columns of the product so far: the
+    transvection by v maps a column c to c + v when c.v = 1."""
     g = check_genus(genus)
-    M = F2Matrix.identity(2 * g)
+    cols = [1 << k for k in range(2 * g)]
     for _ in range(length):
-        v = HClass(g, rng.randrange(1, 1 << (2 * g)))
-        M = transvection(v) @ M
-    return M
+        v = rng.randrange(1, 1 << (2 * g))
+        cols = [c ^ v if pairing(g, c, v) else c for c in cols]
+    return F2Matrix(2 * g, tuple(cols))
 
 
 def apply_matrix(M: F2Matrix, u: HClass) -> HClass:
@@ -412,6 +414,24 @@ def randint_draw(rng: random.Random) -> Callable[[int, int], int]:
     return draw
 
 
+def randint_draws(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """The batch form of `randint_draw`: the list of what `count` calls of
+    ``rng.randint(low, high)`` would return, leaving ``rng`` in the same
+    state.  One frame runs the rejection loop for every value."""
+    n = high - low + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint_draws({low}, {high})")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(low + r)
+    return out
+
+
 def random_z_symplectic_basis(
     genus: int,
     h: int,
@@ -425,9 +445,10 @@ def random_z_symplectic_basis(
     Built by applying random integral transvections to the standard basis on
     the chosen handles; transvection directions are supported on those same
     handles, so the result's handle support stays inside them.  Each move
-    draws one entry in [-coeff_bound, coeff_bound] per support position, a
-    positions before b positions, with the values and generator state of
-    ``rng.randint`` (`randint_draw`); a zero direction is skipped.  The
+    takes one entry in [-coeff_bound, coeff_bound] per support position, a
+    positions before b positions, and a zero direction is skipped.  The
+    entries of all the moves come from one `randint_draws` call, with the
+    values and generator state of one ``rng.randint`` per entry.  The
     transvection x -> x + (x.v) v reads and writes only v's nonzero entries:
     x.v is the sum of x[partner(p)] * (+-v_p) over them, and only those
     positions of x change (with coeff_bound 1, a third of the entries are
@@ -443,9 +464,10 @@ def random_z_symplectic_basis(
     for k, i in enumerate(handles):
         rows[2 * k][i - 1] = rows[2 * k + 1][g + i - 1] = 1
     positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
-    draw, low = randint_draw(rng), -coeff_bound
+    entries = iter(randint_draws(rng, -coeff_bound, coeff_bound, n_moves * 2 * h))
     for _ in range(n_moves):
-        v = [(p, c) for p in positions if (c := draw(low, coeff_bound))]
+        # zip stops at the end of positions, before taking an entry too many
+        v = [(p, c) for p, c in zip(positions, entries) if c]
         if not v:
             continue
         # x.v = sum over i of x[a_i] v[b_i] - x[b_i] v[a_i]: a nonzero v_p

@@ -18,10 +18,11 @@ from bcjcalc.cassonmorita import (
     mu,
     mu_quadratic_exhaustive,
     rho_separating,
+    right_square_failures,
     selflink_eval,
     verify_diagrams,
 )
-from bcjcalc.errors import ConsistencyError, GenusMismatchError
+from bcjcalc.errors import BasisError, ConsistencyError, GenusMismatchError
 from bcjcalc.surface import ZHClass, ZSubsurfaceBasis, random_z_symplectic_basis
 
 
@@ -581,6 +582,30 @@ class TestLinkingMatrix:
             )
             assert mine.getstate() == theirs.getstate()
 
+    def test_batched_rows_keep_the_closure_protocol(self):
+        # random_valid as it was with one `randint_draw` closure call per
+        # entry: the same matrices and the same generator state
+        def closure_oracle(g, rng, bound):
+            n = 2 * g
+            draw = sf.randint_draw(rng)
+            rows = [[0] * n for _ in range(n)]
+            for p in range(n):
+                row = rows[p]
+                row[p] = draw(-bound, bound)
+                for q in range(p + 1, n):
+                    x = row[q] = draw(-bound, bound)
+                    rows[q][p] = x + 1 if q == p + g else x
+            return tuple(map(tuple, rows))
+
+        for bound in range(1, 6):
+            for g in range(1, 7):
+                for seed in range(4):
+                    mine, theirs = random.Random(seed), random.Random(seed)
+                    for _ in range(3):
+                        got = LinkingMatrix.random_valid(g, mine, bound).entries
+                        assert got == closure_oracle(g, theirs, bound)
+                    assert mine.getstate() == theirs.getstate()
+
     def test_random_integral_class_matches_randint(self):
         for seed in range(30):
             g, bound = 1 + seed % 4, seed % 4
@@ -714,11 +739,14 @@ class TestDiagrams:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_each_integral_basis_validated_once(self, seed, monkeypatch):
         # the generator leaves the check to rho_separating, the one
-        # validation of every integral basis that verify draws
+        # validation of every integral basis that verify draws; sigma reads
+        # the parity bits of that validated basis, so nothing is validated
+        # mod 2
         from bcjcalc import cassonmorita
 
-        calls = {"validate": 0, "rho": 0}
+        calls = {"validate": 0, "rho": 0, "mod2": 0}
         validate, rho = ZSubsurfaceBasis.validate, cassonmorita.rho_separating
+        violation = sf.symplectic_violation
 
         def counted_validate(basis):
             calls["validate"] += 1
@@ -728,11 +756,67 @@ class TestDiagrams:
             calls["rho"] += 1
             return rho(basis)
 
+        def counted_violation(basis):
+            calls["mod2"] += isinstance(basis, sf.SubsurfaceBasis)
+            return violation(basis)
+
         monkeypatch.setattr(ZSubsurfaceBasis, "validate", counted_validate)
         monkeypatch.setattr(cassonmorita, "rho_separating", counted_rho)
+        monkeypatch.setattr(sf, "symplectic_violation", counted_violation)
         assert verify_diagrams(4, 40, seed)["all_passed"]
         assert calls["rho"] > 40
         assert calls["validate"] == calls["rho"]
+        assert calls["mod2"] == 0
+
+    def test_validation_counts_of_the_benchmark_command(self, monkeypatch, tmp_path):
+        # verify --g 4 --trials 500 --seed 5151: 1,250 integral bases, each
+        # validated once by rho, and 310 mod-2 validations, all by the sigma
+        # checks (104 rebase inputs, 106 rebased and start bases, 100 bases
+        # of the equivariance check); the triangle, right square and wedge
+        # lift once validated their 1,250 mod-2 reductions too
+        from bcjcalc import cli
+
+        calls = {"integral": 0, "mod2": 0}
+        violation = sf.symplectic_violation
+
+        def counted(basis):
+            calls["mod2" if isinstance(basis, sf.SubsurfaceBasis) else "integral"] += 1
+            return violation(basis)
+
+        monkeypatch.setattr(sf, "symplectic_violation", counted)
+        argv = ["verify", "--g", "4", "--trials", "500", "--seed", "5151"]
+        assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == {"integral": 1250, "mod2": 310}
+
+    @pytest.mark.parametrize("check", ["verify_diagrams", "right_square_failures"])
+    def test_sigma_never_reads_an_unvalidated_basis(self, check, monkeypatch):
+        # A_1 = 3 a_i: A_1.B_1 = 3, so the basis is symplectic mod 2 but not
+        # over Z.  rho rejects it before sigma reads its parity bits.
+        from bcjcalc import cassonmorita
+
+        def broken(g, h, rng, handles, *args):
+            basis = random_z_symplectic_basis(g, h, rng, handles, *args)
+            (A, B), *rest = basis.pairs
+            return ZSubsurfaceBasis(g, ((A.scale(3), B), *rest))
+
+        read = []
+        sigma_masks = cassonmorita.sigma_masks
+
+        def counted_sigma_masks(g, pairs):
+            read.append(pairs)
+            return sigma_masks(g, pairs)
+
+        broken_basis = broken(3, 1, random.Random(0), [2])
+        assert sf.symplectic_violation(broken_basis) == "A1.B1 = 3, expected 1"
+        assert sf.symplectic_violation(broken_basis.mod2()) is None
+        monkeypatch.setattr(cassonmorita, "random_z_symplectic_basis", broken)
+        monkeypatch.setattr(cassonmorita, "sigma_masks", counted_sigma_masks)
+        with pytest.raises(BasisError, match="A1.B1 = 3, expected 1"):
+            if check == "verify_diagrams":
+                verify_diagrams(3, 20, seed=4)
+            else:
+                right_square_failures(3, 20, random.Random(4))
+        assert all(not pairs for pairs in read)  # only empty bases, h = 0
 
     def test_zero_trials_never_pass(self):
         report = verify_diagrams(2, 0, seed=8)

@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bcjcalc.gf2core import F2Matrix, SpanBasis, bit_indices
 
@@ -42,6 +42,34 @@ class TestBitIndices:
         for n in (1, 64, 65, 3000):
             v = rng.randrange(1 << n)
             assert bit_indices(v) == tuple(i for i in range(n) if (v >> i) & 1)
+
+    @given(
+        st.integers(0, 17),  # the width is about 2 ** k bits, up to 140,000
+        st.integers(0, 140_000),
+        st.sampled_from(["dense", "sparse", "64", "65"]),
+        st.integers(0, 2**32),
+    )
+    @example(17, 140_000, "dense", 1)
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_matches_the_xor_loop(self, k, width, density, seed):
+        # the loop that clears the lowest bit is the oracle; 64 and 65 set
+        # bits sit on either side of the switch to the pass over bin()
+        width = min(width, 1 << k)
+        rng = random.Random(seed)
+        if density == "dense":
+            v = rng.getrandbits(width) if width else 0
+        else:
+            count = {"sparse": rng.randrange(4), "64": 64, "65": 65}[density]
+            v = 0
+            for p in rng.sample(range(max(width, count)), count):
+                v |= 1 << p
+        want = []
+        bits = v
+        while bits:
+            low = bits & -bits
+            want.append(low.bit_length() - 1)
+            bits ^= low
+        assert bit_indices(v) == tuple(want)
 
 
 class TestSpanBasis:

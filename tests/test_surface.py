@@ -230,6 +230,28 @@ class TestSymplecticBasis:
                 broken += want is not None
         assert broken > 2000
 
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 2**40),
+        st.integers(0, 2**32),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_integral_messages_match_reference(self, g, h, bound, seed, delta):
+        # valid integral bases with wide coefficients (delta 0), and the
+        # same bases with one coordinate moved by delta
+        h = min(h, g)
+        rng = random.Random(seed)
+        handles = sorted(rng.sample(range(1, g + 1), h))
+        valid = sf.random_z_symplectic_basis(g, h, rng, handles, coeff_bound=bound)
+        rows = [list(c.coords) for pair in valid.pairs for c in pair]
+        rows[rng.randrange(2 * h)][rng.randrange(2 * g)] += delta
+        classes = [ZHClass(g, tuple(r)) for r in rows]
+        basis = ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
+        assert symplectic_violation(valid) is None
+        assert symplectic_violation(basis) == violation_reference(basis)
+
     def test_standard_valid(self):
         assert is_symplectic_basis(SubsurfaceBasis.standard(3, [1]))
         assert is_symplectic_basis(SubsurfaceBasis.standard(3, [1, 2]))
@@ -340,6 +362,19 @@ class TestSpMatrices:
         for bits in range(1, 1 << (2 * g)):
             assert sf.is_symplectic(sf.transvection(HClass(g, bits)), g)
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 6])
+    def test_random_word_is_the_transvection_product(self, g):
+        # the column form against the product of `transvection` matrices,
+        # the later factors on the left, and the same generator state
+        for seed in range(25):
+            length = seed % 10
+            mine, theirs = random.Random(seed), random.Random(seed)
+            want = F2Matrix.identity(2 * g)
+            for _ in range(length):
+                want = sf.transvection(HClass(g, theirs.randrange(1, 1 << (2 * g)))) @ want
+            assert sf.random_sp_word(g, mine, length) == want
+            assert mine.getstate() == theirs.getstate()
+
     def test_random_words_symplectic(self):
         rng = random.Random(6)
         for g in (2, 3, 4):
@@ -400,7 +435,47 @@ def z_basis_oracle(g, h, rng, handles, n_moves=6, coeff_bound=1):
     return sf.ZSubsurfaceBasis(g, tuple(zip(rows[0], rows[1])))
 
 
+def z_basis_closure_oracle(genus, h, rng, handles, n_moves=6, coeff_bound=1):
+    """random_z_symplectic_basis as it was with one `randint_draw` closure
+    call per entry: the draw protocol its batched draws must keep."""
+    g = genus
+    rows = [[0] * (2 * g) for _ in range(2 * h)]
+    for k, i in enumerate(handles):
+        rows[2 * k][i - 1] = rows[2 * k + 1][g + i - 1] = 1
+    positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
+    draw, low = sf.randint_draw(rng), -coeff_bound
+    for _ in range(n_moves):
+        v = [(p, c) for p in positions if (c := draw(low, coeff_bound))]
+        if not v:
+            continue
+        dual = [(p - g, c) if p >= g else (p + g, -c) for p, c in v]
+        for x in rows:
+            n = 0
+            for q, c in dual:
+                n += x[q] * c
+            if n:
+                for p, c in v:
+                    x[p] += n * c
+    classes = [ZHClass(g, tuple(x)) for x in rows]
+    return ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
+
+
 class TestIntegralBases:
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+    def test_batched_draws_keep_the_closure_protocol(self, g):
+        # same bases and the same generator state as one closure call per
+        # entry, over every h, coefficient bound and move count
+        for h in range(min(g, 3) + 1):
+            for bound in (1, 2, 3):
+                for n_moves in range(9):
+                    seed = g * 1000 + h * 100 + bound * 10 + n_moves
+                    handles = sorted(random.Random(seed).sample(range(1, g + 1), h))
+                    mine, theirs = random.Random(seed), random.Random(seed)
+                    got = sf.random_z_symplectic_basis(g, h, mine, handles, n_moves, bound)
+                    want = z_basis_closure_oracle(g, h, theirs, handles, n_moves, bound)
+                    assert got == want
+                    assert mine.getstate() == theirs.getstate()
+
     def test_z_transvection_preserves_form(self):
         rng = random.Random(8)
         g = 3
@@ -483,6 +558,29 @@ class TestRandintDraw:
     def test_empty_range_raises(self, low, high):
         with pytest.raises(ValueError):
             sf.randint_draw(random.Random(0))(low, high)
+        with pytest.raises(ValueError):
+            sf.randint_draws(random.Random(0), low, high, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    def test_batch_equals_randint(self, n):
+        for seed in range(12):
+            for low in (-(n // 2), 0, 5):
+                for count in (0, 1, 2, 7, 40):
+                    mine, theirs = random.Random(seed), random.Random(seed)
+                    got = sf.randint_draws(mine, low, low + n - 1, count)
+                    want = [theirs.randint(low, low + n - 1) for _ in range(count)]
+                    assert got == want
+                    assert mine.getstate() == theirs.getstate()
+
+    def test_batch_interleaves_with_other_calls(self):
+        mine, theirs = random.Random(4), random.Random(4)
+        for k in range(200):
+            n, count = 1 + k % 9, k % 5
+            assert sf.randint_draws(mine, -n, n, count) == [
+                theirs.randint(-n, n) for _ in range(count)
+            ]
+            assert mine.sample(range(10), 3) == theirs.sample(range(10), 3)
+        assert mine.getstate() == theirs.getstate()
 
 
 def catalog_basis(genus, pairs):
