@@ -83,7 +83,6 @@ from .surface import (
     check_int,
     coordinate_name,
     parity_bits,
-    randint_draw,
     randint_draws,
     random_z_symplectic_basis,
 )
@@ -479,10 +478,9 @@ def right_square_failures(
     """epsilon(L, rho(T_c)) mod 2 == selflink_eval(L, sigma(T_c)) on random
     integral bases, against L when given, else a fresh random valid L per
     trial."""
-    draw = randint_draw(rng)
     failures = []
     for t in range(num_trials):
-        h = draw(1, min(genus, 3))
+        h = randint_draws(rng, 1, min(genus, 3), 1)[0]
         handles = sorted(rng.sample(range(1, genus + 1), h))
         zbasis = random_z_symplectic_basis(genus, h, rng, handles)
         M = L if L is not None else LinkingMatrix.random_valid(genus, rng)
@@ -508,13 +506,12 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
     """
     g = check_genus(genus)
     rng = random.Random(seed)
-    draw = randint_draw(rng)
     report: dict = {"genus": g, "trials": num_trials, "seed": seed, "checks": {}}
     checks = report["checks"]
 
     failures = []
     for t in range(num_trials):
-        h = draw(0, min(g, 3))
+        h = randint_draws(rng, 0, min(g, 3), 1)[0]
         if h == 0:
             zbasis = ZSubsurfaceBasis(g, ())
         else:
@@ -541,8 +538,8 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
         for t in range(n_lift):
             handles = list(range(1, g + 1))
             rng.shuffle(handles)
-            h1 = draw(1, min(g - 1, 2))
-            h2 = draw(1, min(g - h1, 2))
+            h1 = randint_draws(rng, 1, min(g - 1, 2), 1)[0]
+            h2 = randint_draws(rng, 1, min(g - h1, 2), 1)[0]
             set1, set2 = sorted(handles[:h1]), sorted(handles[h1 : h1 + h2])
             zb1 = random_z_symplectic_basis(g, h1, rng, set1)
             zb2 = random_z_symplectic_basis(g, h2, rng, set2)

@@ -17,7 +17,7 @@ enumerated.  A spine is represented by a genus-1 ``SubsurfaceBasis``.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import partial
 
 from .errors import BasisError, DimensionError, GenusMismatchError
@@ -386,40 +386,23 @@ def transform_basis(M: F2Matrix, basis: SubsurfaceBasis) -> SubsurfaceBasis:
 # -- integral symplectic data ------------------------------------------------
 
 
-def randint_draw(rng: random.Random) -> Callable[[int, int], int]:
-    """A ``draw(low, high)`` that returns what ``rng.randint(low, high)``
-    would, and leaves ``rng`` in the same state.
+def randint_draws(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """The list of what `count` calls of ``rng.randint(low, high)`` would
+    return, leaving ``rng`` in the same state; one value is
+    ``randint_draws(rng, low, high, 1)[0]``.
 
     It runs CPython's own rejection loop on ``rng.getrandbits`` (3.10 to
     3.13): with n = high - low + 1 and k = n.bit_length(), draw k bits until
-    the value r is below n, and return low + r.  k is n's bit length, not
+    the value r is below n, and take low + r.  k is n's bit length, not
     n - 1's, so a power of two n takes one bit more than it needs and is
     redrawn about half the time; ``randint`` does the same.  What it saves is
     ``randint``'s three Python frames (``randint``, ``randrange`` and
-    ``_randbelow``) and their argument checks, about half the cost of each
-    draw.
+    ``_randbelow``) and their argument checks for every value, all of which
+    share this one frame.  An empty range raises only when a value is drawn
+    from it, as ``randint`` would.
     """
-    getrandbits = rng.getrandbits
-
-    def draw(low: int, high: int) -> int:
-        n = high - low + 1
-        if n < 1:
-            raise ValueError(f"empty range for draw({low}, {high})")
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return low + r
-
-    return draw
-
-
-def randint_draws(rng: random.Random, low: int, high: int, count: int) -> list[int]:
-    """The batch form of `randint_draw`: the list of what `count` calls of
-    ``rng.randint(low, high)`` would return, leaving ``rng`` in the same
-    state.  One frame runs the rejection loop for every value."""
     n = high - low + 1
-    if n < 1:
+    if n < 1 and count > 0:
         raise ValueError(f"empty range for randint_draws({low}, {high})")
     getrandbits = rng.getrandbits
     k = n.bit_length()

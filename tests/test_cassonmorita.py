@@ -583,11 +583,11 @@ class TestLinkingMatrix:
             assert mine.getstate() == theirs.getstate()
 
     def test_batched_rows_keep_the_closure_protocol(self):
-        # random_valid as it was with one `randint_draw` closure call per
-        # entry: the same matrices and the same generator state
+        # random_valid as it was with one draw closure call per entry, each
+        # giving what randint gives: the same matrices and generator state
         def closure_oracle(g, rng, bound):
             n = 2 * g
-            draw = sf.randint_draw(rng)
+            draw = rng.randint
             rows = [[0] * n for _ in range(n)]
             for p in range(n):
                 row = rows[p]

@@ -46,22 +46,31 @@ class TestBitIndices:
     @given(
         st.integers(0, 17),  # the width is about 2 ** k bits, up to 140,000
         st.integers(0, 140_000),
-        st.sampled_from(["dense", "sparse", "64", "65"]),
+        st.sampled_from(["dense", "sparse", "loop edge", "bin edge"]),
         st.integers(0, 2**32),
     )
     @example(17, 140_000, "dense", 1)
+    @example(17, 140_000, "bin edge", 1)
+    @example(6, 64, "loop edge", 1)
     @settings(max_examples=40, deadline=None)
     def test_hypothesis_matches_the_xor_loop(self, k, width, density, seed):
-        # the loop that clears the lowest bit is the oracle; 64 and 65 set
-        # bits sit on either side of the switch to the pass over bin()
+        # the loop that clears the lowest bit is the oracle; the two edges
+        # are the most set bits of a w-bit int that still take that loop,
+        # n * (w + 1500) <= 300 * (w + 32), and one more, the fewest that
+        # take the pass over bin()
         width = min(width, 1 << k)
         rng = random.Random(seed)
         if density == "dense":
             v = rng.getrandbits(width) if width else 0
-        else:
-            count = {"sparse": rng.randrange(4), "64": 64, "65": 65}[density]
+        elif density == "sparse":
             v = 0
-            for p in rng.sample(range(max(width, count)), count):
+            for p in rng.sample(range(width), min(width, rng.randrange(4))):
+                v |= 1 << p
+        else:
+            w = max(width, 16)
+            count = 300 * (w + 32) // (w + 1500) + (density == "bin edge")
+            v = 1 << (w - 1)
+            for p in rng.sample(range(w - 1), count - 1):
                 v |= 1 << p
         want = []
         bits = v

@@ -436,14 +436,15 @@ def z_basis_oracle(g, h, rng, handles, n_moves=6, coeff_bound=1):
 
 
 def z_basis_closure_oracle(genus, h, rng, handles, n_moves=6, coeff_bound=1):
-    """random_z_symplectic_basis as it was with one `randint_draw` closure
-    call per entry: the draw protocol its batched draws must keep."""
+    """random_z_symplectic_basis as it was with one draw closure call per
+    entry, each giving what ``rng.randint`` gives: the draw protocol its
+    batched draws must keep."""
     g = genus
     rows = [[0] * (2 * g) for _ in range(2 * h)]
     for k, i in enumerate(handles):
         rows[2 * k][i - 1] = rows[2 * k + 1][g + i - 1] = 1
     positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
-    draw, low = sf.randint_draw(rng), -coeff_bound
+    draw, low = rng.randint, -coeff_bound
     for _ in range(n_moves):
         v = [(p, c) for p in positions if (c := draw(low, coeff_bound))]
         if not v:
@@ -537,8 +538,7 @@ class TestRandintDraw:
         for seed in range(20):
             for low in (-(n // 2), 0, 5):
                 mine, theirs = random.Random(seed), random.Random(seed)
-                draw = sf.randint_draw(mine)
-                got = [draw(low, low + n - 1) for _ in range(60)]
+                got = [sf.randint_draws(mine, low, low + n - 1, 1)[0] for _ in range(60)]
                 want = [theirs.randint(low, low + n - 1) for _ in range(60)]
                 assert got == want
                 assert mine.getstate() == theirs.getstate()
@@ -547,19 +547,39 @@ class TestRandintDraw:
         # the draw reads the generator itself, so other calls between draws
         # see the state randint would leave
         mine, theirs = random.Random(3), random.Random(3)
-        draw = sf.randint_draw(mine)
         for k in range(200):
             n = 1 + k % 9
-            assert draw(-n, n) == theirs.randint(-n, n)
+            assert sf.randint_draws(mine, -n, n, 1) == [theirs.randint(-n, n)]
             assert mine.sample(range(10), 3) == theirs.sample(range(10), 3)
         assert mine.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("low, high", [(0, -1), (3, 1)])
     def test_empty_range_raises(self, low, high):
         with pytest.raises(ValueError):
-            sf.randint_draw(random.Random(0))(low, high)
+            sf.randint_draws(random.Random(0), low, high, 1)
         with pytest.raises(ValueError):
             sf.randint_draws(random.Random(0), low, high, 3)
+
+    @pytest.mark.parametrize("low, high", [(0, -1), (3, 1)])
+    def test_empty_range_with_no_draws_returns_nothing(self, low, high):
+        # like zero randint calls: no error and the generator untouched
+        rng = random.Random(0)
+        before = rng.getstate()
+        assert sf.randint_draws(rng, low, high, 0) == []
+        assert rng.getstate() == before
+
+    def test_negative_bound_raises_only_when_a_move_draws(self):
+        # a negative coeff_bound is an empty range: the basis draws nothing
+        # at h = 0 or with no moves, and returns the standard basis as the
+        # one-draw-per-entry code did
+        for h, n_moves in ((0, 6), (2, 0)):
+            mine, theirs = random.Random(1), random.Random(1)
+            got = sf.random_z_symplectic_basis(3, h, mine, n_moves=n_moves, coeff_bound=-1)
+            want = z_basis_closure_oracle(3, h, theirs, list(range(1, h + 1)), n_moves, -1)
+            assert got == want
+            assert mine.getstate() == theirs.getstate()
+        with pytest.raises(ValueError):
+            sf.random_z_symplectic_basis(3, 2, random.Random(1), n_moves=1, coeff_bound=-1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_batch_equals_randint(self, n):
