@@ -121,11 +121,7 @@ class BoolPoly(Value):
     def __mul__(self, other: "BoolPoly") -> "BoolPoly":
         if self.genus != other.genus:
             raise GenusMismatchError("cannot multiply across genera")
-        acc: set[int] = set()
-        for m1 in self.masks:
-            for m2 in other.masks:
-                acc ^= {m1 | m2}
-        return BoolPoly(self.genus, acc)
+        return BoolPoly(self.genus, _mask_product(self.masks, other.masks))
 
     def __str__(self) -> str:
         if not self.masks:
@@ -199,15 +195,31 @@ def sp_variable_images(M: F2Matrix, genus: int) -> tuple[BoolPoly, ...]:
     return tuple(bar(HClass(genus, M.cols[v])) for v in range(2 * genus))
 
 
+def _mask_product(p: Iterable[int], q: Iterable[int]) -> set[int]:
+    """The monomial masks of the product of two polynomials' masks: x^2 = x,
+    so a product of monomials is the union of their masks, and a mask that
+    arises an even number of times cancels."""
+    acc: set[int] = set()
+    for m1 in p:
+        for m2 in q:
+            m = m1 | m2
+            if m in acc:
+                acc.remove(m)
+            else:
+                acc.add(m)
+    return acc
+
+
 def monomial_image(genus: int, images: Sequence[BoolPoly], mask: int) -> BoolPoly:
-    """Product of the variable images of the monomial with this mask."""
-    term = BoolPoly.one(genus)
+    """Product of the variable images of the monomial with this mask, taken
+    on mask sets; one polynomial is built, for the result."""
+    term: Iterable[int] = (0,)
     m = mask
     while m:
         v = m.bit_length() - 1
-        term = term * images[v]
+        term = _mask_product(term, images[v].masks)
         m ^= 1 << v
-    return term
+    return BoolPoly(genus, term)
 
 
 def substitute_sp(M: F2Matrix, p: BoolPoly) -> BoolPoly:

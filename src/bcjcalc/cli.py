@@ -16,7 +16,7 @@ import argparse
 import json
 import random
 import sys
-from datetime import datetime, timezone
+import time
 
 from . import __version__
 from .bcjmap import (
@@ -87,7 +87,12 @@ def _manifest(config: dict) -> dict:
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The current UTC time as `datetime.isoformat` writes it (microseconds
+    left out when 0), built with `time`: importing `datetime` would cost
+    every command's start-up."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -12,7 +12,10 @@ set of pivots is also kept as one packed mask.  Because xor-ing in a fully
 reduced row clears its own pivot and touches no other pivot, reducing a
 vector v means xor-ing exactly the rows at the set bits of v & mask: the
 cost follows the number of pivots v touches, not the rank.  Membership is
-one such reduction, which is what the incremental image searches need.
+one such reduction.  A unit vector's membership is one mask test: a sum of
+rows has a set bit at each of their pivots, so e_p lies in the span exactly
+when some row is e_p, that is when bit p of ``units`` is set; the image
+search reads its coverage off that mask.
 
 Back-substitution on insert uses a column index: for every non-pivot column
 c, one packed mask over the pivots whose row has bit c.  A new row with
@@ -123,6 +126,11 @@ class SpanBasis:
         """Mask of the pivots p whose row is the unit vector e_p: every
         vector inside it lies in the span."""
         return self._units
+
+    def is_unit_pivot(self, p: int) -> bool:
+        """Whether the row of pivot p (p must be a pivot) is e_p: a dict
+        test, where ``units >> p & 1`` copies the mask above bit p."""
+        return p not in self._rows
 
     def pivot_row(self, p: int) -> int:
         """The current, fully reduced row whose pivot is p."""

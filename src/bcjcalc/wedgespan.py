@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 from math import comb
 from time import perf_counter
 
@@ -242,16 +242,24 @@ def _local_spines(s: int) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (x, y) on s handles, x.y = 1, using all s handles.
 
     Local packing: bits 0..s-1 are a-coordinates, bits s..2s-1 are
-    b-coordinates.  The two tests are `pairing` and `handle_bits`, inline.
+    b-coordinates.  The two tests, `pairing` and `handle_bits`, are taken
+    for all y at once, on bitsets over the 4^s values of y (bit y of
+    `has[v]` is bit v of y): x.y is the parity of y's bits at the partners
+    of x's variables, an xor of their bitsets, and each handle x misses
+    needs an a- or b-bit of y, an and of ors.  Each x's valid y are read
+    off in ascending order, so the pairs come ordered by x, then y.
     """
     full, n = (1 << s) - 1, 1 << (2 * s)
-    return tuple(
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if ((x & (y >> s)) ^ (y & (x >> s))).bit_count() & 1
-        and ((x | y) & full) | ((x | y) >> s) == full
-    )
+    has = [sum(1 << y for y in range(n) if y >> v & 1) for v in range(2 * s)]
+    spines = []
+    for x in range(n):
+        odd = 0
+        for v in bit_indices((x >> s) | (x & full) << s):
+            odd ^= has[v]
+        for h in bit_indices(full & ~(x | x >> s)):
+            odd &= has[h] | has[h + s]
+        spines.extend(zip(repeat(x), bit_indices(odd)))
+    return tuple(spines)
 
 
 def _handle_map(genus: int, handles: Sequence[int]) -> tuple[int, ...]:
@@ -268,9 +276,17 @@ def _map_bits(var_map: Sequence[int], bits: int) -> int:
 def _basis_map(genus: int, var_map: Sequence[int]) -> list[int]:
     """The basis index at `genus` of the image of each degree-<=2 basis index
     at genus len(var_map) // 2, under an injective, partner-preserving
-    variable map; slot images follow through `pair_index`."""
-    index = b2_basis(genus).index_of_mask
-    return [index[_map_bits(var_map, m.mask)] for m in b2_basis(len(var_map) // 2).monomials]
+    variable map; slot images follow through `pair_index`.
+
+    Read off `b2_basis`'s order, with no mask: the constant is index 0,
+    variable v is 1 + v, and the monomial of variables a < b is 1 + 2g plus
+    the rank of (a, b) among the pairs of the 2g variables, the triangular
+    flattening again; the domain's pairs come in that order too."""
+    offs = _row_offsets(2 * genus)
+    to = [0, *(1 + w for w in var_map)]
+    for a, b in combinations(var_map, 2):
+        to.append(2 * genus + (offs[a] + b - a if a < b else offs[b] + a - b))
+    return to
 
 
 def _twist(genus: int, handles: tuple[int, ...], pos: int) -> SeparatingTwist:
@@ -420,11 +436,25 @@ def _pair_label(g: int, x: tuple, y: tuple) -> str | None:
     return "X" if dy else "XI"  # (1, 1) or (1, 0): the monomials are distinct
 
 
+def _slot_labeller(genus: int) -> Callable[[int], str | None]:
+    """slot -> its class label, None if index-matched, computed per call: the
+    search labels only the slots it reads, not all C(d, 2)."""
+    facts = [_monomial_facts(genus, m.mask) for m in b2_basis(genus).monomials]
+    pairs = _slot_pairs(len(facts))
+
+    def label(slot: int) -> str | None:
+        i, j = pairs[slot]
+        return _pair_label(genus, facts[i], facts[j])
+
+    return label
+
+
 @lru_cache(maxsize=None)
 def _slot_labels(genus: int) -> tuple[str | None, ...]:
-    """Class label per wedge slot; None marks index-matched slots."""
-    facts = [_monomial_facts(genus, m.mask) for m in b2_basis(genus).monomials]
-    return tuple(_pair_label(genus, facts[i], facts[j]) for i, j in _slot_pairs(len(facts)))
+    """Class label per wedge slot; None marks index-matched slots.  The
+    program builds it at genus <= 4 only: for the census, `orbit_classes`
+    and the search's genus-h span."""
+    return tuple(map(_slot_labeller(genus), range(wedge_dim(b2_basis(genus).size))))
 
 
 @lru_cache(maxsize=None)
@@ -650,7 +680,10 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
     at the start are visited with T_{a_1 + a_2} only, and every later pivot
     with all of them.  The final span is S0 plus the span of the later
     visited rows, whose lowest bits are new pivots, and the other
-    generators map S0 into itself, so closure still holds.
+    generators map S0 into itself, so closure still holds.  A starting row
+    e_q whose slot's two monomials T_{a_1 + a_2} both fixes (its `moved`
+    mask) has delta 0, so it is passed over without computing it; the
+    inserts, and their order, are those of visiting it.
     """
     actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
     deltas = _action_deltas(actions)
@@ -660,8 +693,13 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
     if handle_invariant:
         if genus >= 2:
             mixing_deltas = _action_deltas(actions[-1:])
-            for k in range(before):
-                (delta,) = mixing_deltas(span.pivot_row(order[k]))
+            moved = actions[-1][1]
+            pairs = _slot_pairs(len(actions[-1][0]))
+            for q in order[:before]:
+                i, j = pairs[q]
+                if not (moved >> i | moved >> j) & 1 and span.is_unit_pivot(q):
+                    continue  # e_q with both monomials fixed: its delta is 0
+                (delta,) = mixing_deltas(span.pivot_row(q))
                 if delta:
                     span.insert_bits(delta)
         i = before
@@ -691,19 +729,22 @@ def _carry_slots(units: int, h: int, genus: int) -> list[int]:
     made once; `units` must be invariant under permuting handles.  Slots
     come 4-handle ones first, then by handle set from the highest handles
     down: saturation visits them in this order, which keeps its transient
-    rows short (237 MB at genus 16, against 256 MB in ascending order)."""
-    d_h, d = b2_basis(h).size, b2_basis(genus).size
+    rows short (237 MB at genus 16, against 256 MB in ascending order).
+
+    An order-keeping handle map keeps the order of variables, and so of
+    basis indices (`b2_basis` orders them by degree, then by variables), so
+    slot (i < j) goes to (to[i] < to[j]) and its number is read off the
+    offsets as in `_slot_bits`, unchecked and unsorted."""
+    offs_h, offs = _row_offsets(b2_basis(h).size), _row_offsets(b2_basis(genus).size)
     slots = []
     for k in range(h, 0, -1):
         up = _basis_map(h, _handle_map(h, range(1, k + 1)))  # genus k -> genus h
         hb = [handle_bits(k, m.mask) for m in b2_basis(k).monomials]
         on_all = [(i, j) for i, j in _slot_pairs(len(hb)) if hb[i] | hb[j] == (1 << k) - 1]
-        pattern = [
-            (i, j) for i, j in on_all if units >> pair_index(d_h, *sorted((up[i], up[j]))) & 1
-        ]
+        pattern = [(i, j) for i, j in on_all if units >> (offs_h[up[i]] + up[j] - up[i] - 1) & 1]
         for handles in combinations(range(genus, 0, -1), k):
             to = _basis_map(genus, _handle_map(genus, handles[::-1]))
-            slots.extend(pair_index(d, *sorted((to[i], to[j]))) for i, j in pattern)
+            slots.extend(offs[to[i]] + to[j] - to[i] - 1 for i, j in pattern)
     return slots
 
 
@@ -734,24 +775,31 @@ def _search_shard(
     a sigma value determines its support set; blocks pair distinct sets, so
     no group pair occurs in two blocks and the distinct-image count is the
     sum of the block products.  Both counts depend on a block's shape
-    (|S1|, |S2|) alone, so they are summed by shape in closed form.
+    (|S1|, |S2|) alone, so they are summed by shape in closed form, over
+    the shapes that have a block (a shape with |S1| + |S2| > g builds no
+    template).
 
     The hit loop walks the blocks in stream order, keeping the stream index
     of each block's first pair.  Class labels do not change when handles
     are relabelled, and two blocks of one shape (|S1|, |S2|) are
     relabellings of each other with the same group positions, so only the
     first block of each shape is scanned for hits, and only its two sets
-    have their sigma groups relabelled.  The scan
-    stops, and the walk with it, once every label on the span's slots (the
-    union of the supports of the stream images) is hit; relabelling keeps a
-    slot's label, so those are the labels of the genus-h unit slots.
+    have their sigma groups relabelled.  It labels only the live slots it
+    meets, each once (`_slot_labeller`).  The scan stops, and the walk with
+    it, once every label on the span's slots (the union of the supports of
+    the stream images) is hit; relabelling keeps a slot's label, so those
+    are the labels of the genus-h unit slots.
     """
     h = min(genus, CENSUS_GENUS)
     sets = _support_sets(h, max_support)
-    bases = [_descriptors_for_set(h, S)[2] for S in sets]
+    set_pairs = list(_disjoint_set_pairs(sets))
+    bases = {}  # basis rows only, of the sets in some block (with a disjoint partner)
+    for k in sorted({k for pair in set_pairs for k in pair}):
+        to = _basis_map(h, _handle_map(h, sets[k]))
+        bases[k] = [[to[i] for i in row] for row in _template(len(sets[k]))[2]]
     offs = _row_offsets(b2_basis(h).size)
     local = SpanBasis(wedge_dim(b2_basis(h).size))
-    for k1, k2 in _disjoint_set_pairs(sets):
+    for k1, k2 in set_pairs:
         for row1 in bases[k1]:
             for row2 in bases[k2]:
                 local.insert_bits(_slot_bits(offs, row1, row2))
@@ -763,7 +811,7 @@ def _search_shard(
     span.insert_units(_carry_slots(local.units, h, genus))
 
     offs = _row_offsets(b2_basis(genus).size)
-    labels = _slot_labels(genus)
+    label = _slot_labeller(genus)
     sets = _support_sets(genus, max_support)
     live = span.units  # slots still worth testing: the span's, less the ones seen
     unhit = {_slot_labels(h)[s] for s in bit_indices(local.units)} - {None}
@@ -789,7 +837,7 @@ def _search_shard(
                 b = _slot_bits(offs, sig1, sig2) & live
                 while b:
                     low = b & -b
-                    lab = labels[low.bit_length() - 1]
+                    lab = label(low.bit_length() - 1)
                     if lab in unhit:
                         unhit.remove(lab)
                         t1, t2 = _twist(genus, sets[k1], pos1), _twist(genus, sets[k2], pos2)
@@ -803,6 +851,8 @@ def _search_shard(
     sizes = range(1, min(max_support, genus) + 1)
     for a, b in combinations_with_replacement(sizes, 2):
         blocks = comb(genus, a) * comb(genus - a, b) // (2 if a == b else 1)
+        if not blocks:  # a + b > g: no templates to build
+            continue
         (n1, groups1, _), (n2, groups2, _) = _template(a), _template(b)
         n_pairs += blocks * n1 * n2
         n_distinct += blocks * len(groups1) * len(groups2)
@@ -832,7 +882,6 @@ def image_rank_report(
     t0 = perf_counter()
     d = b2_basis(g).size
     dm = dims(g)
-    labels = _slot_labels(g)
 
     span, hits, n_pairs, n_distinct = _search_shard(g, max_support)
     cycle_rank = span.rank
@@ -841,11 +890,14 @@ def image_rank_report(
     if sp_closure:
         closure_added = saturate_span(g, span, handle_invariant=True)
 
-    missing = [
-        {"slot": slot, "element": render_slot(g, slot), "class": labels[slot]}
-        for slot in range(wedge_dim(d))
-        if labels[slot] is not None and not span.contains_bits(1 << slot)
-    ]
+    # e_s is in the span iff s is a unit pivot: the rows are fully reduced,
+    # so a sum of rows has a set bit at each of their pivots
+    label = _slot_labeller(g)
+    missing = []
+    for slot in bit_indices(~span.units & (1 << wedge_dim(d)) - 1):
+        lab = label(slot)
+        if lab is not None:
+            missing.append({"slot": slot, "element": render_slot(g, slot), "class": lab})
     incomplete = {m["class"] for m in missing}
     sizes = _class_sizes(g)
     class_coverage = {

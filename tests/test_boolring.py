@@ -14,12 +14,14 @@ from bcjcalc.boolring import (
     b2_basis,
     bar,
     evaluate,
+    monomial_image,
     poly_to_json,
     require_degree,
+    sp_variable_images,
     substitute_sp,
 )
 from bcjcalc.errors import FiltrationError, GenusMismatchError, MatrixError
-from bcjcalc.gf2core import F2Matrix, SpanBasis
+from bcjcalc.gf2core import F2Matrix, SpanBasis, bit_indices
 from bcjcalc.surface import HClass
 
 
@@ -356,3 +358,27 @@ class TestCodecs:
         g = 2
         p = BoolPoly(g, {0b0101, 0b0000})
         assert poly_to_json(p) == [[], [0, 2]]
+
+
+def ref_monomial_image(genus, images, mask):
+    """The product as `monomial_image` took it before it worked on mask
+    sets: one BoolPoly per factor, each product by symmetric differences."""
+    term = BoolPoly.one(genus)
+    for v in bit_indices(mask):
+        acc = set()
+        for m1 in term.masks:
+            for m2 in images[v].masks:
+                acc ^= {m1 | m2}
+        term = BoolPoly(genus, acc)
+    return term
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_monomial_image_matches_poly_product(data):
+    g = data.draw(st.integers(1, 4))
+    M = sf.random_sp_word(g, random.Random(data.draw(st.integers(0, 2**32))), 6)
+    images = sp_variable_images(M, g)
+    masks = data.draw(st.lists(st.integers(0, (1 << (2 * g)) - 1), min_size=1, max_size=20))
+    for mask in masks:
+        assert monomial_image(g, images, mask) == ref_monomial_image(g, images, mask)

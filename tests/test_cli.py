@@ -4,10 +4,11 @@ import csv
 import hashlib
 import io
 import json
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from bcjcalc import bcjmap, cli
+from bcjcalc import bcjmap, cli, wedgespan
 from bcjcalc.cassonmorita import LinkingMatrix
 from bcjcalc.cli import MAX_GENUS, _genus_range, main
 
@@ -168,6 +169,46 @@ class TestSearch:
             f"bcjcalc: error: unrecognized arguments: {' '.join(flag)}"
         ]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "g,ms,digest",
+        [
+            (4, 4, "c2b15323d920057fb6890ca0ece8d7e7dc5241d5856768d3fa57d849283725e7"),
+            (5, 5, "c70a06f107af2db8bea8ce2cb0d8423d0121f6a9a72dda9bd22b769105639592"),
+        ],
+    )
+    def test_max_support_at_genus_builds_no_unused_template(
+        self, capsys, tmp_path, monkeypatch, g, ms, digest
+    ):
+        # a support set of size s has a disjoint partner only if s < g, and a
+        # shape (a, b) has blocks only if a + b <= g, so no block uses the
+        # s-handle template for s >= g; building it took 2.2 s and 173 MB at
+        # g = 5.  The digest is the report's, without run metadata, as built
+        # when every template up to --max-support was built
+        real = wedgespan._template
+
+        def below_genus(s):
+            assert s < g, f"_template({s})"
+            return real(s)
+
+        monkeypatch.setattr(wedgespan, "_template", below_genus)
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "search", "--g", str(g), "--max-support", str(ms),
+                         "--out", str(out_path))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        for key in ("timestamp", "elapsed"):
+            report.pop(key)
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_timestamp_parses_back_as_utc(self):
+        before = datetime.now(timezone.utc)
+        stamp = datetime.fromisoformat(cli._timestamp())
+        after = datetime.now(timezone.utc)
+        assert stamp.utcoffset() == timedelta(0)
+        assert before - timedelta(microseconds=1) <= stamp <= after
+        assert cli._timestamp().endswith("+00:00")
 
     def test_io_error_exits_three(self, capsys):
         code, _, err = run(

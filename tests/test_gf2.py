@@ -350,6 +350,25 @@ def test_hypothesis_insert_units_equals_unit_inserts_one_by_one(case):
         )
 
 
+@given(unit_pivot_sequences)
+def test_hypothesis_unit_vector_membership_is_the_unit_mask(case):
+    # rows are fully reduced, so a sum of rows has a set bit at each of
+    # their pivots: e_s is in the span iff some row is e_s, whatever mix of
+    # unit runs and arbitrary inserts built it
+    n, columns, cuts, vectors = case
+    basis = SpanBasis(n)
+    basis.insert_units(columns[: min(cuts)])
+    for bits in vectors:
+        basis.insert_bits(bits)
+        units = basis.units
+        assert [basis.contains_bits(1 << s) for s in range(n)] == [
+            bool(units >> s & 1) for s in range(n)
+        ]
+        assert [basis.is_unit_pivot(p) for p in basis.pivots] == [
+            basis.pivot_row(p) == 1 << p for p in basis.pivots
+        ]
+
+
 def test_insert_units_after_back_substitution():
     # back-substitution leaves only unit rows, and an empty column index
     basis = SpanBasis(5)

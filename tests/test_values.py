@@ -213,12 +213,13 @@ def test_defaults_and_keywords():
 def test_cold_import_skips_heavy_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize; hashlib is only
     # needed by eval and csv only by --format csv; annotations are strings,
-    # so typing is not needed.  None of them may load when the package and
-    # its CLI do.  -S keeps site-packages .pth files from importing them first.
+    # so typing is not needed; the report timestamp is built with time, not
+    # datetime.  None of them may load when the package and its CLI do.  -S
+    # keeps site-packages .pth files from importing them first.
     src = os.path.dirname(os.path.dirname(bcjcalc.__file__))
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bcjcalc, bcjcalc.cli; "
-        "heavy = ('dataclasses', 'inspect', 'hashlib', 'typing', 'csv'); "
+        "heavy = ('dataclasses', 'inspect', 'hashlib', 'typing', 'csv', 'datetime'); "
         "print(sorted(m for m in heavy if m in sys.modules))"
     )
     r = subprocess.run(

@@ -1429,3 +1429,141 @@ class TestSearchCoreReference:
             old.insert_bits(v)
         assert saturate_span(g, new) == ref_saturate(g, old)
         assert new.row_bits() == old.row_bits()
+
+
+# -- the search's per-slot passes ---------------------------------------------
+
+
+def ref_carry_slots(units, h, genus):
+    """`_carry_slots` as it was first written: every slot through the checked
+    `pair_index` of its sorted basis-index pair."""
+    d_h, d = b2_basis(h).size, b2_basis(genus).size
+    slots = []
+    for k in range(h, 0, -1):
+        up = _basis_map(h, _handle_map(h, range(1, k + 1)))
+        hb = [sf.handle_bits(k, m.mask) for m in b2_basis(k).monomials]
+        on_all = [(i, j) for i, j in combinations(range(len(hb)), 2)
+                  if hb[i] | hb[j] == (1 << k) - 1]
+        pattern = [
+            (i, j) for i, j in on_all if units >> pair_index(d_h, *sorted((up[i], up[j]))) & 1
+        ]
+        for handles in combinations(range(genus, 0, -1), k):
+            to = _basis_map(genus, _handle_map(genus, handles[::-1]))
+            slots.extend(pair_index(d, *sorted((to[i], to[j]))) for i, j in pattern)
+    return slots
+
+
+def ref_handle_invariant_saturate(g, span):
+    """`saturate_span(handle_invariant=True)` visiting every starting row with
+    T_{a_1 + a_2}, the fixed unit rows too."""
+    actions = [_wedge_action_table(g, M) for M in closure_generators(g)]
+    deltas, mixing = wedgespan._action_deltas(actions), wedgespan._action_deltas(actions[-1:])
+    order = span.insertion_order
+    before = span.rank
+    for k in range(before):
+        (delta,) = mixing(span.pivot_row(order[k]))
+        if delta:
+            span.insert_bits(delta)
+    i = before
+    while i < len(order):
+        v = span.pivot_row(order[i])
+        i += 1
+        for delta in deltas(v):
+            if delta:
+                span.insert_bits(delta)
+    return span.rank - before
+
+
+class TestSlotPasses:
+    @pytest.mark.parametrize("closure", [True, False])
+    @pytest.mark.parametrize("ms", [1, 2, 3])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_missing_equals_per_slot_membership(self, g, ms, closure):
+        # the report reads coverage off the unit mask; the oracle asks the
+        # span about every labelled slot, with labels from the full table
+        span, _, _, _ = _search_shard(g, ms)
+        if closure:
+            saturate_span(g, span, handle_invariant=True)
+        labels = _slot_labels(g)
+        want = [
+            {"slot": s, "element": render_slot(g, s), "class": lab}
+            for s, lab in enumerate(labels)
+            if lab is not None and not span.contains_bits(1 << s)
+        ]
+        assert image_rank_report(g, ms, sp_closure=closure)["missing"] == want
+
+    @pytest.mark.parametrize("g,ms,closure", [(5, 3, True), (6, 2, False), (7, 1, True)])
+    def test_search_builds_no_slot_table_and_asks_no_membership(self, g, ms, closure, monkeypatch):
+        slot_labels = wedgespan._slot_labels
+
+        def labels_to_four(genus):
+            assert genus <= 4, f"_slot_labels({genus})"
+            return slot_labels(genus)
+
+        def refuse(self, bits):
+            raise AssertionError("contains_bits on the search path")
+
+        monkeypatch.setattr(wedgespan, "_slot_labels", labels_to_four)
+        monkeypatch.setattr(SpanBasis, "contains_bits", refuse)
+        report = image_rank_report(g, ms, sp_closure=closure)
+        assert report["coverage_complete"] == (not report["missing"])
+
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [2, 4, 5, 6, 9])
+    def test_carry_slots_equal_checked_pair_index(self, g, ms):
+        h = min(g, 4)
+        units = _search_shard(h, ms)[0].units
+        assert wedgespan._carry_slots(units, h, g) == ref_carry_slots(units, h, g)
+
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_skipping_fixed_start_rows_keeps_the_inserts(self, g, ms):
+        # same inserts in the same order: the pivots' insertion order, which
+        # sets saturation's transient rows, and the rows themselves
+        new, _, _, _ = _search_shard(g, ms)
+        old = new.copy()
+        added = saturate_span(g, new, handle_invariant=True)
+        assert added == ref_handle_invariant_saturate(g, old)
+        assert new.insertion_order == old.insertion_order
+        assert new.row_bits() == old.row_bits()
+
+    def test_fixed_start_rows_are_skipped(self, monkeypatch):
+        # at g = 5 T_{a_1 + a_2} fixes both monomials of 319 of the 745
+        # stream slots; only the other 426 starting rows get a delta
+        real = wedgespan._action_deltas
+        calls = []
+
+        def counting(actions):
+            deltas = real(actions)
+            if len(actions) > 1:
+                return deltas
+
+            def mixing(v):
+                calls.append(v)
+                return deltas(v)
+
+            return mixing
+
+        monkeypatch.setattr(wedgespan, "_action_deltas", counting)
+        span, _, _, _ = _search_shard(5, 3)
+        assert span.rank == 745
+        saturate_span(5, span, handle_invariant=True)
+        assert len(calls) == 745 - 319
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 7])
+def test_basis_map_equals_mask_lookup(g):
+    # the arithmetic map against renaming each basis monomial's mask and
+    # looking it up, for handle maps and for random partner-preserving maps
+    rng = random.Random(g)
+    maps = [_handle_map(g, S) for S in _support_sets(g, min(g, 3))]
+    for _ in range(10):
+        k = rng.randint(1, g)
+        handles, swaps = rng.sample(range(g), k), [rng.random() < 0.5 for _ in range(k)]
+        maps.append(tuple(h + g * sw for h, sw in zip(handles, swaps))
+                    + tuple(h + g * (not sw) for h, sw in zip(handles, swaps)))
+    index = b2_basis(g).index_of_mask
+    for var_map in maps:
+        want = [index[sum(1 << var_map[v] for v in bit_indices(m.mask))]
+                for m in b2_basis(len(var_map) // 2).monomials]
+        assert _basis_map(g, var_map) == want
