@@ -38,10 +38,11 @@ are unit rows, which as ints held 27 MB.
 span of unit rows only with one OR: it builds the image search's stream span.
 
 The pivots are also kept in one list in the order their inserts happened.
-``insert_bits`` appends to it and ``copy`` copies it, so a loop that walks
-the list by index while it inserts visits every pivot, the new ones too,
-and reads each pivot's row as it is at that moment: fully reduced against
-every pivot found so far.  Saturation walks it that way.
+``insert_bits`` appends to it and ``copy`` copies it, so one loop over the
+list that inserts as it goes visits every pivot, the new ones too, and
+reads each pivot's row as it is at that moment: fully reduced against every
+pivot found so far.  Saturation is that one loop: it reads each row through
+``row_slots``, and a generator mask per row says which generators act.
 
 The loops over set bits in ``SpanBasis`` walk from the top bit down
 (``p = b.bit_length() - 1``, then clear bit p), which allocates no negated
@@ -74,6 +75,8 @@ def bit_indices(bits: int) -> tuple[int, ...]:
     from the test (300 * 32 / 1500 = 6.4) and spares the small ints, most
     of the calls, the products.
     """
+    if bits < 0:
+        raise ValueError("a negative int has no finite set of bits")
     n = bits.bit_count()
     if n > 6 and n * (bits.bit_length() + 1500) > 300 * (bits.bit_length() + 32):
         digits = bin(bits)[:1:-1].encode().translate(_DIGIT_VALUES)
@@ -116,9 +119,9 @@ class SpanBasis:
     def insertion_order(self) -> list[int]:
         """The pivots in the order their independent inserts happened.
 
-        This is the live list: it grows with every independent insert, so a
-        loop over it by index sees the pivots added while it runs.  Callers
-        must not mutate it."""
+        This is the live list: it grows with every independent insert, so
+        one loop over it sees the pivots added while it runs; saturation
+        visits every row that way.  Callers must not mutate it."""
         return self._order
 
     @property
@@ -127,14 +130,16 @@ class SpanBasis:
         vector inside it lies in the span."""
         return self._units
 
-    def is_unit_pivot(self, p: int) -> bool:
-        """Whether the row of pivot p (p must be a pivot) is e_p: a dict
-        test, where ``units >> p & 1`` copies the mask above bit p."""
-        return p not in self._rows
+    def row_slots(self, p: int) -> tuple[int, ...]:
+        """The set bits, ascending, of the row whose pivot is p (p must be a
+        pivot): (p,) for a unit row, found by a dict test with no p-bit int
+        built, where ``units >> p & 1`` would copy the mask above bit p."""
+        row = self._rows.get(p)
+        return (p,) if row is None else bit_indices(row)
 
     def pivot_row(self, p: int) -> int:
-        """The current, fully reduced row whose pivot is p."""
-        return 1 << p if self._units >> p & 1 else self._rows[p]
+        """The current, fully reduced row whose pivot is p (p must be a pivot)."""
+        return self._rows.get(p) or 1 << p  # a stored row is never 0
 
     def row_bits(self) -> tuple[int, ...]:
         return tuple(map(self.pivot_row, self.pivots))
@@ -152,6 +157,8 @@ class SpanBasis:
         # Each row carries its own pivot and no other, so the pivots to clear
         # are known up front and the rows can be applied in any order; the
         # unit rows among them are applied at once.
+        if bits < 0:
+            raise ValueError("a negative int has no finite set of bits")
         rows = self._rows
         bits ^= bits & self._units
         hit = bits & self._pivmask
@@ -203,6 +210,8 @@ class SpanBasis:
         becomes a pivot, and until then some row has a bit there)."""
         if self._rows:
             raise ValueError("insert_units needs a span that holds unit rows only")
+        if pivots and not 0 <= min(pivots) <= max(pivots) < self.length:
+            raise ValueError(f"insert_units takes columns in 0..{self.length - 1}")
         digits = bytearray(b"0" * self.length)  # digit -1 - p is bit p
         for p in pivots:
             digits[-1 - p] = 49  # ord("1")

@@ -50,6 +50,15 @@ def pairing(genus: int, x: int, y: int) -> int:
     return ((x & (y >> genus)) ^ (y & (x >> genus))).bit_count() & 1
 
 
+def z_pairing(genus: int, x: Sequence[int], y: Sequence[int]) -> int:
+    """Integral intersection x.y of two coordinate vectors (a_1..a_g, then
+    b_1..b_g): the sum over handles i of x_{a_i} y_{b_i} - x_{b_i} y_{a_i}."""
+    total = 0
+    for i in range(genus):
+        total += x[i] * y[genus + i] - x[genus + i] * y[i]
+    return total
+
+
 def handle_bits(genus: int, bits: int) -> int:
     """Bit i - 1 is set iff a packed class (or monomial) has a coordinate on handle i."""
     return (bits & ((1 << genus) - 1)) | (bits >> genus)
@@ -178,11 +187,7 @@ def intersect(u: HClass | ZHClass, v: HClass | ZHClass) -> int:
         return pairing(u.genus, u.bits, v.bits)
     if isinstance(u, ZHClass) and isinstance(v, ZHClass):
         _check_same_genus(u, v)
-        g = u.genus
-        total = 0
-        for i in range(g):
-            total += u.coords[i] * v.coords[g + i] - u.coords[g + i] * v.coords[i]
-        return total
+        return z_pairing(u.genus, u.coords, v.coords)
     raise TypeError("intersect needs two HClass or two ZHClass arguments")
 
 
@@ -269,19 +274,14 @@ def symplectic_violation(
     """First violated intersection condition, or None if the basis is valid.
 
     The pairing is chosen once per basis: ``pairing`` on the packed bits mod
-    2, the signed form of ``intersect`` on the coordinates over Z."""
+    2, ``z_pairing`` on the coordinates over Z."""
     g = basis.genus
     if isinstance(basis, SubsurfaceBasis):
         rows = [(A.bits, B.bits) for A, B in basis.pairs]
         dot = partial(pairing, g)
     else:
         rows = [(A.coords, B.coords) for A, B in basis.pairs]
-
-        def dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-            total = 0
-            for i in range(g):
-                total += x[i] * y[g + i] - x[g + i] * y[i]
-            return total
+        dot = partial(z_pairing, g)
 
     for i, (Ai, Bi) in enumerate(rows):
         for j, (Aj, Bj) in enumerate(rows):

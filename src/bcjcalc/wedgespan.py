@@ -66,7 +66,7 @@ y-bar, C-bar have independent linear parts and sigma_bp = x-bar y-bar C-bar
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, repeat
 from math import comb
@@ -325,7 +325,7 @@ def _template(s: int) -> tuple[int, tuple, tuple]:
         span.insert_bits(sum(1 << m for m in masks))
     index = b2_basis(s).index_of_mask
     groups = tuple((pos, tuple(index[m] for m in masks)) for masks, pos in first.items())
-    basis = tuple(tuple(index[m] for m in bit_indices(row)) for row in span.row_bits())
+    basis = tuple(tuple(index[m] for m in span.row_slots(p)) for p in span.pivots)
     return len(spines), groups, basis
 
 
@@ -611,15 +611,17 @@ def _wedge_action_table(genus: int, M) -> tuple[tuple[tuple[int, ...], ...], int
     return mon_images, moved
 
 
-def _action_deltas(actions: Sequence[tuple[tuple, int]]) -> Callable[[int], list[int]]:
-    """The map v -> [(M - I)v for each action (images, moved) of
-    `_wedge_action_table`].
+def _action_deltas(
+    actions: Sequence[tuple[tuple, int]],
+) -> Callable[[Iterable[int], int], list[int]]:
+    """The map (slots, gens) -> [(M - I)v for each action (images, moved)
+    of `_wedge_action_table`], v the sum of the unit vectors of `slots`,
+    for the actions whose bit is set in the mask `gens` (0 for the others).
 
     The delta of slot (i, j) under M is the slot bits of
-    images[i] ^ images[j] less the slot itself.  It is computed, for each
-    set bit of v, only for the actions that move i or j (movers[i] is the
-    mask of the actions that move monomial i); every other action fixes the
-    slot.
+    images[i] ^ images[j] less the slot itself.  It is computed only for
+    the actions in `gens` that move i or j (movers[i] is the mask of the
+    actions that move monomial i); every other action fixes the slot.
     """
     d = len(actions[0][0])
     offs, pairs = _row_offsets(d), _slot_pairs(d)
@@ -628,19 +630,16 @@ def _action_deltas(actions: Sequence[tuple[tuple, int]]) -> Callable[[int], list
         for i in range(d)
     ]
 
-    def deltas(v: int) -> list[int]:
+    def deltas(slots: Iterable[int], gens: int) -> list[int]:
         out = [0] * len(actions)
-        b = v
-        while b:
-            low = b & -b
-            i, j = pairs[low.bit_length() - 1]
-            gens = movers[i] | movers[j]
-            while gens:
-                k = (gens & -gens).bit_length() - 1
+        for s in slots:
+            i, j = pairs[s]
+            act = (movers[i] | movers[j]) & gens
+            while act:
+                k = (act & -act).bit_length() - 1
                 images = actions[k][0]
-                out[k] ^= _slot_bits(offs, images[i], images[j]) ^ low
-                gens &= gens - 1
-            b ^= low
+                out[k] ^= _slot_bits(offs, images[i], images[j]) ^ 1 << s
+                act &= act - 1
         return out
 
     return deltas
@@ -648,7 +647,7 @@ def _action_deltas(actions: Sequence[tuple[tuple, int]]) -> Callable[[int], list
 
 def wedge_translate(M, w: WedgeElem) -> WedgeElem:
     """Image of a wedge vector under the symplectic substitution action."""
-    (delta,) = _action_deltas([_wedge_action_table(w.genus, M)])(w.bits)
+    (delta,) = _action_deltas([_wedge_action_table(w.genus, M)])(w.slots(), 1)
     return WedgeElem(w.genus, w.bits ^ delta)
 
 
@@ -656,13 +655,14 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
     """Close a span under the action of `closure_generators`; returns the
     added rank.
 
-    The loop walks the span's pivots in insertion order, by index, while the
-    list grows.  At each pivot q it reads q's row as it is at that moment,
-    fully reduced against every pivot found so far, so it has few bits, and
-    each bit's delta is computed only for the generators that move one of
-    the slot's monomials.  That row v is in the span, so Mv is in the span
-    iff (M - I)v is; each generator's sparse delta is inserted, in generator
-    order.
+    One loop walks the span's pivots in insertion order while the list
+    grows.  At each pivot q it reads the slots of q's row as it is at that
+    moment, fully reduced against every pivot found so far, so it has few
+    bits (a unit row's one slot is read without building the row).  That
+    row v is in the span, so Mv is in the span iff (M - I)v is; the sparse
+    delta of each generator in the row's generator mask is inserted, in
+    generator order, each bit's delta computed only for the generators of
+    the mask that move one of the slot's monomials.
 
     Every pivot gets visited, the ones the loop itself adds too, and each
     visited row lies in the final span with its own distinct lowest bit (a
@@ -677,36 +677,22 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
     every generator but the last, T_{a_1 + a_2}: under the single-handle
     transvections and the handle permutations.  The span of the stream
     images is (README, "What the search verifies").  Then the rows present
-    at the start are visited with T_{a_1 + a_2} only, and every later pivot
-    with all of them.  The final span is S0 plus the span of the later
-    visited rows, whose lowest bits are new pivots, and the other
-    generators map S0 into itself, so closure still holds.  A starting row
-    e_q whose slot's two monomials T_{a_1 + a_2} both fixes (its `moved`
-    mask) has delta 0, so it is passed over without computing it; the
-    inserts, and their order, are those of visiting it.
+    at the start get the mask of T_{a_1 + a_2} only (none at genus 1, which
+    has no such generator), and every later pivot the mask of all of them.
+    The final span is S0 plus the span of the later visited rows, whose
+    lowest bits are new pivots, and the other generators map S0 into
+    itself, so closure still holds.  A starting unit row whose slot's two
+    monomials T_{a_1 + a_2} both fixes then costs one mask test.
     """
     actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
     deltas = _action_deltas(actions)
-    before = span.rank
-    order = span.insertion_order
-    i = 0
+    every = (1 << len(actions)) - 1
+    start = every
     if handle_invariant:
-        if genus >= 2:
-            mixing_deltas = _action_deltas(actions[-1:])
-            moved = actions[-1][1]
-            pairs = _slot_pairs(len(actions[-1][0]))
-            for q in order[:before]:
-                i, j = pairs[q]
-                if not (moved >> i | moved >> j) & 1 and span.is_unit_pivot(q):
-                    continue  # e_q with both monomials fixed: its delta is 0
-                (delta,) = mixing_deltas(span.pivot_row(q))
-                if delta:
-                    span.insert_bits(delta)
-        i = before
-    while i < len(order):
-        v = span.pivot_row(order[i])
-        i += 1
-        for delta in deltas(v):
+        start = 1 << (len(actions) - 1) if genus >= 2 else 0
+    before = span.rank
+    for i, q in enumerate(span.insertion_order):
+        for delta in deltas(span.row_slots(q), start if i < before else every):
             if delta:
                 span.insert_bits(delta)
     return span.rank - before

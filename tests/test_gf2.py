@@ -364,8 +364,8 @@ def test_hypothesis_unit_vector_membership_is_the_unit_mask(case):
         assert [basis.contains_bits(1 << s) for s in range(n)] == [
             bool(units >> s & 1) for s in range(n)
         ]
-        assert [basis.is_unit_pivot(p) for p in basis.pivots] == [
-            basis.pivot_row(p) == 1 << p for p in basis.pivots
+        assert [basis.row_slots(p) for p in basis.pivots] == [
+            bit_indices(basis.pivot_row(p)) for p in basis.pivots
         ]
 
 
@@ -395,6 +395,28 @@ def test_insert_units_rejects_other_spans_and_old_or_repeated_pivots():
     assert (basis.units, basis.insertion_order) == (0b001, [0])
     basis.insert_units([])
     assert SpanBasis(0).insert_units([]) is None
+
+
+def test_negative_and_out_of_range_input_raises():
+    # a negative int has infinitely many set bits, so no loop over them
+    # ends; a column -1 indexes the last digit of insert_units' bytearray
+    with pytest.raises(ValueError):
+        bit_indices(-1)
+    with pytest.raises(ValueError):
+        F2Matrix.identity(4).mul_vec(-1)
+    basis = SpanBasis(4)
+    basis.insert_bits(0b0110)
+    for bits in (-1, -0b1000):
+        with pytest.raises(ValueError):
+            basis.insert_bits(bits)
+        with pytest.raises(ValueError):
+            basis.contains_bits(bits)
+    assert (basis.row_bits(), basis.insertion_order) == ((0b0110,), [1])
+    basis = SpanBasis(5)
+    for pivots in ([-1], [0, -1], [5], [4, 5]):
+        with pytest.raises(ValueError):
+            basis.insert_units(pivots)
+    assert (basis.units, basis.pivots, basis.insertion_order) == (0, (), [])
 
 
 @given(insert_sequences)

@@ -58,6 +58,18 @@ class TestIntersect:
         assert intersect(sf.za(2, 1), sf.zb(2, 1)) == 1
         assert intersect(sf.zb(2, 1), sf.za(2, 1)) == -1
 
+    def test_integral_form_is_x_transpose_j_y(self):
+        # z_pairing, which intersect and symplectic_violation share, against
+        # the Gram matrix J of the form: J[a_i][b_i] = 1, J[b_i][a_i] = -1
+        rng = random.Random(3)
+        for _ in range(100):
+            g = rng.randint(1, 4)
+            J = [[(q == p + g) - (p == q + g) for q in range(2 * g)] for p in range(2 * g)]
+            x, y = ([rng.randint(-5, 5) for _ in range(2 * g)] for _ in range(2))
+            want = sum(x[p] * J[p][q] * y[q] for p in range(2 * g) for q in range(2 * g))
+            assert sf.z_pairing(g, x, y) == want
+            assert intersect(ZHClass(g, tuple(x)), ZHClass(g, tuple(y))) == want
+
     def test_mod2_reduction_compatible(self):
         rng = random.Random(2)
         for _ in range(100):

@@ -1454,23 +1454,20 @@ def ref_carry_slots(units, h, genus):
 
 
 def ref_handle_invariant_saturate(g, span):
-    """`saturate_span(handle_invariant=True)` visiting every starting row with
-    T_{a_1 + a_2}, the fixed unit rows too."""
-    actions = [_wedge_action_table(g, M) for M in closure_generators(g)]
-    deltas, mixing = wedgespan._action_deltas(actions), wedgespan._action_deltas(actions[-1:])
+    """`saturate_span(handle_invariant=True)` by full images Mv: each
+    starting row under T_{a_1 + a_2}, the fixed unit rows too, and each
+    later row under every generator, in insertion order."""
+    tables = ref_tables(g)
     order = span.insertion_order
     before = span.rank
-    for k in range(before):
-        (delta,) = mixing(span.pivot_row(order[k]))
-        if delta:
-            span.insert_bits(delta)
-    i = before
+    i = 0
     while i < len(order):
         v = span.pivot_row(order[i])
-        i += 1
-        for delta in deltas(v):
+        for table in tables[-1:] if i < before else tables:
+            delta = ref_apply(table, v) ^ v
             if delta:
                 span.insert_bits(delta)
+        i += 1
     return span.rank - before
 
 
@@ -1527,28 +1524,33 @@ class TestSlotPasses:
         assert new.insertion_order == old.insertion_order
         assert new.row_bits() == old.row_bits()
 
-    def test_fixed_start_rows_are_skipped(self, monkeypatch):
+    def test_fixed_start_rows_cost_no_slot_bits(self, monkeypatch):
         # at g = 5 T_{a_1 + a_2} fixes both monomials of 319 of the 745
-        # stream slots; only the other 426 starting rows get a delta
-        real = wedgespan._action_deltas
+        # stream slots; a span of only those, as starting rows, gets no
+        # delta computed and gains nothing
+        from bcjcalc.boolring import substitute_sp
+
+        g = 5
+        basis = b2_basis(g)
+        M = closure_generators(g)[-1]
+        fixed = [
+            substitute_sp(M, BoolPoly(g, (m.mask,))).masks == {m.mask} for m in basis.monomials
+        ]
+        stream, _, _, _ = _search_shard(g, 3)
+        slots = [q for q in stream.insertion_order if all(fixed[k] for k in slot_pair(basis.size, q))]
+        assert (stream.rank, len(slots)) == (745, 319)
+        span = SpanBasis(stream.length)
+        span.insert_units(slots)
         calls = []
+        slot_bits = wedgespan._slot_bits
 
-        def counting(actions):
-            deltas = real(actions)
-            if len(actions) > 1:
-                return deltas
+        def counting(*args):
+            calls.append(args)
+            return slot_bits(*args)
 
-            def mixing(v):
-                calls.append(v)
-                return deltas(v)
-
-            return mixing
-
-        monkeypatch.setattr(wedgespan, "_action_deltas", counting)
-        span, _, _, _ = _search_shard(5, 3)
-        assert span.rank == 745
-        saturate_span(5, span, handle_invariant=True)
-        assert len(calls) == 745 - 319
+        monkeypatch.setattr(wedgespan, "_slot_bits", counting)
+        assert saturate_span(g, span, handle_invariant=True) == 0
+        assert calls == []
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 7])
