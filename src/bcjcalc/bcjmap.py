@@ -129,18 +129,21 @@ def sigma_masks(g: int, pairs) -> frozenset[int]:
     return frozenset(masks)
 
 
-def sigma_separating(t: SeparatingTwist | SubsurfaceBasis) -> BoolPoly:
-    """sum_i bar(A_i) bar(B_i); degree <= 2, basis-choice independent.  The
-    basis is validated, then evaluated by `sigma_masks`, the search's kernel."""
-    b = t.basis if isinstance(t, SeparatingTwist) else t
-    b.validate()
-    return BoolPoly(b.genus, sigma_masks(b.genus, [(A.bits, B.bits) for A, B in b.pairs]))
+def sigma_separating(t: Descriptor | SubsurfaceBasis) -> BoolPoly:
+    """sum_i bar(A_i) bar(B_i) of a basis or of a descriptor's basis; degree
+    <= 2, basis-choice independent, evaluated by `sigma_masks`, the search's
+    kernel.  Only a bare basis is validated: a descriptor's constructor
+    validated its basis, and a descriptor is immutable."""
+    if isinstance(t, SubsurfaceBasis):
+        t.validate()
+    else:
+        t = t.basis
+    return BoolPoly(t.genus, sigma_masks(t.genus, [(A.bits, B.bits) for A, B in t.pairs]))
 
 
 def sigma_bp(m: BPMap) -> BoolPoly:
     """(sum_i bar(A_i) bar(B_i)) * (bar(C) + 1); degree <= 3."""
-    core = sigma_separating(m.basis)
-    return core * (bar(m.C) + BoolPoly.one(m.genus))
+    return sigma_separating(m) * (bar(m.C) + BoolPoly.one(m.genus))
 
 
 def sigma(d: Descriptor) -> BoolPoly:

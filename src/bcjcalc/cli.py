@@ -360,13 +360,8 @@ def main(argv=None) -> int:
     exit 3.  Any other exception is a bug and keeps its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "g", None) is not None and args.func in (
-        cmd_orbits,
-        cmd_search,
-        cmd_verify,
-    ):
-        if len(args.g) != 1:
-            parser.error(f"{args.command} takes a single genus")
+    if args.func in (cmd_orbits, cmd_search, cmd_verify) and len(args.g) != 1:
+        parser.error(f"{args.command} takes a single genus")
     try:
         return args.func(args)
     except CatalogError as exc:

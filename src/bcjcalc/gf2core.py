@@ -2,8 +2,8 @@
 
 A vector is a nonnegative Python integer read as a little-endian bit string:
 bit i is coordinate i, so xor of two vectors is one integer operation.  There
-is no vector type; a caller that fixes a length checks it where it makes a
-vector (``WedgeElem`` does), and ``bit_indices`` lists a vector's set bits.
+is no vector type; ``SpanBasis`` and ``F2Matrix`` refuse a vector wider than
+their length, and ``bit_indices`` lists a vector's set bits.
 
 ``SpanBasis`` maintains an incrementally grown, fully reduced row basis:
 every row's lowest set bit is its pivot, and no row has a set bit at another
@@ -157,8 +157,8 @@ class SpanBasis:
         # Each row carries its own pivot and no other, so the pivots to clear
         # are known up front and the rows can be applied in any order; the
         # unit rows among them are applied at once.
-        if bits < 0:
-            raise ValueError("a negative int has no finite set of bits")
+        if bits < 0 or bits.bit_length() > self.length:
+            raise DimensionError(f"not a nonnegative int of at most {self.length} bits")
         rows = self._rows
         bits ^= bits & self._units
         hit = bits & self._pivmask
@@ -246,6 +246,8 @@ class F2Matrix(Value):
 
     def mul_vec(self, bits: int) -> int:
         """Matrix-vector product M.v with v a packed column vector."""
+        if bits >> self.n:
+            raise DimensionError(f"not a nonnegative int of at most {self.n} bits")
         out = 0
         for i in bit_indices(bits):
             out ^= self.cols[i]

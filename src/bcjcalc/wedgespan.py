@@ -39,17 +39,17 @@ slots, exactly the classes the stream hits.  The image of the induced map
 is however closed under the symplectic action - acting on a cycle's curves
 by a mapping class yields another commuting pair whose image is the matrix
 translate of the original - so the search saturates its span under
-substitution by the five matrices of `closure_generators` (fewer at genus
-1 and 2): T_{a_1}, T_{b_1}, the handle swap, the handle cycle and
-T_{a_1 + a_2}.  They generate Sp(2g, 2), since the permutations conjugate
-the three transvections onto all of Humphries' generators.  Every vector
-added this way is the image of a conjugated cycle, or a sum of such
-images; soundness rests on the equivariance of the twist formulas
-(Johnson), which its own test suite verifies.  For v already in the span,
-Mv is in the span iff (M - I)v is, so saturation inserts that delta.  It is sparse, and
-it is computed bit by bit from M's monomial images: slot (i, j) moves only
-if M moves monomial i or j, and then its delta is the slot bits of Mi ^ Mj
-less the slot itself.  No table of slot deltas is stored.
+substitution by the four matrices of `closure_generators` (two at genus
+1): T_{a_1}, T_{b_1}, the handle cycle and T_{a_1 + a_2}.  They generate
+Sp(2g, 2), since the powers of the cycle conjugate the three transvections
+onto all of Humphries' generators.  Every vector added this way is the
+image of a conjugated cycle, or a sum of such images; soundness rests on
+the equivariance of the twist formulas (Johnson), which its own test suite
+verifies.  For v already in the span, Mv is in the span iff (M - I)v is,
+so saturation inserts that delta.  It is sparse, and it is computed bit by
+bit from M's monomial images: slot (i, j) moves only if M moves monomial i
+or j, and then its delta is the slot bits of Mi ^ Mj less the slot itself.
+No table of slot deltas is stored.
 
 Wedge coordinates use the triangular flattening of unordered pairs (i < j)
 of basis indices: slot(i, j) = i(2d - i - 1)/2 + (j - i - 1), with d the
@@ -122,6 +122,8 @@ def _slot_pairs(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def slot_pair(d: int, slot: int) -> tuple[int, int]:
+    if not 0 <= slot < wedge_dim(d):
+        raise ValueError(f"bad slot {slot} for basis size {d}: slots are 0..{wedge_dim(d) - 1}")
     return _slot_pairs(d)[slot]
 
 
@@ -558,19 +560,18 @@ def orbit_classes(genus: int) -> OrbitReport:
 
 @lru_cache(maxsize=None)
 def closure_generators(genus: int) -> tuple:
-    """T_{a_1}, T_{b_1}, the handle swap P_(12), the handle cycle
-    P_(1 2 ... g) and T_{a_1 + a_2}, in this order.
+    """T_{a_1}, T_{b_1}, the handle cycle P_(1 2 ... g) and T_{a_1 + a_2}, in
+    this order; genus 1 keeps only the two transvections.
 
-    Genus 1 keeps the two transvections, and at genus 2 the cycle is the
-    swap, so there are 2, 4 and then 5 matrices.  A handle permutation P is
-    symplectic and a mapping class (it permutes the handles of the surface),
-    and P T_v P^-1 = T_{Pv}.  The swap and the cycle generate every handle
-    permutation, so these conjugate T_{a_1}, T_{b_1} and T_{a_1 + a_2} onto
-    all 2g + 1 of Humphries' twist generators; the group they generate is
-    therefore Sp(2g, 2), and saturating under them gives the same subspace
-    as saturating under the whole group.  Any set of symplectic matrices
-    gives a sound saturation (translates of images are images of conjugated
-    cycles); a generating set makes it complete.
+    A handle permutation P is symplectic and a mapping class (it permutes
+    the handles of the surface), and P T_v P^-1 = T_{Pv}.  So the powers of
+    the cycle conjugate T_{a_1}, T_{b_1} and T_{a_1 + a_2} onto T_{a_i},
+    T_{b_i} and T_{a_i + a_{i+1}} for every i (indices mod g), which hold
+    all 2g + 1 of Humphries' twist generators: the four generate Sp(2g, 2),
+    and saturating under them gives the same subspace as under the whole
+    group.  Any symplectic matrices give a sound saturation (translates of
+    images are images of conjugated cycles); a generating set makes it
+    complete.
 
     T_{a_1 + a_2} is the only one that mixes handles without permuting
     them, so it comes last, and `saturate_span` with `handle_invariant`
@@ -580,11 +581,9 @@ def closure_generators(genus: int) -> tuple:
     t_a1, t_b1 = (transvection(HClass(g, v)) for v in (1, 1 << g))
     if g == 1:
         return t_a1, t_b1
-    # handle k + 1 goes to handles[k]: the swap, then the cycle (at genus 2
-    # the same permutation, kept once)
-    swap_and_cycle = dict.fromkeys([(2, 1, *range(3, g + 1)), (*range(2, g + 1), 1)])
-    perms = (F2Matrix(2 * g, tuple(1 << v for v in _handle_map(g, p))) for p in swap_and_cycle)
-    return (t_a1, t_b1, *perms, transvection(HClass(g, 0b11)))
+    # handle k + 1 goes to handle k + 2, and handle g to handle 1
+    cycle = F2Matrix(2 * g, tuple(1 << v for v in _handle_map(g, (*range(2, g + 1), 1))))
+    return t_a1, t_b1, cycle, transvection(HClass(g, 0b11))
 
 
 def _wedge_action_table(genus: int, M) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -674,15 +673,15 @@ def saturate_span(genus: int, span: SpanBasis, *, handle_invariant: bool = False
     (M - I)v for a v already in it.
 
     `handle_invariant` asserts that the starting span S0 is invariant under
-    every generator but the last, T_{a_1 + a_2}: under the single-handle
-    transvections and the handle permutations.  The span of the stream
-    images is (README, "What the search verifies").  Then the rows present
-    at the start get the mask of T_{a_1 + a_2} only (none at genus 1, which
-    has no such generator), and every later pivot the mask of all of them.
-    The final span is S0 plus the span of the later visited rows, whose
-    lowest bits are new pivots, and the other generators map S0 into
-    itself, so closure still holds.  A starting unit row whose slot's two
-    monomials T_{a_1 + a_2} both fixes then costs one mask test.
+    the first three generators, T_{a_1}, T_{b_1} and the handle cycle, as
+    the span of the stream images is (README, "What the search verifies").
+    Then the rows present at the start get the mask of T_{a_1 + a_2} only
+    (none at genus 1, which has no such generator), and every later pivot
+    the mask of all of them.  The final span is S0 plus the span of the
+    later visited rows, whose lowest bits are new pivots, and the first
+    three generators map S0 into itself, so closure still holds.  A
+    starting unit row whose slot's two monomials T_{a_1 + a_2} both fixes
+    then costs one mask test.
     """
     actions = [_wedge_action_table(genus, M) for M in closure_generators(genus)]
     deltas = _action_deltas(actions)

@@ -14,6 +14,7 @@ from bcjcalc.bcjmap import (
     catalog_from_json,
     equivariance_failures,
     is_index_matched,
+    sigma,
     sigma_bp,
     sigma_masks,
     sigma_separating,
@@ -110,6 +111,22 @@ class TestSigmaSeparating:
             sigma_separating(bad)
         with pytest.raises(BasisError):
             SeparatingTwist(bad)
+
+    def test_a_descriptor_basis_is_validated_once(self, monkeypatch):
+        # by the descriptor's constructor; sigma of the immutable descriptor
+        # reads the basis as it is, and validates only a bare basis
+        g = 3
+        basis = random_symplectic_rebase(SubsurfaceBasis.standard(g, [1, 2]), 7)
+        calls = []
+        violation = sf.symplectic_violation
+        monkeypatch.setattr(sf, "symplectic_violation", lambda b: calls.append(b) or violation(b))
+        twist, bp = SeparatingTwist(basis), BPMap(basis, sf.a(g, 3))
+        assert len(calls) == 2
+        assert sigma(twist) == bar_product(basis)
+        assert sigma(bp) == bar_product(basis) * (bar(sf.a(g, 3)) + BoolPoly.one(g))
+        assert len(calls) == 2
+        assert sigma_separating(basis) == bar_product(basis)
+        assert calls == [basis] * 3
 
     @pytest.mark.parametrize("g", range(1, 7))
     def test_equals_the_bar_product(self, g):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bcjcalc.errors import DimensionError
 from bcjcalc.gf2core import F2Matrix, SpanBasis, bit_indices
 
 
@@ -417,6 +418,25 @@ def test_negative_and_out_of_range_input_raises():
         with pytest.raises(ValueError):
             basis.insert_units(pivots)
     assert (basis.units, basis.pivots, basis.insertion_order) == (0, (), [])
+
+
+def test_vectors_wider_than_the_span_or_matrix_raise():
+    # a 5-bit vector once went into a 4-bit span as pivot 4, and five unit
+    # inserts gave rank 5
+    basis = SpanBasis(4)
+    for bits in (1 << 4, 0b10001, 1 << 9):
+        with pytest.raises(DimensionError):
+            basis.insert_bits(bits)
+        with pytest.raises(DimensionError):
+            basis.contains_bits(bits)
+    assert all(basis.insert_bits(1 << p) for p in range(4))
+    with pytest.raises(DimensionError):
+        basis.insert_bits(1 << 4)
+    assert (basis.rank, basis.pivots) == (4, (0, 1, 2, 3))
+    assert basis.contains_bits(0b1111) and SpanBasis(0).contains_bits(0)
+    with pytest.raises(DimensionError):
+        F2Matrix.identity(2).mul_vec(0b100)
+    assert F2Matrix.identity(2).mul_vec(0b11) == 0b11
 
 
 @given(insert_sequences)

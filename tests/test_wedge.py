@@ -145,6 +145,17 @@ class TestSlotIndexing:
         with pytest.raises(ValueError):
             pair_index(5, 3, 3)
 
+    def test_bad_slot_rejected(self):
+        # a negative slot once indexed the pairs from the end: slot -1 of
+        # basis size 10 read as (8, 9)
+        for d, slot in [(10, -1), (10, 45), (5, 10), (2, 1)]:
+            with pytest.raises(ValueError, match=f"slots are 0..{wedge_dim(d) - 1}"):
+                slot_pair(d, slot)
+        for slot in (-1, wedge_dim(b2_basis(2).size)):
+            with pytest.raises(ValueError):
+                render_slot(2, slot)
+        assert slot_pair(10, 44) == (8, 9)
+
 
 class TestWedge:
     def test_alternation(self):
@@ -892,29 +903,40 @@ def handle_permutation(g, perm):
     return F2Matrix(2 * g, tuple(cols))
 
 
+def handle_cycle(g):
+    """P_(1 2 ... g), handle i to handle i + 1 and handle g to handle 1."""
+    return handle_permutation(g, [(i + 1) % g for i in range(g)])
+
+
 def handle_swap_and_cycle(g):
     """P_(12) and P_(1 2 ... g), as one matrix at genus 2, none at genus 1."""
-    perms = [[1, 0, *range(2, g)]] if g >= 2 else []
-    if g >= 3:
-        perms.append([(i + 1) % g for i in range(g)])
-    return [handle_permutation(g, perm) for perm in perms]
+    perms = [handle_permutation(g, [1, 0, *range(2, g)])] if g >= 2 else []
+    return perms + [handle_cycle(g)] if g >= 3 else perms
+
+
+def five_generators(g):
+    """T_{a_1}, T_{b_1}, the handle swap, the handle cycle and T_{a_1 + a_2}:
+    the closure generators before the swap was dropped (4 at genus 2, where
+    the swap is the cycle, and 2 at genus 1)."""
+    t = [sf.transvection(sf.HClass(g, v)) for v in (1, 1 << g, 0b11)]
+    return tuple(t[:2] + handle_swap_and_cycle(g) + t[2:] if g >= 2 else t[:2])
 
 
 class TestClosureGenerators:
-    @pytest.mark.parametrize("g", range(1, 8))
-    def test_generators_are_three_transvections_and_two_permutations(self, g):
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_generators_are_three_transvections_and_the_cycle(self, g):
         # the order is part of the contract: handle_invariant saturation
         # applies only the last generator to the rows it starts with
         t = [sf.transvection(sf.HClass(g, v)) for v in (1, 1 << g, 0b11)]
-        want = t[:2] + handle_swap_and_cycle(g) + t[2:] if g >= 2 else t[:2]
-        assert closure_generators(g) == tuple(want)
+        want = (*t[:2], handle_cycle(g), t[2]) if g >= 2 else tuple(t[:2])
+        assert closure_generators(g) == want
 
-    @pytest.mark.parametrize("g", range(1, 8))
+    @pytest.mark.parametrize("g", range(1, 9))
     def test_orbit_of_a1_is_every_nonzero_class(self, g):
         # h T_v h^-1 = T_{h v}, so an orbit of all nonzero classes puts every
         # transvection in the generated group, which is then Sp(2g, 2)
         gens = closure_generators(g)
-        assert len(gens) == {1: 2, 2: 4}.get(g, 5)
+        assert len(gens) == {1: 2}.get(g, 4)
         orbit, frontier = {1}, [1]
         while frontier:
             v = frontier.pop()
@@ -924,6 +946,20 @@ class TestClosureGenerators:
                     orbit.add(w)
                     frontier.append(w)
         assert orbit == set(range(1, 1 << (2 * g)))
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_cycle_conjugates_reach_every_humphries_transvection(self, g):
+        # P T_v P^-1 = T_{Pv}: the powers of the cycle carry T_{a_1},
+        # T_{b_1} and T_{a_1 + a_2} onto every Humphries generator
+        t_a1, t_b1, P, t_a12 = closure_generators(g)
+        powers = [F2Matrix.identity(2 * g)]  # P^k, k = 0..g, and P^g = I
+        for _ in range(g):
+            powers.append(P @ powers[-1])
+        assert powers[g] == powers[0] and len(set(powers)) == g
+        conjugates = {
+            powers[k] @ M @ powers[g - k] for k in range(g) for M in (t_a1, t_b1, t_a12)
+        }
+        assert set(humphries_transvections(g)) <= conjugates
 
     def test_group_order_genus_2(self):
         gens = closure_generators(2)
@@ -957,6 +993,19 @@ class TestClosureGenerators:
         saturate_span(g, new, handle_invariant=True)
         monkeypatch.setattr(wedgespan, "closure_generators", humphries_transvections)
         saturate_span(g, old)
+        assert new.rank > stream.rank
+        assert new.row_bits() == old.row_bits()
+
+    @pytest.mark.parametrize("ms", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_saturated_span_equals_five_generator_saturation(self, g, ms, monkeypatch):
+        # dropping the handle swap changes only the order in which pivots
+        # arrive: a span's fully reduced basis is unique
+        stream, _, _, _ = _search_shard(g, ms)
+        new, old = stream.copy(), stream.copy()
+        saturate_span(g, new, handle_invariant=True)
+        monkeypatch.setattr(wedgespan, "closure_generators", five_generators)
+        saturate_span(g, old, handle_invariant=True)
         assert new.rank > stream.rank
         assert new.row_bits() == old.row_bits()
 
