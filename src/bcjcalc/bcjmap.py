@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from .boolring import BoolMonomial, BoolPoly, bar, substitute_sp
-from .errors import CatalogError, FiltrationError, GeometryError, GenusMismatchError
+from .errors import CatalogError, FiltrationError, GeometryError
 from .gf2core import F2Matrix
 from .surface import (
     HClass,
@@ -32,6 +32,7 @@ from .surface import (
     intersect,
     random_symplectic_rebase,
     random_sp_word,
+    same_genus,
     support,
     transform_basis,
 )
@@ -67,8 +68,7 @@ class BPMap(Value):
 
     def __init__(self, basis: SubsurfaceBasis, C: HClass, label: str = ""):
         basis.validate()
-        if C.genus != basis.genus:
-            raise GenusMismatchError("C has wrong genus")
+        same_genus(basis, C)
         for k, (A, B) in enumerate(basis.pairs):
             if intersect(C, A) or intersect(C, B):
                 raise GeometryError(
@@ -158,13 +158,12 @@ def is_index_matched(m1: BoolMonomial, m2: BoolMonomial) -> bool:
     """True iff some handle's a-variable divides one monomial and its
     b-variable the other.  Arguments must be distinct monomials of degree
     <= 2; the constant divides nothing and is never matched."""
-    if m1.genus != m2.genus:
-        raise GenusMismatchError("monomials have different genus")
+    g = same_genus(m1, m2)
     if m1.mask == m2.mask:
         raise ValueError("index-matching is defined on distinct monomials")
     if m1.degree > 2 or m2.degree > 2:
         raise FiltrationError("index-matching is defined on the degree-<=2 basis")
-    g, x, y = m1.genus, m1.mask, m2.mask
+    x, y = m1.mask, m2.mask
     return bool((x & (y >> g)) | (y & (x >> g)))
 
 

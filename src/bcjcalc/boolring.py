@@ -31,14 +31,16 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import (
-    DimensionError,
-    FiltrationError,
-    GenusMismatchError,
-    MatrixError,
-)
+from .errors import DimensionError, FiltrationError, MatrixError
 from .gf2core import F2Matrix, bit_indices
-from .surface import HClass, check_genus, coordinate_name, is_symplectic, paired_handles
+from .surface import (
+    HClass,
+    check_genus,
+    coordinate_name,
+    is_symplectic,
+    paired_handles,
+    same_genus,
+)
 from .value import Value
 
 
@@ -114,14 +116,10 @@ class BoolPoly(Value):
         return bool(self.masks)
 
     def __add__(self, other: "BoolPoly") -> "BoolPoly":
-        if self.genus != other.genus:
-            raise GenusMismatchError("cannot add across genera")
-        return BoolPoly(self.genus, self.masks ^ other.masks)
+        return BoolPoly(same_genus(self, other), self.masks ^ other.masks)
 
     def __mul__(self, other: "BoolPoly") -> "BoolPoly":
-        if self.genus != other.genus:
-            raise GenusMismatchError("cannot multiply across genera")
-        return BoolPoly(self.genus, _mask_product(self.masks, other.masks))
+        return BoolPoly(same_genus(self, other), _mask_product(self.masks, other.masks))
 
     def __str__(self) -> str:
         if not self.masks:
@@ -163,16 +161,14 @@ class SelfLinkingForm(Value):
 
     def omega(self, u: HClass) -> int:
         """Extend to all of H by omega(u+v) = omega(u) + omega(v) + u.v."""
-        if u.genus != self.genus:
-            raise GenusMismatchError("form and class have different genus")
+        g = same_genus(self, u)
         linear = (u.bits & self.values).bit_count()
-        return (linear + paired_handles(self.genus, u.bits).bit_count()) & 1
+        return (linear + paired_handles(g, u.bits).bit_count()) & 1
 
 
 def evaluate(p: BoolPoly, form: SelfLinkingForm) -> int:
     """Evaluate p at a form: ebar_k -> omega(e_k), an algebra map to GF(2)."""
-    if p.genus != form.genus:
-        raise GenusMismatchError("polynomial and form have different genus")
+    same_genus(p, form)
     acc = 0
     vals = form.values
     for m in p.masks:
@@ -256,8 +252,7 @@ class B2Basis(Value):
         return len(self.monomials)
 
     def index(self, m: BoolMonomial) -> int:
-        if m.genus != self.genus:
-            raise GenusMismatchError("monomial genus does not match basis")
+        same_genus(self, m)
         if m.degree > 2:
             raise FiltrationError(f"degree {m.degree} monomial is outside B2")
         return self.index_of_mask[m.mask]

@@ -58,7 +58,16 @@ The reduction mu to the square-free algebra sends the diagonal symbol
 l(e_k, e_k) to the variable ebar_k and every other ordered symbol to 0;
 the classical table value mu(l(b_i, a_i)) = 1 is realized by normalization,
 since l(b_i, a_i) = l(a_i, b_i) + 1 and mu(l(a_i, b_i)) = 0.  Coefficients
-reduce mod 2.  On these conventions mu . rho = sigma holds exactly.
+reduce mod 2.  mu is a ring map onto the Boolean ring (f^2 = f), with
+mu(l(u, u)) = bar(u mod 2) and, by the swap relation, mu(l(v, u)) =
+mu(l(u, v)) + u.v.
+
+Corollary (the triangle): mu . rho = sigma for every integral basis at
+every genus.  Put f = mu(l(A_i, B_i)); as A_i.B_i = 1, handle i's term
+l(A_i,A_i) l(B_i,B_i) - l(A_i,B_i) l(B_i,A_i) maps to Abar_i Bbar_i -
+f(f + 1) = Abar_i Bbar_i, and the sum over i<j carries a factor 2, so
+mu(rho(T_c)) = sum_i Abar_i Bbar_i, Johnson's sigma(T_c).  `verify`'s
+triangle check therefore tests this code, not the identity.
 
 An evaluation homomorphism substitutes a linking matrix L (constraint
 L^T - L = J over Z) for the symbols; its mod-2 diagonal is a self-linking
@@ -75,7 +84,7 @@ from operator import mul
 
 from .bcjmap import SeparatingTwist, sigma_masks
 from .boolring import BoolPoly, SelfLinkingForm, bar, evaluate
-from .errors import ConsistencyError, GenusMismatchError
+from .errors import ConsistencyError
 from .surface import (
     ZHClass,
     ZSubsurfaceBasis,
@@ -85,6 +94,7 @@ from .surface import (
     parity_bits,
     randint_draws,
     random_z_symplectic_basis,
+    same_genus,
 )
 from .value import Value
 from .wedgespan import wedge
@@ -155,12 +165,8 @@ class CMPoly(Value):
         # Value's hash of the field tuple would fail on the dict `terms`
         return hash((self.genus, frozenset(self.terms.items())))
 
-    def _check(self, other: "CMPoly") -> None:
-        if self.genus != other.genus:
-            raise GenusMismatchError("cannot combine across genera")
-
     def __add__(self, other: "CMPoly") -> "CMPoly":
-        self._check(other)
+        g = same_genus(self, other)
         acc = dict(self.terms)
         for mon, c in other.terms.items():
             c += acc.get(mon, 0)
@@ -168,7 +174,7 @@ class CMPoly(Value):
                 acc[mon] = c
             else:
                 del acc[mon]
-        return CMPoly._trusted(self.genus, acc)
+        return CMPoly._trusted(g, acc)
 
     def __neg__(self) -> "CMPoly":
         return CMPoly._trusted(self.genus, {m: -c for m, c in self.terms.items()})
@@ -177,13 +183,13 @@ class CMPoly(Value):
         return self + (-other)
 
     def __mul__(self, other: "CMPoly") -> "CMPoly":
-        self._check(other)
+        g = same_genus(self, other)
         acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mon = tuple(sorted(m1 + m2))
                 acc[mon] = acc.get(mon, 0) + c1 * c2
-        return CMPoly._trusted(self.genus, {m: c for m, c in acc.items() if c})
+        return CMPoly._trusted(g, {m: c for m, c in acc.items() if c})
 
     def scale(self, n: int) -> "CMPoly":
         if n == 0:
@@ -225,9 +231,7 @@ def cm_generator(u: ZHClass, v: ZHClass) -> CMPoly:
     """l(u, v) expanded bilinearly over the fixed basis and normalized: a
     raw l(e_q, e_p) with q > p is l(e_p, e_q) + e_p.e_q, so the constant is
     the sum of u_{b_i} v_{a_i}."""
-    if u.genus != v.genus:
-        raise GenusMismatchError("classes have different genus")
-    g = u.genus
+    g = same_genus(u, v)
     x, y = u.coords, v.coords
     support = [p for p in range(2 * g) if x[p] or y[p]]
     terms: dict[Monomial, int] = {}
@@ -426,8 +430,7 @@ class LinkingMatrix(Value):
 
 def epsilon(L: LinkingMatrix, x: CMPoly) -> int:
     """Evaluation homomorphism: substitute L for the symbols, over Z."""
-    if L.genus != x.genus:
-        raise GenusMismatchError("matrix and polynomial have different genus")
+    same_genus(L, x)
     total = 0
     for mon, coeff in x.terms.items():
         val = coeff
@@ -439,8 +442,7 @@ def epsilon(L: LinkingMatrix, x: CMPoly) -> int:
 
 def selflink_eval(L: LinkingMatrix, p: BoolPoly) -> int:
     """Evaluate a square-free polynomial at the form induced by L."""
-    if L.genus != p.genus:
-        raise GenusMismatchError("matrix and polynomial have different genus")
+    same_genus(L, p)
     return evaluate(p, L.omega())
 
 

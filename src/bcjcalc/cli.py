@@ -283,9 +283,10 @@ def cmd_eval(args) -> int:
     rows = [[r.get(c, "") for c in EVAL_CSV_COLUMNS] for r in results]
     md = []
     for r in results:
-        md.append(f"{r['label']}: sigma = {r['sigma']}")
+        label = " ".join(r["label"].splitlines())  # one line per record, as in _fail
+        md.append(f"{label}: sigma = {r['sigma']}")
         if "rho" in r:
-            md += [f"{r['label']}: rho = {r['rho']}", f"{r['label']}: mu(rho) = {r['mu_rho']}"]
+            md += [f"{label}: rho = {r['rho']}", f"{label}: mu(rho) = {r['mu_rho']}"]
     _emit_format(args, payload, EVAL_CSV_COLUMNS, rows, md)
     return EXIT_OK
 

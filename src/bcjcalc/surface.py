@@ -78,9 +78,15 @@ def parity_bits(coords: Sequence[int]) -> int:
     return bits
 
 
-def _check_same_genus(u, v) -> None:
-    if u.genus != v.genus:
-        raise GenusMismatchError(f"genus mismatch: {u.genus} vs {v.genus}")
+def same_genus(first, *rest) -> int:
+    """The genus every operand shares; an int stands for a declared genus.
+    Raises GenusMismatchError naming the first genus and the first other one."""
+    g = first if isinstance(first, int) else first.genus
+    for x in rest:
+        h = x if isinstance(x, int) else x.genus
+        if h != g:
+            raise GenusMismatchError(f"genus mismatch: {g} vs {h}")
+    return g
 
 
 class HClass(Value):
@@ -107,8 +113,7 @@ class HClass(Value):
         return [(self.bits >> i) & 1 for i in range(2 * self.genus)]
 
     def __add__(self, other: "HClass") -> "HClass":
-        _check_same_genus(self, other)
-        return HClass(self.genus, self.bits ^ other.bits)
+        return HClass(same_genus(self, other), self.bits ^ other.bits)
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -136,8 +141,7 @@ class ZHClass(Value):
         return cls(genus, tuple(check_int(c) for c in coords))
 
     def __add__(self, other: "ZHClass") -> "ZHClass":
-        _check_same_genus(self, other)
-        return ZHClass(self.genus, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return ZHClass(same_genus(self, other), tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "ZHClass":
         return ZHClass(self.genus, tuple(-c for c in self.coords))
@@ -183,11 +187,9 @@ def intersect(u: HClass | ZHClass, v: HClass | ZHClass) -> int:
     over Z it is antisymmetric (b_i.a_i = -1).
     """
     if isinstance(u, HClass) and isinstance(v, HClass):
-        _check_same_genus(u, v)
-        return pairing(u.genus, u.bits, v.bits)
+        return pairing(same_genus(u, v), u.bits, v.bits)
     if isinstance(u, ZHClass) and isinstance(v, ZHClass):
-        _check_same_genus(u, v)
-        return z_pairing(u.genus, u.coords, v.coords)
+        return z_pairing(same_genus(u, v), u.coords, v.coords)
     raise TypeError("intersect needs two HClass or two ZHClass arguments")
 
 
@@ -208,8 +210,7 @@ class SubsurfaceBasis(Value):
 
     def __init__(self, genus: int, pairs: tuple[tuple[HClass, HClass], ...] = ()):
         for A, B in pairs:
-            if A.genus != genus or B.genus != genus:
-                raise GenusMismatchError("basis entry has wrong genus")
+            same_genus(genus, A, B)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "pairs", pairs)
 
@@ -244,8 +245,7 @@ class ZSubsurfaceBasis(Value):
 
     def __init__(self, genus: int, pairs: tuple[tuple[ZHClass, ZHClass], ...] = ()):
         for A, B in pairs:
-            if A.genus != genus or B.genus != genus:
-                raise GenusMismatchError("basis entry has wrong genus")
+            same_genus(genus, A, B)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "pairs", pairs)
 

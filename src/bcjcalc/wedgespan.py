@@ -11,7 +11,7 @@ The wedge is bilinear over GF(2), so the images of one block of the stream
 one) span exactly the products b ^ c of a basis b of the first set's sigma
 values with a basis c of the second's.  The search inserts those products
 at genus min(g, 4) only, where they span unit rows only, and carries the
-unit slots onto genus g by handle pattern (`_search_shard` shows why that
+unit slots onto genus g by handle pattern (`_fold_stream` shows why that
 is the genus-g span).  It counts distinct images per block; images
 themselves are computed, by distinct sigma pair, only in the first block of
 each shape (|S1|, |S2|) and only for each class's first hit.
@@ -89,6 +89,7 @@ from .surface import (
     check_genus,
     handle_bits,
     paired_handles,
+    same_genus,
     transvection,
 )
 from .value import Value
@@ -143,9 +144,7 @@ class WedgeElem(Value):
         object.__setattr__(self, "bits", bits)
 
     def __add__(self, other: "WedgeElem") -> "WedgeElem":
-        if self.genus != other.genus:
-            raise GenusMismatchError("cannot add wedge elements across genera")
-        return WedgeElem(self.genus, self.bits ^ other.bits)
+        return WedgeElem(same_genus(self, other), self.bits ^ other.bits)
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -169,17 +168,16 @@ def render_slot(genus: int, slot: int) -> str:
 
 def wedge(p: BoolPoly, q: BoolPoly) -> WedgeElem:
     """Bilinear alternating product of two degree-<=2 polynomials."""
-    if p.genus != q.genus:
-        raise GenusMismatchError("wedge factors have different genus")
+    g = same_genus(p, q)
     require_degree(p, 2)
     require_degree(q, 2)
-    basis = b2_basis(p.genus)
+    basis = b2_basis(g)
     d = basis.size
     index = basis.index_of_mask
     bits = _slot_bits(
         _row_offsets(d), [index[m] for m in p.masks], [index[m] for m in q.masks]
     )
-    return WedgeElem(p.genus, bits)
+    return WedgeElem(g, bits)
 
 
 def _slot_bits(offs: Sequence[int], left: Sequence[int], right: Sequence[int]) -> int:
@@ -218,8 +216,7 @@ class AbelianCycle(Value):
         return self.first.genus
 
     def validate_certificate(self) -> None:
-        if self.first.genus != self.second.genus:
-            raise GenusMismatchError("cycle descriptors have different genus")
+        same_genus(self.first, self.second)
         overlap = self.first.support() & self.second.support()
         if overlap:
             raise DisjointnessError(f"descriptors share handles {sorted(overlap)}")
@@ -733,7 +730,7 @@ def _carry_slots(units: int, h: int, genus: int) -> list[int]:
     return slots
 
 
-def _search_shard(
+def _fold_stream(
     genus: int, max_support: int
 ) -> tuple[SpanBasis, dict[str, tuple[int, str]], int, int]:
     """Fold the whole descriptor-pair stream (one block per pair of disjoint
@@ -868,7 +865,7 @@ def image_rank_report(
     d = b2_basis(g).size
     dm = dims(g)
 
-    span, hits, n_pairs, n_distinct = _search_shard(g, max_support)
+    span, hits, n_pairs, n_distinct = _fold_stream(g, max_support)
     cycle_rank = span.rank
 
     closure_added = 0

@@ -517,6 +517,28 @@ class TestEval:
         assert out == ""
         assert err == "catalog error: entry 0 (a b): bp entry is missing C\n"
 
+    def test_label_line_break_keeps_one_md_line_per_record(self, capsys, tmp_path):
+        # a line break in the label used to split the record over two lines
+        entry = {
+            "type": "separating",
+            "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]],
+            "label": "x\ny",
+            "integral": True,
+        }
+        path = self.write_catalog(tmp_path, [entry])
+        code, out, _ = run(capsys, "eval", path)
+        assert code == 0
+        assert out.splitlines() == [
+            "x y: sigma = a1*b1",
+            "x y: rho = l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2",
+            "x y: mu(rho) = a1*b1",
+        ]
+        # JSON keeps the label as given, and CSV quotes it
+        code, out, _ = run(capsys, "eval", path, "--format", "json")
+        assert json.loads(out)["results"][0]["label"] == "x\ny"
+        code, out, _ = run(capsys, "eval", path, "--format", "csv")
+        assert list(csv.reader(io.StringIO(out)))[1][0] == "x\ny"
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

@@ -1,11 +1,13 @@
 """The fixed surface model: intersection form, spines, symplectic bases."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcjcalc import bcjmap, boolring, cassonmorita as cm, wedgespan as ws
 from bcjcalc import surface as sf
 from bcjcalc.errors import BasisError, DimensionError, GenusMismatchError
 from bcjcalc.gf2core import F2Matrix, SpanBasis
@@ -17,6 +19,7 @@ from bcjcalc.surface import (
     intersect,
     is_symplectic_basis,
     random_symplectic_rebase,
+    same_genus,
     support,
     symplectic_violation,
 )
@@ -77,6 +80,63 @@ class TestIntersect:
             u = ZHClass(g, tuple(rng.randint(-4, 4) for _ in range(2 * g)))
             v = ZHClass(g, tuple(rng.randint(-4, 4) for _ in range(2 * g)))
             assert intersect(u, v) % 2 == intersect(u.mod2(), v.mod2())
+
+
+def _twist(g: int, handle: int) -> bcjmap.SeparatingTwist:
+    return bcjmap.SeparatingTwist(SubsurfaceBasis.standard(g, [handle]))
+
+
+# every operation whose operands must share a genus, as (name, op(g, h)):
+# the first operand has genus g, the second genus h
+GENUS_PAIRED_OPS = [
+    ("HClass.__add__", lambda g, h: sf.a(g, 1) + sf.a(h, 1)),
+    ("ZHClass.__add__", lambda g, h: sf.za(g, 1) + sf.za(h, 1)),
+    ("intersect", lambda g, h: intersect(sf.a(g, 1), sf.b(h, 1))),
+    ("intersect-Z", lambda g, h: intersect(sf.za(g, 1), sf.zb(h, 1))),
+    ("SubsurfaceBasis", lambda g, h: SubsurfaceBasis(g, ((sf.a(h, 1), sf.b(h, 1)),))),
+    ("ZSubsurfaceBasis", lambda g, h: ZSubsurfaceBasis(g, ((sf.za(h, 1), sf.zb(h, 1)),))),
+    ("BoolPoly.__add__", lambda g, h: boolring.BoolPoly.one(g) + boolring.BoolPoly.one(h)),
+    ("BoolPoly.__mul__", lambda g, h: boolring.BoolPoly.one(g) * boolring.BoolPoly.one(h)),
+    ("SelfLinkingForm.omega", lambda g, h: boolring.SelfLinkingForm(g).omega(sf.a(h, 1))),
+    ("evaluate", lambda g, h: boolring.evaluate(
+        boolring.BoolPoly.one(g), boolring.SelfLinkingForm(h))),
+    ("B2Basis.index", lambda g, h: boolring.b2_basis(g).index(boolring.BoolMonomial(h, 1))),
+    ("BPMap", lambda g, h: bcjmap.BPMap(SubsurfaceBasis.standard(g, [1]), sf.a(h, 2))),
+    ("is_index_matched", lambda g, h: bcjmap.is_index_matched(
+        boolring.BoolMonomial(g, 1), boolring.BoolMonomial(h, 2))),
+    ("CMPoly.__add__", lambda g, h: cm.CMPoly.one(g) + cm.CMPoly.one(h)),
+    ("CMPoly.__mul__", lambda g, h: cm.CMPoly.one(g) * cm.CMPoly.one(h)),
+    ("cm_generator", lambda g, h: cm.cm_generator(sf.za(g, 1), sf.zb(h, 1))),
+    ("epsilon", lambda g, h: cm.epsilon(cm.LinkingMatrix.standard_model(g), cm.CMPoly.one(h))),
+    ("selflink_eval", lambda g, h: cm.selflink_eval(
+        cm.LinkingMatrix.standard_model(g), boolring.BoolPoly.one(h))),
+    ("WedgeElem.__add__", lambda g, h: ws.WedgeElem(g, 0) + ws.WedgeElem(h, 0)),
+    ("wedge", lambda g, h: ws.wedge(boolring.BoolPoly.one(g), boolring.BoolPoly.one(h))),
+    ("AbelianCycle.validate_certificate", lambda g, h: ws.AbelianCycle(
+        _twist(g, 1), _twist(h, 2)).validate_certificate()),
+]
+
+
+class TestSameGenus:
+    def test_returns_the_common_genus(self):
+        assert same_genus(sf.a(3, 1)) == 3
+        assert same_genus(sf.a(3, 1), sf.b(3, 2), sf.za(3, 1)) == 3
+        # an int stands for a declared genus
+        assert same_genus(2, sf.a(2, 1), sf.b(2, 1)) == 2
+
+    def test_names_the_first_genus_and_the_first_other_one(self):
+        with pytest.raises(GenusMismatchError, match="^genus mismatch: 2 vs 3$"):
+            same_genus(2, sf.a(2, 1), sf.a(3, 1), sf.a(4, 1))
+
+    @pytest.mark.parametrize(
+        "op", [op for _, op in GENUS_PAIRED_OPS], ids=[name for name, _ in GENUS_PAIRED_OPS]
+    )
+    @pytest.mark.parametrize("g, h", [(2, 3), (3, 2)])
+    def test_operands_of_different_genus_are_rejected(self, op, g, h):
+        with pytest.raises(GenusMismatchError) as info:
+            op(g, h)
+        assert re.fullmatch(r"genus mismatch: (2 vs 3|3 vs 2)", str(info.value))
+        op(g, g)  # the same operands at one genus pass the check
 
 
 class TestSupport:

@@ -45,7 +45,7 @@ from bcjcalc.wedgespan import (
     _disjoint_set_pairs,
     _handle_map,
     _local_spines,
-    _search_shard,
+    _fold_stream,
     _slot_labels,
     _support_sets,
     _twist,
@@ -768,7 +768,7 @@ class TestFamilies:
         # span, though in none of the raw stream spans
         for g in (3, 4, 5):
             labels = _slot_labels(g)
-            span, _, _, _ = _search_shard(g, 3)
+            span, _, _, _ = _fold_stream(g, 3)
             saturate_span(g, span)
             pairs = family_slot_pairs(g)
             assert len(pairs) == g * (g - 1) + g * (g - 1) * (g - 2) * (g - 3)
@@ -873,7 +873,7 @@ class TestClosureMachinery:
 
     def test_saturation_idempotent(self):
         g = 2
-        span, _, _, _ = _search_shard(g, 1)
+        span, _, _, _ = _fold_stream(g, 1)
         saturate_span(g, span)
         assert saturate_span(g, span) == 0
 
@@ -976,7 +976,7 @@ class TestClosureGenerators:
 
     @pytest.mark.parametrize("g", [3, 4])
     def test_saturated_span_matches_weight_two_set(self, g, monkeypatch):
-        stream, _, _, _ = _search_shard(g, 3)
+        stream, _, _, _ = _fold_stream(g, 3)
         new, old = stream.copy(), stream.copy()
         saturate_span(g, new)
         old_gens = tuple(weight_le_2_transvections(g))
@@ -988,7 +988,7 @@ class TestClosureGenerators:
     @pytest.mark.parametrize("ms", [1, 2, 3, 4])
     @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     def test_saturated_span_equals_humphries_saturation(self, g, ms, monkeypatch):
-        stream, _, _, _ = _search_shard(g, ms)
+        stream, _, _, _ = _fold_stream(g, ms)
         new, old = stream.copy(), stream.copy()
         saturate_span(g, new, handle_invariant=True)
         monkeypatch.setattr(wedgespan, "closure_generators", humphries_transvections)
@@ -1001,7 +1001,7 @@ class TestClosureGenerators:
     def test_saturated_span_equals_five_generator_saturation(self, g, ms, monkeypatch):
         # dropping the handle swap changes only the order in which pivots
         # arrive: a span's fully reduced basis is unique
-        stream, _, _, _ = _search_shard(g, ms)
+        stream, _, _, _ = _fold_stream(g, ms)
         new, old = stream.copy(), stream.copy()
         saturate_span(g, new, handle_invariant=True)
         monkeypatch.setattr(wedgespan, "closure_generators", five_generators)
@@ -1013,7 +1013,7 @@ class TestClosureGenerators:
     def test_saturated_span_is_closed_under_every_humphries_transvection(self, g):
         # by whole images Mv of every row, through tables built from
         # substitute_sp, not through the generators' delta tables
-        span, _, _, _ = _search_shard(g, 3)
+        span, _, _, _ = _fold_stream(g, 3)
         saturate_span(g, span, handle_invariant=True)
         rows = span.row_bits()
         for M in humphries_transvections(g):
@@ -1222,7 +1222,7 @@ class TestHandleInvariantSaturation:
         # the lemma behind handle_invariant, checked row by row: (M - I)v
         # lies in the stream span for every single-handle M and for the
         # handle swap and cycle
-        span, _, _, _ = _search_shard(g, ms)
+        span, _, _, _ = _fold_stream(g, ms)
         rows = span.row_bits()
         for M in single_handle_transvections(g) + handle_swap_and_cycle(g):
             table = ref_full_table(g, M)
@@ -1230,7 +1230,7 @@ class TestHandleInvariantSaturation:
 
     @pytest.mark.parametrize("g,ms", STREAM_SPANS)
     def test_handle_invariant_equals_full_image_saturation(self, g, ms):
-        span, _, _, _ = _search_shard(g, ms)
+        span, _, _, _ = _fold_stream(g, ms)
         start = span.rank
         want = ref_saturated_rows(g, span.row_bits())
         assert saturate_span(g, span, handle_invariant=True) == len(want) - start
@@ -1268,7 +1268,7 @@ class TestHandleInvariantSaturation:
 class TestSearchCoreReference:
     @pytest.mark.parametrize("g,ms", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
     def test_block_basis_span_equals_per_image_span(self, g, ms):
-        span, _, n_pairs, n_distinct = _search_shard(g, ms)
+        span, _, n_pairs, n_distinct = _fold_stream(g, ms)
         oracle = ref_stream_span(g, ms)
         assert span.row_bits() == oracle.row_bits()
         cycles, _ = ref_stream(g, ms)
@@ -1288,7 +1288,7 @@ class TestSearchCoreReference:
                 } - {None}
             for lab in classes_of[bits]:
                 want.setdefault(lab, (idx, label))
-        _, hits, _, _ = _search_shard(g, ms)
+        _, hits, _, _ = _fold_stream(g, ms)
         assert hits == want
 
     @pytest.mark.parametrize("g", [3, 4])
@@ -1304,7 +1304,7 @@ class TestSearchCoreReference:
         # covers the block shapes (2, 3), (3, 3) and (., 4), which the
         # object-level stream above reaches only at g > 4, and the spans
         # carried from genus 4 at every --max-support
-        span, hits, n_pairs, n_distinct = _search_shard(g, ms)
+        span, hits, n_pairs, n_distinct = _fold_stream(g, ms)
         assert span.row_bits() == ref_block_span(g, ms).row_bits()
         if (g, ms) != (8, 4):  # the hits oracle alone takes about 11 s there
             assert (hits, n_pairs, n_distinct) == ref_block_hits(g, ms)
@@ -1320,12 +1320,12 @@ class TestSearchCoreReference:
                 (n1, groups1, _), (n2, groups2, _) = map(wedgespan._template, (len(S1), len(S2)))
                 n_pairs += n1 * n2
                 n_distinct += len(groups1) * len(groups2)
-        assert _search_shard(g, ms)[2:] == (n_pairs, n_distinct)
+        assert _fold_stream(g, ms)[2:] == (n_pairs, n_distinct)
 
     @pytest.mark.parametrize("ms", [2, 3, 4])
     @pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
     def test_stream_mask_is_the_handle_disjoint_slots(self, g, ms):
-        span, _, _, _ = _search_shard(g, ms)
+        span, _, _, _ = _fold_stream(g, ms)
         disjoint = handle_disjoint_mask(g)
         assert span.units == disjoint
         assert span.rank == disjoint.bit_count()
@@ -1343,10 +1343,10 @@ class TestSearchCoreReference:
         )
         monkeypatch.setattr(wedgespan, "_disjoint_slots", lambda genus: without_const)
         with pytest.raises(RuntimeError, match="D_4"):
-            _search_shard(5, ms)
+            _fold_stream(5, ms)
         # genus 4 itself carries nothing, and --max-support 2 needs no D_4
-        assert _search_shard(4, ms)[0].units == handle_disjoint_mask(4)
-        assert _search_shard(5, 2)[0].units == handle_disjoint_mask(5)
+        assert _fold_stream(4, ms)[0].units == handle_disjoint_mask(4)
+        assert _fold_stream(5, 2)[0].units == handle_disjoint_mask(5)
 
     @pytest.mark.parametrize("g", [3, 4, 5])
     def test_a_genus_h_span_with_a_non_unit_row_raises(self, g, monkeypatch):
@@ -1360,11 +1360,11 @@ class TestSearchCoreReference:
 
         monkeypatch.setattr(wedgespan, "_template", first_row_only)
         with pytest.raises(RuntimeError, match="not a unit row"):
-            _search_shard(g, 2)
+            _fold_stream(g, 2)
 
     @pytest.mark.parametrize("g", [4, 5, 6])
     def test_hits_are_the_classes_of_handle_disjoint_slots(self, g):
-        _, hits, _, _ = _search_shard(g, 3)
+        _, hits, _, _ = _fold_stream(g, 3)
         assert set(hits) == set(ref_class_masks(g))
         assert "IV" not in hits and "VI" not in hits
 
@@ -1379,7 +1379,7 @@ class TestSearchCoreReference:
             return real(self, bits)
 
         monkeypatch.setattr(SpanBasis, "insert_bits", recording)
-        span, _, _, _ = _search_shard(g, 3)
+        span, _, _, _ = _fold_stream(g, 3)
         assert spans and all(s is not span for s in spans)
         assert {s.length for s in spans} <= {wedge_dim(b2_basis(4).size)} | {
             1 << (2 * s) for s in (1, 2, 3)  # template spans, if not yet cached
@@ -1396,7 +1396,7 @@ class TestSearchCoreReference:
             return real(offs, left, right)
 
         monkeypatch.setattr(wedgespan, "_slot_bits", counting)
-        _search_shard(7, 3)
+        _fold_stream(7, 3)
         assert len(calls) < 30_000
 
     def test_only_first_blocks_relabel_sigma_groups(self):
@@ -1405,7 +1405,7 @@ class TestSearchCoreReference:
             wedgespan._template(s)
         tracemalloc.start()
         try:
-            _search_shard(7, 4)
+            _fold_stream(7, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1413,7 +1413,7 @@ class TestSearchCoreReference:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_delta_saturation_equals_full_image_saturation(self, g):
-        start, _, _, _ = _search_shard(g, 3)
+        start, _, _, _ = _fold_stream(g, 3)
         new, old = start.copy(), start.copy()
         assert saturate_span(g, new) == ref_saturate(g, old)
         assert new.row_bits() == old.row_bits()
@@ -1422,7 +1422,7 @@ class TestSearchCoreReference:
     def test_saturated_span_is_closed_under_full_tables(self, g):
         # checks closure directly, by whole images Mv of every row, rather
         # than by comparing two saturation loops
-        span, _, _, _ = _search_shard(g, 3)
+        span, _, _, _ = _fold_stream(g, 3)
         saturate_span(g, span)
         rows = span.row_bits()
         for M in closure_generators(g):
@@ -1527,7 +1527,7 @@ class TestSlotPasses:
     def test_missing_equals_per_slot_membership(self, g, ms, closure):
         # the report reads coverage off the unit mask; the oracle asks the
         # span about every labelled slot, with labels from the full table
-        span, _, _, _ = _search_shard(g, ms)
+        span, _, _, _ = _fold_stream(g, ms)
         if closure:
             saturate_span(g, span, handle_invariant=True)
         labels = _slot_labels(g)
@@ -1558,7 +1558,7 @@ class TestSlotPasses:
     @pytest.mark.parametrize("g", [2, 4, 5, 6, 9])
     def test_carry_slots_equal_checked_pair_index(self, g, ms):
         h = min(g, 4)
-        units = _search_shard(h, ms)[0].units
+        units = _fold_stream(h, ms)[0].units
         assert wedgespan._carry_slots(units, h, g) == ref_carry_slots(units, h, g)
 
     @pytest.mark.parametrize("ms", [1, 2, 3, 4])
@@ -1566,7 +1566,7 @@ class TestSlotPasses:
     def test_skipping_fixed_start_rows_keeps_the_inserts(self, g, ms):
         # same inserts in the same order: the pivots' insertion order, which
         # sets saturation's transient rows, and the rows themselves
-        new, _, _, _ = _search_shard(g, ms)
+        new, _, _, _ = _fold_stream(g, ms)
         old = new.copy()
         added = saturate_span(g, new, handle_invariant=True)
         assert added == ref_handle_invariant_saturate(g, old)
@@ -1585,7 +1585,7 @@ class TestSlotPasses:
         fixed = [
             substitute_sp(M, BoolPoly(g, (m.mask,))).masks == {m.mask} for m in basis.monomials
         ]
-        stream, _, _, _ = _search_shard(g, 3)
+        stream, _, _, _ = _fold_stream(g, 3)
         slots = [q for q in stream.insertion_order if all(fixed[k] for k in slot_pair(basis.size, q))]
         assert (stream.rank, len(slots)) == (745, 319)
         span = SpanBasis(stream.length)
