@@ -11,7 +11,10 @@ x.y = 1 is realizable by a genus-1 spine on the standard surface, and spines
 with disjoint handle supports admit disjoint representatives.  Handle-support
 disjointness is therefore a sufficient, conservative criterion for disjoint
 realization; cycles that would need overlapping supports are not
-enumerated.  A spine is represented by a genus-1 ``SubsurfaceBasis``.
+enumerated.  The search represents a spine as a packed pair (x, y) of
+``wedgespan._local_spines``; a genus-1 ``SubsurfaceBasis`` holds one only
+where a twist object is built: the search's first-hit labels, ``eval`` and
+tests.
 """
 
 from __future__ import annotations

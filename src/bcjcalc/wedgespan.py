@@ -12,9 +12,10 @@ one) span exactly the products b ^ c of a basis b of the first set's sigma
 values with a basis c of the second's.  The search inserts those products
 at genus min(g, 4) only, where they span unit rows only, and carries the
 unit slots onto genus g by handle pattern (`_fold_stream` shows why that
-is the genus-g span).  It counts distinct images per block; images
-themselves are computed, by distinct sigma pair, only in the first block of
-each shape (|S1|, |S2|) and only for each class's first hit.
+is the genus-g span).  It counts pairs and distinct images by block shape
+(|S1|, |S2|) in closed form; images themselves are computed, by distinct
+sigma pair, only in the first block of each shape and only for each
+class's first hit.
 
 A set's sigma data comes from one template per support size s, computed
 once at genus s from the spines on s handles: their count, the position and
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations, repeat
 from math import comb
 from time import perf_counter
 
@@ -81,7 +82,7 @@ from .boolring import (
     require_degree,
     sp_variable_images,
 )
-from .errors import DisjointnessError, FiltrationError, GenusMismatchError
+from .errors import DisjointnessError, GenusMismatchError
 from .gf2core import F2Matrix, SpanBasis, bit_indices
 from .surface import (
     HClass,
@@ -223,14 +224,10 @@ class AbelianCycle(Value):
 
 
 def cycle_image(c: AbelianCycle) -> WedgeElem:
-    """sigma(first) ^ sigma(second); both factors must have degree <= 2."""
+    """sigma(first) ^ sigma(second); both factors must have degree <= 2, as
+    `wedge` requires: a bounding pair's degree-3 sigma raises FiltrationError."""
     c.validate_certificate()
-    p, q = sigma(c.first), sigma(c.second)
-    if p.degree() > 2 or q.degree() > 2:
-        raise FiltrationError(
-            "a degree-3 sigma value (bounding-pair factor) has no wedge image"
-        )
-    return wedge(p, q)
+    return wedge(sigma(c.first), sigma(c.second))
 
 
 # -- spine and cycle enumeration ---------------------------------------------
@@ -761,16 +758,21 @@ def _fold_stream(
     the shapes that have a block (a shape with |S1| + |S2| > g builds no
     template).
 
-    The hit loop walks the blocks in stream order, keeping the stream index
-    of each block's first pair.  Class labels do not change when handles
-    are relabelled, and two blocks of one shape (|S1|, |S2|) are
-    relabellings of each other with the same group positions, so only the
-    first block of each shape is scanned for hits, and only its two sets
-    have their sigma groups relabelled.  It labels only the live slots it
-    meets, each once (`_slot_labeller`).  The scan stops, and the walk with
-    it, once every label on the span's slots (the union of the supports of
-    the stream images) is hit; relabelling keeps a slot's label, so those
-    are the labels of the genus-h unit slots.
+    The same loop over shapes (a, b), a <= b, finds the first hits.  Its
+    lexicographic order is the stream order of each shape's first block,
+    (1..a) against (a+1..a+b): sets come by size, then lexicographically,
+    and a block puts its earlier set first.  Class labels do not change when
+    handles are relabelled, and two blocks of one shape are relabellings of
+    each other with the same group positions, so only that first block is
+    scanned, and only its two sets have their sigma groups relabelled.  Its
+    first pair's stream index is closed-form: the pairs of every block whose
+    first set has fewer than a handles, then n(a).n(d) for each of the
+    C(g - a, d) d-sets disjoint from (1..a), a <= d < b.  The scan labels
+    only the live slots it meets, each once (`_slot_labeller`), and stops
+    once every label on the span's slots (the union of the supports of the
+    stream images) is hit; relabelling keeps a slot's label, so those are
+    the labels of the genus-h unit slots.  No support set above genus h is
+    enumerated.
     """
     h = min(genus, CENSUS_GENUS)
     sets = _support_sets(h, max_support)
@@ -794,50 +796,40 @@ def _fold_stream(
 
     offs = _row_offsets(b2_basis(genus).size)
     label = _slot_labeller(genus)
-    sets = _support_sets(genus, max_support)
     live = span.units  # slots still worth testing: the span's, less the ones seen
     unhit = {_slot_labels(h)[s] for s in bit_indices(local.units)} - {None}
     hits: dict[str, tuple[int, str]] = {}
-    shapes = set()
-    stream_base = 0  # stream index of the first pair of the next block
-    for k1, k2 in _disjoint_set_pairs(sets):
-        if not unhit:
-            break
-        shape = (len(sets[k1]), len(sets[k2]))
-        block_base, n2 = stream_base, _template(shape[1])[0]
-        stream_base += _template(shape[0])[0] * n2
-        if shape in shapes:
-            continue
-        shapes.add(shape)
-        groups1, groups2 = (_descriptors_for_set(genus, sets[k])[1] for k in (k1, k2))
-        # Group pairs are visited in increasing stream index, so the first
-        # hit of a class is final.
-        for pos1, sig1 in groups1:
-            for pos2, sig2 in groups2:
-                if not unhit:
-                    break
-                b = _slot_bits(offs, sig1, sig2) & live
-                while b:
-                    low = b & -b
-                    lab = label(low.bit_length() - 1)
-                    if lab in unhit:
-                        unhit.remove(lab)
-                        t1, t2 = _twist(genus, sets[k1], pos1), _twist(genus, sets[k2], pos2)
-                        hits[lab] = (block_base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
-                    live ^= low
-                    b ^= low
-
-    # the counts by shape (a, b), a <= b: C(g, a).C(g - a, b) blocks, half
-    # as many when a = b, each of n(a).n(b) pairs and G(a).G(b) group pairs
+    # by shape (a, b), a <= b: C(g, a).C(g - a, b) blocks, half as many when
+    # a = b, each of n(a).n(b) pairs and G(a).G(b) group pairs
     n_pairs = n_distinct = 0
-    sizes = range(1, min(max_support, genus) + 1)
-    for a, b in combinations_with_replacement(sizes, 2):
-        blocks = comb(genus, a) * comb(genus - a, b) // (2 if a == b else 1)
-        if not blocks:  # a + b > g: no templates to build
-            continue
-        (n1, groups1, _), (n2, groups2, _) = _template(a), _template(b)
-        n_pairs += blocks * n1 * n2
-        n_distinct += blocks * len(groups1) * len(groups2)
+    top = min(max_support, genus)
+    for a in range(1, top + 1):
+        base = n_pairs  # stream index of the first pair on the set (1..a)
+        for b in range(a, min(top, genus - a) + 1):  # a + b > g: no blocks, no templates
+            (n1, groups1, _), (n2, groups2, _) = _template(a), _template(b)
+            blocks = comb(genus, a) * comb(genus - a, b) // (2 if a == b else 1)
+            n_pairs += blocks * n1 * n2
+            n_distinct += blocks * len(groups1) * len(groups2)
+            if unhit:  # scan the shape's first block: (1..a) against (a+1..a+b)
+                set1, set2 = tuple(range(1, a + 1)), tuple(range(a + 1, a + b + 1))
+                groups1, groups2 = (_descriptors_for_set(genus, S)[1] for S in (set1, set2))
+                # Group pairs are visited in increasing stream index, so the
+                # first hit of a class is final.
+                for pos1, sig1 in groups1:
+                    for pos2, sig2 in groups2:
+                        if not unhit:
+                            break
+                        bits = _slot_bits(offs, sig1, sig2) & live
+                        while bits:
+                            low = bits & -bits
+                            lab = label(low.bit_length() - 1)
+                            if lab in unhit:
+                                unhit.remove(lab)
+                                t1, t2 = _twist(genus, set1, pos1), _twist(genus, set2, pos2)
+                                hits[lab] = (base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
+                            live ^= low
+                            bits ^= low
+            base += comb(genus - a, b) * n1 * n2  # the blocks of (1..a) and a b-set
     return span, hits, n_pairs, n_distinct
 
 

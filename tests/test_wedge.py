@@ -1309,6 +1309,25 @@ class TestSearchCoreReference:
         if (g, ms) != (8, 4):  # the hits oracle alone takes about 11 s there
             assert (hits, n_pairs, n_distinct) == ref_block_hits(g, ms)
 
+    @pytest.mark.parametrize("g", [9, 10])
+    def test_closed_form_hits_equal_the_walk_above_genus_eight(self, g):
+        # the first-block stream index against the running index of the walk,
+        # at genera where the (2, 2) hits come after thousands of blocks
+        assert _fold_stream(g, 3)[1:] == ref_block_hits(g, 3)
+
+    def test_stream_enumerates_support_sets_at_genus_four_at_most(self, monkeypatch):
+        # counts and first hits come from the block shapes in closed form;
+        # only the genus-h span walks support sets
+        support_sets = wedgespan._support_sets
+
+        def sets_to_four(genus, max_support):
+            assert genus <= 4, f"_support_sets({genus}, {max_support})"
+            return support_sets(genus, max_support)
+
+        monkeypatch.setattr(wedgespan, "_support_sets", sets_to_four)
+        for g in (5, 8, 16):
+            _fold_stream(g, 3)
+
     @pytest.mark.parametrize("ms", [1, 2, 3, 4])
     @pytest.mark.parametrize("g", range(1, 11))
     def test_closed_form_counts_equal_the_full_walk(self, g, ms):
