@@ -455,6 +455,14 @@ def _random_integral_class(
     return ZHClass(genus, tuple(randint_draws(rng, -bound, bound, 2 * genus)))
 
 
+def _random_zbasis(genus: int, rng: random.Random, low: int) -> ZSubsurfaceBasis:
+    """A random integral basis on h sorted random handles, h drawn from
+    low..min(genus, 3); h = 0 draws nothing more and gives the empty basis."""
+    h = randint_draws(rng, low, min(genus, 3), 1)[0]
+    handles = sorted(rng.sample(range(1, genus + 1), h))
+    return random_z_symplectic_basis(genus, h, rng, handles)
+
+
 def _rho_sigma(basis: ZSubsurfaceBasis) -> tuple[CMPoly, BoolPoly]:
     """rho and sigma of one integral basis.  rho validates it over Z first,
     so it is symplectic mod 2 and sigma reads its parity bits unchecked."""
@@ -482,9 +490,7 @@ def right_square_failures(
     trial."""
     failures = []
     for t in range(num_trials):
-        h = randint_draws(rng, 1, min(genus, 3), 1)[0]
-        handles = sorted(rng.sample(range(1, genus + 1), h))
-        zbasis = random_z_symplectic_basis(genus, h, rng, handles)
+        zbasis = _random_zbasis(genus, rng, 1)
         M = L if L is not None else LinkingMatrix.random_valid(genus, rng)
         rho, sig = _rho_sigma(zbasis)
         lhs = epsilon(M, rho) & 1
@@ -513,12 +519,7 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
 
     failures = []
     for t in range(num_trials):
-        h = randint_draws(rng, 0, min(g, 3), 1)[0]
-        if h == 0:
-            zbasis = ZSubsurfaceBasis(g, ())
-        else:
-            handles = sorted(rng.sample(range(1, g + 1), h))
-            zbasis = random_z_symplectic_basis(g, h, rng, handles)
+        zbasis = _random_zbasis(g, rng, 0)
         rho, sig = _rho_sigma(zbasis)
         if mu(rho) != sig:
             failures.append(f"trial {t}: basis {zbasis.pairs}")

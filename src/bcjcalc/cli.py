@@ -72,6 +72,13 @@ def _genus_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _single_genus(text: str) -> list[int]:
+    genera = _genus_range(text)
+    if len(genera) != 1:
+        raise argparse.ArgumentTypeError(f"takes a single genus, got {text!r}")
+    return genera
+
+
 def _positive_int(text: str) -> int:
     try:
         n = int(text)
@@ -176,14 +183,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = {
-        "g": args.g[0],
-        "max_support": args.max_support,
-        "include_families": False,
-        "sp_closure": args.sp_closure,
-    }
     report = image_rank_report(args.g[0], args.max_support, sp_closure=args.sp_closure)
-    report["manifest"] = _manifest(config)
+    report["manifest"] = _manifest({"g": report["genus"], **report["parameters"]})
     report["timestamp"] = _timestamp()
     _emit_json(report, args.out)
     n_missing = len(report["missing"])
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, single_genus=False):
         p.add_argument(
             "--g",
-            type=_genus_range,
+            type=_single_genus if single_genus else _genus_range,
             required=True,
             help=f"genus or range, e.g. 3 or 1..6, at most {MAX_GENUS}"
             + (" (single)" if single_genus else ""),
@@ -359,10 +360,7 @@ def _fail(what: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     """The error boundary: CatalogError exits 2, ConsistencyError and OSError
     exit 3.  Any other exception is a bug and keeps its traceback."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.func in (cmd_orbits, cmd_search, cmd_verify) and len(args.g) != 1:
-        parser.error(f"{args.command} takes a single genus")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CatalogError as exc:

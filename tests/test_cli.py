@@ -5,12 +5,16 @@ import hashlib
 import io
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
 from bcjcalc import bcjmap, cli, wedgespan
 from bcjcalc.cassonmorita import LinkingMatrix
 from bcjcalc.cli import MAX_GENUS, _genus_range, main
+
+
+SEARCH_SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "search_report.json"
 
 
 def standard_model_json(g):
@@ -80,6 +84,17 @@ class TestDims:
         assert exc.value.code == 2
         assert f"above the maximum {MAX_GENUS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["orbits", "search", "verify"])
+    def test_range_for_a_single_genus_command_usage_error(self, capsys, command):
+        # the --g type of these commands rejects a range while parsing, so the
+        # message names the option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--g", "1..3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --g: takes a single genus, got '1..3'" in err
+        assert "Traceback" not in err
+
     def test_maximum_genus_accepted(self):
         assert _genus_range(f"{MAX_GENUS - 1}..{MAX_GENUS}") == [MAX_GENUS - 1, MAX_GENUS]
         assert _genus_range(str(MAX_GENUS)) == [MAX_GENUS]
@@ -139,6 +154,32 @@ class TestSearch:
             d.pop("timestamp")
             d.pop("elapsed")
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+    def test_report_keys_and_constants_follow_the_schema(self, capsys, tmp_path):
+        schema = json.loads(SEARCH_SCHEMA.read_text())
+        out_path = tmp_path / "report.json"
+        run(capsys, "search", "--g", "3", "--max-support", "3", "--out", str(out_path))
+        report = json.loads(out_path.read_text())
+        assert set(schema["required"]) <= report.keys() <= schema["properties"].keys()
+
+        def consts(node, path=()):
+            for key, sub in node.get("properties", {}).items():
+                if "const" in sub:
+                    yield path + (key,), sub["const"]
+                yield from consts(sub, path + (key,))
+
+        found = dict(consts(schema))
+        compatibility = {
+            ("parameters", "include_families"), ("counts", "family_elements"),
+            ("counts", "family_added_rank"), ("family_warnings",), ("machine_verified_only",),
+        }
+        assert compatibility <= found.keys()
+        for path, const in found.items():
+            value = report
+            for key in path:
+                value = value[key]
+            # type too: the constant false is not 0
+            assert (type(value), value) == (type(const), const), path
 
     def test_zero_max_support_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
