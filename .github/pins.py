@@ -5,7 +5,8 @@ temporary directory holding the INPUTS files ARGV names, by relative path.  It m
 exit as expected with no "Traceback" on stderr, and match any sha256 of the output
 (``bytes``: the file; ``report``: the JSON less "timestamp" and "elapsed"), facts
 (dotted paths into the report) and peak-RSS bound in MB (``os.wait4``) it is given;
-every verify check must pass and run a trial.  One line per case; exit 1 on a failure.
+every verify check must pass and run a trial.  One line per case, with its wall time
+and peak RSS; exit 1 on a failure.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from collections import namedtuple
 from functools import reduce
 from pathlib import Path
@@ -161,16 +163,18 @@ def check_output(case: Case, data: bytes) -> list[str]:
     return failed
 
 
-def run(case: Case) -> tuple[int, float, list[str]]:
+def run(case: Case) -> tuple[int, float, float, list[str]]:
     with tempfile.TemporaryDirectory() as d:
         for name in set(case.argv) & INPUTS.keys():
             Path(d, name).write_text(INPUTS[name])
         out = ["--out", "out"] if case.hash else []
+        t0 = time.perf_counter()
         with subprocess.Popen([sys.executable, "-m", "bcjcalc.cli", *case.argv, *out], cwd=d,
                               env=dict(os.environ, PYTHONPATH=SRC), stderr=subprocess.PIPE) as p:
             failed = ["Traceback on stderr"] if b"Traceback" in p.stderr.read() else []
             _, status, usage = os.wait4(p.pid, 0)  # after stderr's EOF, so no pipe stalls
             p.returncode = code = os.waitstatus_to_exitcode(status)
+        wall_s = time.perf_counter() - t0
         peak_mb = usage.ru_maxrss / 1024  # KB on Linux
         if code != case.exit:
             failed.append(f"want exit {case.exit}")
@@ -181,14 +185,14 @@ def run(case: Case) -> tuple[int, float, list[str]]:
                 failed += check_output(case, Path(d, "out").read_bytes())
             except (OSError, ValueError, LookupError, TypeError) as exc:
                 failed.append(f"output unreadable: {exc!r}")
-    return code, peak_mb, failed
+    return code, wall_s, peak_mb, failed
 
 
 if __name__ == "__main__":
     n_failed = 0
     for case in CASES:
-        code, peak_mb, failed = run(case)
+        code, wall_s, peak_mb, failed = run(case)
         n_failed += bool(failed)
         print("FAIL" if failed else "ok  ", " ".join(case.argv), "| exit", code,
-              f"| peak RSS {peak_mb:.1f} MB", *(f"| {f}" for f in failed), flush=True)
+              f"| wall {wall_s:.2f} s | peak RSS {peak_mb:.1f} MB", *(f"| {f}" for f in failed), flush=True)
     sys.exit(1 if n_failed else 0)

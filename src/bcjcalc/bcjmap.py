@@ -31,7 +31,6 @@ from .surface import (
     check_genus,
     intersect,
     random_symplectic_rebase,
-    random_sp_word,
     same_genus,
     support,
     transform_basis,
@@ -205,12 +204,6 @@ def equivariance_failures(genus: int, matrices: list[F2Matrix], seed: int = 0) -
         if lhs != rhs:
             failures.append(f"matrix cols {M.cols} on h={basis.h}")
     return failures
-
-
-def random_sp_matrices(genus: int, count: int, seed: int):
-    """`count` random symplectic matrices, each a word of 8 transvections."""
-    rng = random.Random(seed)
-    return [random_sp_word(genus, rng) for _ in range(count)]
 
 
 # -- curve-catalog JSON -------------------------------------------------------

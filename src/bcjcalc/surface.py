@@ -159,28 +159,36 @@ class ZHClass(Value):
         return any(self.coords)
 
 
-def a(genus: int, i: int) -> HClass:
-    """The basis class a_i (1-based handle index)."""
+def _a_position(genus: int, i: int) -> int:
+    """The coordinate position of a_i (1-based handle index); b_i's is g further."""
     check_genus(genus)
     if not 1 <= i <= genus:
         raise ValueError(f"handle index {i} out of range 1..{genus}")
-    return HClass(genus, 1 << (i - 1))
+    return i - 1
+
+
+def a(genus: int, i: int) -> HClass:
+    """The basis class a_i (1-based handle index)."""
+    return HClass(genus, 1 << _a_position(genus, i))
 
 
 def b(genus: int, i: int) -> HClass:
     """The basis class b_i (1-based handle index)."""
-    check_genus(genus)
-    if not 1 <= i <= genus:
-        raise ValueError(f"handle index {i} out of range 1..{genus}")
-    return HClass(genus, 1 << (genus + i - 1))
+    return HClass(genus, 1 << (genus + _a_position(genus, i)))
+
+
+def _unit(genus: int, k: int) -> ZHClass:
+    return ZHClass(genus, tuple(int(j == k) for j in range(2 * genus)))
 
 
 def za(genus: int, i: int) -> ZHClass:
-    return ZHClass(genus, tuple(1 if k == i - 1 else 0 for k in range(2 * genus)))
+    """The integral basis class a_i (1-based handle index)."""
+    return _unit(genus, _a_position(genus, i))
 
 
 def zb(genus: int, i: int) -> ZHClass:
-    return ZHClass(genus, tuple(1 if k == genus + i - 1 else 0 for k in range(2 * genus)))
+    """The integral basis class b_i (1-based handle index)."""
+    return _unit(genus, genus + _a_position(genus, i))
 
 
 def intersect(u: HClass | ZHClass, v: HClass | ZHClass) -> int:

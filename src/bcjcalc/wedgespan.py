@@ -71,7 +71,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb
-from time import perf_counter
 
 from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma, sigma_masks
 from .boolring import (
@@ -341,11 +340,9 @@ def _descriptors_for_set(genus: int, handles: tuple[int, ...]) -> tuple[int, lis
 
 
 def _support_sets(genus: int, max_support: int) -> list[tuple[int, ...]]:
-    sets = []
-    for size in range(1, min(max_support, genus) + 1):
-        sets.extend(combinations(range(1, genus + 1), size))
-    sets.sort(key=lambda S: (len(S), S))
-    return sets
+    # by size, and combinations yields each size in lexicographic order
+    sizes = range(1, min(max_support, genus) + 1)
+    return [S for size in sizes for S in combinations(range(1, genus + 1), size)]
 
 
 def _disjoint_set_pairs(sets: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
@@ -845,15 +842,12 @@ def image_rank_report(
     stays visible in the counts.  The report's `missing` list holds the
     non-index-matched basis elements outside the achieved span; an empty
     list certifies that the span covers the whole subspace W at this genus.
-    The span holds only machine-verified cycle images and their translates,
-    so `include_families`, `family_elements`, `family_added_rank`,
-    `family_warnings` and `machine_verified_only` are constants kept for
-    report compatibility.
+    The result holds the search's findings only; `cli` adds the report
+    envelope (parameters, manifest and run metadata).
     """
     g = check_genus(genus)
     if max_support < 1:
         raise ValueError("max_support must be >= 1")
-    t0 = perf_counter()
     d = b2_basis(g).size
     dm = dims(g)
 
@@ -882,11 +876,6 @@ def image_rank_report(
 
     return {
         "genus": g,
-        "parameters": {
-            "max_support": max_support,
-            "include_families": False,
-            "sp_closure": sp_closure,
-        },
         "rank": span.rank,
         "dims": dm,
         "codim": dm["dim_wedge"] - span.rank,
@@ -902,10 +891,5 @@ def image_rank_report(
             "distinct_images": n_distinct,
             "cycle_rank": cycle_rank,
             "closure_added_rank": closure_added,
-            "family_elements": 0,
-            "family_added_rank": 0,
         },
-        "family_warnings": [],
-        "machine_verified_only": True,
-        "elapsed": perf_counter() - t0,
     }

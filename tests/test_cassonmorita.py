@@ -39,6 +39,14 @@ class TestCMPoly:
         with pytest.raises(ValueError):
             CMPoly.symbol(2, 3, 1)
 
+    @pytest.mark.parametrize("p,q", [(3, 1), (0, 4), (-1, 0)])
+    @pytest.mark.parametrize("coeff", [1, -2, 0])
+    def test_symbol_rejects_a_bad_symbol_with_any_coefficient(self, p, q, coeff):
+        with pytest.raises(ValueError, match=rf"^symbol \({p},{q}\) is not in normal form$"):
+            CMPoly.symbol(2, p, q, coeff)
+        with pytest.raises(ValueError, match=rf"^symbol \({p},{q}\) is not in normal form$"):
+            CMPoly(2, {((p, q),): coeff})
+
     def test_mul_identity_and_zero(self):
         g = 2
         x = sym(g, 0, 2) + CMPoly.const(g, 3)
@@ -729,12 +737,12 @@ class TestLinkingMatrix:
 
 class TestDiagrams:
     def test_verify_passes_g2(self):
-        report = verify_diagrams(2, 120, seed=7)
-        assert report["all_passed"], report
+        checks = verify_diagrams(2, 120, seed=7)
+        assert all(c["passed"] for c in checks.values()), checks
 
     def test_verify_passes_g1(self):
-        report = verify_diagrams(1, 60, seed=8)
-        assert report["all_passed"], report
+        checks = verify_diagrams(1, 60, seed=8)
+        assert all(c["passed"] for c in checks.values()), checks
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_each_integral_basis_validated_once(self, seed, monkeypatch):
@@ -763,7 +771,7 @@ class TestDiagrams:
         monkeypatch.setattr(ZSubsurfaceBasis, "validate", counted_validate)
         monkeypatch.setattr(cassonmorita, "rho_separating", counted_rho)
         monkeypatch.setattr(sf, "symplectic_violation", counted_violation)
-        assert verify_diagrams(4, 40, seed)["all_passed"]
+        assert all(c["passed"] for c in verify_diagrams(4, 40, seed).values())
         assert calls["rho"] > 40
         assert calls["validate"] == calls["rho"]
         assert calls["mod2"] == 0
@@ -819,12 +827,20 @@ class TestDiagrams:
         assert all(not pairs for pairs in read)  # only empty bases, h = 0
 
     def test_zero_trials_never_pass(self):
-        report = verify_diagrams(2, 0, seed=8)
+        checks = verify_diagrams(2, 0, seed=8)
         for name in ("triangle", "mu_quadratic", "right_square"):
-            assert report["checks"][name] == {
+            assert checks[name] == {
                 "trials": 0, "failures": 0, "witnesses": [], "passed": False,
             }
-        assert report["all_passed"] is False
+        assert not all(c["passed"] for c in checks.values())
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_returns_the_check_records_only(self, g):
+        # the report envelope (genus, trials, seed, all_passed) is the CLI's
+        want = {"triangle", "mu_quadratic", "right_square"} | ({"wedge_lift"} if g >= 2 else set())
+        checks = verify_diagrams(g, 8, seed=3)
+        assert set(checks) == want
+        assert all(set(c) == {"trials", "failures", "witnesses", "passed"} for c in checks.values())
 
     def test_triangle_direct(self):
         rng = random.Random(10)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from bcjcalc import bcjmap, cli, wedgespan
 from bcjcalc.cassonmorita import LinkingMatrix
 from bcjcalc.cli import MAX_GENUS, _genus_range, main
+from bcjcalc.surface import random_sp_word
 
 
 SEARCH_SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "search_report.json"
@@ -181,6 +183,29 @@ class TestSearch:
             # type too: the constant false is not 0
             assert (type(value), value) == (type(const), const), path
 
+    @pytest.mark.parametrize("closure", [True, False])
+    def test_report_is_the_search_result_plus_the_envelope(self, capsys, tmp_path, closure):
+        result = wedgespan.image_rank_report(3, 2, sp_closure=closure)
+        envelope = {"parameters", "family_warnings", "machine_verified_only", "manifest",
+                    "timestamp", "elapsed"}
+        assert not envelope & result.keys()
+        assert not {"family_elements", "family_added_rank"} & result["counts"].keys()
+
+        out_path = tmp_path / "report.json"
+        flags = [] if closure else ["--no-sp-closure"]
+        run(capsys, "search", "--g", "3", "--max-support", "2", *flags, "--out", str(out_path))
+        report = json.loads(out_path.read_text())
+        parameters = {"max_support": 2, "sp_closure": closure, "include_families": False}
+        assert report.pop("parameters") == parameters
+        assert report.pop("manifest") == cli._manifest({"g": 3, **parameters})
+        assert isinstance(report.pop("elapsed"), float)
+        assert isinstance(report.pop("timestamp"), str)
+        assert report.pop("family_warnings") == []
+        assert report.pop("machine_verified_only") is True
+        assert report["counts"].pop("family_elements") == 0
+        assert report["counts"].pop("family_added_rank") == 0
+        assert report == json.loads(json.dumps(result))
+
     def test_zero_max_support_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--g", "3", "--max-support", "0"])
@@ -312,6 +337,28 @@ class TestVerify:
         record = json.loads(out_path.read_text())["checks"]["sigma_basis_independence"]
         assert code == 1
         assert record["failures"] == record["trials"] == max(10, trials // 5)
+
+    @pytest.mark.parametrize("g, trials, seed", [(1, 60, 3), (3, 200, 9), (4, 500, 5151)])
+    def test_equivariance_replays_the_sp_words(
+        self, capsys, tmp_path, monkeypatch, g, trials, seed
+    ):
+        # the pinned reports hold counts only, so replay the draws: the
+        # matrices are Sp words drawn in turn from Random(seed ^ 0x22)
+        compared = []
+        real = cli.equivariance_failures
+
+        def recorded(genus, matrices, **kwargs):
+            compared.extend(matrices)
+            return real(genus, matrices, **kwargs)
+
+        monkeypatch.setattr(cli, "equivariance_failures", recorded)
+        code, _, _ = run(
+            capsys, "verify", "--g", str(g), "--trials", str(trials), "--seed", str(seed),
+            "--out", str(tmp_path / "verify.json"),
+        )
+        rng = random.Random(seed ^ 0x22)
+        assert code == 0
+        assert compared == [random_sp_word(g, rng) for _ in range(max(10, trials // 10))]
 
     def test_exhaustive_mu(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"

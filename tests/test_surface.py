@@ -61,6 +61,13 @@ class TestIntersect:
         assert intersect(sf.za(2, 1), sf.zb(2, 1)) == 1
         assert intersect(sf.zb(2, 1), sf.za(2, 1)) == -1
 
+    @pytest.mark.parametrize("make", [sf.a, sf.b, sf.za, sf.zb], ids=["a", "b", "za", "zb"])
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_every_basis_class_rejects_a_handle_outside_the_genus(self, make, g):
+        for i in (0, g + 1):
+            with pytest.raises(ValueError, match=rf"^handle index {i} out of range 1\.\.{g}$"):
+                make(g, i)
+
     def test_integral_form_is_x_transpose_j_y(self):
         # z_pairing, which intersect and symplectic_violation share, against
         # the Gram matrix J of the form: J[a_i][b_i] = 1, J[b_i][a_i] = -1
