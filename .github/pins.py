@@ -54,6 +54,9 @@ INPUTS = {
         _separating("dense-2", [[2, 1, -1, 1, 0, 0], [-1, 0, 0, 1, -1, 1]],
                     [[0, 0, 1, -1, 1, -1], [-1, -1, 1, -1, 1, 0]]),
     ]}),
+    # B = b1 + 10^2200 a2: rho has the coefficient 10^4400, past str()'s 4,300-digit cap
+    "big-rho.json": json.dumps({"genus": 2, "entries": [
+        _separating("big", [[1, 0, 0, 0], [0, 10**2200, 1, 0]])]}),
 }
 
 CASES = [
@@ -77,6 +80,9 @@ CASES = [
     # rho on coordinate and non-coordinate subspaces; pinned with the packed rho kernel
     Case(["eval", "catalog.json", "--format", "json"], 0, "bytes",
          "7a42ff3427dfe441a2682f944c0a1aed985b3816029d9b21d344aee208786168"),
+    # exact rho past the int-to-str cap (its rendering used to end in a traceback)
+    Case(["eval", "big-rho.json", "--format", "json"], 0, "bytes",
+         "b38489dc570c4c558b6852ca51bcb336eb2f0546794fbcb685866bac70d777b1"),
     # dims and orbits scale the genus-4 label census by binomials, so no run builds
     # a slot table above genus 4; orbits at genus 32 used to join 2.16M slots, 280 MB
     Case(["dims", "--g", "1..32", "--format", "json"], 0, "bytes",

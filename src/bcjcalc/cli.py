@@ -13,6 +13,9 @@ run-metadata fields ("timestamp", "elapsed") are dropped.
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
+import gc
 import json
 import random
 import sys
@@ -101,6 +104,24 @@ def _timestamp() -> str:
     seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
     return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
+
+
+@contextlib.contextmanager
+def _exact_int_text():
+    """Lift CPython's cap on int-to-str digits (4,300 by default) inside the
+    block, where eval renders exact rho values.  The catalog is parsed outside
+    it, so json.loads caps its integers at 4,300 digits and rho, of degree 4 in
+    them, stays below about 17,500, which renders in milliseconds.  Interpreters
+    without the cap lack `sys.get_int_max_str_digits`."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -269,38 +290,39 @@ def cmd_eval(args) -> int:
 
     raw, data = read_json(args.catalog, CatalogError)
     g, entries = catalog_from_json(data, MAX_GENUS)
-    results = []
-    for k, (descriptor, zbasis) in enumerate(entries):
-        sig = sigma(descriptor)
-        result = {
-            "label": descriptor.label or f"entry-{k}",
-            "type": "separating" if isinstance(descriptor, SeparatingTwist) else "bp",
-            "sigma": str(sig),
-            "sigma_json": poly_to_json(sig),
-        }
-        if zbasis is not None:
-            rho = rho_separating(zbasis)
-            result["rho"] = str(rho)
-            result["rho_json"] = cmpoly_to_json(rho)
-            result["mu_rho"] = str(mu(rho))
-            result["epsilon_standard"] = epsilon(LinkingMatrix.standard_model(g), rho)
-        results.append(result)
+    with _exact_int_text():
+        results = []
+        for k, (descriptor, zbasis) in enumerate(entries):
+            sig = sigma(descriptor)
+            result = {
+                "label": descriptor.label or f"entry-{k}",
+                "type": "separating" if isinstance(descriptor, SeparatingTwist) else "bp",
+                "sigma": str(sig),
+                "sigma_json": poly_to_json(sig),
+            }
+            if zbasis is not None:
+                rho = rho_separating(zbasis)
+                result["rho"] = str(rho)
+                result["rho_json"] = cmpoly_to_json(rho)
+                result["mu_rho"] = str(mu(rho))
+                result["epsilon_standard"] = epsilon(LinkingMatrix.standard_model(g), rho)
+            results.append(result)
 
-    payload = {
-        "manifest": _manifest(
-            {"catalog": args.catalog, "sha256": hashlib.sha256(raw).hexdigest()}
-        ),
-        "genus": g,
-        "results": results,
-    }
-    rows = [[r.get(c, "") for c in EVAL_CSV_COLUMNS] for r in results]
-    md = []
-    for r in results:
-        label = " ".join(r["label"].splitlines())  # one line per record, as in _fail
-        md.append(f"{label}: sigma = {r['sigma']}")
-        if "rho" in r:
-            md += [f"{label}: rho = {r['rho']}", f"{label}: mu(rho) = {r['mu_rho']}"]
-    _emit_format(args, payload, EVAL_CSV_COLUMNS, rows, md)
+        payload = {
+            "manifest": _manifest(
+                {"catalog": args.catalog, "sha256": hashlib.sha256(raw).hexdigest()}
+            ),
+            "genus": g,
+            "results": results,
+        }
+        rows = [[r.get(c, "") for c in EVAL_CSV_COLUMNS] for r in results]
+        md = []
+        for r in results:
+            label = " ".join(r["label"].splitlines())  # one line per record, as in _fail
+            md.append(f"{label}: sigma = {r['sigma']}")
+            if "rho" in r:
+                md += [f"{label}: rho = {r['rho']}", f"{label}: mu(rho) = {r['mu_rho']}"]
+        _emit_format(args, payload, EVAL_CSV_COLUMNS, rows, md)
     return EXIT_OK
 
 
@@ -372,6 +394,14 @@ def _fail(what: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     """The error boundary: CatalogError exits 2, ConsistencyError and OSError
     exit 3.  Any other exception is a bug and keeps its traceback."""
+    # At interpreter exit, gc.freeze moves every live object to the permanent
+    # generation, so the collections of interpreter shutdown skip the module
+    # graph, the largest part of a short command's exit, and leave its memory to
+    # the OS; stdio flushes, other exit handlers and module teardown still run.
+    # It runs only at exit, so an in-process caller's heap is never frozen, and
+    # is unregistered first so that repeated calls register it once.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

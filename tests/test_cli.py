@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -799,6 +801,46 @@ class TestEval:
             ["z1", "a1*b1", "l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2", "a1*b1"],
         ]
 
+    # B = b1 + K a2 with K = 10^2200 (2,201 digits, within json.loads' cap), so
+    # rho(A, B) = l(A,B) - l(A,A)l(B,B) + l(A,B)^2 expands bilinearly into
+    # coefficients K, 2K and K^2; K^2 has 4,401 digits, past str()'s default cap.
+    BIG_K, BIG_2K, BIG_K2 = "1" + "0" * 2200, "2" + "0" * 2200, "1" + "0" * 4400
+    BIG_RHO = (
+        f"{BIG_K}*l(a1,a2) + l(a1,b1) - {BIG_K2}*l(a1,a1)*l(a2,a2)"
+        f" - {BIG_2K}*l(a1,a1)*l(a2,b1) - l(a1,a1)*l(b1,b1) + {BIG_K2}*l(a1,a2)^2"
+        f" + {BIG_2K}*l(a1,a2)*l(a1,b1) + l(a1,b1)^2"
+    )
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_rho_coefficient_past_the_int_str_cap_is_exact(self, capsys, tmp_path, fmt):
+        # str(K^2) used to raise ValueError in every format, a traceback with exit 1
+        entry = {"type": "separating", "label": "big", "integral": True,
+                 "basis": [[[1, 0, 0, 0], [0, 10**2200, 1, 0]]]}
+        path = self.write_catalog(tmp_path, [entry])
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "eval", path, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+        if fmt == "md":
+            assert out.splitlines()[1] == f"big: rho = {self.BIG_RHO}"
+        elif fmt == "csv":
+            assert list(csv.reader(io.StringIO(out)))[1] == ["big", "a1*b1", self.BIG_RHO, "a1*b1"]
+        else:
+            result = json.loads(out, parse_int=str)["results"][0]
+            assert result["rho"] == self.BIG_RHO
+            coeffs = [term["coeff"] for term in result["rho_json"]]
+            assert coeffs == [self.BIG_K, "1", f"-{self.BIG_K2}", f"-{self.BIG_2K}", "-1",
+                              self.BIG_K2, self.BIG_2K, "1"]
+
+    def test_interpreter_without_the_int_str_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        entry = {"type": "separating", "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]],
+                 "label": "z1", "integral": True}
+        code, out, _ = run(capsys, "eval", self.write_catalog(tmp_path, [entry]))
+        assert code == 0
+        assert "z1: rho = l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2" in out
+
     def test_missing_entries_is_catalog_error(self, capsys, tmp_path):
         # docs/schemas/catalog.json requires `entries`; an empty list stays valid
         path = tmp_path / "catalog.json"
@@ -897,3 +939,32 @@ class TestOutputBytes:
             assert data["manifest"]["config"].pop("catalog") == str(path)
             out = json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestExitHook:
+    @pytest.mark.parametrize("n_calls", [0, 1, 2])
+    def test_heap_is_frozen_at_exit_only(self, n_calls):
+        # In a fresh interpreter, with gc.freeze wrapped to count its calls: an
+        # observer registered before main runs after main's hook (atexit is last
+        # in, first out), so it sees the heap frozen once; right after main
+        # returns nothing is frozen, and importing the cli alone freezes nothing.
+        # Counts are taken from the start-up count (375 on Python 3.12.1, else 0).
+        code = """if True:
+            import atexit, gc, sys
+            sys.path.insert(0, sys.argv[1])
+            freeze, calls, base = gc.freeze, [], gc.get_freeze_count()
+            gc.freeze = lambda: calls.append(1) or freeze()
+            atexit.register(lambda: print("at exit", len(calls), gc.get_freeze_count() > base))
+            from bcjcalc import cli
+            for _ in range(int(sys.argv[2])):
+                cli.main(["dims", "--g", "2", "--format", "json"])
+            print("after main", gc.get_freeze_count() - base)
+        """
+        src = str(Path(cli.__file__).resolve().parents[1])
+        r = subprocess.run([sys.executable, "-c", code, src, str(n_calls)],
+                           capture_output=True, text=True)
+        assert (r.returncode, r.stderr) == (0, "")
+        *reports, after_main, at_exit = r.stdout.splitlines()
+        assert after_main == "after main 0"
+        assert at_exit == ("at exit 1 True" if n_calls else "at exit 0 False")
+        assert "\n".join(reports).count('"dim_wedge": 55') == n_calls
