@@ -40,6 +40,10 @@ INPUTS = {
                          '"basis": [[[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]]}]}',
     "matrix-int.json": '{"genus": 1, "matrix": 5}',
     "row-int.json": '{"genus": 1, "matrix": [5, [1, 0]]}',
+    # integers of 5,001 digits, past CPython's 4,300-digit cap on str-to-int
+    "long-coordinate.json": '{"genus": 1, "entries": [{"type": "separating", '
+                            '"basis": [[[1, 0], [1' + "0" * 5000 + ', 1]]]}]}',
+    "long-linking-number.json": '{"genus": 1, "matrix": [[1' + "0" * 5000 + ', 0], [1, 0]]}',
     # the standard model at genus 4: zero diagonal, L[b_i][a_i] = 1
     "linking-g4.json": json.dumps({"genus": 4, "matrix": [[int(q == p - 4) for q in range(8)]
                                                           for p in range(8)]}),
@@ -65,6 +69,9 @@ CASES = [
                                            "c-int.json", "basis-ints.json", "basis-triple.json")),
     *(Case(["verify", "--g", "1", "--linking-matrix", name], 3)
       for name in ("nested.json", "matrix-int.json", "row-int.json")),
+    # their message names the cap and the digit count (it used to advise an API call)
+    Case(["eval", "long-coordinate.json"], 2),
+    Case(["verify", "--g", "1", "--linking-matrix", "long-linking-number.json"], 3),
     # a removed flag is a usage error
     Case(["search", "--g", "3", "--include-families"], 2),
     # closed-form rho at genus 6, pinned with the packed rho kernel it replaced

@@ -21,14 +21,11 @@ from __future__ import annotations
 import random
 
 from .boolring import BoolMonomial, BoolPoly, bar, substitute_sp
-from .errors import CatalogError, FiltrationError, GeometryError
+from .errors import FiltrationError, GeometryError
 from .gf2core import F2Matrix
 from .surface import (
     HClass,
     SubsurfaceBasis,
-    ZHClass,
-    ZSubsurfaceBasis,
-    check_genus,
     intersect,
     random_symplectic_rebase,
     same_genus,
@@ -204,91 +201,3 @@ def equivariance_failures(genus: int, matrices: list[F2Matrix], seed: int = 0) -
         if lhs != rhs:
             failures.append(f"matrix cols {M.cols} on h={basis.h}")
     return failures
-
-
-# -- curve-catalog JSON -------------------------------------------------------
-
-
-def _check_list(value, n: int | None, want: str) -> None:
-    """Raise the CatalogError `want`, saying what value is, unless it is a
-    list (of n items, if n is given)."""
-    if not isinstance(value, list) or n is not None and len(value) != n:
-        got = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
-        raise CatalogError(f"{want}, got {got}")
-
-
-def _entry_from_json(
-    genus: int, data: dict, where: str
-) -> tuple[Descriptor, ZSubsurfaceBasis | None]:
-    """A catalog entry's descriptor and, if it is marked "integral", its
-    integral basis.  Any schema violation is a CatalogError led by where."""
-    if not isinstance(data, dict):
-        raise CatalogError(f"{where}: entry must be an object")
-    kind = data.get("type")
-    if kind not in ("separating", "bp"):
-        raise CatalogError(f"{where}: unknown type {kind!r}")
-    label = data.get("label", "")
-    if not isinstance(label, str):
-        raise CatalogError(f"{where}: label must be a string, got {type(label).__name__}")
-    integral = data.get("integral", False)
-    if not isinstance(integral, bool):
-        raise CatalogError(
-            f"{where}: integral must be a boolean, got {type(integral).__name__}"
-        )
-    if "basis" not in data:
-        raise CatalogError(f"{where}: missing field 'basis'")
-    _check_list(data["basis"], None, f"{where}: basis must be a list of [A, B] coordinate pairs")
-    if kind == "bp" and "C" not in data:
-        raise CatalogError(f"{where}: bp entry is missing C")
-    if kind == "bp" and integral:
-        raise CatalogError(f"{where}: integral evaluation needs a separating entry")
-    n = 2 * genus
-    for k, pair in enumerate(data["basis"]):
-        _check_list(pair, 2, f"{where}: basis[{k}] must be an [A, B] pair")
-        for i, coords in enumerate(pair):
-            _check_list(coords, n, f"{where}: basis[{k}][{i}] must be a list of {n} coordinates")
-    if kind == "bp":
-        _check_list(data["C"], n, f"{where}: C must be a list of {n} coordinates")
-    try:
-        pairs = tuple(tuple(HClass.from_coords(genus, c) for c in pair) for pair in data["basis"])
-        basis = SubsurfaceBasis(genus, pairs)
-        if kind == "separating":
-            descriptor = SeparatingTwist(basis, label)
-        else:
-            descriptor = BPMap(basis, HClass.from_coords(genus, data["C"]), label)
-        zbasis = None
-        if integral:
-            zbasis = ZSubsurfaceBasis(
-                genus,
-                tuple(tuple(ZHClass.from_coords(genus, c) for c in pair) for pair in data["basis"]),
-            )
-            zbasis.validate()
-        return descriptor, zbasis
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogError(f"{where}: {exc}") from exc
-
-
-def catalog_from_json(
-    data, max_genus: int
-) -> tuple[int, list[tuple[Descriptor, ZSubsurfaceBasis | None]]]:
-    """The genus of a curve catalog, checked before any entry is read, and
-    per entry its descriptor and integral basis (None unless "integral")."""
-    if not isinstance(data, dict) or "genus" not in data:
-        raise CatalogError("catalog must be an object with a genus field")
-    try:
-        g = check_genus(data["genus"])
-    except ValueError as exc:
-        raise CatalogError(str(exc)) from exc
-    if g > max_genus:
-        raise CatalogError(f"genus {g} is above the maximum {max_genus}")
-    if "entries" not in data:
-        raise CatalogError("catalog must have an entries list")
-    entries = data["entries"]
-    if not isinstance(entries, list):
-        raise CatalogError(f"entries must be a list, not {type(entries).__name__}")
-    parsed = []
-    for k, entry in enumerate(entries):
-        label = entry.get("label") if isinstance(entry, dict) else None
-        where = f"entry {k}" + (f" ({label})" if isinstance(label, str) and label else "")
-        parsed.append(_entry_from_json(g, entry, where))
-    return g, parsed

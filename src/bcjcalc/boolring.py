@@ -274,11 +274,3 @@ def b2_basis(genus: int) -> B2Basis:
     basis = B2Basis(g, tuple(mons), index)
     assert basis.size == 2 * g * g + g + 1
     return basis
-
-
-# -- text / JSON codecs ------------------------------------------------------
-
-
-def poly_to_json(p: BoolPoly) -> list[list[int]]:
-    """Sorted list of monomials, each a sorted list of variable indices."""
-    return [list(m.variables()) for m in p.monomials()]

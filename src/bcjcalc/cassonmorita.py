@@ -365,14 +365,7 @@ class LinkingMatrix(Value):
 
     @classmethod
     def from_rows(cls, genus: int, rows: Sequence[Sequence[int]]) -> "LinkingMatrix":
-        if not isinstance(rows, (list, tuple)):
-            raise TypeError(f"matrix must be a list of rows, got {type(rows).__name__}")
-        for p, row in enumerate(rows):
-            if not isinstance(row, (list, tuple)):
-                raise TypeError(f"matrix row {p} must be a list, got {type(row).__name__}")
-        return cls(
-            genus, tuple(tuple(check_int(e, "linking number") for e in row) for row in rows)
-        )
+        return cls(genus, tuple(tuple(check_int(e, "linking number") for e in row) for row in rows))
 
     @classmethod
     def standard_model(cls, genus: int) -> "LinkingMatrix":
@@ -411,19 +404,6 @@ class LinkingMatrix(Value):
         """Mod-2 diagonal; the self-linking form u -> u^T L u mod 2."""
         diagonal = [self.entries[k][k] for k in range(2 * self.genus)]
         return SelfLinkingForm(self.genus, parity_bits(diagonal))
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LinkingMatrix":
-        """The matrix of a linking-matrix document; a missing or malformed
-        field is a ConsistencyError, like a violated constraint."""
-        if not isinstance(data, dict):
-            raise ConsistencyError("linking matrix must be a JSON object")
-        try:
-            return cls.from_rows(check_genus(data["genus"]), data["matrix"])
-        except KeyError as exc:
-            raise ConsistencyError(f"missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConsistencyError(str(exc)) from exc
 
 
 def epsilon(L: LinkingMatrix, x: CMPoly) -> int:
@@ -560,13 +540,3 @@ def mu_quadratic_exhaustive(genus: int) -> list[str]:
         if mu(cm_generator(u, u)) != bar(u.mod2()):
             failures.append(f"u bits {bits:0{2 * g}b}")
     return failures
-
-
-# -- JSON ----------------------------------------------------------------------
-
-
-def cmpoly_to_json(x: CMPoly) -> list[dict]:
-    out = []
-    for mon in sorted(x.terms, key=lambda m: (len(m), m)):
-        out.append({"coeff": x.terms[mon], "monomial": [list(s) for s in mon]})
-    return out

@@ -25,15 +25,12 @@ from . import __version__
 from .bcjmap import (
     SeparatingTwist,
     basis_independence_failures,
-    catalog_from_json,
     equivariance_failures,
     sigma,
 )
-from .boolring import poly_to_json
 from .cassonmorita import (
     LinkingMatrix,
     check_record,
-    cmpoly_to_json,
     epsilon,
     mu,
     mu_quadratic_exhaustive,
@@ -41,7 +38,7 @@ from .cassonmorita import (
     rho_separating,
     verify_diagrams,
 )
-from .errors import CatalogError, ConsistencyError, read_json
+from .errors import CatalogError, ConsistencyError
 from .surface import random_sp_word
 from .wedgespan import ROMAN, dims, image_rank_report, orbit_classes
 
@@ -240,14 +237,13 @@ def cmd_verify(args) -> int:
         "exhaustive_mu": args.exhaustive_mu,
         "linking_matrix": args.linking_matrix,
     }
-    L = None
     if args.linking_matrix:
-        L = LinkingMatrix.from_json(read_json(args.linking_matrix, ConsistencyError)[1])
-        if L.genus != g:
-            raise ConsistencyError(f"genus {L.genus} does not match --g {g}")
+        from .jsonio import read_linking_matrix  # only this option reads a document
+
+        L = read_linking_matrix(args.linking_matrix, g)
 
     checks = verify_diagrams(g, args.trials, args.seed)
-    if L is not None:
+    if args.linking_matrix:
         n = max(1, args.trials // 5)
         failures = right_square_failures(g, n, random.Random(args.seed ^ 0x11), L)
         checks["right_square_with_matrix"] = check_record(failures, n)
@@ -286,10 +282,9 @@ EVAL_CSV_COLUMNS = ("label", "sigma", "rho", "mu_rho")
 
 
 def cmd_eval(args) -> int:
-    import hashlib  # only eval digests its input; a cold import costs every command
+    from . import jsonio  # eval and verify --linking-matrix alone read or write documents
 
-    raw, data = read_json(args.catalog, CatalogError)
-    g, entries = catalog_from_json(data, MAX_GENUS)
+    sha256, g, entries = jsonio.read_catalog(args.catalog, MAX_GENUS)
     with _exact_int_text():
         results = []
         for k, (descriptor, zbasis) in enumerate(entries):
@@ -298,20 +293,18 @@ def cmd_eval(args) -> int:
                 "label": descriptor.label or f"entry-{k}",
                 "type": "separating" if isinstance(descriptor, SeparatingTwist) else "bp",
                 "sigma": str(sig),
-                "sigma_json": poly_to_json(sig),
+                "sigma_json": jsonio.poly_to_json(sig),
             }
             if zbasis is not None:
                 rho = rho_separating(zbasis)
                 result["rho"] = str(rho)
-                result["rho_json"] = cmpoly_to_json(rho)
+                result["rho_json"] = jsonio.cmpoly_to_json(rho)
                 result["mu_rho"] = str(mu(rho))
                 result["epsilon_standard"] = epsilon(LinkingMatrix.standard_model(g), rho)
             results.append(result)
 
         payload = {
-            "manifest": _manifest(
-                {"catalog": args.catalog, "sha256": hashlib.sha256(raw).hexdigest()}
-            ),
+            "manifest": _manifest({"catalog": args.catalog, "sha256": sha256}),
             "genus": g,
             "results": results,
         }

@@ -1,6 +1,4 @@
-"""Exception types shared across the package, and a JSON reader raising them."""
-
-import json
+"""Exception types shared across the package."""
 
 
 class DimensionError(ValueError):
@@ -37,15 +35,4 @@ class ConsistencyError(ValueError):
 
 
 class CatalogError(ValueError):
-    """A curve-catalog entry does not match the documented schema."""
-
-
-def read_json(path: str, error_type: type[ValueError]) -> tuple[bytes, object]:
-    """The bytes of the file at path and the JSON they hold; a file that does
-    not parse, too deep a nesting included, raises error_type."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw, json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise error_type(f"not valid JSON: {exc}") from exc
+    """A curve catalog is not JSON or does not match the documented schema."""

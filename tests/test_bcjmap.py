@@ -11,7 +11,6 @@ from bcjcalc.bcjmap import (
     BPMap,
     SeparatingTwist,
     basis_independence_failures,
-    catalog_from_json,
     equivariance_failures,
     is_index_matched,
     sigma,
@@ -35,6 +34,7 @@ from bcjcalc.errors import (
     GeometryError,
 )
 from bcjcalc.gf2core import F2Matrix
+from bcjcalc.jsonio import catalog_from_json
 from bcjcalc.surface import HClass, SubsurfaceBasis, intersect, random_symplectic_rebase
 
 

@@ -15,13 +15,13 @@ from bcjcalc.boolring import (
     bar,
     evaluate,
     monomial_image,
-    poly_to_json,
     require_degree,
     sp_variable_images,
     substitute_sp,
 )
 from bcjcalc.errors import FiltrationError, GenusMismatchError, MatrixError
 from bcjcalc.gf2core import F2Matrix, SpanBasis, bit_indices
+from bcjcalc.jsonio import poly_to_json
 from bcjcalc.surface import HClass
 
 

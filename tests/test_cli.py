@@ -12,13 +12,23 @@ from pathlib import Path
 
 import pytest
 
-from bcjcalc import bcjmap, cli, wedgespan
+from bcjcalc import bcjmap, cli, jsonio, wedgespan
 from bcjcalc.cassonmorita import LinkingMatrix
 from bcjcalc.cli import MAX_GENUS, _genus_range, main
+from bcjcalc.errors import CatalogError, ConsistencyError
 from bcjcalc.surface import random_sp_word
 
 
-SEARCH_SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "search_report.json"
+SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+SEARCH_SCHEMA = SCHEMAS / "search_report.json"
+
+
+def str_digit_cap() -> int:
+    """CPython's cap on the digits of a str-to-int conversion; skip without one."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not cap:
+        pytest.skip("this interpreter converts integers of any length")
+    return cap
 
 
 def standard_model_json(g):
@@ -482,6 +492,18 @@ class TestVerify:
             "invalid linking matrix: genus must be a positive integer, got True"
         )
 
+    def test_integer_past_the_str_digit_cap_is_one_line(self, capsys, tmp_path):
+        # json.loads' message advised sys.set_int_max_str_digits(), which a
+        # command-line user cannot call
+        cap = str_digit_cap()
+        mat_path = tmp_path / "L.json"
+        mat_path.write_text('{"genus": 1, "matrix": [[1' + "0" * cap + ", 0], [1, 0]]}")
+        code, out, err = run(capsys, "verify", "--g", "1", "--linking-matrix", str(mat_path))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"invalid linking matrix: an integer has {cap + 1} digits, more than the {cap} allowed\n"
+        )
+
     def test_deeply_nested_json_exits_three(self, capsys, tmp_path):
         # 100,000 nested brackets used to end in a RecursionError traceback
         mat_path = tmp_path / "nested.json"
@@ -734,6 +756,17 @@ class TestEval:
         assert out == ""
         assert err.strip() == f"catalog error: {message}"
 
+    def test_integer_past_the_str_digit_cap_is_one_line(self, capsys, tmp_path):
+        # json.loads' message advised sys.set_int_max_str_digits(), which a
+        # command-line user cannot call; the sign is not a digit
+        cap = str_digit_cap()
+        path = tmp_path / "catalog.json"
+        path.write_text('{"genus": 1, "entries": [{"type": "separating", '
+                        '"basis": [[[1, 0], [-1' + "0" * cap + ", 1]]]}]}")
+        code, out, err = run(capsys, "eval", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"catalog error: an integer has {cap + 1} digits, more than the {cap} allowed\n"
+
     def test_deeply_nested_json_is_catalog_error(self, capsys, tmp_path):
         # 100,000 nested brackets used to end in a RecursionError traceback
         path = tmp_path / "nested.json"
@@ -939,6 +972,88 @@ class TestOutputBytes:
             assert data["manifest"]["config"].pop("catalog") == str(path)
             out = json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class KeyLog(dict):
+    """A dict that records every key a reader looks up in it."""
+
+    def __init__(self, *args, **fields):
+        super().__init__(*args, **fields)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+class TestDocuments:
+    """The readers of `bcjcalc.jsonio` against docs/schemas, and the commands
+    that load that module."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["search", "--g", "3"], False),
+            (["verify", "--g", "2", "--trials", "5"], False),
+            (["eval", "catalog.json"], True),
+            (["verify", "--g", "2", "--trials", "5", "--linking-matrix", "L.json"], True),
+        ],
+        ids=["search", "verify", "eval", "verify-linking-matrix"],
+    )
+    def test_only_commands_that_read_a_document_load_the_module(self, tmp_path, argv, loaded):
+        (tmp_path / "catalog.json").write_text(json.dumps(PIN_CATALOG))
+        (tmp_path / "L.json").write_text(json.dumps(standard_model_json(2)))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import bcjcalc, bcjcalc.cli; "
+            "before = 'bcjcalc.jsonio' in sys.modules; "
+            "code = bcjcalc.cli.main(sys.argv[2:] + ['--out', 'out']); "
+            "print(code, before, 'bcjcalc.jsonio' in sys.modules)"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        r = subprocess.run([sys.executable, "-S", "-c", code, src, *argv],
+                           cwd=tmp_path, capture_output=True, text=True, check=True)
+        assert r.stdout.split() == ["0", "False", str(loaded)]
+
+    def test_catalog_reader_fields_follow_the_schema(self):
+        schema = json.loads((SCHEMAS / "catalog.json").read_text())
+        item = schema["properties"]["entries"]["items"]
+        entries = [
+            KeyLog(type="bp", label="bp1", basis=[[[0, 1, 0, 0], [0, 0, 0, 1]]], C=[1, 0, 0, 0]),
+            KeyLog(type="separating", label="z1", integral=True,
+                   basis=[[[1, 0, 0, 0], [0, 0, 1, 0]]]),
+        ]
+        document = KeyLog(genus=2, entries=entries)
+        jsonio.catalog_from_json(document, MAX_GENUS)
+        assert document.read == schema["properties"].keys()
+        assert set(schema["required"]) <= document.read
+        assert set().union(*(e.read for e in entries)) == item["properties"].keys()
+        assert set(item["required"]) <= item["properties"].keys()
+        for field in item["required"]:
+            entry = {k: v for k, v in entries[1].items() if k != field}
+            with pytest.raises(CatalogError):
+                jsonio.catalog_from_json({"genus": 2, "entries": [entry]}, MAX_GENUS)
+        for field in schema["required"]:
+            with pytest.raises(CatalogError):
+                jsonio.catalog_from_json({k: v for k, v in document.items() if k != field},
+                                         MAX_GENUS)
+
+    def test_linking_matrix_reader_fields_follow_the_schema(self):
+        schema = json.loads((SCHEMAS / "linking_matrix.json").read_text())
+        document = KeyLog(standard_model_json(2))
+        assert jsonio.linking_matrix_from_json(document) == LinkingMatrix.standard_model(2)
+        assert document.read == schema["properties"].keys()
+        assert set(schema["required"]) <= document.read
+        for field in schema["required"]:
+            with pytest.raises(ConsistencyError):
+                jsonio.linking_matrix_from_json({k: v for k, v in document.items() if k != field})
 
 
 class TestExitHook:

@@ -684,7 +684,7 @@ class TestRandintDraw:
 
 def catalog_basis(genus, pairs):
     """The basis of a one-entry separating-twist catalog."""
-    from bcjcalc.bcjmap import catalog_from_json
+    from bcjcalc.jsonio import catalog_from_json
 
     _, [(twist, _)] = catalog_from_json(
         {"genus": genus, "entries": [{"type": "separating", "basis": pairs}]}, 32
@@ -718,7 +718,7 @@ class TestJson:
             2, tuple(tuple(ZHClass.from_coords(2, c) for c in pair) for pair in zpairs)
         )
         assert zbasis == ZSubsurfaceBasis.standard(2, [1, 2])
-        from bcjcalc.bcjmap import catalog_from_json
+        from bcjcalc.jsonio import catalog_from_json
 
         entry = {"type": "separating", "basis": zpairs, "integral": True}
         _, [(_, decoded)] = catalog_from_json({"genus": 2, "entries": [entry]}, 32)
