@@ -106,11 +106,9 @@ class HClass(Value):
 
     @classmethod
     def from_coords(cls, genus: int, coords: Sequence[int]) -> "HClass":
-        if not isinstance(coords, (list, tuple)):
-            raise TypeError(f"coordinates must be a list, got {type(coords).__name__}")
-        if len(coords) != 2 * genus:
-            raise DimensionError(f"expected {2 * genus} coordinates")
-        return cls(genus, parity_bits([check_int(c) for c in coords]))
+        """The mod-2 reduction of integer coordinates, checked as by
+        `ZHClass.from_coords`."""
+        return ZHClass.from_coords(genus, coords).mod2()
 
     def coords(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(2 * self.genus)]
@@ -141,6 +139,12 @@ class ZHClass(Value):
 
     @classmethod
     def from_coords(cls, genus: int, coords: Sequence[int]) -> "ZHClass":
+        """The class of a list (or tuple) of 2g integers; the type is checked
+        first, then the length, then each entry."""
+        if not isinstance(coords, (list, tuple)):
+            raise TypeError(f"coordinates must be a list, got {type(coords).__name__}")
+        if len(coords) != 2 * genus:
+            raise DimensionError(f"expected {2 * genus} coordinates")
         return cls(genus, tuple(check_int(c) for c in coords))
 
     def __add__(self, other: "ZHClass") -> "ZHClass":

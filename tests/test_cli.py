@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, determinism, schemas."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -1083,3 +1084,86 @@ class TestExitHook:
         assert after_main == "after main 0"
         assert at_exit == ("at exit 1 True" if n_calls else "at exit 0 False")
         assert "\n".join(reports).count('"dim_wedge": 55') == n_calls
+
+
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter with bcjcalc's src first on sys.path
+    (it is argv[1] there, `args` follow); its stdout lines."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-c", code, src, *args], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    return r.stdout.splitlines()
+
+
+class TestCollector:
+    """main turns the cyclic collector off from parsing to return and gives
+    the caller back the state it had."""
+
+    def test_no_collection_while_a_search_runs(self):
+        # With the collector left on, this run makes 8 collection passes
+        # (Python 3.11).
+        code = """if True:
+            import contextlib, gc, io, os, sys
+            sys.path.insert(0, sys.argv[1])
+            from bcjcalc import cli
+            passes = []
+            gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(1))
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["search", "--g", "5", "--max-support", "3", "--out", os.devnull])
+            gc.callbacks.clear()
+            print(code, len(passes), gc.isenabled())
+        """
+        assert run_fresh(code) == ["0 0 True"]
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["search", "--g", "3"], 0),
+            (["search", "--g", "2"], 1),  # 26 slots missing
+            (["search", "--g", "1..3"], 2),  # argparse raises SystemExit
+            (["eval", "/nonexistent-dir/catalog.json"], 3),
+            (["--version"], 0),  # SystemExit(0)
+        ],
+        ids=["ok", "check-failed", "usage", "io", "version"],
+    )
+    def test_caller_state_restored_on_every_exit_path(self, capsys, argv, exit_code, collecting):
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert (code, after) == (exit_code, collecting)
+
+    def test_disabled_caller_and_constant_cyclic_garbage(self):
+        # A caller that disabled the collector finds it disabled after main,
+        # and the only cyclic garbage a command leaves is its parser, the same
+        # at genus 3 as at genus 8.
+        code = """if True:
+            import contextlib, gc, io, os, sys
+            sys.path.insert(0, sys.argv[1])
+            from bcjcalc import cli
+            gc.disable()
+            for g in ("3", "8"):
+                gc.collect()
+                with contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(["search", "--g", g, "--out", os.devnull])
+                print(gc.isenabled(), gc.collect())
+        """
+        first, second = run_fresh(code)
+        assert first == second
+        assert first.startswith("False ")
+
+    def test_import_leaves_the_collector_enabled(self):
+        code = """if True:
+            import gc, sys
+            sys.path.insert(0, sys.argv[1])
+            import bcjcalc, bcjcalc.cli
+            print(gc.isenabled())
+        """
+        assert run_fresh(code) == ["True"]

@@ -733,3 +733,18 @@ class TestJson:
         # 5 used to fail inside len(): "object of type 'int' has no len()"
         with pytest.raises(TypeError, match=f"^coordinates must be a list, got {got}$"):
             HClass.from_coords(2, coords)
+
+    @pytest.mark.parametrize("cls", [HClass, ZHClass])
+    @pytest.mark.parametrize(
+        "coords, error, message",
+        [
+            (5, TypeError, "coordinates must be a list, got int"),
+            ([1.5, 0, 0], DimensionError, "expected 4 coordinates"),  # length before entries
+            ([0, True, 0, 0], TypeError, "coordinate must be an integer, got True"),
+            ([0, 0, 1.0, 0], TypeError, "coordinate must be an integer, got 1.0"),
+        ],
+        ids=["non-list", "short-with-float", "bool", "float"],
+    )
+    def test_both_classes_check_coordinates_alike(self, cls, coords, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls.from_coords(2, coords)
