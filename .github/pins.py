@@ -100,6 +100,14 @@ CASES = [
          "6e94ff10ec27ae2903b1c42895399e9a48120d591352850081ff395b77e5ec30"),
     Case(["orbits", "--g", "32", "--format", "json"], 0, "bytes",
          "22e08dabe55ade75af3e2854f90c418338487ba79db986b96cf5ba8c08d02c82", rss_mb=40),
+    # the benchmark's two searches, whole reports: bench/golden keeps only the math
+    # fields, not the orbit_hits cycle labels rendered from the packed spines
+    Case(["search", "--g", "4", "--max-support", "3"], 0, "report",
+         "10891988b9f4eee09a0abd9a57704e1e3e304f415fe8f01331a763451e5c1524",
+         {"rank": 630, "codim": 36}),
+    Case(["search", "--g", "5", "--max-support", "3"], 0, "report",
+         "396041419de02a52bb1c83a06d3cc20af514595063f8c2b5d5e8033b90f85b2a",
+         {"rank": 1485, "codim": 55}),
     # search: saturation stores no slot-delta tables (with them g = 10 peaked at 308 MB)
     Case(["search", "--g", "5", "--max-support", "2"], 0, "report",
          "2d8abbbe200552fd993b6671402949ae72cf72f0e81716a617c8a9ad83b567f3"),

@@ -178,8 +178,9 @@ def evaluate(p: BoolPoly, form: SelfLinkingForm) -> int:
     return acc
 
 
-def sp_variable_images(M: F2Matrix, genus: int) -> tuple[BoolPoly, ...]:
-    """The images bar(M e_k) of the 2g variables under substitution by M.
+def sp_variable_images(M: F2Matrix, genus: int) -> tuple[frozenset[int], ...]:
+    """The mask sets of the images bar(M e_k) of the 2g variables under
+    substitution by M.
 
     Raises MatrixError unless M is a symplectic 2g x 2g matrix; build these
     once per matrix and reuse them for every polynomial substituted by it.
@@ -188,7 +189,7 @@ def sp_variable_images(M: F2Matrix, genus: int) -> tuple[BoolPoly, ...]:
         raise MatrixError(f"matrix size {M.n} does not match 2g = {2 * genus}")
     if not is_symplectic(M, genus):
         raise MatrixError("substitution matrix does not preserve the pairing")
-    return tuple(bar(HClass(genus, M.cols[v])) for v in range(2 * genus))
+    return tuple(bar(HClass(genus, M.cols[v])).masks for v in range(2 * genus))
 
 
 def _mask_product(p: Iterable[int], q: Iterable[int]) -> set[int]:
@@ -206,26 +207,25 @@ def _mask_product(p: Iterable[int], q: Iterable[int]) -> set[int]:
     return acc
 
 
-def monomial_image(genus: int, images: Sequence[BoolPoly], mask: int) -> BoolPoly:
-    """Product of the variable images of the monomial with this mask, taken
-    on mask sets; one polynomial is built, for the result."""
-    term: Iterable[int] = (0,)
+def monomial_image(images: Sequence[frozenset[int]], mask: int) -> set[int]:
+    """The mask set of the product of the variable images (`sp_variable_images`)
+    of the monomial with this mask."""
+    term = {0}
     m = mask
     while m:
         v = m.bit_length() - 1
-        term = _mask_product(term, images[v].masks)
+        term = _mask_product(term, images[v])
         m ^= 1 << v
-    return BoolPoly(genus, term)
+    return term
 
 
 def substitute_sp(M: F2Matrix, p: BoolPoly) -> BoolPoly:
     """Algebra endomorphism ebar_k -> bar(M e_k), M symplectic (checked)."""
-    g = p.genus
-    images = sp_variable_images(M, g)
-    acc = BoolPoly.zero(g)
+    images = sp_variable_images(M, p.genus)
+    acc: set[int] = set()
     for m in p.masks:
-        acc = acc + monomial_image(g, images, m)
-    return acc
+        acc ^= monomial_image(images, m)
+    return BoolPoly(p.genus, acc)
 
 
 # -- the canonical degree-<=2 basis -----------------------------------------

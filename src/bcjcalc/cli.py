@@ -180,22 +180,17 @@ ORBIT_COLUMNS = ("class", "size", "representative")
 
 def cmd_orbits(args) -> int:
     report = orbit_classes(args.g[0])
+    classes = report["classes"]
     rows = [
-        (lab, report.classes[lab], report.representatives[lab])
+        (lab, classes[lab]["size"], classes[lab]["representative"])
         for lab in ROMAN
-        if lab in report.classes
+        if lab in classes
     ]
-    payload = {
-        "manifest": _manifest({"g": report.genus}),
-        "genus": report.genus,
-        "n_classes": report.n_classes,
-        "classes": {lab: {"size": n, "representative": rep} for lab, n, rep in rows},
-        "errors": report.errors,
-    }
-    md = [f"# Orbit classes at genus {report.genus}", ""] + _md_table(ORBIT_COLUMNS, rows)
-    md += [f"classification error: {err}" for err in report.errors]
-    _emit_format(args, payload, ORBIT_COLUMNS, rows, md)
-    return EXIT_CHECK_FAILED if report.errors else EXIT_OK
+    report["manifest"] = _manifest({"g": report["genus"]})
+    md = [f"# Orbit classes at genus {report['genus']}", ""] + _md_table(ORBIT_COLUMNS, rows)
+    md += [f"classification error: {err}" for err in report["errors"]]
+    _emit_format(args, report, ORBIT_COLUMNS, rows, md)
+    return EXIT_CHECK_FAILED if report["errors"] else EXIT_OK
 
 
 # -- search -------------------------------------------------------------------
@@ -285,6 +280,7 @@ def cmd_eval(args) -> int:
     from . import jsonio  # eval and verify --linking-matrix alone read or write documents
 
     sha256, g, entries = jsonio.read_catalog(args.catalog, MAX_GENUS)
+    standard = LinkingMatrix.standard_model(g)
     with _exact_int_text():
         results = []
         for k, (descriptor, zbasis) in enumerate(entries):
@@ -300,7 +296,7 @@ def cmd_eval(args) -> int:
                 result["rho"] = str(rho)
                 result["rho_json"] = jsonio.cmpoly_to_json(rho)
                 result["mu_rho"] = str(mu(rho))
-                result["epsilon_standard"] = epsilon(LinkingMatrix.standard_model(g), rho)
+                result["epsilon_standard"] = epsilon(standard, rho)
             results.append(result)
 
         payload = {

@@ -12,9 +12,9 @@ with disjoint handle supports admit disjoint representatives.  Handle-support
 disjointness is therefore a sufficient, conservative criterion for disjoint
 realization; cycles that would need overlapping supports are not
 enumerated.  The search represents a spine as a packed pair (x, y) of
-``wedgespan._local_spines``; a genus-1 ``SubsurfaceBasis`` holds one only
-where a twist object is built: the search's first-hit labels, ``eval`` and
-tests.
+``wedgespan._local_spines`` and names its first hits from it with
+``class_name``; a genus-1 ``SubsurfaceBasis`` holds one only where a twist
+object is built: ``eval`` and tests.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ def check_int(x, what: str = "coordinate") -> int:
 def coordinate_name(genus: int, p: int) -> str:
     """Name of coordinate position p: a1..ag, then b1..bg."""
     return f"a{p + 1}" if p < genus else f"b{p - genus + 1}"
+
+
+def class_name(genus: int, bits: int) -> str:
+    """Text form of a packed class: its coordinate names joined by "+", "0" for 0."""
+    return "+".join(coordinate_name(genus, p) for p in bit_indices(bits)) or "0"
 
 
 def pairing(genus: int, x: int, y: int) -> int:
@@ -120,9 +125,7 @@ class HClass(Value):
         return self.bits != 0
 
     def __str__(self) -> str:
-        g = self.genus
-        terms = [coordinate_name(g, i) for i in bit_indices(self.bits)]
-        return "+".join(terms) if terms else "0"
+        return class_name(self.genus, self.bits)
 
 
 class ZHClass(Value):

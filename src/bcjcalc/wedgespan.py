@@ -29,8 +29,8 @@ carried through `_basis_map`.  A template evaluates sigma once per plane
 on the choice of symplectic basis, so the 6 ordered bases of a plane share
 one value, and the 1,788 spines on 1..3 handles cost 298 calls.  A
 template calls sigma's kernel `sigma_masks` on the packed spine at genus s,
-so twists with their handle maps and `sep(x,y)` labels (`_twist`) are built
-for the per-class first hits only.
+and the per-class first hits are named `sep(x,y)` from the relabelled packed
+spine (`_spine_label`), so the search builds no twist object.
 
 Support-disjoint cycles alone cannot span W: each of their image slots pairs
 two monomials on disjoint handle sets, so the slots whose monomials share a
@@ -72,7 +72,7 @@ from functools import lru_cache
 from itertools import combinations, repeat
 from math import comb
 
-from .bcjmap import Descriptor, SeparatingTwist, is_index_matched, sigma, sigma_masks
+from .bcjmap import Descriptor, is_index_matched, sigma, sigma_masks
 from .boolring import (
     BoolMonomial,
     BoolPoly,
@@ -85,8 +85,8 @@ from .errors import DisjointnessError, GenusMismatchError
 from .gf2core import F2Matrix, SpanBasis, bit_indices
 from .surface import (
     HClass,
-    SubsurfaceBasis,
     check_genus,
+    class_name,
     handle_bits,
     paired_handles,
     same_genus,
@@ -284,11 +284,12 @@ def _basis_map(genus: int, var_map: Sequence[int]) -> list[int]:
     return to
 
 
-def _twist(genus: int, handles: tuple[int, ...], pos: int) -> SeparatingTwist:
-    """The separating twist of local spine `pos` relabelled onto `handles`."""
+def _spine_label(genus: int, handles: tuple[int, ...], pos: int) -> str:
+    """`sep(x,y)`: the label of the separating twist of local spine `pos`
+    relabelled onto `handles`, rendered from the packed spine."""
     var_map = _handle_map(genus, handles)
-    x, y = (HClass(genus, _map_bits(var_map, v)) for v in _local_spines(len(handles))[pos])
-    return SeparatingTwist(SubsurfaceBasis(genus, ((x, y),)), label=f"sep({x},{y})")
+    x, y = (class_name(genus, _map_bits(var_map, v)) for v in _local_spines(len(handles))[pos])
+    return f"sep({x},{y})"
 
 
 @lru_cache(maxsize=None)
@@ -470,27 +471,12 @@ def _class_sizes(genus: int) -> dict[str, int]:
     return {lab: c * comb(genus, k) for lab, (k, c) in _census().items()}
 
 
-class OrbitReport(Value):
-    """The orbit classes of the non-index-matched wedge basis under handle
-    swaps and transpositions: per label, its slot count (`classes`) and its
-    first slot, rendered (`representatives`); and any partition errors."""
-
-    __slots__ = ("genus", "classes", "representatives", "errors")
-
-    def __init__(self, genus: int, classes: dict, representatives: dict, errors: list):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "errors", errors)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
-
-def orbit_classes(genus: int) -> OrbitReport:
+def orbit_classes(genus: int) -> dict:
     """Connected components of the non-matched wedge basis under handle
-    swaps and transpositions, labelled by their index pattern.
+    swaps and transpositions, labelled by their index pattern: the genus,
+    the class count, per label its slot count and its first slot, rendered
+    ("size", "representative"), in order of first slots, and any partition
+    errors.  `cli` adds the manifest.
 
     Slots are joined at genus min(g, 4) only, under generator maps carried
     onto slots by `_basis_map`: that gives the components, representatives
@@ -529,7 +515,7 @@ def orbit_classes(genus: int) -> OrbitReport:
             components.setdefault(find(slot), []).append(slot)
 
     sizes = _class_sizes(g)
-    classes, representatives, errors = {}, {}, []
+    classes, errors = {}, []
     for slots in components.values():
         seen = {labels[s] for s in slots}
         if len(seen) != 1:
@@ -541,9 +527,8 @@ def orbit_classes(genus: int) -> OrbitReport:
         if lab in classes:
             errors.append(f"pattern {lab} splits into several components")
             continue
-        classes[lab] = sizes[lab]
-        representatives[lab] = render_slot(h, slots[0])
-    return OrbitReport(g, classes, representatives, errors)
+        classes[lab] = {"size": sizes[lab], "representative": render_slot(h, slots[0])}
+    return {"genus": g, "n_classes": len(classes), "classes": classes, "errors": errors}
 
 
 # -- the symplectic action on the wedge square ---------------------------------
@@ -589,10 +574,10 @@ def _wedge_action_table(genus: int, M) -> tuple[tuple[tuple[int, ...], ...], int
     """
     basis = b2_basis(genus)
     images = sp_variable_images(M, genus)
-    moved_vars = sum(1 << v for v, img in enumerate(images) if img.masks != {1 << v})
+    moved_vars = sum(1 << v for v, img in enumerate(images) if img != {1 << v})
     index = basis.index_of_mask
     mon_images = tuple(
-        tuple(index[m] for m in monomial_image(genus, images, mono.mask).masks)
+        tuple(index[m] for m in monomial_image(images, mono.mask))
         if mono.mask & moved_vars
         else (k,)
         for k, mono in enumerate(basis.monomials)
@@ -822,8 +807,8 @@ def _fold_stream(
                             lab = label(low.bit_length() - 1)
                             if lab in unhit:
                                 unhit.remove(lab)
-                                t1, t2 = _twist(genus, set1, pos1), _twist(genus, set2, pos2)
-                                hits[lab] = (base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
+                                l1, l2 = _spine_label(genus, set1, pos1), _spine_label(genus, set2, pos2)
+                                hits[lab] = (base + pos1 * n2 + pos2, f"{l1} & {l2}")
                             live ^= low
                             bits ^= low
             base += comb(genus - a, b) * n1 * n2  # the blocks of (1..a) and a b-set

@@ -588,6 +588,24 @@ class TestEval:
         assert "z1: rho = l(a1,b1) - l(a1,a1)*l(b1,b1) + l(a1,b1)^2" in out
         assert "z1: mu(rho) = a1*b1" in out
 
+    def test_standard_model_built_once(self, capsys, tmp_path, monkeypatch):
+        # every integral entry's epsilon_standard reads one standard matrix;
+        # it used to be rebuilt and re-checked per entry
+        standard_model = LinkingMatrix.standard_model.__func__
+        calls = []
+
+        def counted(cls, genus):
+            calls.append(genus)
+            return standard_model(cls, genus)
+
+        monkeypatch.setattr(LinkingMatrix, "standard_model", classmethod(counted))
+        entry = {"type": "separating", "basis": [[[1, 0, 0, 0], [0, 0, 1, 0]]], "integral": True}
+        path = self.write_catalog(tmp_path, [entry] * 3)
+        code, out, _ = run(capsys, "eval", path, "--format", "json")
+        assert code == 0
+        assert [r["epsilon_standard"] for r in json.loads(out)["results"]] == [0, 0, 0]
+        assert calls == [2]
+
     @pytest.mark.parametrize(
         "coord, integral",
         [

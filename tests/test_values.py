@@ -31,7 +31,6 @@ from bcjcalc import (
 )
 from bcjcalc.boolring import B2Basis, BoolPoly
 from bcjcalc.cassonmorita import CMPoly
-from bcjcalc.wedgespan import OrbitReport
 
 H1 = "HClass(genus=2, bits=1)"
 H4 = "HClass(genus=2, bits=4)"
@@ -89,12 +88,6 @@ def make(name):
             f"second=SeparatingTwist(basis={SB2}, label=''), label='c')",
             AbelianCycle(t2, t1, "c"),
         ),
-        "OrbitReport": (
-            OrbitReport(1, {"I": 2}, {"I": "1 ^ a1"}, []),
-            "OrbitReport(genus=1, classes={'I': 2}, "
-            "representatives={'I': '1 ^ a1'}, errors=[])",
-            OrbitReport(1, {"I": 2}, {"I": "1 ^ a1"}, ["e"]),
-        ),
         "LinkingMatrix": (
             LinkingMatrix.standard_model(1),
             "LinkingMatrix(genus=1, entries=((0, 0), (1, 0)))",
@@ -106,10 +99,10 @@ def make(name):
 CLASSES = (
     HClass, ZHClass, SubsurfaceBasis, ZSubsurfaceBasis, F2Matrix, BoolMonomial,
     SelfLinkingForm, B2Basis, SeparatingTwist, BPMap, WedgeElem, AbelianCycle,
-    OrbitReport, LinkingMatrix,
+    LinkingMatrix,
 )
 NAMES = [cls.__name__ for cls in CLASSES]
-HASHABLE = [n for n in NAMES if n not in ("B2Basis", "OrbitReport")]
+HASHABLE = [n for n in NAMES if n != "B2Basis"]
 FIRST_FIELD = {"F2Matrix": "n", "SeparatingTwist": "basis", "BPMap": "basis", "AbelianCycle": "first"}
 
 
@@ -191,15 +184,6 @@ def test_b2basis_is_unhashable():
     # it holds its index dict
     with pytest.raises(TypeError):
         hash(b2_basis(2))
-
-
-class TestOrbitReport:
-    """Its dict fields make it unhashable."""
-
-    def test_unhashable(self):
-        report, _, _ = make("OrbitReport")
-        with pytest.raises(TypeError):
-            hash(report)
 
 
 def test_defaults_and_keywords():

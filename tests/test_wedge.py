@@ -48,7 +48,6 @@ from bcjcalc.wedgespan import (
     _fold_stream,
     _slot_labels,
     _support_sets,
-    _twist,
     _wedge_action_table,
 )
 
@@ -103,10 +102,7 @@ def enumerate_spine_cycles(
     if max_support_per_spine < 1:
         raise ValueError("max_support_per_spine must be >= 1")
     sets = _support_sets(genus, max_support_per_spine)
-    twists = [
-        [_twist(genus, S, pos) for pos in range(len(_local_spines(len(S))))]
-        for S in sets
-    ]
+    twists = [ref_set_twists(genus, S) for S in sets]
     for k1, k2 in _disjoint_set_pairs(sets):
         for t1 in twists[k1]:
             for t2 in twists[k2]:
@@ -414,14 +410,14 @@ class TestTemplates:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_template_equals_reference_through_twist(self, s):
-        # the template hands sigma a bare twist of each local spine; built
-        # through the labelled, relabelled _twist, the data is the same
+        # the template hands sigma's kernel each packed local spine; built
+        # as the object-level twists of the oracle, the data is the same
         spines = _local_spines(s)
-        handles = tuple(range(1, s + 1))
+        twists = ref_set_twists(s, tuple(range(1, s + 1)))
         first = {}
         for pos, (x, y) in enumerate(spines):
             if x < y < x ^ y:
-                first.setdefault(sigma(_twist(s, handles, pos)).masks, pos)
+                first.setdefault(sigma(twists[pos]).masks, pos)
         index = b2_basis(s).index_of_mask
         span = SpanBasis(1 << (2 * s))
         for masks in first:
@@ -592,16 +588,16 @@ class TestDims:
 
 class TestOrbitClasses:
     def test_counts(self):
-        assert orbit_classes(3).n_classes == 10
-        assert orbit_classes(4).n_classes == 11
+        assert orbit_classes(3)["n_classes"] == 10
+        assert orbit_classes(4)["n_classes"] == 11
 
     def test_no_errors(self):
         for g in (2, 3, 4):
-            assert orbit_classes(g).errors == []
+            assert orbit_classes(g)["errors"] == []
 
     def test_class_three_absent_below_four_handles(self):
-        assert "III" not in orbit_classes(3).classes
-        assert "III" in orbit_classes(4).classes
+        assert "III" not in orbit_classes(3)["classes"]
+        assert "III" in orbit_classes(4)["classes"]
 
     def test_specific_membership(self):
         # a1*b1 ^ a2*b3 lies in class II
@@ -633,10 +629,16 @@ class TestOrbitClasses:
         # transpositions must give the same report
         classes, representatives, errors = ref_orbit_classes(g)
         report = orbit_classes(g)
-        assert report.classes == {lab: len(slots) for lab, slots in classes.items()}
-        assert list(report.classes) == list(classes)
-        assert report.representatives == representatives
-        assert report.errors == errors
+        assert report == {
+            "genus": g,
+            "n_classes": len(classes),
+            "classes": {
+                lab: {"size": len(slots), "representative": representatives[lab]}
+                for lab, slots in classes.items()
+            },
+            "errors": errors,
+        }
+        assert list(report["classes"]) == list(classes)
 
     @pytest.mark.parametrize("g", range(1, 7))
     def test_census_handle_counts(self, g):
@@ -670,10 +672,14 @@ class TestOrbitClasses:
         monkeypatch.setattr(wedgespan, "_slot_pairs", pairs_to_four)
         for g in (5, 12, 32):
             report = orbit_classes(g)
-            assert report.errors == [] and report.n_classes == 11
-            assert sum(report.classes.values()) == dims(g)["dim_w"]
+            assert report["errors"] == [] and report["n_classes"] == 11
+            assert sum(c["size"] for c in report["classes"].values()) == dims(g)["dim_w"]
         assert dims(5)["dim_w"] == FROZEN_DIMS[5][3]
-        assert orbit_classes(12).representatives == orbit_classes(4).representatives
+
+        def representatives(g):
+            return {lab: c["representative"] for lab, c in orbit_classes(g)["classes"].items()}
+
+        assert representatives(12) == representatives(4)
 
     def test_search_runs_no_union_find(self, monkeypatch):
         def refuse(genus):
@@ -812,9 +818,22 @@ class TestSearch:
     def test_orbit_hits_recorded(self):
         r = image_rank_report(3, 3)
         assert r["orbit_hits"]["I"]["cycle"]
-        assert set(r["class_coverage"]) == set(orbit_classes(3).classes)
+        assert set(r["class_coverage"]) == set(orbit_classes(3)["classes"])
         assert r["class_coverage"]["IV"] == "sp-closure"
         assert r["class_coverage"]["I"] == "stream"
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_search_builds_no_twist_objects(self, g, monkeypatch):
+        # first hits are labelled from the packed spines, so the search
+        # constructs no twist or subsurface basis, hits or not
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the search path")
+
+        monkeypatch.setattr(SeparatingTwist, "__init__", refuse)
+        monkeypatch.setattr(SubsurfaceBasis, "__init__", refuse)
+        for ms in (1, 2, 3, 4):
+            for closure in (True, False):
+                assert image_rank_report(g, ms, sp_closure=closure)["orbit_hits"]
 
     def test_g4_report_pins_golden_numbers(self):
         # the genus-4 numbers of the benchmark golden, written out: first-hit
@@ -1189,7 +1208,7 @@ def ref_block_hits(g, ms):
                 b = ref_slot_bits(offs, sig1, sig2) & unhit
                 while b:
                     lab = labels[(b & -b).bit_length() - 1]
-                    t1, t2 = _twist(g, sets[k1], pos1), _twist(g, sets[k2], pos2)
+                    t1, t2 = ref_set_twists(g, sets[k1])[pos1], ref_set_twists(g, sets[k2])[pos2]
                     hits[lab] = (block_base + pos1 * n2 + pos2, f"{t1.label} & {t2.label}")
                     unhit &= ~class_masks[lab]
                     b &= unhit
