@@ -84,6 +84,10 @@ CASES = [
     Case(["verify", "--g", "4", "--trials", "200", "--seed", "7", "--linking-matrix",
           "linking-g4.json"], 0, "report",
          "50d0e879c19f36595d08aaa7bfd47d50c667e42721cf62a369102c3b35e2dad0"),
+    # at genus 32 the drawn bases touch at most 3 of 32 handles, so rho's validation and
+    # N stay on those handles' positions; pinned before verify drew rows, not objects
+    Case(["verify", "--g", "32", "--trials", "500", "--seed", "3"], 0, "report",
+         "d5ab75a5072064227272031381184aac4406dc52ec5d5a30299e7d7b690a5ddc"),
     # rho on coordinate and non-coordinate subspaces; pinned with the packed rho kernel
     Case(["eval", "catalog.json", "--format", "json"], 0, "bytes",
          "7a42ff3427dfe441a2682f944c0a1aed985b3816029d9b21d344aee208786168"),

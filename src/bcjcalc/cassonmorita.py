@@ -19,7 +19,7 @@ basis (A_i, B_i) is the quadratic expression
     rho(T_c) = - sum_i [ l(A_i,A_i) l(B_i,B_i) - l(A_i,B_i) l(B_i,A_i) ]
                - 2 sum_{i<j} [ l(A_i,A_j) l(B_i,B_j) - l(A_i,B_j) l(A_j,B_i) ]
 
-rho_separating evaluates it in closed form.  Let Lam_pq = l(e_p, e_q) =
+rho_rows evaluates it in closed form.  Let Lam_pq = l(e_p, e_q) =
 s_pq + [p = q + g], s_pq the normal-form symbol of {p, q}, so l(x, y) =
 x^T Lam y and Lam^T = Lam + J, where x.y = x^T J y.  Let P = sum_i A_i B_i^T
 and N = P - P^T, the integer antisymmetric matrix of the basis.  Entries
@@ -51,8 +51,11 @@ symbols and C_pq = [p = q + g], into 1/2 tr(SNSN) + tr(SNCN) +
 1/2 tr(CNC^T N): step 4's sum with s for l over unordered pairs of
 nonzeros (its bracket is symmetric under (q, r) <-> (s, p)), N_{p,b_i}
 N_{a_i,r} on s_pr for each handle i, and sum_{i<j} N_{a_i,a_j} N_{b_j,b_i}.
-Building N over the n support positions costs O(h n^2) and the sum
-O(nnz(N)^2), in exact integer arithmetic.
+rho_rows builds N on the 2k positions of the k handles the basis touches,
+at O(h k^2), and sums it in O(nnz(N)^2), in exact integer arithmetic.  With
+X the 2h x 2k matrix of the rows there, the symplectic conditions read
+X J X^T = K; when h = k they hold iff X^T K X = N = J (X is then square,
+and either equation makes it invertible), so that N validates the basis.
 
 The reduction mu to the square-free algebra sends the diagonal symbol
 l(e_k, e_k) to the variable ebar_k and every other ordered symbol to 0;
@@ -93,7 +96,8 @@ from .surface import (
     coordinate_name,
     parity_bits,
     randint_draws,
-    random_z_symplectic_basis,
+    random_z_symplectic_basis,  # not called here; bench/spans.py wraps this binding
+    random_z_symplectic_rows,
     same_genus,
 )
 from .value import Value
@@ -258,27 +262,31 @@ def _symbols(genus: int):
 
 
 def rho_separating(basis: ZSubsurfaceBasis | SeparatingTwist) -> CMPoly:
-    """Morita's value on a separating twist, from an integral basis.
-
-    Computed exactly over Z from the basis's antisymmetric matrix N by the
-    closed form of the module docstring.
-    """
+    """Morita's value on a separating twist: `rho_rows` of an integral basis's coordinates."""
     if isinstance(basis, SeparatingTwist):
         raise TypeError("rho needs the integral basis, not the mod-2 twist")
-    basis.validate()
-    g = check_genus(basis.genus)
-    A = list(zip(*[a.coords for a, _ in basis.pairs]))  # A[p] = (A_1p, ..., A_hp)
-    B = list(zip(*[b.coords for _, b in basis.pairs]))
-    support = [p for p, (a, b) in enumerate(zip(A, B)) if any(a) or any(b)]
-    nz = []  # (q, r, N_qr) for q < r and N_qr != 0
-    rows: dict[int, dict[int, int]] = {p: {} for p in support}
-    for k, q in enumerate(support):
-        aq, bq = A[q], B[q]
-        for r in support[k + 1 :]:
-            if x := sum(map(mul, aq, B[r])) - sum(map(mul, bq, A[r])):
+    return rho_rows(check_genus(basis.genus), [x.coords for pair in basis.pairs for x in pair])
+
+
+def rho_rows(g: int, rows: Sequence[Sequence[int]]) -> CMPoly:
+    """rho of the integral basis with A_i, B_i the coordinate rows rows[2i - 2],
+    rows[2i - 1], by the closed form of the module docstring.  The rows are
+    validated over Z (BasisError, with `symplectic_violation`'s message) by
+    N = J on the handles they touch when h = k, else as a `ZSubsurfaceBasis`."""
+    cols = list(zip(*rows))  # cols[p]: A_1, B_1, ..., A_h, B_h at position p
+    handles = [i for i, (a, b) in enumerate(zip(cols, cols[g:])) if any(a) or any(b)]
+    pos = handles + [g + i for i in handles]  # ascending
+    at = [(p, cols[p][0::2], cols[p][1::2]) for p in pos]  # p, A_1..A_h and B_1..B_h at p
+    nz = []  # (q, r, N_qr) for positions q < r and N_qr != 0
+    rows_n: dict[int, dict[int, int]] = {p: {} for p in pos}
+    for c, (q, aq, bq) in enumerate(at):
+        for r, ar, br in at[c + 1 :]:
+            if x := sum(map(mul, aq, br)) - sum(map(mul, bq, ar)):
                 nz.append((q, r, x))
-                rows[q][r] = x
-                rows[r][q] = -x
+                rows_n[q][r] = x
+                rows_n[r][q] = -x
+    if len(pos) != len(rows) or nz != [(i, g + i, 1) for i in handles]:
+        ZSubsurfaceBasis.from_rows(g, rows).validate()
     mons, index = _symbols(g)
     W = len(mons)
     acc = defaultdict(int)  # key u * W + v, u <= v: coefficient of mons[u] + mons[v]
@@ -297,14 +305,13 @@ def rho_separating(basis: ZSubsurfaceBasis | SeparatingTwist) -> CMPoly:
             acc[u * W + v if u <= v else v * W + u] -= f
     # linear part: N_{p,b_i} N_{a_i,r} on the symbol of {p, r}; constant:
     # N_{a_k,a_i} N_{b_i,b_k} for handles k < i
-    handles = [i for i in range(g) if i in rows and g + i in rows]
     for j, i in enumerate(handles):
-        for p, x in rows[g + i].items():  # x = N_{b_i,p} = -N_{p,b_i}
+        for p, x in rows_n[g + i].items():  # x = N_{b_i,p} = -N_{p,b_i}
             ip = index[p]
-            for r, y in rows[i].items():
+            for r, y in rows_n[i].items():
                 acc[ip[r]] -= x * y
         for k in handles[:j]:
-            acc[0] -= rows[k].get(i, 0) * rows[g + k].get(g + i, 0)
+            acc[0] -= rows_n[k].get(i, 0) * rows_n[g + k].get(g + i, 0)
     terms = {mons[key // W] + mons[key % W]: c for key, c in acc.items() if c}
     return CMPoly._trusted(g, terms)
 
@@ -433,21 +440,17 @@ def _random_integral_class(
     return ZHClass(genus, tuple(randint_draws(rng, -bound, bound, 2 * genus)))
 
 
-def _random_zbasis(genus: int, rng: random.Random, low: int) -> ZSubsurfaceBasis:
-    """A random integral basis on h sorted random handles, h drawn from
-    low..min(genus, 3); h = 0 draws nothing more and gives the empty basis."""
+def _random_rows(genus: int, rng: random.Random, low: int) -> list[list[int]]:
+    """The rows of a random integral basis on h sorted random handles, h drawn
+    from low..min(genus, 3); h = 0 draws nothing more and gives no rows."""
     h = randint_draws(rng, low, min(genus, 3), 1)[0]
-    handles = sorted(rng.sample(range(1, genus + 1), h))
-    return random_z_symplectic_basis(genus, h, rng, handles)
+    return random_z_symplectic_rows(genus, sorted(rng.sample(range(1, genus + 1), h)), rng)
 
 
-def _rho_sigma(basis: ZSubsurfaceBasis) -> tuple[CMPoly, BoolPoly]:
-    """rho and sigma of one integral basis.  rho validates it over Z first,
-    so it is symplectic mod 2 and sigma reads its parity bits unchecked."""
-    rho = rho_separating(basis)
-    g = basis.genus
-    pairs = [(parity_bits(A.coords), parity_bits(B.coords)) for A, B in basis.pairs]
-    return rho, BoolPoly(g, sigma_masks(g, pairs))
+def _sigma_rows(genus: int, rows: list[list[int]]) -> BoolPoly:
+    """sigma from the parity bits of rows validated over Z by `rho_rows`."""
+    pairs = [(parity_bits(A), parity_bits(B)) for A, B in zip(rows[0::2], rows[1::2])]
+    return BoolPoly(genus, sigma_masks(genus, pairs))
 
 
 def check_record(failures: list[str], trials: int) -> dict:
@@ -468,13 +471,10 @@ def right_square_failures(
     trial."""
     failures = []
     for t in range(num_trials):
-        zbasis = _random_zbasis(genus, rng, 1)
+        rows = _random_rows(genus, rng, 1)
         M = L if L is not None else LinkingMatrix.random_valid(genus, rng)
-        rho, sig = _rho_sigma(zbasis)
-        lhs = epsilon(M, rho) & 1
-        rhs = selflink_eval(M, sig)
-        if lhs != rhs:
-            failures.append(f"trial {t}: basis {zbasis.pairs}")
+        if epsilon(M, rho_rows(genus, rows)) & 1 != selflink_eval(M, _sigma_rows(genus, rows)):
+            failures.append(f"trial {t}: basis {ZSubsurfaceBasis.from_rows(genus, rows).pairs}")
     return failures
 
 
@@ -497,10 +497,9 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
 
     failures = []
     for t in range(num_trials):
-        zbasis = _random_zbasis(g, rng, 0)
-        rho, sig = _rho_sigma(zbasis)
-        if mu(rho) != sig:
-            failures.append(f"trial {t}: basis {zbasis.pairs}")
+        rows = _random_rows(g, rng, 0)
+        if mu(rho_rows(g, rows)) != _sigma_rows(g, rows):
+            failures.append(f"trial {t}: basis {ZSubsurfaceBasis.from_rows(g, rows).pairs}")
     checks["triangle"] = check_record(failures, num_trials)
 
     failures = []
@@ -510,8 +509,7 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
             failures.append(f"trial {t}: u = {u.coords}")
     checks["mu_quadratic"] = check_record(failures, num_trials)
 
-    failures = right_square_failures(g, num_trials, rng)
-    checks["right_square"] = check_record(failures, num_trials)
+    checks["right_square"] = check_record(right_square_failures(g, num_trials, rng), num_trials)
 
     if g >= 2:
         failures = []
@@ -522,10 +520,9 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
             h1 = randint_draws(rng, 1, min(g - 1, 2), 1)[0]
             h2 = randint_draws(rng, 1, min(g - h1, 2), 1)[0]
             set1, set2 = sorted(handles[:h1]), sorted(handles[h1 : h1 + h2])
-            zb1 = random_z_symplectic_basis(g, h1, rng, set1)
-            zb2 = random_z_symplectic_basis(g, h2, rng, set2)
-            (rho1, sig1), (rho2, sig2) = _rho_sigma(zb1), _rho_sigma(zb2)
-            if wedge(mu(rho1), mu(rho2)) != wedge(sig1, sig2):
+            rows1, rows2 = (random_z_symplectic_rows(g, s, rng) for s in (set1, set2))
+            rho1, rho2 = rho_rows(g, rows1), rho_rows(g, rows2)
+            if wedge(mu(rho1), mu(rho2)) != wedge(_sigma_rows(g, rows1), _sigma_rows(g, rows2)):
                 failures.append(f"trial {t}: handles {set1} / {set2}")
         checks["wedge_lift"] = check_record(failures, n_lift)
     return checks

@@ -285,6 +285,12 @@ class ZSubsurfaceBasis(Value):
     def standard(cls, genus: int, handles: Sequence[int]) -> "ZSubsurfaceBasis":
         return cls(genus, tuple((za(genus, i), zb(genus, i)) for i in handles))
 
+    @classmethod
+    def from_rows(cls, genus: int, rows: Sequence[Sequence[int]]) -> "ZSubsurfaceBasis":
+        """The basis with A_i and B_i the coordinate rows rows[2i - 2], rows[2i - 1]."""
+        classes = [ZHClass(genus, tuple(x)) for x in rows]
+        return cls(genus, tuple(zip(classes[0::2], classes[1::2])))
+
 
 def symplectic_violation(
     basis: SubsurfaceBasis | ZSubsurfaceBasis,
@@ -433,39 +439,25 @@ def randint_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
     return out
 
 
-def random_z_symplectic_basis(
-    genus: int,
-    h: int,
-    rng: random.Random,
-    handles: Sequence[int] | None = None,
-    n_moves: int = 6,
-    coeff_bound: int = 1,
-) -> ZSubsurfaceBasis:
-    """Random integrally symplectic basis of subsurface genus h.
+def random_z_symplectic_rows(
+    g: int, handles: Sequence[int], rng: random.Random, n_moves: int = 6, coeff_bound: int = 1
+) -> list[list[int]]:
+    """The coordinate rows A_1, B_1, ..., A_h, B_h of a random integrally
+    symplectic basis on h distinct handles in 1..g, which are not checked.
 
-    Built by applying random integral transvections to the standard basis on
-    the chosen handles; transvection directions are supported on those same
-    handles, so the result's handle support stays inside them.  Each move
-    takes one entry in [-coeff_bound, coeff_bound] per support position, a
-    positions before b positions, and a zero direction is skipped.  The
-    entries of all the moves come from one `randint_draws` call, with the
-    values and generator state of one ``rng.randint`` per entry.  The
-    transvection x -> x + (x.v) v reads and writes only v's nonzero entries:
-    x.v is the sum of x[partner(p)] * (+-v_p) over them, and only those
-    positions of x change (with coeff_bound 1, a third of the entries are
-    0).  The result is symplectic by construction, so it is not validated
-    here: ``rho_separating`` validates every basis it is given.
+    The standard basis on the handles is moved by `n_moves` random integral
+    transvections x -> x + (x.v) v, each v with one entry in [-coeff_bound,
+    coeff_bound] per position of the handles, a positions before b positions
+    (v = 0 is skipped).  All the entries come from one `randint_draws` call.
+    A move reads and writes only v's nonzero entries: x.v is the sum of
+    x[partner(p)] * (+-v_p) over them.  The rows are not validated here;
+    ``cassonmorita.rho_rows`` validates every basis it is given.
     """
-    g = check_genus(genus)
-    if handles is None:
-        handles = list(range(1, h + 1))
-    if len(handles) != h or len(set(handles)) != h or not all(1 <= i <= g for i in handles):
-        raise ValueError(f"need exactly h distinct handles in 1..{g}")
-    rows = [[0] * (2 * g) for _ in range(2 * h)]
+    rows = [[0] * (2 * g) for _ in range(2 * len(handles))]
     for k, i in enumerate(handles):
         rows[2 * k][i - 1] = rows[2 * k + 1][g + i - 1] = 1
     positions = [k - 1 for k in handles] + [g + k - 1 for k in handles]
-    entries = iter(randint_draws(rng, -coeff_bound, coeff_bound, n_moves * 2 * h))
+    entries = iter(randint_draws(rng, -coeff_bound, coeff_bound, n_moves * len(positions)))
     for _ in range(n_moves):
         # zip stops at the end of positions, before taking an entry too many
         v = [(p, c) for p, c in zip(positions, entries) if c]
@@ -481,5 +473,16 @@ def random_z_symplectic_basis(
             if n:
                 for p, c in v:
                     x[p] += n * c
-    classes = [ZHClass(g, tuple(x)) for x in rows]
-    return ZSubsurfaceBasis(g, tuple(zip(classes[0::2], classes[1::2])))
+    return rows
+
+
+def random_z_symplectic_basis(
+    genus: int, h: int, rng: random.Random, handles: Sequence[int] | None = None,
+    n_moves: int = 6, coeff_bound: int = 1,
+) -> ZSubsurfaceBasis:
+    """The basis of `random_z_symplectic_rows` on h checked handles, 1..h by default."""
+    g = check_genus(genus)
+    handles = list(range(1, h + 1)) if handles is None else handles
+    if len(handles) != h or len(set(handles)) != h or not all(1 <= i <= g for i in handles):
+        raise ValueError(f"need exactly h distinct handles in 1..{g}")
+    return ZSubsurfaceBasis.from_rows(g, random_z_symplectic_rows(g, handles, rng, n_moves, coeff_bound))

@@ -16,6 +16,7 @@ from bcjcalc.cassonmorita import (
     epsilon,
     mu,
     mu_quadratic_exhaustive,
+    rho_rows,
     rho_separating,
     right_square_failures,
     selflink_eval,
@@ -285,6 +286,121 @@ class TestRhoReference:
                 got = cm_generator(u, v)
                 assert got == cm_generator_reference(u, v)
                 assert_normal_form(got)
+
+
+def coordinates(basis):
+    """The coordinate rows A_1, B_1, ..., A_h, B_h of an integral basis."""
+    return [list(x.coords) for pair in basis.pairs for x in pair]
+
+
+class TestRhoRows:
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_matches_reference(self, g):
+        # rho on rows against Morita's formula multiplied out, on coordinate
+        # subspaces (the rows verify draws, which touch h of g handles) and
+        # on sub-bases of a transvected full basis, where N is dense
+        rng = random.Random(60 + g)
+        for h in range(min(g, 3) + 1):
+            for bound in (1, 3):
+                handles = sorted(rng.sample(range(1, g + 1), h))
+                rows = sf.random_z_symplectic_rows(g, handles, rng, 6, bound)
+                assert rho_rows(g, rows) == rho_reference(ZSubsurfaceBasis.from_rows(g, rows))
+        dense = 0
+        for k in range(1, g + 1) if g <= 5 else (1, 2):
+            for bound in (1, 2, 2**30):
+                basis = dense_sub_basis(g, k, rng, bound)
+                got = rho_rows(g, coordinates(basis))
+                assert got == rho_reference(basis)
+                assert_normal_form(got)
+                dense += n_nonzeros(basis) > k
+        assert (dense > 0) == (g > 1)  # at genus 1 every basis spans the surface
+
+    def test_perturbed_rows_raise_the_violation_message(self):
+        # one entry moved by +-1, a row scaled by 3, A_1 and B_1 swapped, a
+        # zero row, a zero pair added (N stays J on fewer handles than pairs):
+        # the message is symplectic_violation's on the same coordinates, on
+        # square rows (N = J decides) and on the others
+        rng = random.Random(71)
+        raised = square = 0
+        for g in range(1, 7):
+            for _ in range(40):
+                if rng.random() < 0.5:
+                    h = rng.randint(1, min(g, 3))
+                    rows = sf.random_z_symplectic_rows(g, sorted(rng.sample(range(1, g + 1), h)), rng)
+                else:
+                    rows = coordinates(dense_sub_basis(g, rng.randint(1, g), rng, 2))
+                i, p = rng.randrange(len(rows)), rng.randrange(2 * g)
+                kind = rng.choice(("entry", "scale", "swap", "zero", "pair"))
+                if kind == "entry":
+                    rows[i][p] += rng.choice((-1, 1))
+                elif kind == "scale":
+                    rows[i] = [3 * c for c in rows[i]]
+                elif kind == "swap":
+                    rows[0], rows[1] = rows[1], rows[0]
+                elif kind == "zero":
+                    rows[i] = [0] * (2 * g)
+                else:
+                    rows += [[0] * (2 * g), [0] * (2 * g)]
+                want = sf.symplectic_violation(ZSubsurfaceBasis.from_rows(g, rows))
+                touched = {q % g for x in rows for q, c in enumerate(x) if c}
+                square += len(touched) == len(rows) // 2
+                if want is None:
+                    assert rho_rows(g, rows) == rho_reference(ZSubsurfaceBasis.from_rows(g, rows))
+                    continue
+                with pytest.raises(BasisError) as err:
+                    rho_rows(g, rows)
+                assert str(err.value) == want
+                raised += 1
+        assert raised > 200 and square > 100
+
+    def test_wrapper_keeps_its_errors(self):
+        from bcjcalc.bcjmap import SeparatingTwist
+
+        with pytest.raises(TypeError, match="integral basis"):
+            rho_separating(SeparatingTwist(sf.SubsurfaceBasis.standard(2, [1])))
+        bad = ZSubsurfaceBasis(2, ((sf.za(2, 1), sf.zb(2, 1)), (sf.za(2, 1), sf.zb(2, 2))))
+        with pytest.raises(BasisError) as err:
+            rho_separating(bad)
+        assert str(err.value) == sf.symplectic_violation(bad)
+
+    def test_forced_failures_keep_the_witness_text(self, monkeypatch):
+        # with mu or epsilon broken every trial fails, and each witness names
+        # the drawn basis as its ZSubsurfaceBasis pairs, the same text as
+        # when the trials drew objects (pinned literally at genus 2) and the
+        # same as the object draw replayed from the seed
+        from bcjcalc import cassonmorita
+        from bcjcalc.surface import randint_draws
+
+        monkeypatch.setattr(cassonmorita, "mu", lambda x: BoolPoly(x.genus, {0}))
+        witnesses = verify_diagrams(2, 6, seed=1)["triangle"]["witnesses"]
+        assert witnesses[:2] == [
+            "trial 0: basis ()",
+            "trial 1: basis ((ZHClass(genus=2, coords=(-6, -3, -3, -7)), "
+            "ZHClass(genus=2, coords=(7, 7, 4, 15))), (ZHClass(genus=2, coords=(1, 3, 1, 6)), "
+            "ZHClass(genus=2, coords=(-9, -6, -5, -13))))",
+        ]
+        for g, seed in ((2, 1), (4, 7), (9, 3)):
+            rng, want = random.Random(seed), []
+            for t in range(5):
+                h = randint_draws(rng, 0, min(g, 3), 1)[0]
+                handles = sorted(rng.sample(range(1, g + 1), h))
+                want.append(f"trial {t}: basis {random_z_symplectic_basis(g, h, rng, handles).pairs}")
+            assert verify_diagrams(g, 5, seed)["triangle"]["witnesses"] == want
+
+        real_epsilon = cassonmorita.epsilon
+        monkeypatch.setattr(cassonmorita, "epsilon", lambda L, x: real_epsilon(L, x) + 1)
+        assert right_square_failures(2, 3, random.Random(5))[1] == (
+            "trial 1: basis ((ZHClass(genus=2, coords=(-8, 0, 5, 0)), "
+            "ZHClass(genus=2, coords=(11, 0, -7, 0))),)"
+        )
+        rng, want = random.Random(8), []
+        for t in range(5):
+            h = randint_draws(rng, 1, 3, 1)[0]
+            handles = sorted(rng.sample(range(1, 5), h))
+            basis = random_z_symplectic_basis(4, h, rng, handles)
+            LinkingMatrix.random_valid(4, rng)
+            want.append(f"trial {t}: basis {basis.pairs}")
+        assert right_square_failures(4, 5, random.Random(8)) == want
 
 
 @st.composite
@@ -746,51 +862,57 @@ class TestDiagrams:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_each_integral_basis_validated_once(self, seed, monkeypatch):
-        # the generator leaves the check to rho_separating, the one
-        # validation of every integral basis that verify draws; sigma reads
-        # the parity bits of that validated basis, so nothing is validated
-        # mod 2
+        # the row draw leaves the check to rho_rows, the one validation of
+        # every integral basis that verify draws; sigma reads the parity bits
+        # of those validated rows, so nothing is validated mod 2, and no
+        # basis object is built or validated on the way
         from bcjcalc import cassonmorita
 
-        calls = {"validate": 0, "rho": 0, "mod2": 0}
-        validate, rho = ZSubsurfaceBasis.validate, cassonmorita.rho_separating
+        calls = {"draw": 0, "rho": 0, "objects": 0, "mod2": 0}
+        draw, rho = cassonmorita.random_z_symplectic_rows, cassonmorita.rho_rows
         violation = sf.symplectic_violation
 
-        def counted_validate(basis):
-            calls["validate"] += 1
-            return validate(basis)
+        def counted_draw(*args):
+            calls["draw"] += 1
+            return draw(*args)
 
-        def counted_rho(basis):
+        def counted_rho(g, rows):
             calls["rho"] += 1
-            return rho(basis)
+            return rho(g, rows)
 
         def counted_violation(basis):
-            calls["mod2"] += isinstance(basis, sf.SubsurfaceBasis)
+            calls["mod2" if isinstance(basis, sf.SubsurfaceBasis) else "objects"] += 1
             return violation(basis)
 
-        monkeypatch.setattr(ZSubsurfaceBasis, "validate", counted_validate)
-        monkeypatch.setattr(cassonmorita, "rho_separating", counted_rho)
+        monkeypatch.setattr(cassonmorita, "random_z_symplectic_rows", counted_draw)
+        monkeypatch.setattr(cassonmorita, "rho_rows", counted_rho)
         monkeypatch.setattr(sf, "symplectic_violation", counted_violation)
         assert all(c["passed"] for c in verify_diagrams(4, 40, seed).values())
         assert calls["rho"] > 40
-        assert calls["validate"] == calls["rho"]
+        assert calls["draw"] == calls["rho"]
+        assert calls["objects"] == 0
         assert calls["mod2"] == 0
 
     def test_validation_counts_of_the_benchmark_command(self, monkeypatch, tmp_path):
         # verify --g 4 --trials 500 --seed 5151: 1,250 integral bases, each
-        # validated once by rho, and 310 mod-2 validations, all by the sigma
-        # checks (104 rebase inputs, 106 rebased and start bases, 100 bases
-        # of the equivariance check); the triangle, right square and wedge
-        # lift once validated their 1,250 mod-2 reductions too
-        from bcjcalc import cli
+        # validated once, on its rows, by rho_rows, and 310 mod-2 validations,
+        # all by the sigma checks (104 rebase inputs, 106 rebased and start
+        # bases, 100 bases of the equivariance check); the triangle, right
+        # square and wedge lift once validated their 1,250 mod-2 reductions too
+        from bcjcalc import cassonmorita, cli
 
         calls = {"integral": 0, "mod2": 0}
-        violation = sf.symplectic_violation
+        rho, violation = cassonmorita.rho_rows, sf.symplectic_violation
+
+        def counted_rho(g, rows):
+            calls["integral"] += 1
+            return rho(g, rows)
 
         def counted(basis):
             calls["mod2" if isinstance(basis, sf.SubsurfaceBasis) else "integral"] += 1
             return violation(basis)
 
+        monkeypatch.setattr(cassonmorita, "rho_rows", counted_rho)
         monkeypatch.setattr(sf, "symplectic_violation", counted)
         argv = ["verify", "--g", "4", "--trials", "500", "--seed", "5151"]
         assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
@@ -798,14 +920,15 @@ class TestDiagrams:
 
     @pytest.mark.parametrize("check", ["verify_diagrams", "right_square_failures"])
     def test_sigma_never_reads_an_unvalidated_basis(self, check, monkeypatch):
-        # A_1 = 3 a_i: A_1.B_1 = 3, so the basis is symplectic mod 2 but not
-        # over Z.  rho rejects it before sigma reads its parity bits.
+        # A_1 = 3 a_i: A_1.B_1 = 3, so the rows are symplectic mod 2 but not
+        # over Z.  rho_rows rejects them before sigma reads their parity bits.
         from bcjcalc import cassonmorita
 
-        def broken(g, h, rng, handles, *args):
-            basis = random_z_symplectic_basis(g, h, rng, handles, *args)
-            (A, B), *rest = basis.pairs
-            return ZSubsurfaceBasis(g, ((A.scale(3), B), *rest))
+        def broken(g, handles, rng, *args):
+            rows = sf.random_z_symplectic_rows(g, handles, rng, *args)
+            if rows:
+                rows[0] = [3 * c for c in rows[0]]
+            return rows
 
         read = []
         sigma_masks = cassonmorita.sigma_masks
@@ -814,10 +937,10 @@ class TestDiagrams:
             read.append(pairs)
             return sigma_masks(g, pairs)
 
-        broken_basis = broken(3, 1, random.Random(0), [2])
+        broken_basis = ZSubsurfaceBasis.from_rows(3, broken(3, [2], random.Random(0)))
         assert sf.symplectic_violation(broken_basis) == "A1.B1 = 3, expected 1"
         assert sf.symplectic_violation(broken_basis.mod2()) is None
-        monkeypatch.setattr(cassonmorita, "random_z_symplectic_basis", broken)
+        monkeypatch.setattr(cassonmorita, "random_z_symplectic_rows", broken)
         monkeypatch.setattr(cassonmorita, "sigma_masks", counted_sigma_masks)
         with pytest.raises(BasisError, match="A1.B1 = 3, expected 1"):
             if check == "verify_diagrams":

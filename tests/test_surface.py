@@ -603,6 +603,26 @@ class TestIntegralBases:
                         for A, B in basis.pairs:
                             assert support(A) | support(B) <= set(handles)
 
+    def test_rows_are_the_basis_coordinates(self):
+        # the row draw behind random_z_symplectic_basis, over the grid of the
+        # test above: the coordinates of the basis that wraps it and of the
+        # closure-protocol oracle, with the same generator state after
+        for g in range(1, 5):
+            for h in range(0, g + 1):
+                for n_moves in range(9):
+                    for bound in range(1, 5):
+                        seed = g * 1000 + h * 100 + n_moves * 10 + bound
+                        handles = sorted(random.Random(seed).sample(range(1, g + 1), h))
+                        mine, wrapped, oracle = (random.Random(seed) for _ in range(3))
+                        rows = sf.random_z_symplectic_rows(g, handles, mine, n_moves, bound)
+                        bases = [
+                            sf.random_z_symplectic_basis(g, h, wrapped, handles, n_moves, bound),
+                            z_basis_closure_oracle(g, h, oracle, handles, n_moves, bound),
+                        ]
+                        for basis in bases:
+                            assert rows == [list(x.coords) for pair in basis.pairs for x in pair]
+                        assert mine.getstate() == wrapped.getstate() == oracle.getstate()
+
     @pytest.mark.parametrize("handles", [[1, 1], [0, 2], [2, 4]])
     def test_random_z_basis_rejects_bad_handles(self, handles):
         with pytest.raises(ValueError):
