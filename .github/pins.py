@@ -88,6 +88,11 @@ CASES = [
     # N stay on those handles' positions; pinned before verify drew rows, not objects
     Case(["verify", "--g", "32", "--trials", "500", "--seed", "3"], 0, "report",
          "d5ab75a5072064227272031381184aac4406dc52ec5d5a30299e7d7b690a5ddc"),
+    # the right square draws 500 linking matrices of 32 x 32 built valid, with no
+    # pairwise re-check, and handles by sample_draws; pinned while both were checked
+    # and drawn by rng.sample
+    Case(["verify", "--g", "16", "--trials", "500", "--seed", "3"], 0, "report",
+         "59b9ac9954dbc55d4097e8fe24f73edfc5ea38bedfb50888fe97e27a048f7947"),
     # rho on coordinate and non-coordinate subspaces; pinned with the packed rho kernel
     Case(["eval", "catalog.json", "--format", "json"], 0, "bytes",
          "7a42ff3427dfe441a2682f944c0a1aed985b3816029d9b21d344aee208786168"),

@@ -99,6 +99,7 @@ from .surface import (
     random_z_symplectic_basis,  # not called here; bench/spans.py wraps this binding
     random_z_symplectic_rows,
     same_genus,
+    sample_draws,
 )
 from .value import Value
 from .wedgespan import wedge
@@ -108,7 +109,14 @@ Monomial = tuple[tuple[int, int], ...]  # sorted tuple of (p, q) index pairs
 
 
 class CMPoly(Value):
-    """Integer polynomial in ordered linking symbols, in normal form."""
+    """Integer polynomial in ordered linking symbols, in normal form.
+
+    The arithmetic below wraps its results with `Value._trusted`, skipping
+    the per-term re-sorting and re-checking of ``__init__``: every monomial
+    stays a sorted tuple of symbols (p, q) with 0 <= p <= q < 2g, no
+    coefficient is zero, and no terms dict is shared with anything that
+    later mutates it.
+    """
 
     __slots__ = ("genus", "terms")
 
@@ -128,21 +136,6 @@ class CMPoly(Value):
                     del clean[mon]
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, genus: int, terms: dict[Monomial, int]) -> "CMPoly":
-        """Wrap ``terms`` as they are, without validation.
-
-        The caller guarantees normal form: every monomial is a sorted tuple
-        of symbols (p, q) with 0 <= p <= q < 2g, no coefficient is zero, and
-        the dict is not shared with anything that later mutates it.  The
-        arithmetic below keeps these invariants, so its results skip the
-        per-term re-sorting and re-checking of ``__init__``.
-        """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "genus", genus)
-        object.__setattr__(obj, "terms", terms)
-        return obj
 
     @classmethod
     def zero(cls, genus: int) -> "CMPoly":
@@ -261,18 +254,23 @@ def _symbols(genus: int):
     return [()] + [(pq,) for pq in symbols], index
 
 
-def rho_separating(basis: ZSubsurfaceBasis | SeparatingTwist) -> CMPoly:
+def rho_separating(
+    basis: ZSubsurfaceBasis | SeparatingTwist, *, validated: bool = False
+) -> CMPoly:
     """Morita's value on a separating twist: `rho_rows` of an integral basis's coordinates."""
     if isinstance(basis, SeparatingTwist):
         raise TypeError("rho needs the integral basis, not the mod-2 twist")
-    return rho_rows(check_genus(basis.genus), [x.coords for pair in basis.pairs for x in pair])
+    rows = [x.coords for pair in basis.pairs for x in pair]
+    return rho_rows(check_genus(basis.genus), rows, validated=validated)
 
 
-def rho_rows(g: int, rows: Sequence[Sequence[int]]) -> CMPoly:
+def rho_rows(g: int, rows: Sequence[Sequence[int]], *, validated: bool = False) -> CMPoly:
     """rho of the integral basis with A_i, B_i the coordinate rows rows[2i - 2],
     rows[2i - 1], by the closed form of the module docstring.  The rows are
     validated over Z (BasisError, with `symplectic_violation`'s message) by
-    N = J on the handles they touch when h = k, else as a `ZSubsurfaceBasis`."""
+    N = J on the handles they touch when h = k, else as a `ZSubsurfaceBasis`;
+    `validated` says the caller has done so already, as `eval`'s catalog
+    reader has, and skips both."""
     cols = list(zip(*rows))  # cols[p]: A_1, B_1, ..., A_h, B_h at position p
     handles = [i for i, (a, b) in enumerate(zip(cols, cols[g:])) if any(a) or any(b)]
     pos = handles + [g + i for i in handles]  # ascending
@@ -285,7 +283,7 @@ def rho_rows(g: int, rows: Sequence[Sequence[int]]) -> CMPoly:
                 nz.append((q, r, x))
                 rows_n[q][r] = x
                 rows_n[r][q] = -x
-    if len(pos) != len(rows) or nz != [(i, g + i, 1) for i in handles]:
+    if not validated and (len(pos) != len(rows) or nz != [(i, g + i, 1) for i in handles]):
         ZSubsurfaceBasis.from_rows(g, rows).validate()
     mons, index = _symbols(g)
     W = len(mons)
@@ -333,7 +331,7 @@ def mu(x: CMPoly) -> BoolPoly:
                 mask |= 1 << p
             else:
                 masks ^= {mask}
-    return BoolPoly(x.genus, masks)
+    return BoolPoly._trusted(x.genus, frozenset(masks))  # normal form keeps p < 2g
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -387,22 +385,21 @@ class LinkingMatrix(Value):
     @classmethod
     def random_valid(cls, genus: int, rng: random.Random, bound: int = 3) -> "LinkingMatrix":
         """Random matrix satisfying the constraint: free diagonal and upper
-        triangle, drawn row by row in one `randint_draws` call, lower
-        triangle forced."""
+        triangle, drawn row by row in one `randint_draws` call, and the lower
+        triangle their transpose plus J's 1 at each (b_i, a_i), so L^T - L = J
+        holds by construction and is not re-checked."""
         g = check_genus(genus)
         n = 2 * g
         entries = randint_draws(rng, -bound, bound, n * (n + 1) // 2)
-        rows = [[0] * n for _ in range(n)]
-        k = 0
+        upper, k = [], 0
         for p in range(n):
-            row = rows[p]
-            row[p:] = entries[k : k + n - p]  # the diagonal, then right of it
+            upper.append([0] * p + entries[k : k + n - p])  # the diagonal, then right of it
             k += n - p
-            for q in range(p + 1, n):
-                rows[q][p] = row[q]
-            if p < g:
-                rows[p + g][p] += 1
-        return cls(g, tuple(map(tuple, rows)))
+        cols = list(zip(*upper))  # cols[q][:q]: the entries above the diagonal in column q
+        rows = [list(cols[q][:q]) + upper[q][q:] for q in range(n)]
+        for i in range(g):
+            rows[g + i][i] += 1
+        return cls._trusted(g, tuple(map(tuple, rows)))
 
     def entry(self, p: int, q: int) -> int:
         return self.entries[p][q]
@@ -410,7 +407,7 @@ class LinkingMatrix(Value):
     def omega(self) -> SelfLinkingForm:
         """Mod-2 diagonal; the self-linking form u -> u^T L u mod 2."""
         diagonal = [self.entries[k][k] for k in range(2 * self.genus)]
-        return SelfLinkingForm(self.genus, parity_bits(diagonal))
+        return SelfLinkingForm._trusted(self.genus, parity_bits(diagonal))
 
 
 def epsilon(L: LinkingMatrix, x: CMPoly) -> int:
@@ -444,13 +441,14 @@ def _random_rows(genus: int, rng: random.Random, low: int) -> list[list[int]]:
     """The rows of a random integral basis on h sorted random handles, h drawn
     from low..min(genus, 3); h = 0 draws nothing more and gives no rows."""
     h = randint_draws(rng, low, min(genus, 3), 1)[0]
-    return random_z_symplectic_rows(genus, sorted(rng.sample(range(1, genus + 1), h)), rng)
+    return random_z_symplectic_rows(genus, sorted(sample_draws(rng, genus, h)), rng)
 
 
 def _sigma_rows(genus: int, rows: list[list[int]]) -> BoolPoly:
-    """sigma from the parity bits of rows validated over Z by `rho_rows`."""
+    """sigma from the parity bits of rows validated over Z by `rho_rows`; the
+    rows have 2g entries, so every mask is below 1 << 2g."""
     pairs = [(parity_bits(A), parity_bits(B)) for A, B in zip(rows[0::2], rows[1::2])]
-    return BoolPoly(genus, sigma_masks(genus, pairs))
+    return BoolPoly._trusted(genus, sigma_masks(genus, pairs))
 
 
 def check_record(failures: list[str], trials: int) -> dict:

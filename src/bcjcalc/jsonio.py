@@ -11,7 +11,8 @@ from .cassonmorita import CMPoly, LinkingMatrix
 from .errors import CatalogError, ConsistencyError
 from .surface import HClass, ZHClass, ZSubsurfaceBasis, check_genus
 
-Entry = tuple[Descriptor, ZSubsurfaceBasis | None]  # the basis is None unless "integral"
+# the basis is None unless "integral", and then validated over Z here, once
+Entry = tuple[Descriptor, ZSubsurfaceBasis | None]
 
 
 def _parse_int(text: str) -> int:

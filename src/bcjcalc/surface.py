@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from functools import partial
+from math import ceil, log
 
 from .errors import BasisError, DimensionError, GenusMismatchError
 from .gf2core import F2Matrix, bit_indices
@@ -363,13 +364,13 @@ def random_symplectic_rebase(basis: SubsurfaceBasis, seed: int) -> SubsurfaceBas
 def is_symplectic(M: F2Matrix, genus: int) -> bool:
     """M^T J M = J over GF(2): M keeps the pairing of every two basis
     vectors.  (Mod 2 the pairing is symmetric and x.x = 0, so the pairs
-    i < j suffice.)"""
+    i < j suffice; J pairs e_i with e_j there iff j = i + g.)"""
     n = 2 * genus
     if M.n != n:
         return False
     c = M.cols
     return all(
-        pairing(genus, c[i], c[j]) == pairing(genus, 1 << i, 1 << j)
+        pairing(genus, c[i], c[j]) == (j == i + genus)
         for i in range(n)
         for j in range(i + 1, n)
     )
@@ -439,6 +440,42 @@ def randint_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
     return out
 
 
+def sample_draws(rng: random.Random, n: int, k: int) -> list[int]:
+    """What ``rng.sample(range(1, n + 1), k)`` returns, n >= 0, leaving ``rng``
+    in the same state.
+
+    It runs CPython's two algorithms on ``rng.getrandbits`` (3.10 to 3.13),
+    each index drawn by `randint_draws`'s rejection loop.  Up to a set's size
+    (n <= 21 when k <= 5) it picks from a pool of the n values, moving the
+    last unpicked value into each picked place; above that it draws indices
+    below n and redraws those already picked.  What it saves is ``sample``'s
+    argument checks and one ``_randbelow`` frame per value.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    out = []
+    if n <= (21 if k <= 5 else 21 + 4 ** ceil(log(k * 3, 4))):
+        pool = list(range(1, n + 1))
+        for m in range(n, n - k, -1):  # m values left unpicked
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        picked = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
+            out.append(j + 1)
+    return out
+
+
 def random_z_symplectic_rows(
     g: int, handles: Sequence[int], rng: random.Random, n_moves: int = 6, coeff_bound: int = 1
 ) -> list[list[int]]:
@@ -451,7 +488,7 @@ def random_z_symplectic_rows(
     (v = 0 is skipped).  All the entries come from one `randint_draws` call.
     A move reads and writes only v's nonzero entries: x.v is the sum of
     x[partner(p)] * (+-v_p) over them.  The rows are not validated here;
-    ``cassonmorita.rho_rows`` validates every basis it is given.
+    ``cassonmorita.rho_rows`` validates them on every `verify` trial.
     """
     rows = [[0] * (2 * g) for _ in range(2 * len(handles))]
     for k, i in enumerate(handles):

@@ -1,7 +1,8 @@
 """The base of the package's immutable value classes.
 
 A value class names its fields in ``__slots__``, two or more of them, and
-sets them once, in its own ``__init__``, through ``object.__setattr__``.
+sets them once, in its own ``__init__``, through ``object.__setattr__``, or
+through ``_trusted`` where the caller guarantees what ``__init__`` checks.
 ``Value`` supplies the rest: assignment and deletion raise
 ``AttributeError``; two values are equal when they are of the same class and
 their fields are equal; a value hashes as the tuple of its fields; the repr
@@ -44,3 +45,13 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._key(self)
+
+    @classmethod
+    def _trusted(cls, first, second):
+        """The value of a two-field class with these fields, set as they are,
+        without the checks of ``__init__``: the caller guarantees them."""
+        obj = object.__new__(cls)
+        a, b = cls.__slots__
+        object.__setattr__(obj, a, first)
+        object.__setattr__(obj, b, second)
+        return obj

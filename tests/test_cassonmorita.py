@@ -680,10 +680,16 @@ class TestLinkingMatrix:
         assert "a1" in str(err.value) and "b1" in str(err.value)
 
     def test_random_valid(self):
+        # random_valid builds L^T - L = J and checks nothing; the constructor
+        # checks the shape and every pair p < q
         rng = random.Random(6)
-        for g in (1, 2, 3):
-            for _ in range(20):
-                LinkingMatrix.random_valid(g, rng)  # constructor validates
+        for g in (1, 2, 3, 4, 5, 6, 7, 8, 16, 32):
+            for bound in (1, 3, 10**6):
+                for _ in range(20 if g <= 8 else 3):
+                    L = LinkingMatrix.random_valid(g, rng, bound)
+                    assert LinkingMatrix(g, L.entries) == L
+                    assert all(type(row) is tuple for row in L.entries)
+                    assert max(abs(e) for row in L.entries for e in row) <= bound + 1
 
     def test_random_valid_draws_match_randint(self):
         # the reference draws with randint, in the same order: the diagonal
@@ -698,8 +704,8 @@ class TestLinkingMatrix:
                     rows[q][p] = rows[p][q] + (q == p + g)
             return tuple(map(tuple, rows))
 
-        for seed in range(30):
-            g, bound = 1 + seed % 4, seed % 5
+        for seed in range(34):
+            g, bound = (1 + seed % 4, seed % 5) if seed < 30 else (16, seed % 5)
             mine, theirs = random.Random(seed), random.Random(seed)
             assert LinkingMatrix.random_valid(g, mine, bound).entries == reference(
                 g, theirs, bound

@@ -606,6 +606,49 @@ class TestEval:
         assert [r["epsilon_standard"] for r in json.loads(out)["results"]] == [0, 0, 0]
         assert calls == [2]
 
+    def test_each_integral_basis_validated_once(self, capsys, tmp_path, monkeypatch):
+        # the catalog reader validates each integral basis over Z and rho reads
+        # it unchecked; rho used to check it again (N = J on a coordinate
+        # subspace, a second symplectic_violation call on any other)
+        from bcjcalc import cassonmorita, surface
+
+        checks, rho_calls = [], []
+        violation, rho_rows = surface.symplectic_violation, cassonmorita.rho_rows
+
+        def counted_violation(basis):
+            checks.append(type(basis).__name__)
+            return violation(basis)
+
+        def counted_rho(g, rows, **kwargs):
+            rho_calls.append(kwargs)
+            return rho_rows(g, rows, **kwargs)
+
+        monkeypatch.setattr(surface, "symplectic_violation", counted_violation)
+        monkeypatch.setattr(cassonmorita, "rho_rows", counted_rho)
+        entries = [
+            {"type": "separating", "basis": basis, "integral": True}
+            for basis in (
+                [[[1, 0, 0, 0], [0, 0, 1, 0]]],  # the coordinate subspace of handle 1
+                [[[1, 1, 0, 0], [0, 0, 1, 0]]],  # A = a1 + a2: 1 pair on 2 handles
+                [[[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 0, 1], [0, 0, 0, 1]]],
+            )
+        ] + [{"type": "separating", "basis": [[[0, 1, 0, 0], [0, 0, 0, 1]]]}]
+        path = self.write_catalog(tmp_path, entries)
+        code, out, _ = run(capsys, "eval", path, "--format", "json")
+        assert code == 0
+        assert ["rho" in r for r in json.loads(out)["results"]] == [True, True, True, False]
+        assert checks.count("ZSubsurfaceBasis") == 3
+        assert rho_calls == [{"validated": True}] * 3
+
+    def test_invalid_integral_basis_is_catalog_error(self, capsys, tmp_path):
+        # A = 3 a1 is valid mod 2 only: the reader's check over Z names the entry
+        entry = {"type": "separating", "basis": [[[3, 0, 0, 0], [0, 0, 1, 0]]],
+                 "label": "z3", "integral": True}
+        path = self.write_catalog(tmp_path, [entry])
+        code, out, err = run(capsys, "eval", path)
+        assert (code, out) == (2, "")
+        assert err == "catalog error: entry 0 (z3): A1.B1 = 3, expected 1\n"
+
     @pytest.mark.parametrize(
         "coord, integral",
         [
@@ -1176,6 +1219,40 @@ class TestCollector:
         first, second = run_fresh(code)
         assert first == second
         assert first.startswith("False ")
+
+    def test_module_entry_keeps_the_collector_off_to_exit(self, tmp_path):
+        # `python -m bcjcalc.cli` runs `script`: no collection pass after the
+        # command has written its report, and the collector still off at exit.
+        # main alone re-enables it with the command's young generation pending,
+        # and the next allocation made one pass (Python 3.11).
+        code = """if True:
+            import atexit, contextlib, gc, io, os, runpy, sys
+            sys.path.insert(0, sys.argv[1])
+            out = sys.argv[2]
+            passes = []
+            atexit.register(lambda: print(len(passes), gc.isenabled()))
+            gc.callbacks.append(
+                lambda phase, info: phase == "start" and os.path.exists(out) and passes.append(1))
+            sys.argv = ["bcjcalc", "search", "--g", "4", "--max-support", "3", "--out", out]
+            with contextlib.redirect_stderr(io.StringIO()):
+                runpy.run_module("bcjcalc.cli", run_name="__main__")
+        """
+        assert run_fresh(code, str(tmp_path / "report.json")) == ["0 False"]
+
+    def test_script_entry_point_keeps_the_collector_off(self):
+        # the `bcjcalc` console script calls cli:script, which parses sys.argv
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        assert 'bcjcalc = "bcjcalc.cli:script"' in pyproject.read_text().splitlines()
+        code = """if True:
+            import contextlib, gc, io, sys
+            sys.path.insert(0, sys.argv[1])
+            from bcjcalc import cli
+            sys.argv = ["bcjcalc", "dims", "--g", "2", "--format", "json"]
+            with contextlib.redirect_stdout(io.StringIO()) as report:
+                code = cli.script()
+            print(code, gc.isenabled(), '"dim_wedge": 55' in report.getvalue())
+        """
+        assert run_fresh(code) == ["0 False True"]
 
     def test_import_leaves_the_collector_enabled(self):
         code = """if True:

@@ -702,6 +702,46 @@ class TestRandintDraw:
         assert mine.getstate() == theirs.getstate()
 
 
+class TestSampleDraw:
+    # rng.sample picks from a pool of the n values while n is at most a set's
+    # size, 21 for k <= 5, and draws into a set above that; n = 0..32 runs both
+    @pytest.mark.parametrize("n", range(33))
+    def test_draw_equals_sample(self, n):
+        for k in range(min(n, 5) + 1):
+            for seed in range(12):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert sf.sample_draws(mine, n, k) == theirs.sample(range(1, n + 1), k)
+                assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n, k", [(6, 6), (40, 6), (85, 6), (86, 6), (86, 7), (400, 40)])
+    def test_larger_samples_move_the_pool_bound(self, n, k):
+        # for k > 5 the pool bound is 21 + 4^ceil(log4(3k)): 85 at k = 6
+        for seed in range(6):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert sf.sample_draws(mine, n, k) == theirs.sample(range(1, n + 1), k)
+            assert mine.getstate() == theirs.getstate()
+
+    def test_draw_interleaves_with_other_calls(self):
+        mine, theirs = random.Random(5), random.Random(5)
+        for t in range(300):
+            n = 1 + t % 32
+            k = min(t % 4, n)
+            assert sf.sample_draws(mine, n, k) == theirs.sample(range(1, n + 1), k)
+            assert sf.randint_draws(mine, 0, n, 2) == [theirs.randint(0, n) for _ in range(2)]
+        assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (3, 4), (3, -1)])
+    def test_impossible_sample_raises(self, n, k):
+        with pytest.raises(ValueError, match="Sample larger than population or is negative"):
+            random.Random(0).sample(range(1, n + 1), k)
+        rng = random.Random(0)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="Sample larger than population or is negative"):
+            sf.sample_draws(rng, n, k)
+        assert rng.getstate() == before
+
+
 def catalog_basis(genus, pairs):
     """The basis of a one-entry separating-twist catalog."""
     from bcjcalc.jsonio import catalog_from_json
