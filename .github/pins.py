@@ -74,6 +74,9 @@ CASES = [
     Case(["verify", "--g", "1", "--linking-matrix", "long-linking-number.json"], 3),
     # a removed flag is a usage error
     Case(["search", "--g", "3", "--include-families"], 2),
+    # a --max-support above 5 is a usage error before any work (6 used to end in a
+    # MemoryError traceback after its 6-handle template outgrew gigabytes)
+    Case(["search", "--g", "8", "--max-support", "6"], 2),
     # closed-form rho at genus 6, pinned with the packed rho kernel it replaced
     Case(["verify", "--g", "6", "--trials", "300", "--seed", "17"], 0, "report",
          "14e9f02e67b5366bc5bcc9ad927411f5731b5422685b5fc4d2b7894ef87c2e9f"),
@@ -93,6 +96,13 @@ CASES = [
     # and drawn by rng.sample
     Case(["verify", "--g", "16", "--trials", "500", "--seed", "3"], 0, "report",
          "59b9ac9954dbc55d4097e8fe24f73edfc5ea38bedfb50888fe97e27a048f7947"),
+    # the triangle and right square share each trial's basis on 1 to 3 handles; pinned
+    # while the triangle drew h from 0, so a half, a third and a quarter of its trials
+    # at genus 1, 2 and 3 drew the empty basis
+    *(Case(["verify", "--g", str(g), "--trials", "500", "--seed", "3"], 0, "report", digest)
+      for g, digest in ((1, "d37ad998b4b25ebf4b0720740c088158e599d449caea3cea6b61ca62d3a24826"),
+                        (2, "bf5be6034ac1cbe2cf42ca92fc6e2a670a70e439bb20e2267eb123b2ef5840d2"),
+                        (3, "2ead9e1dfbb3eb0e38677d08003e973c0fda5b3e8f3bb6d440c8b938a4572be6"))),
     # rho on coordinate and non-coordinate subspaces; pinned with the packed rho kernel
     Case(["eval", "catalog.json", "--format", "json"], 0, "bytes",
          "7a42ff3427dfe441a2682f944c0a1aed985b3816029d9b21d344aee208786168"),

@@ -437,13 +437,6 @@ def _random_integral_class(
     return ZHClass(genus, tuple(randint_draws(rng, -bound, bound, 2 * genus)))
 
 
-def _random_rows(genus: int, rng: random.Random, low: int) -> list[list[int]]:
-    """The rows of a random integral basis on h sorted random handles, h drawn
-    from low..min(genus, 3); h = 0 draws nothing more and gives no rows."""
-    h = randint_draws(rng, low, min(genus, 3), 1)[0]
-    return random_z_symplectic_rows(genus, sorted(sample_draws(rng, genus, h)), rng)
-
-
 def _sigma_rows(genus: int, rows: list[list[int]]) -> BoolPoly:
     """sigma from the parity bits of rows validated over Z by `rho_rows`; the
     rows have 2g entries, so every mask is below 1 << 2g."""
@@ -461,19 +454,24 @@ def check_record(failures: list[str], trials: int) -> dict:
     }
 
 
-def right_square_failures(
+def rho_trial_failures(
     genus: int, num_trials: int, rng: random.Random, L: LinkingMatrix | None = None
-) -> list[str]:
-    """epsilon(L, rho(T_c)) mod 2 == selflink_eval(L, sigma(T_c)) on random
-    integral bases, against L when given, else a fresh random valid L per
-    trial."""
-    failures = []
+) -> tuple[list[str], list[str]]:
+    """The witnesses of `verify_diagrams`' triangle (a) and right square (c).
+    Each trial draws a basis on 1..min(genus, 3) random handles, then an L
+    unless one is given, and evaluates rho and sigma once for both."""
+    triangle, square = [], []
     for t in range(num_trials):
-        rows = _random_rows(genus, rng, 1)
+        h = randint_draws(rng, 1, min(genus, 3), 1)[0]
+        rows = random_z_symplectic_rows(genus, sorted(sample_draws(rng, genus, h)), rng)
         M = L if L is not None else LinkingMatrix.random_valid(genus, rng)
-        if epsilon(M, rho_rows(genus, rows)) & 1 != selflink_eval(M, _sigma_rows(genus, rows)):
-            failures.append(f"trial {t}: basis {ZSubsurfaceBasis.from_rows(genus, rows).pairs}")
-    return failures
+        rho, sig = rho_rows(genus, rows), _sigma_rows(genus, rows)
+        witness = lambda: f"trial {t}: basis {ZSubsurfaceBasis.from_rows(genus, rows).pairs}"
+        if mu(rho) != sig:
+            triangle.append(witness())
+        if epsilon(M, rho) & 1 != selflink_eval(M, sig):
+            square.append(witness())
+    return triangle, square
 
 
 def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
@@ -482,7 +480,7 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
     (a) triangle: mu(rho(T_c)) == sigma(T_c) on random integral bases;
     (b) mu(l(u, u)) == bar(u mod 2) on random integral classes;
     (c) right square on the image of rho: epsilon(L, rho(T_c)) mod 2 ==
-        selflink_eval(L, sigma(T_c)) for random valid L;
+        selflink_eval(L, sigma(T_c)) for random valid L, on (a)'s bases;
     (d) wedge lift: mu(rho(f)) ^ mu(rho(g)) == sigma(f) ^ sigma(g) for
         support-disjoint pairs.
 
@@ -493,12 +491,9 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     checks = {}
 
-    failures = []
-    for t in range(num_trials):
-        rows = _random_rows(g, rng, 0)
-        if mu(rho_rows(g, rows)) != _sigma_rows(g, rows):
-            failures.append(f"trial {t}: basis {ZSubsurfaceBasis.from_rows(g, rows).pairs}")
-    checks["triangle"] = check_record(failures, num_trials)
+    triangle, square = rho_trial_failures(g, num_trials, rng)
+    checks["triangle"] = check_record(triangle, num_trials)
+    checks["right_square"] = check_record(square, num_trials)
 
     failures = []
     for t in range(num_trials):
@@ -507,17 +502,14 @@ def verify_diagrams(genus: int, num_trials: int, seed: int) -> dict:
             failures.append(f"trial {t}: u = {u.coords}")
     checks["mu_quadratic"] = check_record(failures, num_trials)
 
-    checks["right_square"] = check_record(right_square_failures(g, num_trials, rng), num_trials)
-
     if g >= 2:
         failures = []
         n_lift = max(1, num_trials // 4)
         for t in range(n_lift):
-            handles = list(range(1, g + 1))
-            rng.shuffle(handles)
             h1 = randint_draws(rng, 1, min(g - 1, 2), 1)[0]
             h2 = randint_draws(rng, 1, min(g - h1, 2), 1)[0]
-            set1, set2 = sorted(handles[:h1]), sorted(handles[h1 : h1 + h2])
+            handles = sample_draws(rng, g, h1 + h2)
+            set1, set2 = sorted(handles[:h1]), sorted(handles[h1:])
             rows1, rows2 = (random_z_symplectic_rows(g, s, rng) for s in (set1, set2))
             rho1, rho2 = rho_rows(g, rows1), rho_rows(g, rows2)
             if wedge(mu(rho1), mu(rho2)) != wedge(_sigma_rows(g, rows1), _sigma_rows(g, rows2)):

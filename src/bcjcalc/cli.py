@@ -34,8 +34,8 @@ from .cassonmorita import (
     epsilon,
     mu,
     mu_quadratic_exhaustive,
-    right_square_failures,
     rho_separating,
+    rho_trial_failures,
     verify_diagrams,
 )
 from .errors import CatalogError, ConsistencyError
@@ -87,6 +87,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _max_support(text: str) -> int:
+    # the saturated span is the same at every --max-support; a 6-handle template needs gigabytes
+    if (n := _positive_int(text)) > 5:
+        raise argparse.ArgumentTypeError(f"must be at most 5, got {n}")
     return n
 
 
@@ -240,8 +247,8 @@ def cmd_verify(args) -> int:
     checks = verify_diagrams(g, args.trials, args.seed)
     if args.linking_matrix:
         n = max(1, args.trials // 5)
-        failures = right_square_failures(g, n, random.Random(args.seed ^ 0x11), L)
-        checks["right_square_with_matrix"] = check_record(failures, n)
+        _, square = rho_trial_failures(g, n, random.Random(args.seed ^ 0x11), L)
+        checks["right_square_with_matrix"] = check_record(square, n)
 
     n = max(10, args.trials // 5)
     bi = basis_independence_failures(g, n, args.seed)
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="abelian-cycle image span search (JSON)")
     add_common(p, single_genus=True)
-    p.add_argument("--max-support", type=_positive_int, default=3, dest="max_support")
+    p.add_argument("--max-support", type=_max_support, default=3, dest="max_support")
     p.add_argument(
         "--no-sp-closure",
         action="store_false",

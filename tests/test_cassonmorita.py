@@ -18,7 +18,7 @@ from bcjcalc.cassonmorita import (
     mu_quadratic_exhaustive,
     rho_rows,
     rho_separating,
-    right_square_failures,
+    rho_trial_failures,
     selflink_eval,
     verify_diagrams,
 )
@@ -365,42 +365,44 @@ class TestRhoRows:
 
     def test_forced_failures_keep_the_witness_text(self, monkeypatch):
         # with mu or epsilon broken every trial fails, and each witness names
-        # the drawn basis as its ZSubsurfaceBasis pairs, the same text as
-        # when the trials drew objects (pinned literally at genus 2) and the
-        # same as the object draw replayed from the seed
+        # the drawn basis as its ZSubsurfaceBasis pairs (pinned literally at
+        # genus 2), the same text as the object draw replayed from the seed:
+        # h from 1..min(g, 3), the handles, the basis, then the trial's L.
+        # One basis feeds both witness lists.
         from bcjcalc import cassonmorita
         from bcjcalc.surface import randint_draws
 
-        monkeypatch.setattr(cassonmorita, "mu", lambda x: BoolPoly(x.genus, {0}))
-        witnesses = verify_diagrams(2, 6, seed=1)["triangle"]["witnesses"]
-        assert witnesses[:2] == [
-            "trial 0: basis ()",
-            "trial 1: basis ((ZHClass(genus=2, coords=(-6, -3, -3, -7)), "
-            "ZHClass(genus=2, coords=(7, 7, 4, 15))), (ZHClass(genus=2, coords=(1, 3, 1, 6)), "
-            "ZHClass(genus=2, coords=(-9, -6, -5, -13))))",
-        ]
-        for g, seed in ((2, 1), (4, 7), (9, 3)):
+        def replay(g, seed, n):
             rng, want = random.Random(seed), []
-            for t in range(5):
-                h = randint_draws(rng, 0, min(g, 3), 1)[0]
+            for t in range(n):
+                h = randint_draws(rng, 1, min(g, 3), 1)[0]
                 handles = sorted(rng.sample(range(1, g + 1), h))
                 want.append(f"trial {t}: basis {random_z_symplectic_basis(g, h, rng, handles).pairs}")
-            assert verify_diagrams(g, 5, seed)["triangle"]["witnesses"] == want
+                LinkingMatrix.random_valid(g, rng)
+            return want
+
+        monkeypatch.setattr(cassonmorita, "mu", lambda x: BoolPoly(x.genus, {0}))
+        witnesses = verify_diagrams(2, 6, seed=2)["triangle"]["witnesses"]
+        assert witnesses[:2] == [
+            "trial 0: basis ((ZHClass(genus=2, coords=(1, 0, -2, 0)), "
+            "ZHClass(genus=2, coords=(4, 0, -7, 0))),)",
+            "trial 1: basis ((ZHClass(genus=2, coords=(-13, -8, -4, 7)), "
+            "ZHClass(genus=2, coords=(7, 4, 3, -5))), (ZHClass(genus=2, coords=(8, 5, 1, -2)), "
+            "ZHClass(genus=2, coords=(4, 2, 2, -3))))",
+        ]
+        for g, seed in ((2, 1), (4, 7), (9, 3)):
+            checks = verify_diagrams(g, 5, seed)
+            assert checks["triangle"]["witnesses"] == replay(g, seed, 5)
+            assert checks["right_square"]["passed"]
+            assert rho_trial_failures(g, 5, random.Random(seed)) == (replay(g, seed, 5), [])
 
         real_epsilon = cassonmorita.epsilon
         monkeypatch.setattr(cassonmorita, "epsilon", lambda L, x: real_epsilon(L, x) + 1)
-        assert right_square_failures(2, 3, random.Random(5))[1] == (
-            "trial 1: basis ((ZHClass(genus=2, coords=(-8, 0, 5, 0)), "
-            "ZHClass(genus=2, coords=(11, 0, -7, 0))),)"
-        )
-        rng, want = random.Random(8), []
-        for t in range(5):
-            h = randint_draws(rng, 1, 3, 1)[0]
-            handles = sorted(rng.sample(range(1, 5), h))
-            basis = random_z_symplectic_basis(4, h, rng, handles)
-            LinkingMatrix.random_valid(4, rng)
-            want.append(f"trial {t}: basis {basis.pairs}")
-        assert right_square_failures(4, 5, random.Random(8)) == want
+        want = replay(4, 8, 5)
+        assert rho_trial_failures(4, 5, random.Random(8)) == (want, want)
+        L = LinkingMatrix.standard_model(3)
+        triangle, square = rho_trial_failures(3, 4, random.Random(6), L)
+        assert triangle == square and len(square) == 4
 
 
 @st.composite
@@ -899,12 +901,48 @@ class TestDiagrams:
         assert calls["objects"] == 0
         assert calls["mod2"] == 0
 
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_each_trial_basis_drawn_and_evaluated_once(self, g, monkeypatch):
+        # the triangle and the right square share each trial's basis, so n
+        # trials draw and evaluate n bases for both, and the wedge lift two
+        # per trial (none at genus 1); its two handle sets come from one
+        # handle sample, disjoint, and nothing shuffles
+        from bcjcalc import cassonmorita
+
+        handle_sets, calls = [], {"rho": 0}
+        draw, rho = cassonmorita.random_z_symplectic_rows, cassonmorita.rho_rows
+
+        def counted_draw(g, handles, rng):
+            handle_sets.append(handles)
+            return draw(g, handles, rng)
+
+        def counted_rho(g, rows):
+            calls["rho"] += 1
+            return rho(g, rows)
+
+        def no_shuffle(self, x):
+            raise AssertionError("verify shuffled")
+
+        monkeypatch.setattr(cassonmorita, "random_z_symplectic_rows", counted_draw)
+        monkeypatch.setattr(cassonmorita, "rho_rows", counted_rho)
+        monkeypatch.setattr(random.Random, "shuffle", no_shuffle)
+        for n, seed in ((1, 2), (9, 3), (40, 5)):
+            handle_sets.clear()
+            calls["rho"] = 0
+            assert all(c["passed"] for c in verify_diagrams(g, n, seed).values())
+            n_lift = max(1, n // 4) if g >= 2 else 0
+            assert len(handle_sets) == calls["rho"] == n + 2 * n_lift
+            assert all(1 <= len(s) <= min(g, 3) for s in handle_sets[:n])
+            lift = handle_sets[n:]
+            for set1, set2 in zip(lift[0::2], lift[1::2]):
+                assert set1 and set2 and not set(set1) & set(set2)
+
     def test_validation_counts_of_the_benchmark_command(self, monkeypatch, tmp_path):
-        # verify --g 4 --trials 500 --seed 5151: 1,250 integral bases, each
-        # validated once, on its rows, by rho_rows, and 310 mod-2 validations,
-        # all by the sigma checks (104 rebase inputs, 106 rebased and start
-        # bases, 100 bases of the equivariance check); the triangle, right
-        # square and wedge lift once validated their 1,250 mod-2 reductions too
+        # verify --g 4 --trials 500 --seed 5151: 750 integral bases (500 for
+        # the triangle and right square together, 250 for the wedge lift),
+        # each validated once, on its rows, by rho_rows, and 310 mod-2
+        # validations, all by the sigma checks (104 rebase inputs, 106 rebased
+        # and start bases, 100 bases of the equivariance check)
         from bcjcalc import cassonmorita, cli
 
         calls = {"integral": 0, "mod2": 0}
@@ -922,9 +960,9 @@ class TestDiagrams:
         monkeypatch.setattr(sf, "symplectic_violation", counted)
         argv = ["verify", "--g", "4", "--trials", "500", "--seed", "5151"]
         assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-        assert calls == {"integral": 1250, "mod2": 310}
+        assert calls == {"integral": 750, "mod2": 310}
 
-    @pytest.mark.parametrize("check", ["verify_diagrams", "right_square_failures"])
+    @pytest.mark.parametrize("check", ["verify_diagrams", "rho_trial_loop"])
     def test_sigma_never_reads_an_unvalidated_basis(self, check, monkeypatch):
         # A_1 = 3 a_i: A_1.B_1 = 3, so the rows are symplectic mod 2 but not
         # over Z.  rho_rows rejects them before sigma reads their parity bits.
@@ -952,8 +990,8 @@ class TestDiagrams:
             if check == "verify_diagrams":
                 verify_diagrams(3, 20, seed=4)
             else:
-                right_square_failures(3, 20, random.Random(4))
-        assert all(not pairs for pairs in read)  # only empty bases, h = 0
+                rho_trial_failures(3, 20, random.Random(4))
+        assert read == []  # every trial draws h >= 1 handles, so the first raises
 
     def test_zero_trials_never_pass(self):
         checks = verify_diagrams(2, 0, seed=8)

@@ -227,6 +227,25 @@ class TestSearch:
         assert "usage:" in err and "--max-support" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["6", "7", "100"])
+    def test_max_support_above_five_usage_error(self, capsys, monkeypatch, value):
+        # the 6-handle template alone outgrew 3 GB at genus 7, and the saturated
+        # span does not depend on --max-support, so a value above 5 is refused
+        # while parsing, before any template is built
+        def no_template(s):
+            raise AssertionError(f"_template({s})")
+
+        monkeypatch.setattr(wedgespan, "_template", no_template)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--g", "8", "--max-support", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bcjcalc search")
+        assert f"argument --max-support: must be at most 5, got {value}" in err
+        assert "Traceback" not in err
+        args = cli.build_parser().parse_args(["search", "--g", "8", "--max-support", "5"])
+        assert args.max_support == 5
+
     @pytest.mark.parametrize(
         "flag",
         [
